@@ -16,8 +16,9 @@ import argparse
 import io
 import csv
 import os
+import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -36,18 +37,15 @@ from .efficiency import (
     run_efficiency_experiment,
 )
 from .elicitation import (
-    API_KEY_ENV_VAR,
-    DEFAULT_ENDPOINT,
-    ENDPOINT_ENV_VAR,
     AllQueriesFailedError,
     ElicitationConfig,
     ElicitationError,
-    ElicitationRecord,
     FixtureTransport,
     HttpTransport,
     PromptStrategy,
     elicit_prior,
     prior_param_stats,
+    read_audit_log,
     write_audit_log,
 )
 from .model import META_ANALYTICAL, HyperPriorSpec
@@ -58,6 +56,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NETWORK = 4
 EXIT_NUMERICAL = 5
+
+DEFAULT_ENDPOINT = "http://localhost:8000/v1/chat/completions"
+ENDPOINT_ENV_VAR = "LLM_ENDPOINT"
+API_KEY_ENV_VAR = "LLM_API_KEY"
 
 
 class ConfigError(ValueError):
@@ -117,13 +119,10 @@ class RunConfig:
         try:
             return ElicitationConfig(
                 model_id=model_id,
-                endpoint_url=os.environ.get(ENDPOINT_ENV_VAR, self.endpoint),
                 temperature=temperature,
                 n_queries=self.n_queries,
                 max_retries=self.max_retries,
                 backoff_base=self.backoff_base,
-                timeout=self.timeout,
-                api_key=os.environ.get(API_KEY_ENV_VAR),
                 strict=self.strict,
             )
         except ValueError as exc:
@@ -132,6 +131,9 @@ class RunConfig:
 
 _TUPLE_FIELDS = {"models", "strategies", "temperatures", "rho_grid"}
 _BOOL_FIELDS = {"strict", "live"}
+# a comment starts at a '#' that begins the line or follows whitespace, so
+# values such as URL fragments keep theirs
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -144,7 +146,7 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
-    """Parse a line-oriented ``key = value`` file (# starts a comment)."""
+    """Parse a line-oriented ``key = value`` file (whitespace-led # starts a comment)."""
     spec_by_name = {f.name: f for f in fields(RunConfig)}
     values: dict[str, object] = {}
     try:
@@ -152,7 +154,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -192,6 +194,8 @@ def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.live = True
     if getattr(args, "dataset", None):
         cfg.dataset = args.dataset
+    if cfg.n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
     return cfg
 
 
@@ -214,7 +218,10 @@ def _make_transport(cfg: RunConfig):
                 f"live mode requires the {API_KEY_ENV_VAR} environment variable")
         if not endpoint:
             raise ConfigError("live mode requires an endpoint URL")
-        return HttpTransport(endpoint, api_key=api_key, timeout=cfg.timeout)
+        try:
+            return HttpTransport(endpoint, api_key=api_key, timeout=cfg.timeout)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError("either a fixtures path (--fixtures) or --live is required")
 
 
@@ -291,6 +298,13 @@ def _pick(flag_value, config_values: tuple, what: str, last: bool = False):
     return config_values[-1] if last else config_values[0]
 
 
+def _write_audit(cfg: RunConfig, name: str, priors) -> None:
+    """Append the records of every elicited prior (None = baseline) to audit/<name>."""
+    records = [rec for prior in priors if prior is not None for rec in prior.records]
+    if records:
+        write_audit_log(records, _out_dir(cfg, "audit") / name)
+
+
 def cmd_elicit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     model = _pick(args.model, cfg.models, "model id")
@@ -301,7 +315,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
         ecfg = replace(ecfg, n_queries=args.n_queries)
     transport = _make_transport(cfg)
     prior = elicit_prior(strategy, ecfg, transport)
-    write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
+    _write_audit(cfg, "elicitations.jsonl", [prior])
     n_ok = prior.n_successes
     sys.stdout.write(
         f"model {model}, strategy {strategy.value}, temperature {temperature:g}\n"
@@ -355,16 +369,6 @@ def _cv_conditions(cfg: RunConfig, args: argparse.Namespace) -> list[CvCondition
     return conditions
 
 
-def _audit_cv(results, cfg: RunConfig) -> None:
-    records: list[ElicitationRecord] = []
-    for res in results:
-        for fold in res.per_fold:
-            if fold.prior is not None:
-                records.extend(fold.prior.records)
-    if records:
-        write_audit_log(records, _out_dir(cfg, "audit") / "cv_elicitations.jsonl")
-
-
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dataset = _require_dataset(cfg)
@@ -384,7 +388,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
-    _audit_cv(results, cfg)
+    _write_audit(cfg, "cv_elicitations.jsonl",
+                 (fold.prior for res in results for fold in res.per_fold))
 
     rows = [[res.condition.identity(),
              f"{res.pooled_mean_lpd:.3f}", f"{res.pooled_sd_lpd:.3f}",
@@ -432,13 +437,8 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
                efficiency_table_rows(result))
     _write_csv(_out_dir(cfg, "results") / "efficiency_summary.csv",
                efficiency_summary_rows(result))
-    records: list[ElicitationRecord] = []
-    for cell in result.cells:
-        for run in cell.runs:
-            if run.prior is not None:
-                records.extend(run.prior.records)
-    if records:
-        write_audit_log(records, _out_dir(cfg, "audit") / "efficiency_elicitations.jsonl")
+    _write_audit(cfg, "efficiency_elicitations.jsonl",
+                 (run.prior for cell in result.cells for run in cell.runs))
 
     rows = [[cell.condition.identity(), f"{cell.rho:g}",
              f"{cell.lpd_mean:.3f}", f"{cell.lpd_sd:.3f}",
@@ -452,46 +452,17 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_audit_records(directory: Path) -> list[ElicitationRecord]:
-    import json
-
-    records: list[ElicitationRecord] = []
-    for path in sorted(directory.glob("*.jsonl")):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                parsed = tuple(obj["parsed"]) if obj.get("parsed") else None
-                records.append(ElicitationRecord(
-                    strategy=PromptStrategy(obj["strategy"]),
-                    temperature=obj["temperature"],
-                    model_id=obj["model_id"],
-                    prompt_text="",
-                    raw_response=obj.get("raw_response"),
-                    parsed=parsed,
-                    error=obj.get("error"),
-                    timestamp=obj.get("timestamp", 0.0),
-                ))
-    return records
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     audit_dir = (Path(args.results_dir) if args.results_dir
                  else Path(cfg.out or "out") / "audit")
     if not audit_dir.is_dir():
         raise DataError(f"no such results directory: {audit_dir}")
-    records = _load_audit_records(audit_dir)
+    records = [rec for path in sorted(audit_dir.glob("*.jsonl"))
+               for rec in read_audit_log(path)]
     if not records:
         raise DataError(f"no elicitation records found under {audit_dir}")
-
-    @dataclass(frozen=True)
-    class _Prior:  # prior_param_stats groups by the records inside
-        records: tuple[ElicitationRecord, ...]
-
-    stats = prior_param_stats([_Prior(records=tuple(records))])
+    stats = prior_param_stats(records)
     rows = []
     csv_rows = []
     for key in sorted(stats):

@@ -8,7 +8,8 @@ of queries is aggregated by arithmetic mean into a HyperPriorSpec.
 
 The transport is pluggable: ``HttpTransport`` talks to a live endpoint
 with retry/backoff, ``FixtureTransport`` replays recorded responses from
-a JSONL file so experiments are reproducible offline.
+a JSONL file so experiments are reproducible offline.  Every audit log
+written by ``write_audit_log`` is itself a valid fixture file.
 """
 
 from __future__ import annotations
@@ -19,18 +20,12 @@ import json
 import numbers
 import os
 import re
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import HyperPriorSpec
-
-DEFAULT_ENDPOINT = "http://localhost:8000/v1/chat/completions"
-ENDPOINT_ENV_VAR = "LLM_ENDPOINT"
-API_KEY_ENV_VAR = "LLM_API_KEY"
 
 
 class PromptStrategy(enum.Enum):
@@ -152,15 +147,11 @@ class ElicitationConfig:
     """Settings for one batch of elicitation queries."""
 
     model_id: str
-    endpoint_url: str = DEFAULT_ENDPOINT
     temperature: float = 1.0
     n_queries: int = 5
     max_retries: int = 5
     backoff_base: float = 1.0
-    timeout: float = 60.0
-    api_key: str | None = None
     strict: bool = False
-    max_concurrency: int = 1
 
     def __post_init__(self):
         if not self.model_id:
@@ -171,18 +162,8 @@ class ElicitationConfig:
             raise ValueError("n_queries must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0 or self.timeout <= 0:
-            raise ValueError("backoff_base and timeout must be positive")
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-
-    @classmethod
-    def from_env(cls, model_id: str, **overrides) -> "ElicitationConfig":
-        """Build a config taking endpoint and API key from the environment."""
-        overrides.setdefault("endpoint_url",
-                             os.environ.get(ENDPOINT_ENV_VAR, DEFAULT_ENDPOINT))
-        overrides.setdefault("api_key", os.environ.get(API_KEY_ENV_VAR))
-        return cls(model_id=model_id, **overrides)
+        if self.backoff_base <= 0:
+            raise ValueError("backoff_base must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,13 +188,18 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ElicitationRecord:
-    """Audit record of a single query: either a parsed pair or an error."""
+    """Audit record of a single query: either a parsed pair or an error.
 
+    Its JSON form is a superset of a fixture record, so an audit log
+    replays through ``FixtureTransport``.  ``response`` is None when the
+    transport itself failed.
+    """
+
+    request_hash: str
+    model: str
     strategy: PromptStrategy
     temperature: float
-    model_id: str
-    prompt_text: str
-    raw_response: str | None
+    response: str | None
     parsed: tuple[float, float] | None
     error: str | None
     timestamp: float
@@ -228,14 +214,27 @@ class ElicitationRecord:
 
     def to_json_dict(self) -> dict:
         return {
+            "request_hash": self.request_hash,
+            "model": self.model,
             "strategy": self.strategy.value,
             "temperature": self.temperature,
-            "model_id": self.model_id,
-            "raw_response": self.raw_response,
+            "response": self.response,
             "parsed": list(self.parsed) if self.parsed else None,
             "error": self.error,
             "timestamp": self.timestamp,
         }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "ElicitationRecord":
+        parsed = obj["parsed"]
+        if parsed is not None:
+            alpha_rate, beta_rate = parsed
+            parsed = (float(alpha_rate), float(beta_rate))
+        return cls(request_hash=obj["request_hash"], model=obj["model"],
+                   strategy=PromptStrategy(obj["strategy"]),
+                   temperature=float(obj["temperature"]),
+                   response=obj["response"], parsed=parsed, error=obj["error"],
+                   timestamp=float(obj["timestamp"]))
 
 
 @dataclass(frozen=True)
@@ -256,6 +255,8 @@ class HttpTransport:
 
     def __init__(self, endpoint_url: str, api_key: str | None = None,
                  timeout: float = 60.0):
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         self.timeout = timeout
@@ -293,38 +294,46 @@ class HttpTransport:
         return content
 
 
+def _read_jsonl(path: str | os.PathLike, parse) -> list:
+    """Apply ``parse`` to each JSON line of a file; errors name file and line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ElicitationError(
+                    f"{path}: line {lineno}: record missing {exc.args[0]!r}") from exc
+            except (ElicitationError, ValueError, TypeError) as exc:
+                raise ElicitationError(
+                    f"{path}: line {lineno}: invalid record: {exc}") from exc
+    return out
+
+
 class FixtureTransport:
     """Replays recorded responses keyed by request hash.
 
     The fixture file is JSONL; each line holds either an explicit
     ``request_hash`` or enough fields (model, strategy, temperature) to
-    recompute it, plus the raw ``response`` body.  Responses for the same
-    request are served in file order and cycle when exhausted, so a batch
-    larger than the recording still gets deterministic answers.
+    recompute it, plus the raw ``response`` body.  Audit logs qualify.
+    Records whose ``response`` is null (transport failures) are skipped.
+    Responses for the same request are served in file order and cycle
+    when exhausted, so a batch larger than the recording still gets
+    deterministic answers.
     """
 
     def __init__(self, records: list[dict] | None = None):
-        self._queues: dict[str, deque[str]] = {}
-        self._order: dict[str, list[str]] = {}
-        self._lock = threading.Lock()
+        self._responses: dict[str, list[str]] = {}
+        self._cursor: dict[str, int] = {}
         for rec in records or []:
             self.add_record(rec)
 
     @classmethod
     def from_path(cls, path: str | os.PathLike) -> "FixtureTransport":
         transport = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ElicitationError(
-                        f"{path}: line {lineno}: invalid fixture record: {exc}"
-                    ) from exc
-                transport.add_record(rec)
+        _read_jsonl(path, transport.add_record)
         return transport
 
     def add_record(self, rec: dict) -> None:
@@ -342,47 +351,20 @@ class FixtureTransport:
                     f"fixture record needs request_hash or model/strategy/temperature: {rec!r}"
                 ) from exc
             key = request.request_hash()
-        self._order.setdefault(key, []).append(rec["response"])
-        self._queues[key] = deque(self._order[key])
+        if rec["response"] is not None:
+            self._responses.setdefault(key, []).append(rec["response"])
 
     def send(self, request: ChatRequest) -> str:
         key = request.request_hash()
-        with self._lock:
-            queue = self._queues.get(key)
-            if not self._order.get(key):
-                raise FixtureMissError(
-                    f"no recorded response for model={request.model!r} "
-                    f"temperature={request.temperature}"
-                )
-            if not queue:  # exhausted: wrap around
-                queue = deque(self._order[key])
-                self._queues[key] = queue
-            return queue.popleft()
-
-
-class RecordingTransport:
-    """Wraps a live transport, appending each exchange to a fixture file."""
-
-    def __init__(self, inner, path: str | os.PathLike,
-                 strategy: PromptStrategy | None = None):
-        self._inner = inner
-        self._path = path
-        self._strategy = strategy
-        self._lock = threading.Lock()
-
-    def send(self, request: ChatRequest) -> str:
-        response = self._inner.send(request)
-        rec = {
-            "request_hash": request.request_hash(),
-            "model": request.model,
-            "temperature": request.temperature,
-            "response": response,
-        }
-        if self._strategy is not None:
-            rec["strategy"] = self._strategy.value
-        with self._lock, open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        return response
+        responses = self._responses.get(key)
+        if not responses:
+            raise FixtureMissError(
+                f"no recorded response for model={request.model!r} "
+                f"temperature={request.temperature}"
+            )
+        i = self._cursor.get(key, 0)
+        self._cursor[key] = (i + 1) % len(responses)
+        return responses[i]
 
 
 def query_llm(prompt: str, config: ElicitationConfig, transport) -> str:
@@ -439,24 +421,19 @@ def parse_response(raw: str) -> tuple[float, float]:
     return _require_rate(obj, "alpha_rate"), _require_rate(obj, "beta_rate")
 
 
-def _run_one_query(strategy: PromptStrategy, prompt: str,
+def _run_one_query(strategy: PromptStrategy, prompt: str, request_hash: str,
                    config: ElicitationConfig, transport) -> ElicitationRecord:
-    raw: str | None = None
+    response = parsed = error = None
     try:
-        raw = query_llm(prompt, config, transport)
-        parsed = parse_response(raw)
-        return ElicitationRecord(
-            strategy=strategy, temperature=config.temperature,
-            model_id=config.model_id, prompt_text=prompt,
-            raw_response=raw, parsed=parsed, error=None, timestamp=time.time(),
-        )
+        response = query_llm(prompt, config, transport)
+        parsed = parse_response(response)
     except ElicitationError as exc:
-        return ElicitationRecord(
-            strategy=strategy, temperature=config.temperature,
-            model_id=config.model_id, prompt_text=prompt,
-            raw_response=raw, parsed=None, error=f"{type(exc).__name__}: {exc}",
-            timestamp=time.time(),
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    return ElicitationRecord(
+        request_hash=request_hash, model=config.model_id, strategy=strategy,
+        temperature=config.temperature, response=response, parsed=parsed,
+        error=error, timestamp=time.time(),
+    )
 
 
 def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
@@ -468,18 +445,10 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
     strict mode).  Records are ordered by request index.
     """
     prompt = build_prompt(strategy)
-    if config.max_concurrency > 1 and config.n_queries > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(config.max_concurrency, config.n_queries)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(
-                lambda _: _run_one_query(strategy, prompt, config, transport),
-                range(config.n_queries),
-            ))
-    else:
-        records = tuple(_run_one_query(strategy, prompt, config, transport)
-                        for _ in range(config.n_queries))
+    request_hash = ChatRequest(model=config.model_id, prompt=prompt,
+                               temperature=config.temperature).request_hash()
+    records = tuple(_run_one_query(strategy, prompt, request_hash, config, transport)
+                    for _ in range(config.n_queries))
 
     failures = [r for r in records if not r.ok]
     if config.strict and failures:
@@ -524,25 +493,24 @@ class ParamStats:
                    q3=float(q3), maximum=float(arr.max()))
 
 
-GroupKey = tuple[str, str, float]  # (model_id, strategy value, temperature)
+GroupKey = tuple[str, str, float]  # (model, strategy value, temperature)
 
 
 def prior_param_stats(
-    priors,
+    records,
 ) -> dict[GroupKey, dict[str, ParamStats]]:
     """Distribution statistics of elicited rates per (model, strategy, temperature).
 
-    Every successfully parsed query contributes one point; groups with no
+    Every successfully parsed record contributes one point; groups with no
     parsed records are an error.
     """
     grouped: dict[GroupKey, dict[str, list[float]]] = {}
-    for prior in priors:
-        for rec in prior.records:
-            key = (rec.model_id, rec.strategy.value, rec.temperature)
-            bucket = grouped.setdefault(key, {"alpha_rate": [], "beta_rate": []})
-            if rec.ok:
-                bucket["alpha_rate"].append(rec.parsed[0])
-                bucket["beta_rate"].append(rec.parsed[1])
+    for rec in records:
+        key = (rec.model, rec.strategy.value, rec.temperature)
+        bucket = grouped.setdefault(key, {"alpha_rate": [], "beta_rate": []})
+        if rec.ok:
+            bucket["alpha_rate"].append(rec.parsed[0])
+            bucket["beta_rate"].append(rec.parsed[1])
     out: dict[GroupKey, dict[str, ParamStats]] = {}
     for key, bucket in grouped.items():
         if not bucket["alpha_rate"]:
@@ -557,3 +525,8 @@ def write_audit_log(records, path: str | os.PathLike) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+
+
+def read_audit_log(path: str | os.PathLike) -> list[ElicitationRecord]:
+    """Read the records of a JSONL audit file written by ``write_audit_log``."""
+    return _read_jsonl(path, ElicitationRecord.from_json_dict)

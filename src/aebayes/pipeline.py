@@ -8,6 +8,7 @@ outputs are returned in input order either way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .data import Dataset
@@ -45,11 +46,13 @@ def map_cells(args_list: list[tuple], n_jobs: int = 1) -> list[FitScore]:
     """Run fit_and_score over many cells, optionally in parallel.
 
     Results are ordered by input index regardless of scheduling, so the
-    parallelism level never changes the output.
+    parallelism level never changes the output.  No more workers start
+    than there are cells or CPUs.
     """
-    if n_jobs <= 1:
+    workers = min(n_jobs, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [_score_cell(a) for a in args_list]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_score_cell, args_list))

@@ -140,14 +140,6 @@ def _draw_lambdas(alpha: float, beta: float, totals: np.ndarray,
     return np.maximum(draws, _RATE_FLOOR)
 
 
-def gibbs_update_lambdas(state: ChainState, dataset: Dataset,
-                         rng: np.random.Generator) -> ChainState:
-    """Replace every site rate with an exact conjugate Gamma draw."""
-    totals = dataset.site_totals().astype(np.float64)
-    sizes = dataset.site_sizes().astype(np.float64)
-    return replace(state, lambdas=_draw_lambdas(state.alpha, state.beta, totals, sizes, rng))
-
-
 def _mh_log_scale(current: float, step: float, log_target, rng) -> tuple[float, bool]:
     """One random-walk Metropolis step on the log of a positive scalar."""
     log_cur = math.log(current)

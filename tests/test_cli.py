@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aebayes.cli import main
+from aebayes.cli import load_config, main
 
 DATASET = """site_id,patient_id,ae_count
 s01,p01,2
@@ -74,6 +74,20 @@ def fixture_entry(model, strategy, temperature,
                   response='{"alpha_rate": 0.5, "beta_rate": 0.1}'):
     return {"model": model, "strategy": strategy,
             "temperature": temperature, "response": response}
+
+
+# distinct answers, so a replay that served them out of order would change
+# the results; the unparseable one must replay as a failed query too
+DISTINCT_RESPONSES = ['{"alpha_rate": 0.5, "beta_rate": 0.1}',
+                      '{"alpha_rate": 1.5, "beta_rate": 0.4}',
+                      '{"alpha_rate": 0.2, "beta_rate": 2.0}']
+REPLAY_RESPONSES = [DISTINCT_RESPONSES[0], "not json", *DISTINCT_RESPONSES[1:]]
+
+
+def output_bytes(out_dir):
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for kind in ("results", "reports")
+            for p in sorted((out_dir / kind).iterdir())}
 
 
 def test_ingest_prints_summary(dataset_file, capsys):
@@ -258,6 +272,56 @@ def test_efficiency_single_condition(dataset_file, config_file, tmp_path, capsys
     assert len(audit) == 4  # one query per (rho, replication) cell
 
 
+@pytest.mark.parametrize("command, audit_name, responses", [
+    (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+      "--temperatures", "0.5"], "cv_elicitations.jsonl", REPLAY_RESPONSES),
+    # one query per cell here, so an unparseable answer would fail the run
+    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+      "--rho-grid", "0.5,1.0", "--n-replications", "2"],
+     "efficiency_elicitations.jsonl", DISTINCT_RESPONSES),
+], ids=["cv", "efficiency"])
+def test_audit_log_replays_to_identical_outputs(dataset_file, config_file, tmp_path,
+                                                command, audit_name, responses):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5, response=r)
+                                   for r in responses])
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    base = [*command, "--dataset", dataset_file, "--config", config_file, "--seed", "5"]
+    assert main([*base, "--fixtures", fx, "--out", str(first)]) == 0
+    audit = first / "audit" / audit_name
+    assert main([*base, "--fixtures", str(audit), "--out", str(replay)]) == 0
+    assert output_bytes(replay) == output_bytes(first)
+    assert ((replay / "audit" / audit_name).read_text().count("\n")
+            == audit.read_text().count("\n"))
+
+
+def test_elicit_audit_log_replays(tmp_path, capsys):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0, response=r)
+                                   for r in REPLAY_RESPONSES])
+    args = ["elicit", "--model", "m1", "--temperature", "1.0"]
+    assert main([*args, "--fixtures", fx, "--out", str(tmp_path / "first")]) == 0
+    first = capsys.readouterr().out
+    audit = tmp_path / "first" / "audit" / "elicitations.jsonl"
+    assert main([*args, "--fixtures", str(audit), "--out", str(tmp_path / "replay")]) == 0
+    replayed = capsys.readouterr().out
+    assert "queries: 5 (4 parsed)" in first
+    assert replayed == first
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("{not json", "invalid record"),
+    ('{"request_hash": "h", "model": "m1", "temperature": 1.0, "response": "x",'
+     ' "parsed": [0.5, 0.1], "error": null, "timestamp": 0.0}', "missing 'strategy'"),
+], ids=["not-json", "no-strategy"])
+def test_report_malformed_audit_log_exit_code(tmp_path, capsys, line, fragment):
+    audit_dir = tmp_path / "out" / "audit"
+    audit_dir.mkdir(parents=True)
+    (audit_dir / "elicitations.jsonl").write_text("\n" + line + "\n", encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "elicitations.jsonl: line 2" in err
+    assert fragment in err
+
+
 def test_report_without_audit_exit_code(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path / "empty")])
     assert rc == 3
@@ -318,3 +382,31 @@ def test_config_out_is_used_without_flag(dataset_file, tmp_path):
     cfg.write_text(f"out = {cfg_out}\n", encoding="utf-8")
     assert main(["ingest", dataset_file, "--config", str(cfg)]) == 0
     assert (cfg_out / "reports" / "ingest.txt").exists()
+
+
+def test_config_comment_needs_leading_whitespace(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# header\nendpoint = http://h/v1#frag\nout = runs/a  # note\n",
+                   encoding="utf-8")
+    loaded = load_config(cfg)
+    assert loaded.endpoint == "http://h/v1#frag"
+    assert loaded.out == "runs/a"
+
+
+@pytest.mark.parametrize("flag, config_line", [
+    (["--n-jobs", "0"], ""), (["--n-jobs", "-3"], ""), ([], "n_jobs = 0\n")])
+def test_n_jobs_below_one_exit_code(dataset_file, tmp_path, capsys, flag, config_line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line, encoding="utf-8")
+    assert main(["ingest", dataset_file, "--config", str(cfg), *flag]) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timeout = 0\n", encoding="utf-8")
+    rc = main(["elicit", "--live", "--model", "m1", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "timeout must be positive" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aebayes.elicitation import (
-    AggregatedPrior,
     AllQueriesFailedError,
     AuthenticationError,
     ChatRequest,
@@ -22,7 +21,6 @@ from aebayes.elicitation import (
     HttpTransport,
     ParamStats,
     PromptStrategy,
-    RecordingTransport,
     ResponseFormatError,
     RetriesExhaustedError,
     TransientTransportError,
@@ -31,6 +29,7 @@ from aebayes.elicitation import (
     parse_response,
     prior_param_stats,
     query_llm,
+    read_audit_log,
     write_audit_log,
 )
 
@@ -245,6 +244,12 @@ def test_http_transport_malformed_body(monkeypatch):
         transport.send(ChatRequest("m", "p", 1.0))
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0])
+def test_http_transport_rejects_non_positive_timeout(timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        HttpTransport("http://example.test", timeout=timeout)
+
+
 def test_fixture_transport_cycles_when_exhausted():
     bodies = ['{"alpha_rate": 0.4, "beta_rate": 0.1}',
               '{"alpha_rate": 0.6, "beta_rate": 0.1}']
@@ -282,14 +287,38 @@ def test_fixture_transport_bad_records(tmp_path):
         FixtureTransport.from_path(path)
 
 
-def test_recording_transport_round_trip(tmp_path):
-    inner = FlakyTransport([], '{"alpha_rate": 0.5, "beta_rate": 0.1}')
-    path = tmp_path / "rec.jsonl"
-    recording = RecordingTransport(inner, path, strategy=PromptStrategy.BLIND)
+def test_fixture_transport_skips_null_responses():
+    base = {"model": "m", "strategy": "blind", "temperature": 1.0}
+    transport = FixtureTransport(records=[{**base, "response": None},
+                                          {**base, "response": "kept"}])
     req = ChatRequest("m", build_prompt(PromptStrategy.BLIND), 1.0)
-    body = recording.send(req)
-    replay = FixtureTransport.from_path(path)
-    assert replay.send(req) == body
+    assert [transport.send(req) for _ in range(2)] == ["kept", "kept"]
+    only_null = FixtureTransport(records=[{**base, "response": None}])
+    with pytest.raises(FixtureMissError):
+        only_null.send(req)
+
+
+def test_audit_log_replays_as_fixtures(tmp_path):
+    """An audit log is a fixture file: replaying it reproduces every record
+    except those of transport failures, which carry no response."""
+    bodies = ['{"alpha_rate": 0.4, "beta_rate": 0.1}', "garbage",
+              '{"alpha_rate": 0.8, "beta_rate": 0.3}']
+    cfg = make_config(n_queries=3)
+    first = elicit_prior(PromptStrategy.BLIND, cfg, _transport_for(bodies))
+    failed = ElicitationRecord(
+        request_hash=first.records[0].request_hash, model="test-model",
+        strategy=PromptStrategy.BLIND, temperature=1.0, response=None,
+        parsed=None, error="RetriesExhaustedError: boom", timestamp=0.0)
+    path = tmp_path / "audit.jsonl"
+    write_audit_log([failed, *first.records], path)
+
+    replayed = elicit_prior(PromptStrategy.BLIND, cfg, FixtureTransport.from_path(path))
+
+    def strip(rec):
+        return {k: v for k, v in rec.to_json_dict().items() if k != "timestamp"}
+    assert [strip(r) for r in replayed.records] == [strip(r) for r in first.records]
+    assert replayed.spec == first.spec
+    assert read_audit_log(path) == [failed, *first.records]
 
 
 # ---------------------------------------------------------------- batches
@@ -363,8 +392,8 @@ def test_elicit_prior_aggregate_in_convex_hull(pairs):
 
 
 def test_record_requires_exactly_one_of_parsed_error():
-    kw = dict(strategy=PromptStrategy.BLIND, temperature=1.0, model_id="m",
-              prompt_text="p", raw_response="r", timestamp=0.0)
+    kw = dict(request_hash="h", model="m", strategy=PromptStrategy.BLIND,
+              temperature=1.0, response="r", timestamp=0.0)
     with pytest.raises(ValueError):
         ElicitationRecord(parsed=(1.0, 1.0), error="both", **kw)
     with pytest.raises(ValueError):
@@ -384,26 +413,13 @@ def test_config_validation():
     assert cfg.n_queries == 5 and cfg.max_retries == 5
 
 
-def test_config_from_env(monkeypatch):
-    monkeypatch.setenv("LLM_ENDPOINT", "http://alt.test/v1")
-    monkeypatch.setenv("LLM_API_KEY", "sk-secret")
-    cfg = ElicitationConfig.from_env("m")
-    assert cfg.endpoint_url == "http://alt.test/v1"
-    assert cfg.api_key == "sk-secret"
-
-
 # ------------------------------------------------------------------- stats
 
 def _ok_record(model: str, strategy: PromptStrategy, temp: float,
                a: float, b: float) -> ElicitationRecord:
-    return ElicitationRecord(strategy=strategy, temperature=temp, model_id=model,
-                             prompt_text="", raw_response="", parsed=(a, b),
+    return ElicitationRecord(request_hash="h", model=model, strategy=strategy,
+                             temperature=temp, response="", parsed=(a, b),
                              error=None, timestamp=0.0)
-
-
-def _prior_of(records) -> AggregatedPrior:
-    from aebayes.model import HyperPriorSpec
-    return AggregatedPrior(spec=HyperPriorSpec(1.0, 1.0), records=tuple(records))
 
 
 def test_param_stats_two_values():
@@ -431,7 +447,7 @@ def test_prior_param_stats_grouping():
         _ok_record("m1", PromptStrategy.DISEASE_INFORMED, 1.0, 9.0, 9.0),
         _ok_record("m2", PromptStrategy.BLIND, 0.1, 5.0, 5.0),
     ]
-    stats = prior_param_stats([_prior_of(recs)])
+    stats = prior_param_stats(recs)
     assert set(stats) == {("m1", "blind", 1.0),
                           ("m1", "disease_informed", 1.0),
                           ("m2", "blind", 0.1)}
@@ -442,11 +458,11 @@ def test_prior_param_stats_grouping():
 
 
 def test_prior_param_stats_failed_only_group_raises():
-    bad = ElicitationRecord(strategy=PromptStrategy.BLIND, temperature=1.0,
-                            model_id="m", prompt_text="", raw_response="x",
-                            parsed=None, error="nope", timestamp=0.0)
+    bad = ElicitationRecord(request_hash="h", model="m",
+                            strategy=PromptStrategy.BLIND, temperature=1.0,
+                            response="x", parsed=None, error="nope", timestamp=0.0)
     with pytest.raises(ValueError, match="no parsed records"):
-        prior_param_stats([_prior_of([bad])])
+        prior_param_stats([bad])
 
 
 def test_write_audit_log(tmp_path):
@@ -459,3 +475,6 @@ def test_write_audit_log(tmp_path):
     obj = json.loads(lines[0])
     assert obj["parsed"] == [0.5, 0.1]
     assert obj["strategy"] == "blind"
+    assert set(obj) == {"request_hash", "model", "strategy", "temperature",
+                        "response", "parsed", "error", "timestamp"}
+    assert read_audit_log(path) == recs * 2

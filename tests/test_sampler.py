@@ -19,7 +19,6 @@ from aebayes.sampler import (
     beta_log_conditional,
     compute_rhat,
     export_draws,
-    gibbs_update_lambdas,
     mh_update_hyperparams,
     point_mass_draws,
     run_mcmc,
@@ -49,12 +48,18 @@ def test_config_defaults():
 
 
 def test_freeze_mode_conjugate_moments():
+    """Every site rate follows its own Gamma(alpha + t_j, beta + n_j)."""
     cfg = McmcConfig(n_warmup=10, seed=3, freeze_hyperparams=(2.0, 0.5))
-    draws = run_mcmc(ONE_SITE, HyperPriorSpec(0.1, 0.1), cfg)
-    lam = draws.lambdas[:, :, 0].ravel()
-    assert lam.size == 4000
-    assert lam.mean() == pytest.approx(9 / 3.5, rel=0.02)
-    assert lam.var(ddof=1) == pytest.approx(9 / 3.5**2, rel=0.10)
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1), cfg)
+    # site A holds 7 events over 3 patients, site B 1 over 2
+    for j, (shape, rate) in enumerate([(2 + 7, 0.5 + 3), (2 + 1, 0.5 + 2)]):
+        lam = draws.lambdas[:, :, j].ravel()
+        assert lam.size == 4000
+        # four standard errors of each estimator; Gamma excess kurtosis is 6/shape
+        assert lam.mean() == pytest.approx(shape / rate,
+                                           rel=4 / math.sqrt(shape * lam.size))
+        assert lam.var(ddof=1) == pytest.approx(
+            shape / rate**2, rel=4 * math.sqrt((2 + 6 / shape) / lam.size))
     # hyperparameters pinned exactly
     assert (draws.alpha == 2.0).all()
     assert (draws.beta == 0.5).all()
@@ -117,20 +122,6 @@ def test_draws_are_read_only_and_shaped():
     with pytest.raises(ValueError):
         draws.alpha[0, 0] = 1.0
     assert set(draws.diagnostics) == {"alpha", "beta", "lambda[A]", "lambda[B]"}
-
-
-def test_gibbs_update_replaces_all_rates():
-    state = ChainState(alpha=2.0, beta=1.0, lambdas=np.array([1.0, 1.0]))
-    rng = np.random.default_rng(0)
-    new = gibbs_update_lambdas(state, TWO_SITES, rng)
-    assert new.lambdas.shape == (2,)
-    assert (new.lambdas > 0).all()
-    assert not np.array_equal(new.lambdas, state.lambdas)
-    # empirical check of the conjugate parameters
-    means = np.mean([gibbs_update_lambdas(state, TWO_SITES, rng).lambdas
-                     for _ in range(4000)], axis=0)
-    assert means[0] == pytest.approx((2 + 7) / (1 + 3), rel=0.05)
-    assert means[1] == pytest.approx((2 + 1) / (1 + 2), rel=0.05)
 
 
 def test_hyperparam_conditionals_match_independent_densities():
