@@ -3,8 +3,9 @@
 Subcommands: ingest, elicit, fit, cv, efficiency, report.  Configuration
 comes from an optional key=value file plus flags; secrets only ever come
 from the environment (LLM_API_KEY, endpoint override via LLM_ENDPOINT).
-Everything that writes does so atomically (temp file + rename), and all
-randomness flows from the single --seed value.
+Everything that writes does so atomically (temp file + rename), except
+``elicit``, which appends to its audit log.  All randomness flows from the
+single --seed value.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 network or
 elicitation failure, 5 numerical failure.
@@ -299,10 +300,18 @@ def _pick(flag_value, config_values: tuple, what: str, last: bool = False):
 
 
 def _write_audit(cfg: RunConfig, name: str, priors) -> None:
-    """Append the records of every elicited prior (None = baseline) to audit/<name>."""
+    """Replace audit/<name> with the records of every elicited prior (None =
+    baseline), so it holds the last run only; a run that elicited nothing
+    leaves no file."""
     records = [rec for prior in priors if prior is not None for rec in prior.records]
-    if records:
-        write_audit_log(records, _out_dir(cfg, "audit") / name)
+    path = Path(cfg.out or "out") / "audit" / name
+    if not records:
+        path.unlink(missing_ok=True)
+        return
+    tmp = _out_dir(cfg, "audit") / (name + ".tmp")
+    tmp.unlink(missing_ok=True)
+    write_audit_log(records, tmp)
+    os.replace(tmp, path)
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
@@ -315,7 +324,8 @@ def cmd_elicit(args: argparse.Namespace) -> int:
         ecfg = replace(ecfg, n_queries=args.n_queries)
     transport = _make_transport(cfg)
     prior = elicit_prior(strategy, ecfg, transport)
-    _write_audit(cfg, "elicitations.jsonl", [prior])
+    # each run makes new queries, so the log grows across runs
+    write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
     n_ok = prior.n_successes
     sys.stdout.write(
         f"model {model}, strategy {strategy.value}, temperature {temperature:g}\n"
@@ -462,7 +472,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                for rec in read_audit_log(path)]
     if not records:
         raise DataError(f"no elicitation records found under {audit_dir}")
-    stats = prior_param_stats(records)
+    try:
+        stats = prior_param_stats(records)
+    except ValueError as exc:  # a group whose every query failed to parse
+        raise ElicitationError(f"{audit_dir}: {exc}") from exc
     rows = []
     csv_rows = []
     for key in sorted(stats):

@@ -17,15 +17,8 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .elicitation import (
-    AggregatedPrior,
-    ElicitationConfig,
-    PromptStrategy,
-    elicit_prior,
-)
-from .evaluation import LpdResult
-from .model import META_ANALYTICAL, HyperPriorSpec
-from .pipeline import map_cells
+from .elicitation import ElicitationConfig
+from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
 from .sampler import McmcConfig
 
 SMALL_MAX = 2   # sites with <= 2 patients
@@ -96,56 +89,9 @@ def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
 
 
 @dataclass(frozen=True)
-class CvCondition:
-    """A prior source: the fixed meta-analytical baseline or one LLM setting."""
-
-    model_id: str | None = None
-    strategy: PromptStrategy | None = None
-    temperature: float | None = None
-
-    def __post_init__(self):
-        parts = (self.model_id, self.strategy, self.temperature)
-        if any(p is None for p in parts) != all(p is None for p in parts):
-            raise ValueError("set all of model_id/strategy/temperature or none")
-
-    @classmethod
-    def meta_analytical(cls) -> "CvCondition":
-        return cls()
-
-    @classmethod
-    def llm(cls, model_id: str, strategy: PromptStrategy,
-            temperature: float) -> "CvCondition":
-        return cls(model_id=model_id, strategy=strategy, temperature=temperature)
-
-    @property
-    def is_llm(self) -> bool:
-        return self.model_id is not None
-
-    def identity(self) -> str:
-        """Stable name used for seed derivation and reporting; independent
-        of the condition's position in the run."""
-        if not self.is_llm:
-            return "meta_analytical"
-        return f"{self.model_id}|{self.strategy.value}|T={self.temperature:g}"
-
-
-@dataclass(frozen=True)
-class FoldOutcome:
-    fold: int
-    spec: HyperPriorSpec
-    prior: AggregatedPrior | None  # None for the meta-analytical baseline
-    lpd: LpdResult
-    rhat_flags: dict[str, float]
-
-    @property
-    def mean_lpd(self) -> float:
-        return self.lpd.mean_lpd
-
-
-@dataclass(frozen=True)
 class CvResult:
     condition: CvCondition
-    per_fold: tuple[FoldOutcome, ...]
+    per_fold: tuple[CellOutcome, ...]  # indexed by fold
 
     def __post_init__(self):
         if not self.per_fold:
@@ -175,58 +121,32 @@ class CvResult:
         return float(np.std(means, ddof=1)) if len(means) > 1 else 0.0
 
 
-def _resolve_spec(condition: CvCondition, elicit: ElicitationConfig,
-                  transport) -> tuple[HyperPriorSpec, AggregatedPrior | None]:
-    if not condition.is_llm:
-        return META_ANALYTICAL, None
-    cfg = replace(elicit, model_id=condition.model_id,
-                  temperature=condition.temperature)
-    prior = elicit_prior(condition.strategy, cfg, transport)
-    return prior.spec, prior
-
-
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
                       mcmc: McmcConfig, elicit: ElicitationConfig,
                       transport, k: int = 5, seed: int = 0,
                       n_jobs: int = 1) -> list[CvResult]:
     """Fit and score every (condition, fold) cell.
 
-    Elicitation happens first, sequentially and in a fixed order, so the
-    transport sees a deterministic request stream; the expensive fits then
-    run through ``map_cells`` at any parallelism level without affecting
-    results.  Seeds are derived from the condition identity (not its list
-    position), so reordering or dropping conditions never changes another
-    condition's numbers.
+    Elicitation happens while planning, condition by condition and fold by
+    fold, so the transport sees a deterministic request stream; the
+    expensive fits then run through ``run_cells`` at any parallelism level
+    without affecting results.  Seeds are derived from the condition
+    identity (not its list position), so reordering or dropping conditions
+    never changes another condition's numbers.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
-
-    resolved: list[tuple[HyperPriorSpec, AggregatedPrior | None]] = []
-    cell_args: list[tuple] = []
+    splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
+               dataset.subset_by_sites(folds.test_sites(fold))) for fold in range(k)]
+    groups = []
     for condition in conditions:
         ident = condition.identity()
-        for fold in range(k):
-            spec, prior = _resolve_spec(condition, elicit, transport)
-            resolved.append((spec, prior))
-            train = dataset.subset_by_sites(folds.train_sites(fold))
-            test = dataset.subset_by_sites(folds.test_sites(fold))
-            cell_mcmc = replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold))
-            lpd_seed = seeding.derive_seed(seed, "cv_lpd", ident, fold)
-            cell_args.append((train, test, spec, cell_mcmc, lpd_seed))
-
-    scores = map_cells(cell_args, n_jobs=n_jobs)
-
-    results: list[CvResult] = []
-    pos = 0
-    for condition in conditions:
-        outcomes = []
-        for fold in range(k):
-            spec, prior = resolved[pos]
-            score = scores[pos]
-            outcomes.append(FoldOutcome(fold=fold, spec=spec, prior=prior,
-                                        lpd=score.lpd, rhat_flags=score.rhat_flags))
-            pos += 1
-        results.append(CvResult(condition=condition, per_fold=tuple(outcomes)))
-    return results
+        groups.append([
+            plan_cell(condition, elicit, transport, train=train, test=test,
+                      mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)),
+                      lpd_seed=seeding.derive_seed(seed, "cv_lpd", ident, fold))
+            for fold, (train, test) in enumerate(splits)])
+    return [CvResult(condition=condition, per_fold=outcomes)
+            for condition, outcomes in zip(conditions, run_cells(groups, n_jobs=n_jobs))]
 
 
 def cv_table_rows(results: list[CvResult]) -> list[dict]:
@@ -234,12 +154,12 @@ def cv_table_rows(results: list[CvResult]) -> list[dict]:
     rows = []
     for res in results:
         cond = res.condition
-        for f in res.per_fold:
+        for fold, f in enumerate(res.per_fold):
             rows.append({
                 "model": cond.model_id or "meta_analytical",
                 "prompt_type": cond.strategy.value if cond.is_llm else "none",
                 "temperature": f"{cond.temperature:g}" if cond.is_llm else "",
-                "fold": f.fold,
+                "fold": fold,
                 "alpha_rate": repr(f.spec.alpha_rate),
                 "beta_rate": repr(f.spec.beta_rate),
                 "lpd_mean": repr(f.mean_lpd),

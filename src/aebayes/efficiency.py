@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeding
-from .crossval import CvCondition, _resolve_spec, stratify_sites
+from .crossval import stratify_sites
 from .data import Dataset
-from .elicitation import AggregatedPrior, ElicitationConfig
-from .model import HyperPriorSpec
-from .pipeline import map_cells
+from .elicitation import ElicitationConfig
+from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
 from .sampler import McmcConfig
 
 DEFAULT_RHO_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -34,13 +33,10 @@ def _round_half_up(x: float) -> int:
 class SplitSpec:
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if not self.stratified:
-            raise ValueError("only stratified splits are supported")
 
 
 def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -70,13 +66,12 @@ def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     return dataset.subset_by_sites(train_sites), dataset.subset_by_sites(test_sites)
 
 
-def subsample_training(train: Dataset, rho: float, seed: int,
-                       nested: bool = True) -> Dataset:
+def subsample_training(train: Dataset, rho: float, seed: int) -> Dataset:
     """Retain round(rho * n) sites per stratum (>= 1 per nonempty stratum).
 
-    With ``nested`` (the default), the retained set at a larger rho is a
-    superset of the set at a smaller rho for the same seed, because each
-    stratum keeps a prefix of one fixed seeded permutation.
+    The retained set at a larger rho is a superset of the set at a smaller
+    rho for the same seed, because each stratum keeps a prefix of one fixed
+    seeded permutation.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -87,26 +82,11 @@ def subsample_training(train: Dataset, rho: float, seed: int,
         n = stratum.n_sites
         if n == 0:
             continue
-        key = ("subsample", stratum.label.value) if nested else \
-              ("subsample", stratum.label.value, f"rho={rho:g}")
-        rng = seeding.rng(seed, *key)
+        rng = seeding.rng(seed, "subsample", stratum.label.value)
         order = rng.permutation(n)
         n_keep = max(_round_half_up(rho * n), 1)
         kept.extend(stratum.site_ids[idx] for idx in order[:n_keep])
     return train.subset_by_sites(kept)
-
-
-@dataclass(frozen=True)
-class EfficiencyRun:
-    rho: float
-    replication: int  # 1-based
-    spec: HyperPriorSpec
-    prior: AggregatedPrior | None
-    n_train_patients: int
-    n_train_sites: int
-    n_test_patients: int
-    mean_lpd: float
-    rhat_flags: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,7 @@ class EfficiencyCell:
 
     condition: CvCondition
     rho: float
-    runs: tuple[EfficiencyRun, ...]
+    runs: tuple[CellOutcome, ...]  # indexed by replication - 1
 
     @property
     def lpd_mean(self) -> float:
@@ -141,7 +121,6 @@ class EfficiencyResult:
     cells: tuple[EfficiencyCell, ...]
     test_site_ids: tuple[str, ...]
     n_test_patients: int
-    split: SplitSpec
 
 
 def run_efficiency_experiment(
@@ -157,7 +136,6 @@ def run_efficiency_experiment(
     n_jobs: int = 1,
     rho_grid_by_condition: dict[str, tuple[float, ...]] | None = None,
     queries_per_replication: int = 1,
-    nested: bool = True,
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
@@ -176,63 +154,38 @@ def run_efficiency_experiment(
     per_query_elicit = replace(elicit, n_queries=queries_per_replication)
     overrides = rho_grid_by_condition or {}
 
-    plan: list[tuple[CvCondition, float, int]] = []
-    resolved: list[tuple[HyperPriorSpec, AggregatedPrior | None]] = []
-    cell_args: list[tuple] = []
-    train_meta: list[tuple[int, int]] = []
+    plan: list[tuple[CvCondition, float]] = []
+    groups = []
     for condition in conditions:
         ident = condition.identity()
-        grid = overrides.get(ident, rho_grid)
-        for rho in grid:
-            for rep in range(1, n_replications + 1):
-                sub_seed = seeding.derive_seed(seed, "eff_subsample", rep)
-                sub = subsample_training(train, rho, sub_seed, nested=nested)
-                spec, prior = _resolve_spec(condition, per_query_elicit, transport)
-                cell_mcmc = replace(
-                    mcmc,
-                    seed=seeding.derive_seed(seed, "eff_mcmc", ident, f"rho={rho:g}", rep),
-                )
-                lpd_seed = seeding.derive_seed(seed, "eff_lpd", ident, f"rho={rho:g}", rep)
-                plan.append((condition, rho, rep))
-                resolved.append((spec, prior))
-                cell_args.append((sub, test, spec, cell_mcmc, lpd_seed))
-                train_meta.append((sub.n_patients, sub.n_sites))
+        for rho in overrides.get(ident, rho_grid):
+            plan.append((condition, rho))
+            groups.append([
+                plan_cell(
+                    condition, per_query_elicit, transport,
+                    train=subsample_training(
+                        train, rho, seeding.derive_seed(seed, "eff_subsample", rep)),
+                    test=test,
+                    mcmc=replace(mcmc, seed=seeding.derive_seed(
+                        seed, "eff_mcmc", ident, f"rho={rho:g}", rep)),
+                    lpd_seed=seeding.derive_seed(seed, "eff_lpd", ident, f"rho={rho:g}", rep))
+                for rep in range(1, n_replications + 1)])
 
-    scores = map_cells(cell_args, n_jobs=n_jobs)
-
-    by_cell: dict[tuple[str, float], list[EfficiencyRun]] = {}
-    cell_order: list[tuple[CvCondition, float]] = []
-    for (condition, rho, rep), (spec, prior), (n_pat, n_sites), score in zip(
-            plan, resolved, train_meta, scores):
-        key = (condition.identity(), rho)
-        if key not in by_cell:
-            by_cell[key] = []
-            cell_order.append((condition, rho))
-        by_cell[key].append(EfficiencyRun(
-            rho=rho, replication=rep, spec=spec, prior=prior,
-            n_train_patients=n_pat, n_train_sites=n_sites,
-            n_test_patients=score.lpd.n_patients,
-            mean_lpd=score.mean_lpd, rhat_flags=score.rhat_flags,
-        ))
-
-    cells = tuple(
-        EfficiencyCell(condition=condition, rho=rho,
-                       runs=tuple(by_cell[(condition.identity(), rho)]))
-        for condition, rho in cell_order
-    )
+    cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)
+                  for (condition, rho), runs in zip(plan, run_cells(groups, n_jobs=n_jobs)))
     return EfficiencyResult(cells=cells, test_site_ids=test.site_ids,
-                            n_test_patients=test.n_patients, split=split)
+                            n_test_patients=test.n_patients)
 
 
 def efficiency_table_rows(result: EfficiencyResult) -> list[dict]:
     """Per-replication rows for the delimited results export."""
     rows = []
     for cell in result.cells:
-        for run in cell.runs:
+        for replication, run in enumerate(cell.runs, start=1):
             rows.append({
                 "condition": cell.condition.identity(),
                 "rho": f"{cell.rho:g}",
-                "replication": run.replication,
+                "replication": replication,
                 "n_train_patients": run.n_train_patients,
                 "lpd_mean": repr(run.mean_lpd),
             })

@@ -342,6 +342,39 @@ def test_report_summarizes_audit_logs(tmp_path, capsys):
     assert (out_dir / "results" / "prior_param_stats.csv").exists()
 
 
+def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0)])
+    out_dir = tmp_path / "out"
+    assert main(["elicit", "--fixtures", fx, "--model", "m1",
+                 "--temperature", "1.0", "--out", str(out_dir)]) == 0
+    failed = {"request_hash": "h", "model": "m-unparsed", "strategy": "blind",
+              "temperature": 1.0, "response": "not json", "parsed": None,
+              "error": "ResponseFormatError: not json", "timestamp": 0.0}
+    with open(out_dir / "audit" / "elicitations.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(failed) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert "elicitation error" in err
+    assert "m-unparsed" in err
+
+
+def test_cv_rerun_replaces_audit_log(dataset_file, config_file, tmp_path, capsys):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    args = ["cv", "--dataset", dataset_file, "--config", config_file,
+            "--out", str(out_dir), "--k", "3", "--fixtures", fx,
+            "--models", "m1", "--strategies", "blind", "--temperatures", "0.5"]
+    audit = out_dir / "audit" / "cv_elicitations.jsonl"
+    for _ in range(2):
+        assert main(args) == 0
+        assert len(audit.read_text().splitlines()) == 15  # 3 folds x 5 queries
+        capsys.readouterr()
+        assert main(["report", "--out", str(out_dir)]) == 0
+        stats = (out_dir / "results" / "prior_param_stats.csv").read_text().splitlines()
+        assert {line.split(",")[4] for line in stats[1:]} == {"15"}
+
+
 def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("chains = 4\n", encoding="utf-8")

@@ -33,8 +33,6 @@ def test_split_spec_validation():
         SplitSpec(train_fraction=0.0)
     with pytest.raises(ValueError):
         SplitSpec(train_fraction=1.0)
-    with pytest.raises(ValueError):
-        SplitSpec(stratified=False)
 
 
 def test_split_seventy_thirty_per_stratum():
@@ -110,17 +108,6 @@ def test_subsample_nested_prefixes():
     kept = [set(subsample_training(ds, r, seed=9).site_ids) for r in rhos]
     for smaller, larger in zip(kept, kept[1:]):
         assert smaller <= larger
-
-
-def test_subsample_non_nested_differs():
-    ds = make_dataset([1] * 10 + [3] * 10 + [8] * 10)
-    nested = [set(subsample_training(ds, r, seed=1, nested=True).site_ids)
-              for r in (0.2, 0.6)]
-    assert nested[0] <= nested[1]
-    flat = [set(subsample_training(ds, r, seed=1, nested=False).site_ids)
-            for r in (0.2, 0.6)]
-    # Independent draws per rho are allowed to break the prefix property.
-    assert flat[0] != nested[0] or not (flat[0] <= flat[1])
 
 
 def test_subsample_validation():
