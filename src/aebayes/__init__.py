@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data import Dataset, DataError, load_dataset, summarize
-from .model import META_ANALYTICAL, HyperParams, HyperPriorSpec
+from .model import META_ANALYTICAL, HyperPriorSpec
 from .sampler import McmcConfig, PosteriorDraws, run_mcmc
 from .evaluation import LpdResult, lpd_dataset, lpd_patient
 
@@ -13,7 +13,6 @@ __all__ = [
     "load_dataset",
     "summarize",
     "META_ANALYTICAL",
-    "HyperParams",
     "HyperPriorSpec",
     "McmcConfig",
     "PosteriorDraws",

@@ -382,6 +382,10 @@ def _cv_conditions(cfg: RunConfig, args: argparse.Namespace) -> list[CvCondition
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dataset = _require_dataset(cfg)
+    k = args.k if args.k is not None else cfg.k
+    if not 2 <= k <= dataset.n_sites:
+        raise ConfigError(f"k must be between 2 and the site count "
+                          f"({dataset.n_sites}), got {k}")
     conditions = _cv_conditions(cfg, args)
     needs_llm = any(c.is_llm for c in conditions)
     transport = _make_transport(cfg) if needs_llm else None
@@ -390,7 +394,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
     base_model = cfg.models[0] if cfg.models else "unused"
     base_temp = cfg.temperatures[0] if cfg.temperatures else 1.0
     ecfg = cfg.elicitation_config(base_model, base_temp)
-    k = args.k if args.k is not None else cfg.k
 
     results = run_cv_experiment(dataset, conditions, cfg.mcmc_config(),
                                 ecfg, transport, k=k, seed=cfg.seed,
@@ -431,6 +434,14 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     rho_grid = (tuple(float(r) for r in args.rho_grid.split(","))
                 if args.rho_grid else cfg.rho_grid)
     n_reps = args.n_replications if args.n_replications is not None else cfg.n_replications
+    # checked here, before any elicitation query, not midway through the run
+    if not 0.0 < cfg.train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
+    if n_reps < 1:
+        raise ConfigError(f"n_replications must be >= 1, got {n_reps}")
+    for rho in rho_grid:
+        if not 0.0 < rho <= 1.0:
+            raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
     needs_llm = any(c.is_llm for c in conditions)
     transport = _make_transport(cfg) if needs_llm else None
     ecfg = cfg.elicitation_config(model, temperature)

@@ -463,9 +463,14 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
         )
     alphas = [p[0] for p in successes]
     betas = [p[1] for p in successes]
-    spec = HyperPriorSpec(alpha_rate=float(np.mean(alphas)),
-                          beta_rate=float(np.mean(betas)))
+    spec = HyperPriorSpec(alpha_rate=_hull_mean(alphas), beta_rate=_hull_mean(betas))
     return AggregatedPrior(spec=spec, records=records)
+
+
+def _hull_mean(values: list[float]) -> float:
+    """Arithmetic mean, clamped to [min, max]: rounding can carry the mean
+    of equal values just past them (three 0.4s average 0.4000000000000001)."""
+    return min(max(float(np.mean(values)), min(values)), max(values))
 
 
 @dataclass(frozen=True)

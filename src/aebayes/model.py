@@ -1,4 +1,4 @@
-"""Densities and conjugate conditionals of the hierarchical Poisson-Gamma model.
+"""The hierarchical Poisson-Gamma model: hyperprior spec and Poisson density.
 
 Model structure, for patient i in site j with AE count y_ij:
 
@@ -9,19 +9,16 @@ Model structure, for patient i in site j with AE count y_ij:
 
 Gamma is parameterized by (shape, rate) throughout: mean = shape / rate.
 Exponential is parameterized by rate: mean = 1 / rate.  Mixing in a scale
-parameterization is the classic silent bug here, so every function in this
-module states the convention it expects.
+parameterization is the classic silent bug here, so every density states
+the convention it expects.  The sampler's conditionals live in ``sampler``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
-
-from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -43,47 +40,6 @@ class HyperPriorSpec:
 META_ANALYTICAL = HyperPriorSpec(alpha_rate=0.1, beta_rate=0.1)
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """Gamma (shape, rate) pair governing the site-rate distribution."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"alpha and beta must be > 0, got ({self.alpha}, {self.beta})")
-
-    @property
-    def rate_prior_mean(self) -> float:
-        return self.alpha / self.beta
-
-
-class GammaParams(NamedTuple):
-    """A Gamma distribution in shape-rate form (mean = shape / rate)."""
-
-    shape: float
-    rate: float
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate**2
-
-
-def as_site_rates(rates, n_sites: int) -> np.ndarray:
-    """Validate a per-site rate vector: length n_sites, strictly positive."""
-    arr = np.asarray(rates, dtype=np.float64)
-    if arr.shape != (n_sites,):
-        raise ValueError(f"expected {n_sites} site rates, got shape {arr.shape}")
-    if not np.all(arr > 0):
-        raise ValueError("site rates must be strictly positive")
-    return arr
-
-
 def poisson_logpmf(y, lam):
     """log Poisson(y; lam) = y*ln(lam) - lam - ln(y!), via log-gamma.
 
@@ -93,60 +49,3 @@ def poisson_logpmf(y, lam):
     y = np.asarray(y, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     return y * np.log(lam) - lam - gammaln(y + 1.0)
-
-
-def log_likelihood(dataset: Dataset, rates) -> float:
-    """Poisson log likelihood of all patients given per-site rates.
-
-    ``rates`` is index-aligned with ``dataset.site_ids``.
-    """
-    lam = as_site_rates(rates, dataset.n_sites)
-    totals = dataset.site_totals()
-    sizes = dataset.site_sizes()
-    log_fact = float(gammaln(dataset.counts() + 1.0).sum())
-    return float(totals @ np.log(lam) - sizes @ lam - log_fact)
-
-
-def log_hyperprior(spec: HyperPriorSpec, hp: HyperParams) -> float:
-    """Sum of the exponential log densities of alpha and beta under spec."""
-    return float(
-        np.log(spec.alpha_rate)
-        - spec.alpha_rate * hp.alpha
-        + np.log(spec.beta_rate)
-        - spec.beta_rate * hp.beta
-    )
-
-
-def log_rate_prior(hp: HyperParams, rates) -> float:
-    """Sum over sites of log Gamma(lambda_j; shape=alpha, rate=beta)."""
-    lam = np.asarray(rates, dtype=np.float64)
-    if not np.all(lam > 0):
-        raise ValueError("site rates must be strictly positive")
-    n = lam.size
-    return float(
-        n * (hp.alpha * np.log(hp.beta) - gammaln(hp.alpha))
-        + (hp.alpha - 1.0) * np.log(lam).sum()
-        - hp.beta * lam.sum()
-    )
-
-
-def log_joint(dataset: Dataset, spec: HyperPriorSpec, hp: HyperParams, rates) -> float:
-    """log p(y, lambda, alpha, beta) up to nothing: the full joint log density."""
-    return (
-        log_likelihood(dataset, rates)
-        + log_rate_prior(hp, rates)
-        + log_hyperprior(spec, hp)
-    )
-
-
-def lambda_conditional(site_total: int, site_size: int, hp: HyperParams) -> GammaParams:
-    """Full conditional of one site rate given data and (alpha, beta).
-
-    Poisson-Gamma conjugacy: with n patients totalling t events the
-    conditional is Gamma(alpha + t, beta + n) in shape-rate form.
-    """
-    if site_size < 1:
-        raise ValueError(f"site_size must be >= 1, got {site_size}")
-    if site_total < 0:
-        raise ValueError(f"site_total must be >= 0, got {site_total}")
-    return GammaParams(shape=hp.alpha + site_total, rate=hp.beta + site_size)

@@ -1,9 +1,14 @@
 """Metropolis-within-Gibbs sampler for the hierarchical Poisson-Gamma model.
 
-Site rates are conjugate and get exact Gibbs draws; the hyperparameters
-(alpha, beta) move by adaptive Gaussian random-walk Metropolis on the log
-scale, with the log-transform Jacobian in the acceptance ratio.  Each chain
-owns an RNG stream derived from (seed, chain_index), so results are
+Each chain runs one loop.  Every iteration first draws all site rates
+exactly from their conjugate conditionals Gamma(alpha + t_j, beta + n_j),
+then moves alpha and then beta by one Gaussian random-walk Metropolis step
+each on the log scale, with the log-transform Jacobian in the acceptance
+ratio.  Both steps read only the sufficient statistics of the rates (their
+count, sum and sum of logs), computed once per iteration.  During warmup
+each step size is scaled by exp(acceptance rate - target) every 50
+iterations; the kept draws use the final step sizes.  Each chain owns an
+RNG stream derived from (seed, chain_index), so results are
 bit-reproducible and independent of scheduling.
 """
 
@@ -12,21 +17,20 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import seeding
 from .data import Dataset
-from .model import HyperParams, HyperPriorSpec
+from .model import HyperPriorSpec
 
 # Gamma draws with tiny shape can underflow to exactly 0.0, which the log
 # densities cannot absorb; rates are floored at this positive value.
 _RATE_FLOOR = 1e-300
 
 _ADAPT_WINDOW = 50
-_ADAPT_KAPPA = 1.0
 _INITIAL_STEP = 0.5
 
 
@@ -59,21 +63,6 @@ class McmcConfig:
             a0, b0 = self.freeze_hyperparams
             if not (a0 > 0 and b0 > 0):
                 raise ValueError("frozen hyperparameters must be positive")
-
-
-@dataclass
-class ChainState:
-    """Mutable working state of a single chain."""
-
-    alpha: float
-    beta: float
-    lambdas: np.ndarray
-    step_alpha: float = _INITIAL_STEP
-    step_beta: float = _INITIAL_STEP
-    alpha_accepts: int = 0
-    alpha_proposals: int = 0
-    beta_accepts: int = 0
-    beta_proposals: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,13 +99,12 @@ class PosteriorDraws:
         return {k: v for k, v in self.diagnostics.items() if v >= thr}
 
 
-def alpha_log_conditional(alpha: float, beta: float, lambdas: np.ndarray,
+def alpha_log_conditional(alpha: float, beta: float, n: int, sum_log_lam: float,
                           spec: HyperPriorSpec) -> float:
-    """log p(alpha | beta, lambdas) up to a constant."""
+    """log p(alpha | beta, lambdas) up to a constant, from the sufficient
+    statistics n = number of sites and sum_log_lam = sum of log lambda_j."""
     if alpha <= 0:
         return -math.inf
-    n = lambdas.size
-    sum_log_lam = float(np.log(lambdas).sum()) if n else 0.0
     return (
         n * (alpha * math.log(beta) - float(gammaln(alpha)))
         + (alpha - 1.0) * sum_log_lam
@@ -124,13 +112,12 @@ def alpha_log_conditional(alpha: float, beta: float, lambdas: np.ndarray,
     )
 
 
-def beta_log_conditional(beta: float, alpha: float, lambdas: np.ndarray,
+def beta_log_conditional(beta: float, alpha: float, n: int, sum_lam: float,
                          spec: HyperPriorSpec) -> float:
-    """log p(beta | alpha, lambdas) up to a constant."""
+    """log p(beta | alpha, lambdas) up to a constant, from the sufficient
+    statistics n = number of sites and sum_lam = sum of lambda_j."""
     if beta <= 0:
         return -math.inf
-    n = lambdas.size
-    sum_lam = float(lambdas.sum()) if n else 0.0
     return n * alpha * math.log(beta) - beta * sum_lam - spec.beta_rate * beta
 
 
@@ -158,66 +145,25 @@ def _mh_log_scale(current: float, step: float, log_target, rng) -> tuple[float, 
     return current, False
 
 
-def mh_update_hyperparams(state: ChainState, spec: HyperPriorSpec,
-                          rng: np.random.Generator) -> ChainState:
-    """Update alpha then beta by log-scale random-walk Metropolis."""
-    lam = state.lambdas
-    alpha, a_acc = _mh_log_scale(
-        state.alpha, state.step_alpha,
-        lambda a: alpha_log_conditional(a, state.beta, lam, spec), rng,
-    )
-    beta, b_acc = _mh_log_scale(
-        state.beta, state.step_beta,
-        lambda b: beta_log_conditional(b, alpha, lam, spec), rng,
-    )
-    return replace(
-        state,
-        alpha=alpha,
-        beta=beta,
-        alpha_accepts=state.alpha_accepts + a_acc,
-        alpha_proposals=state.alpha_proposals + 1,
-        beta_accepts=state.beta_accepts + b_acc,
-        beta_proposals=state.beta_proposals + 1,
-    )
-
-
-def adapt_step_sizes(state: ChainState, alpha_accept_rate: float,
-                     beta_accept_rate: float, target: float = 0.44,
-                     kappa: float = _ADAPT_KAPPA) -> ChainState:
-    """Scale each step size by exp(kappa * (accept_rate - target)) and
-    reset the window counters.  Warmup only; a rate at target is a fixed point."""
-    return replace(
-        state,
-        step_alpha=state.step_alpha * math.exp(kappa * (alpha_accept_rate - target)),
-        step_beta=state.step_beta * math.exp(kappa * (beta_accept_rate - target)),
-        alpha_accepts=0,
-        alpha_proposals=0,
-        beta_accepts=0,
-        beta_proposals=0,
-    )
-
-
-def _init_state(spec: HyperPriorSpec, config: McmcConfig, totals: np.ndarray,
-                sizes: np.ndarray, rng: np.random.Generator) -> ChainState:
-    if config.freeze_hyperparams is not None:
-        alpha, beta = config.freeze_hyperparams
-    else:
-        # overdispersed starts straight from the hyperprior
-        alpha = rng.exponential(scale=1.0 / spec.alpha_rate)
-        beta = rng.exponential(scale=1.0 / spec.beta_rate)
-        alpha = max(alpha, 1e-8)
-        beta = max(beta, 1e-8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(sizes > 0, totals / np.maximum(sizes, 1.0), 0.0)
-    lambdas = means + 0.5  # +0.5 keeps zero-count sites off the boundary
-    return ChainState(alpha=alpha, beta=beta, lambdas=lambdas)
+def _adapted_step(step: float, rate: float, target: float) -> float:
+    """Scale a step size by exp(rate - target); a rate at target is a fixed point."""
+    return step * math.exp(rate - target)
 
 
 def _run_chain(spec: HyperPriorSpec, config: McmcConfig, totals: np.ndarray,
                sizes: np.ndarray, chain_index: int):
     rng = seeding.rng(config.seed, chain_index)
-    state = _init_state(spec, config, totals, sizes, rng)
     frozen = config.freeze_hyperparams is not None
+    if frozen:
+        alpha, beta = config.freeze_hyperparams
+    else:
+        # overdispersed starts straight from the hyperprior
+        alpha = rng.exponential(scale=1.0 / spec.alpha_rate)
+        beta = rng.exponential(scale=1.0 / spec.beta_rate)
+        alpha, beta = max(alpha, 1e-8), max(beta, 1e-8)
+    step_alpha = step_beta = _INITIAL_STEP
+    # accepts among the current adaptation window's _ADAPT_WINDOW proposals
+    alpha_accepts = beta_accepts = 0
 
     n_sites = totals.size
     alpha_out = np.empty(config.n_draws)
@@ -225,23 +171,28 @@ def _run_chain(spec: HyperPriorSpec, config: McmcConfig, totals: np.ndarray,
     lambda_out = np.empty((config.n_draws, n_sites))
 
     for it in range(config.n_warmup + config.n_draws):
-        warmup = it < config.n_warmup
-        state = replace(state, lambdas=_draw_lambdas(state.alpha, state.beta,
-                                                     totals, sizes, rng))
+        lam = _draw_lambdas(alpha, beta, totals, sizes, rng)
         if not frozen:
-            state = mh_update_hyperparams(state, spec, rng)
-            if warmup and (it + 1) % _ADAPT_WINDOW == 0:
-                state = adapt_step_sizes(
-                    state,
-                    state.alpha_accepts / max(state.alpha_proposals, 1),
-                    state.beta_accepts / max(state.beta_proposals, 1),
-                    target=config.adapt_target_accept,
-                )
-        if not warmup:
-            k = it - config.n_warmup
-            alpha_out[k] = state.alpha
-            beta_out[k] = state.beta
-            lambda_out[k] = state.lambdas
+            sum_log_lam = float(np.log(lam).sum())
+            sum_lam = float(lam.sum())
+            alpha, accepted = _mh_log_scale(
+                alpha, step_alpha,
+                lambda a: alpha_log_conditional(a, beta, n_sites, sum_log_lam, spec), rng)
+            alpha_accepts += accepted
+            beta, accepted = _mh_log_scale(
+                beta, step_beta,
+                lambda b: beta_log_conditional(b, alpha, n_sites, sum_lam, spec), rng)
+            beta_accepts += accepted
+            if it < config.n_warmup and (it + 1) % _ADAPT_WINDOW == 0:
+                target = config.adapt_target_accept
+                step_alpha = _adapted_step(step_alpha, alpha_accepts / _ADAPT_WINDOW, target)
+                step_beta = _adapted_step(step_beta, beta_accepts / _ADAPT_WINDOW, target)
+                alpha_accepts = beta_accepts = 0
+        k = it - config.n_warmup
+        if k >= 0:
+            alpha_out[k] = alpha
+            beta_out[k] = beta
+            lambda_out[k] = lam
     return alpha_out, beta_out, lambda_out
 
 
@@ -279,25 +230,6 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
     return PosteriorDraws(
         alpha=alpha, beta=beta, lambdas=lambdas,
         site_ids=dataset.site_ids, config=config, diagnostics=diagnostics,
-    )
-
-
-def point_mass_draws(alpha: float, beta: float, n_samples: int,
-                     site_ids: tuple[str, ...] = ()) -> PosteriorDraws:
-    """Degenerate PosteriorDraws fixed at one (alpha, beta) point.
-
-    Used by predictive-density oracles that need a posterior with known
-    closed-form predictive distribution.
-    """
-    hp = HyperParams(alpha, beta)  # validates positivity
-    config = McmcConfig(n_chains=1, n_warmup=1, n_draws=n_samples,
-                        freeze_hyperparams=(hp.alpha, hp.beta))
-    return PosteriorDraws(
-        alpha=np.full((1, n_samples), alpha),
-        beta=np.full((1, n_samples), beta),
-        lambdas=np.empty((1, n_samples, 0)),
-        site_ids=site_ids,
-        config=config,
     )
 
 

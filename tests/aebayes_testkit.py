@@ -1,0 +1,60 @@
+"""Helpers shared by the test modules: synthetic datasets, fixture
+transports and a point-mass posterior for closed-form oracles."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from aebayes.data import Dataset, PatientRecord
+from aebayes.elicitation import FixtureTransport
+from aebayes.sampler import McmcConfig, PosteriorDraws
+
+
+def make_dataset(site_sizes: list[int], seed: int = 0,
+                 mean_rate: float = 3.0) -> Dataset:
+    """Synthetic dataset with the given site sizes and Poisson counts."""
+    rng = np.random.default_rng(seed)
+    records = []
+    pid = 0
+    for j, n in enumerate(site_sizes):
+        lam = rng.gamma(2.0, mean_rate / 2.0)
+        for _ in range(n):
+            records.append(PatientRecord(patient_id=f"pat{pid:04d}",
+                                         site_id=f"site{j:03d}",
+                                         ae_count=int(rng.poisson(lam))))
+            pid += 1
+    return Dataset(records=tuple(records))
+
+
+# enough sites in every stratum for 5 folds and a 70:30 split
+MIXED_SITE_SIZES = [1, 2, 2, 1, 2, 3, 4, 3, 4, 3, 5, 6, 8, 5, 7,
+                    2, 1, 3, 4, 5, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6]
+
+
+def fixture_transport(responses: list[str], model: str, strategy: str,
+                      temperature: float) -> FixtureTransport:
+    """Transport replaying the given bodies for one (model, strategy, T)."""
+    return FixtureTransport(records=[
+        {"model": model, "strategy": strategy, "temperature": temperature,
+         "response": body}
+        for body in responses
+    ])
+
+
+def point_mass_draws(alpha: float, beta: float, n_samples: int,
+                     site_ids: tuple[str, ...] = ()) -> PosteriorDraws:
+    """Degenerate PosteriorDraws fixed at one (alpha, beta) point.
+
+    Its predictive distribution for a new site is the closed-form negative
+    binomial, which the LPD oracles compare against.  Non-positive values
+    raise ValueError through ``McmcConfig``.
+    """
+    config = McmcConfig(n_chains=1, n_warmup=1, n_draws=n_samples,
+                        freeze_hyperparams=(alpha, beta))
+    return PosteriorDraws(
+        alpha=np.full((1, n_samples), alpha),
+        beta=np.full((1, n_samples), beta),
+        lambdas=np.empty((1, n_samples, 0)),
+        site_ids=site_ids,
+        config=config,
+    )

@@ -29,7 +29,8 @@ from aebayes.elicitation import (
 )
 from aebayes.evaluation import lpd_patient
 from aebayes.model import HyperPriorSpec
-from aebayes.sampler import McmcConfig, compute_rhat, point_mass_draws, run_mcmc
+from aebayes.sampler import McmcConfig, compute_rhat, run_mcmc
+from aebayes_testkit import point_mass_draws
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 

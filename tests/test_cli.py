@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from aebayes.cli import load_config, main
+from aebayes.elicitation import FixtureTransport
 
 DATASET = """site_id,patient_id,ae_count
 s01,p01,2
@@ -443,3 +444,30 @@ def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys)
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "timeout must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config_line, key", [
+    (["efficiency"], "train_fraction = 1.5\n", "train_fraction"),
+    (["efficiency", "--n-replications", "0"], "", "n_replications"),
+    # a valid level first: its cells must not be elicited before the check
+    (["efficiency", "--rho-grid", "0.5,0"], "", "rho_grid"),
+    (["cv", "--k", "1"], "", "k"),
+    (["cv", "--k", "1000"], "", "k"),  # the dataset has 9 sites
+], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites"])
+def test_out_of_range_experiment_setting_exit_code(
+        dataset_file, tmp_path, monkeypatch, capsys, command, config_line, key):
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    llm = (["--models", "m1", "--strategies", "blind", "--temperatures", "0.5"]
+           if command[0] == "cv" else ["--model", "m1", "--temperature", "0.5"])
+    rc = main([*command, *llm, "--dataset", dataset_file, "--config", str(cfg),
+               "--out", str(out_dir), "--fixtures", fx])
+    assert rc == 2
+    assert f"configuration error: {key} " in capsys.readouterr().err
+    assert sent == []
+    assert not (out_dir / "audit").exists()

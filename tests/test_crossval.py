@@ -15,7 +15,7 @@ from aebayes.crossval import (
 from aebayes.elicitation import PromptStrategy
 from aebayes.model import META_ANALYTICAL
 from aebayes.sampler import McmcConfig
-from conftest import make_dataset, fixture_transport
+from aebayes_testkit import fixture_transport, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=60, n_draws=60, seed=0)
 

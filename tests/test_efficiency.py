@@ -15,7 +15,7 @@ from aebayes.efficiency import (
 )
 from aebayes.elicitation import ElicitationConfig, PromptStrategy
 from aebayes.sampler import McmcConfig
-from conftest import make_dataset, fixture_transport
+from aebayes_testkit import fixture_transport, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=50, n_draws=50, seed=0)
 

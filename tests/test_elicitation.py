@@ -32,6 +32,7 @@ from aebayes.elicitation import (
     read_audit_log,
     write_audit_log,
 )
+from aebayes.model import HyperPriorSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -389,6 +390,13 @@ def test_elicit_prior_aggregate_in_convex_hull(pairs):
     betas = [b for _, b in pairs]
     assert min(alphas) <= prior.spec.alpha_rate <= max(alphas)
     assert min(betas) <= prior.spec.beta_rate <= max(betas)
+
+
+def test_elicit_prior_mean_of_equal_answers_is_that_answer():
+    # np.mean([0.4] * 3) is 0.4000000000000001, outside the answers' hull
+    transport = _transport_for(['{"alpha_rate": 0.4, "beta_rate": 1.0}'] * 3)
+    prior = elicit_prior(PromptStrategy.BLIND, make_config(n_queries=3), transport)
+    assert prior.spec == HyperPriorSpec(0.4, 1.0)
 
 
 def test_record_requires_exactly_one_of_parsed_error():

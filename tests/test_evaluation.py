@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from aebayes import seeding
 from aebayes.data import loads_dataset
 from aebayes.evaluation import LpdResult, log_sum_exp, lpd_dataset, lpd_patient
-from aebayes.sampler import McmcConfig, PosteriorDraws, point_mass_draws
+from aebayes.sampler import McmcConfig, PosteriorDraws
+from aebayes_testkit import point_mass_draws
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:

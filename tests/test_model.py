@@ -8,22 +8,8 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aebayes.data import loads_dataset
-from aebayes.model import (
-    META_ANALYTICAL,
-    GammaParams,
-    HyperParams,
-    HyperPriorSpec,
-    as_site_rates,
-    lambda_conditional,
-    log_hyperprior,
-    log_joint,
-    log_likelihood,
-    log_rate_prior,
-    poisson_logpmf,
-)
-
-DS = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\nB,p4,0\nB,p5,7\n")
+from aebayes.model import META_ANALYTICAL, HyperPriorSpec, poisson_logpmf
+from aebayes.sampler import _draw_lambdas
 
 
 def test_meta_analytical_baseline_value():
@@ -34,18 +20,6 @@ def test_meta_analytical_baseline_value():
 def test_spec_and_params_must_be_positive(a, b):
     with pytest.raises(ValueError):
         HyperPriorSpec(a, b)
-    with pytest.raises(ValueError):
-        HyperParams(a, b)
-
-
-def test_gamma_params_moments():
-    g = GammaParams(shape=9.0, rate=3.5)
-    assert g.mean == pytest.approx(9 / 3.5)
-    assert g.variance == pytest.approx(9 / 3.5**2)
-
-
-def test_rate_prior_mean_is_shape_over_rate():
-    assert HyperParams(2.0, 0.5).rate_prior_mean == pytest.approx(4.0)
 
 
 def test_poisson_logpmf_against_scipy():
@@ -56,78 +30,19 @@ def test_poisson_logpmf_against_scipy():
             rtol=0, atol=1e-10)
 
 
-def test_log_likelihood_against_per_record_sum():
-    rates = np.array([2.5, 3.0])
-    expected = 0.0
-    for rec in DS.records:
-        lam = rates[DS.site_ids.index(rec.site_id)]
-        expected += sps.poisson.logpmf(rec.ae_count, lam)
-    assert log_likelihood(DS, rates) == pytest.approx(expected, abs=1e-10)
-
-
-def test_log_hyperprior_against_scipy():
-    spec = HyperPriorSpec(0.1, 0.1)
-    for hp in (HyperParams(1.0, 1.0), HyperParams(10.0, 2.0), HyperParams(0.3, 0.7)):
-        expected = (sps.expon.logpdf(hp.alpha, scale=1 / spec.alpha_rate)
-                    + sps.expon.logpdf(hp.beta, scale=1 / spec.beta_rate))
-        assert log_hyperprior(spec, hp) == pytest.approx(expected, abs=1e-12)
-
-
-def test_log_hyperprior_known_value():
-    # 2*ln(0.1) - 0.1*(1+1) = -4.80517...
-    got = log_hyperprior(HyperPriorSpec(0.1, 0.1), HyperParams(1.0, 1.0))
-    assert got == pytest.approx(2 * math.log(0.1) - 0.2, abs=1e-12)
-
-
-def test_log_rate_prior_against_scipy():
-    hp = HyperParams(2.0, 3.0)
-    lam = np.array([0.5, 1.2, 4.0])
-    expected = sps.gamma.logpdf(lam, a=hp.alpha, scale=1 / hp.beta).sum()
-    assert log_rate_prior(hp, lam) == pytest.approx(expected, abs=1e-10)
-
-
-def test_log_rate_prior_rejects_nonpositive_rates():
-    with pytest.raises(ValueError):
-        log_rate_prior(HyperParams(1.0, 1.0), [1.0, 0.0])
-
-
-def test_log_joint_is_sum_of_parts():
-    spec = HyperPriorSpec(0.1, 0.2)
-    hp = HyperParams(1.5, 0.8)
-    rates = np.array([2.0, 3.5])
-    assert log_joint(DS, spec, hp, rates) == pytest.approx(
-        log_likelihood(DS, rates) + log_rate_prior(hp, rates)
-        + log_hyperprior(spec, hp), abs=1e-10)
-
-
-def test_as_site_rates_validation():
-    with pytest.raises(ValueError):
-        as_site_rates([1.0], 2)
-    with pytest.raises(ValueError):
-        as_site_rates([1.0, -1.0], 2)
-
-
-def test_lambda_conditional_parameters():
-    g = lambda_conditional(site_total=7, site_size=3, hp=HyperParams(2.0, 0.5))
-    assert g == GammaParams(shape=9.0, rate=3.5)
-    with pytest.raises(ValueError):
-        lambda_conditional(site_total=-1, site_size=3, hp=HyperParams(1, 1))
-    with pytest.raises(ValueError):
-        lambda_conditional(site_total=0, site_size=0, hp=HyperParams(1, 1))
-
-
 @pytest.mark.parametrize("total, n, alpha, beta", [
     (7, 3, 2.0, 0.5),
     (0, 5, 0.5, 0.1),
     (140, 1, 1.0, 1.0),
 ])
 def test_conjugacy_against_grid_quadrature(total, n, alpha, beta):
-    """The conjugate update must match brute-force normalization of
-    likelihood x prior, integrated on a log grid (handles the density
-    singularity at zero when the posterior shape is < 1)."""
-    hp = HyperParams(alpha, beta)
-    g = lambda_conditional(total, n, hp)
-    hi = math.log(max(10.0 * (g.mean + 5 * math.sqrt(g.variance)), 50.0))
+    """The conjugate update Gamma(alpha + t, beta + n) must match
+    brute-force normalization of likelihood x prior, integrated on a log
+    grid (handles the density singularity at zero when the posterior shape
+    is < 1)."""
+    shape, rate = alpha + total, beta + n
+    g_mean, g_var = shape / rate, shape / rate**2
+    hi = math.log(max(10.0 * (g_mean + 5 * math.sqrt(g_var)), 50.0))
     u = np.linspace(math.log(1e-12), hi, 400_001)
     lam = np.exp(u)
     # d(lambda) = lambda du, hence the + u in the log integrand
@@ -137,8 +52,21 @@ def test_conjugacy_against_grid_quadrature(total, n, alpha, beta):
     z = np.trapezoid(w, u)
     mean = np.trapezoid(w * lam, u) / z
     var = np.trapezoid(w * (lam - mean) ** 2, u) / z
-    assert mean == pytest.approx(g.mean, rel=1e-4)
-    assert var == pytest.approx(g.variance, rel=1e-3)
+    assert mean == pytest.approx(g_mean, rel=1e-4)
+    assert var == pytest.approx(g_var, rel=1e-3)
+
+
+def test_lambda_conditional_parameters():
+    """The sampler draws each site rate from Gamma(alpha + t_j, beta + n_j)
+    (shape, rate), floored above zero where a tiny shape underflows."""
+    totals, sizes = np.array([7.0, 0.0]), np.array([3.0, 2.0])
+    lam = _draw_lambdas(2.0, 0.5, totals, sizes, np.random.default_rng(1))
+    expected = np.random.default_rng(1).gamma(shape=[9.0, 2.0],
+                                                scale=[1 / 3.5, 1 / 2.5])
+    np.testing.assert_array_equal(lam, expected)
+    tiny = _draw_lambdas(1e-3, 1.0, np.zeros(1000), np.ones(1000),
+                         np.random.default_rng(2))
+    assert (tiny > 0).all()
 
 
 @settings(max_examples=100, deadline=None)

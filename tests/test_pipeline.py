@@ -15,7 +15,7 @@ from aebayes.efficiency import (
 )
 from aebayes.elicitation import ElicitationConfig, PromptStrategy
 from aebayes.sampler import McmcConfig
-from conftest import fixture_transport, make_dataset
+from aebayes_testkit import fixture_transport, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=30, n_draws=30, seed=0)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,19 +11,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aebayes.data import loads_dataset
-from aebayes.model import HyperParams, HyperPriorSpec
+from aebayes.model import HyperPriorSpec
 from aebayes.sampler import (
-    ChainState,
     McmcConfig,
-    adapt_step_sizes,
+    _adapted_step,
+    _mh_log_scale,
     alpha_log_conditional,
     beta_log_conditional,
     compute_rhat,
     export_draws,
-    mh_update_hyperparams,
-    point_mass_draws,
     run_mcmc,
 )
+from aebayes_testkit import point_mass_draws
 
 ONE_SITE = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\n")
 TWO_SITES = loads_dataset(
@@ -138,23 +138,26 @@ def test_hyperparam_conditionals_match_independent_densities():
         return (sps.gamma.logpdf(lam, a=a, scale=1 / b).sum()
                 + sps.expon.logpdf(b, scale=1 / spec.beta_rate))
 
+    n, sum_log_lam, sum_lam = lam.size, float(np.log(lam).sum()), float(lam.sum())
     b0 = 1.5
-    diffs = [alpha_log_conditional(a, b0, lam, spec) - full_alpha(a, b0)
+    diffs = [alpha_log_conditional(a, b0, n, sum_log_lam, spec) - full_alpha(a, b0)
              for a in (0.5, 1.0, 3.0)]
     assert max(diffs) - min(diffs) < 1e-9  # constant in alpha
     a0 = 2.0
-    diffs = [beta_log_conditional(b, a0, lam, spec) - full_beta(b, a0)
+    diffs = [beta_log_conditional(b, a0, n, sum_lam, spec) - full_beta(b, a0)
              for b in (0.5, 1.0, 3.0)]
     assert max(diffs) - min(diffs) < 1e-9
 
 
 def test_conditionals_support_zero_sites():
     spec = HyperPriorSpec(0.5, 0.5)
-    empty = np.array([])
     # reduces to the hyperprior alone (up to a constant)
-    d1 = alpha_log_conditional(2.0, 1.0, empty, spec) - \
-        alpha_log_conditional(1.0, 1.0, empty, spec)
+    d1 = alpha_log_conditional(2.0, 1.0, 0, 0.0, spec) - \
+        alpha_log_conditional(1.0, 1.0, 0, 0.0, spec)
     assert d1 == pytest.approx(-spec.alpha_rate * 1.0)
+    d2 = beta_log_conditional(2.0, 1.0, 0, 0.0, spec) - \
+        beta_log_conditional(1.0, 1.0, 0, 0.0, spec)
+    assert d2 == pytest.approx(-spec.beta_rate * 1.0)
 
 
 def test_metropolis_ratio_identity():
@@ -170,11 +173,12 @@ def test_metropolis_ratio_identity():
         return (sps.gamma.logpdf(lam, a=x, scale=1 / b0).sum()
                 + sps.expon.logpdf(x, scale=1 / spec.alpha_rate))
 
-    fwd = (alpha_log_conditional(a_new, b0, lam, spec)
-           - alpha_log_conditional(a, b0, lam, spec)
+    stats = (lam.size, float(np.log(lam).sum()))
+    fwd = (alpha_log_conditional(a_new, b0, *stats, spec)
+           - alpha_log_conditional(a, b0, *stats, spec)
            + math.log(a_new) - math.log(a))
-    bwd = (alpha_log_conditional(a, b0, lam, spec)
-           - alpha_log_conditional(a_new, b0, lam, spec)
+    bwd = (alpha_log_conditional(a, b0, *stats, spec)
+           - alpha_log_conditional(a_new, b0, *stats, spec)
            + math.log(a) - math.log(a_new))
     assert fwd == pytest.approx(-bwd, abs=1e-12)
     expected = target(a_new) - target(a) + math.log(a_new) - math.log(a)
@@ -182,13 +186,19 @@ def test_metropolis_ratio_identity():
 
 
 def test_mh_update_zero_step_accepts_in_place():
-    state = ChainState(alpha=2.0, beta=1.0, lambdas=np.array([1.0, 2.0]),
-                       step_alpha=0.0, step_beta=0.0)
-    new = mh_update_hyperparams(state, HyperPriorSpec(1.0, 1.0),
-                                np.random.default_rng(0))
-    assert new.alpha == state.alpha and new.beta == state.beta
-    assert new.alpha_accepts == 1 and new.beta_accepts == 1
-    assert new.alpha_proposals == 1 and new.beta_proposals == 1
+    """A zero step proposes the current value, whose ratio is 1."""
+    spec = HyperPriorSpec(1.0, 1.0)
+    lam = np.array([1.0, 2.0])
+    rng = np.random.default_rng(0)
+    alpha, accepted = _mh_log_scale(
+        2.0, 0.0,
+        lambda a: alpha_log_conditional(a, 1.0, lam.size, float(np.log(lam).sum()), spec),
+        rng)
+    assert (alpha, accepted) == (2.0, True)
+    beta, accepted = _mh_log_scale(
+        1.0, 0.0, lambda b: beta_log_conditional(b, 2.0, lam.size, float(lam.sum()), spec),
+        rng)
+    assert (beta, accepted) == (1.0, True)
 
 
 def test_mh_update_invariance_of_conditional():
@@ -196,18 +206,21 @@ def test_mh_update_invariance_of_conditional():
     density that a fine-grid normalization gives."""
     spec = HyperPriorSpec(1.0, 1.0)
     lam = np.array([1.5, 2.5, 0.8, 1.2])
+    n, sum_log_lam = lam.size, float(np.log(lam).sum())
+
+    def log_target(a):
+        return alpha_log_conditional(a, 1.0, n, sum_log_lam, spec)
+
     rng = np.random.default_rng(4)
-    state = ChainState(alpha=1.0, beta=1.0, lambdas=lam)
+    alpha = 1.0
     samples = []
     for i in range(40_000):
-        state = mh_update_hyperparams(state, spec, rng)
-        state = ChainState(alpha=state.alpha, beta=1.0, lambdas=lam,
-                           step_alpha=state.step_alpha)  # hold beta fixed
+        alpha, _ = _mh_log_scale(alpha, 0.5, log_target, rng)
         if i % 20 == 0:
-            samples.append(state.alpha)
+            samples.append(alpha)
     samples = np.array(samples[100:])
     grid = np.linspace(1e-6, 30, 200_001)
-    log_dens = np.array([alpha_log_conditional(a, 1.0, lam, spec) for a in grid])
+    log_dens = np.array([log_target(a) for a in grid])
     dens = np.exp(log_dens - log_dens.max())
     dens /= np.trapezoid(dens, grid)
     mean = np.trapezoid(grid * dens, grid)
@@ -216,21 +229,14 @@ def test_mh_update_invariance_of_conditional():
 
 
 def test_adapt_step_sizes_contract():
-    state = ChainState(alpha=1.0, beta=1.0, lambdas=np.array([1.0]),
-                       step_alpha=0.5, step_beta=0.5,
-                       alpha_accepts=22, alpha_proposals=50,
-                       beta_accepts=10, beta_proposals=50)
     # exactly at target: unchanged
-    at = adapt_step_sizes(state, 0.44, 0.44)
-    assert at.step_alpha == pytest.approx(0.5)
-    assert at.step_beta == pytest.approx(0.5)
-    assert at.alpha_accepts == at.alpha_proposals == 0
-    assert at.beta_accepts == at.beta_proposals == 0
+    assert _adapted_step(0.5, 0.44, 0.44) == 0.5
     # above target: grow; below: shrink — by exp(rate - target)
-    up = adapt_step_sizes(state, 0.9, 0.1)
-    assert up.step_alpha == pytest.approx(0.5 * math.exp(0.9 - 0.44))
-    assert up.step_beta == pytest.approx(0.5 * math.exp(0.1 - 0.44))
-    assert up.step_alpha > 0.5 > up.step_beta
+    up = _adapted_step(0.5, 0.9, 0.44)
+    down = _adapted_step(0.5, 0.1, 0.44)
+    assert up == pytest.approx(0.5 * math.exp(0.9 - 0.44))
+    assert down == pytest.approx(0.5 * math.exp(0.1 - 0.44))
+    assert up > 0.5 > down
 
 
 def test_rhat_iid_chains_near_one():
@@ -318,3 +324,31 @@ def test_export_draws(tmp_path):
     body = path2.read_text()
     assert "alpha" not in body.split("\n", 1)[1]
     assert len(body.splitlines()) == 1 + 2 * 5 * 2
+
+
+# sha256 of the alpha, beta and lambda draws (little-endian float64, in
+# that order) of run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1), 2 chains,
+# 60 warmup + 40 draws, seed 11); the 60 warmup iterations include one
+# step-size adaptation
+PINNED_DRAW_DIGESTS = {
+    "default": ({}, "93fde6e6fffa4a3caa03c63c2c9cf78992ec4f11ae5663593f7dccb18177dfee"),
+    "frozen": ({"freeze_hyperparams": (2.0, 0.5)},
+               "48992f144f7fba48d721e4ddbaf9d18c77b5da6c0cc91609855ef472217fe763"),
+    "no_data": ({"no_data": True},
+                "339696f668ccb8facc76a4e1442931fa777915a6101f2f30040a384aeaf94cc9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DRAW_DIGESTS))
+def test_draw_bytes_pinned(name):
+    """The chain loop's output bytes must not drift: a refactor of the
+    sampler has to reproduce every draw bit for bit."""
+    overrides, expected = PINNED_DRAW_DIGESTS[name]
+    cfg = McmcConfig(n_chains=2, n_warmup=60, n_draws=40, seed=11, **overrides)
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1), cfg)
+    digest = hashlib.sha256()
+    for arr in (draws.alpha, draws.beta, draws.lambdas):
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == expected, (
+        f"{name} draws changed (numpy {np.__version__}; the digests were "
+        "recorded with numpy 2.4.6 and depend on its Generator bitstream)")
