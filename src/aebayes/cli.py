@@ -186,6 +186,14 @@ def _coerce_config_value(key: str, raw: str, type_hint: str):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _float_flag(raw: str, flag: str) -> tuple[float, ...]:
+    """The comma-separated numbers given to a command-line flag."""
+    try:
+        return tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated numbers, got {raw!r}") from None
+
+
 def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     for attr in ("seed", "out", "fixtures", "n_jobs"):
         val = getattr(args, attr, None)
@@ -369,7 +377,7 @@ def _cv_conditions(cfg: RunConfig, args: argparse.Namespace) -> list[CvCondition
     models = args.models.split(",") if getattr(args, "models", None) else cfg.models
     strategies = (args.strategies.split(",") if getattr(args, "strategies", None)
                   else cfg.strategies)
-    temps = (tuple(float(t) for t in args.temperatures.split(","))
+    temps = (_float_flag(args.temperatures, "--temperatures")
              if getattr(args, "temperatures", None) else cfg.temperatures)
     for model in models:
         for strategy in strategies:
@@ -431,8 +439,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     temperature = _pick(args.temperature, cfg.temperatures, "temperature", last=True)
     conditions.append(CvCondition.llm(model, strategy, temperature))
 
-    rho_grid = (tuple(float(r) for r in args.rho_grid.split(","))
-                if args.rho_grid else cfg.rho_grid)
+    rho_grid = _float_flag(args.rho_grid, "--rho-grid") if args.rho_grid else cfg.rho_grid
     n_reps = args.n_replications if args.n_replications is not None else cfg.n_replications
     # checked here, before any elicitation query, not midway through the run
     if not 0.0 < cfg.train_fraction < 1.0:

@@ -154,13 +154,16 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     """Load and validate a dataset file.
 
     Raises DataError with the offending line number for malformed rows,
-    negative counts, or duplicate patient ids.
+    negative counts, or duplicate patient ids, and naming the file when it
+    cannot be read or is not UTF-8.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return _parse_rows(fh, source=str(path))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def loads_dataset(text: str, source: str = "<string>") -> Dataset:

@@ -10,11 +10,21 @@ each step size is scaled by exp(acceptance rate - target) every 50
 iterations; the kept draws use the final step sizes.  Each chain owns an
 RNG stream derived from (seed, chain_index), so results are
 bit-reproducible and independent of scheduling.
+
+The loop calls the generator's core methods, which skip the argument
+handling of their wrappers: ``standard_gamma(alpha + t)`` times
+1 / (beta + n) for the site rates, ``standard_normal()`` for a proposal and
+``random()`` for an acceptance test.  numpy computes ``gamma(shape, scale)``,
+``normal()`` and ``uniform()`` as exactly these core draws times the scale
+plus the location, so the stream and every value are those of
+Gamma(alpha + t, beta + n), Normal(0, 1) and Uniform(0, 1).  Site R-hat is
+computed _BLOCK_ROWS sites at a time (see ``_split_rhat``).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,6 +41,9 @@ from .model import HyperPriorSpec
 _RATE_FLOOR = 1e-300
 
 _ADAPT_WINDOW = 50
+# sites per split-R-hat block and draws per export block, so no temporary
+# grows with the site count
+_BLOCK_ROWS = 64
 _INITIAL_STEP = 0.5
 
 
@@ -123,14 +136,15 @@ def beta_log_conditional(beta: float, alpha: float, n: int, sum_lam: float,
 
 def _draw_lambdas(alpha: float, beta: float, totals: np.ndarray,
                   sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    draws = rng.gamma(shape=alpha + totals, scale=1.0 / (beta + sizes))
-    return np.maximum(draws, _RATE_FLOOR)
+    draws = rng.standard_gamma(alpha + totals)
+    draws *= 1.0 / (beta + sizes)
+    return np.maximum(draws, _RATE_FLOOR, out=draws)
 
 
 def _mh_log_scale(current: float, step: float, log_target, rng) -> tuple[float, bool]:
     """One random-walk Metropolis step on the log of a positive scalar."""
     log_cur = math.log(current)
-    log_prop = log_cur + step * rng.normal()
+    log_prop = log_cur + step * rng.standard_normal()
     proposed = math.exp(log_prop)
     g_cur = log_target(current)
     g_prop = log_target(proposed)
@@ -140,7 +154,7 @@ def _mh_log_scale(current: float, step: float, log_target, rng) -> tuple[float, 
         )
     # Jacobian of the log transform: + log_prop - log_cur
     log_ratio = g_prop - g_cur + log_prop - log_cur
-    if rng.uniform() < math.exp(min(log_ratio, 0.0)):
+    if rng.random() < math.exp(min(log_ratio, 0.0)):
         return proposed, True
     return current, False
 
@@ -224,13 +238,38 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
         if config.freeze_hyperparams is None:
             diagnostics["alpha"] = compute_rhat(alpha)
             diagnostics["beta"] = compute_rhat(beta)
-        for j, site_id in enumerate(dataset.site_ids):
-            diagnostics[f"lambda[{site_id}]"] = compute_rhat(lambdas[:, :, j])
+        for start in range(0, totals.size, _BLOCK_ROWS):
+            block = lambdas[:, :, start:start + _BLOCK_ROWS].transpose(2, 0, 1)
+            site_ids = dataset.site_ids[start:start + _BLOCK_ROWS]
+            for site_id, rhat in zip(site_ids, _split_rhat(block).tolist()):
+                diagnostics[f"lambda[{site_id}]"] = rhat
 
     return PosteriorDraws(
         alpha=alpha, beta=beta, lambdas=lambdas,
         site_ids=dataset.site_ids, config=config, diagnostics=diagnostics,
     )
+
+
+def _split_rhat(chains: np.ndarray) -> np.ndarray:
+    """``compute_rhat`` of each of P parameters at once, from chains of
+    shape (P, n_chains, n_draws), bit for bit.
+
+    Every split half-chain becomes one row of a C-contiguous 2-D array and
+    each reduction runs along a 2-D array's rows, so every parameter sums in
+    the order ``compute_rhat`` does; a 3-D array reduced along its last axis
+    sums in another order and changes the last bits.
+    """
+    n_params, n_chains, n_draws = chains.shape
+    half = n_draws // 2
+    rows = np.concatenate([chains[:, :, :half], chains[:, :, n_draws - half:]], axis=1)
+    rows = rows.reshape(n_params * 2 * n_chains, half)
+    within = rows.var(axis=1, ddof=1).reshape(n_params, 2 * n_chains).mean(axis=1)
+    between = half * rows.mean(axis=1).reshape(n_params, 2 * n_chains).var(axis=1, ddof=1)
+    var_hat = (half - 1) / half * within + between / half
+    # zero within-chain variance is degenerate: report inf, not nan
+    rhat = np.full(n_params, math.inf)
+    np.divide(var_hat, within, out=rhat, where=within != 0.0)
+    return np.sqrt(rhat, out=rhat)
 
 
 def compute_rhat(chains: np.ndarray) -> float:
@@ -261,17 +300,40 @@ def compute_rhat(chains: np.ndarray) -> float:
 
 def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                  include_hyperparams: bool = True) -> None:
-    """Dump draws as columnar delimited text: chain, draw, parameter, value."""
+    """Dump draws as columnar delimited text: chain, draw, parameter, value.
+
+    The bytes are those of one ``csv.writer`` row per value (with
+    ``repr(float)`` values), but each parameter name is csv-escaped once and
+    draws are formatted _BLOCK_ROWS at a time.
+    """
+    names = [f"lambda[{site_id}]" for site_id in draws.site_ids]
+    if include_hyperparams:
+        names = ["alpha", "beta"] + names
+    # the csv-escaped "<parameter>," of each column, in column order
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = []
+    for name in names:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((name, ""))
+        columns.append(buf.getvalue()[:-1])
+    n_chains, n_draws = draws.alpha.shape
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chain", "draw", "parameter", "value"])
-        n_chains, n_draws = draws.alpha.shape
-        for c in range(n_chains):
-            for d in range(n_draws):
+        fh.write("chain,draw,parameter,value\n")
+        # without a single column (no sites, hyperparameters left out) a draw
+        # has no line
+        for c in range(n_chains if columns else 0):
+            for start in range(0, n_draws, _BLOCK_ROWS):
+                block = draws.lambdas[c, start:start + _BLOCK_ROWS]
                 if include_hyperparams:
-                    writer.writerow([c, d, "alpha", repr(float(draws.alpha[c, d]))])
-                    writer.writerow([c, d, "beta", repr(float(draws.beta[c, d]))])
-                for j, site_id in enumerate(draws.site_ids):
-                    writer.writerow(
-                        [c, d, f"lambda[{site_id}]", repr(float(draws.lambdas[c, d, j]))]
-                    )
+                    hyper = (draws.alpha[c, start:start + _BLOCK_ROWS, None],
+                             draws.beta[c, start:start + _BLOCK_ROWS, None])
+                    block = np.concatenate(hyper + (block,), axis=1)
+                lines = []
+                for d, row in enumerate(block.tolist(), start=start):
+                    prefix = f"{c},{d},"
+                    lines.append(prefix)
+                    lines.append(("\n" + prefix).join(map(str.__add__, columns, map(repr, row))))
+                    lines.append("\n")
+                fh.write("".join(lines))

@@ -1,7 +1,10 @@
 """Helpers shared by the test modules: synthetic datasets, fixture
-transports and a point-mass posterior for closed-form oracles."""
+transports, a point-mass posterior for closed-form oracles and a reference
+draw writer."""
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -58,3 +61,22 @@ def point_mass_draws(alpha: float, beta: float, n_samples: int,
         site_ids=site_ids,
         config=config,
     )
+
+
+def reference_export_draws(draws: PosteriorDraws, path,
+                           include_hyperparams: bool = True) -> None:
+    """``export_draws`` written the plain way, one ``csv.writer`` row per
+    value: the bytes the fast writer must reproduce."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["chain", "draw", "parameter", "value"])
+        n_chains, n_draws = draws.alpha.shape
+        for c in range(n_chains):
+            for d in range(n_draws):
+                if include_hyperparams:
+                    writer.writerow([c, d, "alpha", repr(float(draws.alpha[c, d]))])
+                    writer.writerow([c, d, "beta", repr(float(draws.beta[c, d]))])
+                for j, site_id in enumerate(draws.site_ids):
+                    writer.writerow(
+                        [c, d, f"lambda[{site_id}]", repr(float(draws.lambdas[c, d, j]))]
+                    )

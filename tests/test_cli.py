@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aebayes.cli import load_config, main
+from aebayes.data import Dataset, PatientRecord, write_dataset
 from aebayes.elicitation import FixtureTransport
+from aebayes_testkit import make_dataset
 
 DATASET = """site_id,patient_id,ae_count
 s01,p01,2
@@ -112,6 +116,15 @@ def test_ingest_malformed_file_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err
     assert "line 2" in err
+
+
+def test_ingest_non_utf8_file_exit_code(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("site_id,patient_id,ae_count\nsité,p01,3\n".encode("latin-1"))
+    assert main(["ingest", str(latin1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "latin1.csv" in err and "UTF-8" in err
 
 
 def test_ingest_missing_file_exit_code(tmp_path, capsys):
@@ -453,7 +466,10 @@ def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys)
     (["efficiency", "--rho-grid", "0.5,0"], "", "rho_grid"),
     (["cv", "--k", "1"], "", "k"),
     (["cv", "--k", "1000"], "", "k"),  # the dataset has 9 sites
-], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites"])
+    (["efficiency", "--rho-grid", "0.5,x"], "", "--rho-grid"),
+    (["cv", "--temperatures", "a"], "", "--temperatures"),
+], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites",
+        "rho_grid_not_a_number", "temperatures_not_a_number"])
 def test_out_of_range_experiment_setting_exit_code(
         dataset_file, tmp_path, monkeypatch, capsys, command, config_line, key):
     sent = []
@@ -465,9 +481,54 @@ def test_out_of_range_experiment_setting_exit_code(
     out_dir = tmp_path / "out"
     llm = (["--models", "m1", "--strategies", "blind", "--temperatures", "0.5"]
            if command[0] == "cv" else ["--model", "m1", "--temperature", "0.5"])
-    rc = main([*command, *llm, "--dataset", dataset_file, "--config", str(cfg),
-               "--out", str(out_dir), "--fixtures", fx])
+    # the case's own flags come last, so they override the defaults in llm
+    rc = main([command[0], *llm, *command[1:], "--dataset", dataset_file,
+               "--config", str(cfg), "--out", str(out_dir), "--fixtures", fx])
     assert rc == 2
     assert f"configuration error: {key} " in capsys.readouterr().err
     assert sent == []
     assert not (out_dir / "audit").exists()
+
+
+# sha256 over the names and bytes of results/, reports/ and draws/ after one
+# command on PINNED_DATASET; recorded with numpy 2.4.6
+PINNED_OUTPUT_DIGESTS = {
+    "fit": (["fit"], "3ced10757d1ff99f32ac99ce2ff086b911534ebaf3e10dc15c934b4de66290e1"),
+    "cv": (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+            "--temperatures", "0.5"],
+           "b9143d04557f6e26fda7d7c4c2c1d27cffc92e7c262f3bb065fc35c2037683e7"),
+    "efficiency": (["efficiency", "--model", "m1", "--strategy", "blind",
+                    "--temperature", "0.5", "--rho-grid", "0.5,1.0",
+                    "--n-replications", "2"],
+                   "1e65383d3218db01976822b1397fa39c7eb384c90d9c4727d201b35dae875aa8"),
+}
+# 70 sites, one more than an R-hat block; 69 draws, one block of draws and
+# a partial one; a cv test fold holds more patients than one LPD block; one
+# site id needs csv quoting in draws.csv
+PINNED_DATASET = Dataset(make_dataset([2, 3, 4] * 23, seed=8).records
+                         + (PatientRecord("q1", 'a,"b', 4), PatientRecord("q2", 'a,"b', 0)))
+PINNED_CONFIG = "n_chains = 3\nn_warmup = 40\nn_draws = 69\nbackoff_base = 0.001\n"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT_DIGESTS))
+def test_output_bytes_pinned(tmp_path, capsys, name):
+    """A change that claims to keep outputs must reproduce every byte the
+    commands write to results/, reports/ and draws/."""
+    command, expected = PINNED_OUTPUT_DIGESTS[name]
+    data, cfg = tmp_path / "pinned.csv", tmp_path / "pinned.cfg"
+    write_dataset(PINNED_DATASET, data)
+    cfg.write_text(PINNED_CONFIG, encoding="utf-8")
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5, response=r)
+                                   for r in DISTINCT_RESPONSES])
+    out_dir = tmp_path / "out"
+    assert main([*command, "--dataset", str(data), "--config", str(cfg), "--seed", "3",
+                 "--fixtures", fx, "--out", str(out_dir)]) == 0
+    digest = hashlib.sha256()
+    for kind in ("results", "reports", "draws"):
+        if (out_dir / kind).is_dir():
+            for path in sorted((out_dir / kind).iterdir()):
+                digest.update(f"{kind}/{path.name}\n".encode())
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == expected, (
+        f"{name} outputs changed: sha256 {digest.hexdigest()} (numpy {np.__version__}; "
+        "the digests were recorded with numpy 2.4.6 and depend on its Generator bitstream)")

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from aebayes import seeding
 from aebayes.data import loads_dataset
 from aebayes.evaluation import LpdResult, log_sum_exp, lpd_dataset, lpd_patient
-from aebayes.sampler import McmcConfig, PosteriorDraws
-from aebayes_testkit import point_mass_draws
+from aebayes.model import HyperPriorSpec
+from aebayes.sampler import McmcConfig, PosteriorDraws, run_mcmc
+from aebayes_testkit import make_dataset, point_mass_draws
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:
@@ -112,11 +113,17 @@ def test_lpd_dataset_deterministic_and_per_patient_streams():
 
 
 def test_lpd_dataset_patient_stream_matches_direct_call():
-    ds = loads_dataset("site_id,patient_id,ae_count\nA,p1,2\nB,p2,5\n")
-    draws = point_mass_draws(2.0, 1.0, 400)
+    """lpd_dataset scores patients in blocks; every value must equal
+    lpd_patient on that patient's own stream bit for bit.  101 patients
+    leave a partial last block; the counts include 0 and values >= 20."""
+    counts = [0, 20, 3, 47, 1, 0, 25, 2] * 12 + [0, 31, 5, 1, 22]
+    ds = loads_dataset("site_id,patient_id,ae_count\n" + "".join(
+        f"s{i % 7},p{i},{y}\n" for i, y in enumerate(counts)))
+    draws = run_mcmc(make_dataset([3, 4, 5, 2], seed=1), HyperPriorSpec(0.1, 0.1),
+                     McmcConfig(n_chains=2, n_warmup=30, n_draws=35, seed=5))
     res = lpd_dataset(ds, draws, seed=4)
-    direct = lpd_patient(5, draws, seeding.rng(4, "lpd", 1))
-    assert res.per_patient[1] == direct
+    assert res.per_patient == tuple(
+        lpd_patient(y, draws, seeding.rng(4, "lpd", i)) for i, y in enumerate(counts))
 
 
 def test_lpd_result_summaries():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aebayes.data import loads_dataset
+from aebayes.data import Dataset, PatientRecord, loads_dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import (
     McmcConfig,
@@ -22,11 +22,14 @@ from aebayes.sampler import (
     export_draws,
     run_mcmc,
 )
-from aebayes_testkit import point_mass_draws
+from aebayes_testkit import make_dataset, point_mass_draws, reference_export_draws
 
 ONE_SITE = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\n")
 TWO_SITES = loads_dataset(
     "site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\nB,p4,0\nB,p5,1\n")
+# more sites than one R-hat block (64), the last one with no events
+MANY_SITES = Dataset(make_dataset([1, 2, 3] * 23, seed=4).records
+                     + (PatientRecord("q1", "empty", 0),))
 
 
 def test_config_validation():
@@ -324,6 +327,42 @@ def test_export_draws(tmp_path):
     body = path2.read_text()
     assert "alpha" not in body.split("\n", 1)[1]
     assert len(body.splitlines()) == 1 + 2 * 5 * 2
+
+
+@pytest.mark.parametrize("include_hyperparams", [True, False], ids=["hyper", "sites_only"])
+def test_export_draws_matches_csv_writer(tmp_path, include_hyperparams):
+    """The block writer produces the bytes of one csv.writer row per value,
+    csv-escaping site ids; 70 draws span two blocks of draws."""
+    data = loads_dataset('site_id,patient_id,ae_count\n"a,""b",p1,3\n"a,""b",p2,0\n'
+                         'plain,p3,25\n"x\ny",p4,1\n')
+    draws = run_mcmc(data, HyperPriorSpec(0.1, 0.1),
+                     McmcConfig(n_chains=2, n_warmup=10, n_draws=70, seed=2))
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    export_draws(draws, fast, include_hyperparams=include_hyperparams)
+    reference_export_draws(draws, ref, include_hyperparams=include_hyperparams)
+    assert fast.read_bytes() == ref.read_bytes()
+    assert '\n0,0,"lambda[a,""b]",' in fast.read_text(encoding="utf-8")
+    # no sites: with the hyperparameters left out, only the header remains
+    no_sites = point_mass_draws(2.0, 1.0, 3)
+    export_draws(no_sites, fast, include_hyperparams=include_hyperparams)
+    reference_export_draws(no_sites, ref, include_hyperparams=include_hyperparams)
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("n_draws, freeze", [(40, None), (41, None), (41, (1e-8, 1.0))],
+                         ids=["even", "odd", "degenerate"])
+def test_site_rhat_matches_compute_rhat(n_draws, freeze):
+    """run_mcmc computes site R-hat in blocks of sites; each value must equal
+    compute_rhat on that site's chains bit for bit.  With alpha frozen at
+    1e-8 the rates of a site without events underflow to the floor in every
+    draw, so its within-chain variance is zero and it reports inf."""
+    cfg = McmcConfig(n_chains=3, n_warmup=20, n_draws=n_draws, seed=6,
+                     freeze_hyperparams=freeze)
+    draws = run_mcmc(MANY_SITES, HyperPriorSpec(0.1, 0.1), cfg)
+    for j, site_id in enumerate(MANY_SITES.site_ids):
+        assert draws.diagnostics[f"lambda[{site_id}]"] == compute_rhat(draws.lambdas[:, :, j])
+    if freeze is not None:
+        assert draws.diagnostics["lambda[empty]"] == math.inf
 
 
 # sha256 of the alpha, beta and lambda draws (little-endian float64, in
