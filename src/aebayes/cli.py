@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: ingest, elicit, fit, cv, efficiency, report.  Configuration
-comes from an optional key=value file plus flags; secrets only ever come
-from the environment (LLM_API_KEY, endpoint override via LLM_ENDPOINT).
-Everything that writes does so atomically (temp file + rename), except
-``elicit``, which appends to its audit log.  All randomness flows from the
-single --seed value.
+Subcommands: ingest, elicit, fit, cv, efficiency, report.  Settings are the
+``RunConfig`` fields.  They come from an optional ``key = value`` file with
+the flags laid over it; a flag that sets a key takes the key's own syntax
+(comma lists drop empty parts, so an empty value is an empty list), and the
+singular ``--model``, ``--strategy`` and ``--temperature`` set one-element
+lists.  Every setting is checked once, before any query is sent or any
+output written.  Secrets only ever come from the environment (LLM_API_KEY,
+endpoint override via LLM_ENDPOINT).  Everything that writes does so
+atomically (temp file + rename), except ``elicit``, which appends to its
+audit log.  All randomness flows from the single seed.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 network or
 elicitation failure, 5 numerical failure.
@@ -103,7 +107,6 @@ class RunConfig:
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
     n_replications: int = 20
     train_fraction: float = 0.7
-    queries_per_replication: int = 1
 
     def mcmc_config(self, **overrides) -> McmcConfig:
         kwargs = dict(n_chains=self.n_chains, n_warmup=self.n_warmup,
@@ -130,30 +133,50 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_TUPLE_FIELDS = {"models", "strategies", "temperatures", "rho_grid"}
-_BOOL_FIELDS = {"strict", "live"}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
 # a comment starts at a '#' that begins the line or follows whitespace, so
 # values such as URL fragments keep theirs
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected boolean, got {raw!r}")
+def _split(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# how a setting's text is parsed, by its RunConfig field type, and what an
+# error says was expected; any other field keeps the text
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda raw: _BOOLEANS[raw.strip().lower()],
+             "boolean (true/yes/1, false/no/0)"),
+    "tuple[str, ...]": (_split, None),
+    "tuple[float, ...]": (lambda raw: tuple(map(float, _split(raw))),
+                          "comma-separated numbers"),
+}
+
+
+def _coerce_config_value(key: str, raw: str, source: str):
+    """Parse one setting's text, from a config line or a flag alike; errors
+    start with ``source``."""
+    parse, expected = _PARSERS.get(_FIELD_TYPES[key], (str, None))
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{source} got {raw!r}, expected {expected}") from None
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     """Parse a line-oriented ``key = value`` file (whitespace-led # starts a comment)."""
-    spec_by_name = {f.name: f for f in fields(RunConfig)}
-    values: dict[str, object] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
+    values: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
         if not stripped:
@@ -162,55 +185,83 @@ def load_config(path: str | os.PathLike) -> RunConfig:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in spec_by_name:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-        values[key] = _coerce_config_value(key, raw, spec_by_name[key].type)
+        values[key] = _coerce_config_value(key, raw, f"{path}: line {lineno}: {key}")
     return RunConfig(**values)
 
 
-def _coerce_config_value(key: str, raw: str, type_hint: str):
+class _Setting(argparse.Action):
+    """A flag (or positional) that sets the RunConfig field named by its dest.
+    It keeps the raw text with the option given, so ``_resolve_config``
+    parses it as a file line and names the flag in errors."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, (option_string or self.dest, values))
+
+
+LlmKey = tuple[str, PromptStrategy, float]  # (model, strategy, temperature)
+
+
+def _parse_strategy(name: str) -> PromptStrategy:
     try:
-        if key in _BOOL_FIELDS:
-            return _parse_bool(raw, key)
-        if key in _TUPLE_FIELDS:
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if key in ("temperatures", "rho_grid"):
-                return tuple(float(p) for p in parts)
-            return tuple(parts)
-        if "int" in type_hint:
-            return int(raw)
-        if "float" in type_hint:
-            return float(raw)
-        return raw
+        return PromptStrategy(name)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
+        valid = ", ".join(s.value for s in PromptStrategy)
+        raise ConfigError(f"unknown strategy {name!r} (expected one of: {valid})") from exc
 
 
-def _float_flag(raw: str, flag: str) -> tuple[float, ...]:
-    """The comma-separated numbers given to a command-line flag."""
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {raw!r}") from None
+def _llm_keys(cfg: RunConfig, command: str) -> list[LlmKey]:
+    """The keys a command elicits: ``cv`` crosses models, strategies and
+    temperatures; ``elicit`` takes the first of each, ``efficiency`` the
+    first model and strategy with the last temperature."""
+    if command == "cv":
+        return [(model, _parse_strategy(strategy), temperature)
+                for model in cfg.models for strategy in cfg.strategies
+                for temperature in cfg.temperatures]
+    if command not in ("elicit", "efficiency"):
+        return []
+    for what, values in (("model id", cfg.models), ("strategy", cfg.strategies),
+                         ("temperature", cfg.temperatures)):
+        if not values:
+            raise ConfigError(f"a {what} is required (flag or config)")
+    temperature = cfg.temperatures[-1 if command == "efficiency" else 0]
+    return [(cfg.models[0], _parse_strategy(cfg.strategies[0]), temperature)]
 
 
-def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for attr in ("seed", "out", "fixtures", "n_jobs"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "live", False):
-        cfg.live = True
-    if getattr(args, "dataset", None):
-        cfg.dataset = args.dataset
+def _check_config(cfg: RunConfig, llm_keys: list[LlmKey]) -> None:
+    """Check every setting before anything is queried or written; ``cmd_cv``
+    checks k against the site count once the dataset is loaded."""
     if cfg.n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
-    return cfg
+    if cfg.k < 2:
+        raise ConfigError(f"k must be >= 2, got {cfg.k}")
+    if not 0.0 < cfg.train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
+    if cfg.n_replications < 1:
+        raise ConfigError(f"n_replications must be >= 1, got {cfg.n_replications}")
+    for rho in cfg.rho_grid:
+        if not 0.0 < rho <= 1.0:
+            raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
+    cfg.mcmc_config()
+    for model, _, temperature in llm_keys:
+        cfg.elicitation_config(model, temperature)
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[LlmKey]]:
+    """The config file's settings with the flags laid over them, checked,
+    and the keys the command will elicit."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    return _apply_common_flags(cfg, args)
+    flags = {}
+    for key in _FIELD_TYPES:
+        given = getattr(args, key, None)  # set by _Setting
+        if given is not None:
+            flag, raw = given
+            flags[key] = _coerce_config_value(key, raw, flag)
+    cfg = replace(cfg, **flags)
+    llm_keys = _llm_keys(cfg, args.command)
+    _check_config(cfg, llm_keys)
+    return cfg, llm_keys
 
 
 def _make_transport(cfg: RunConfig):
@@ -274,17 +325,8 @@ def _require_dataset(cfg: RunConfig):
     return load_dataset(cfg.dataset)
 
 
-def _parse_strategy(name: str) -> PromptStrategy:
-    try:
-        return PromptStrategy(name)
-    except ValueError as exc:
-        valid = ", ".join(s.value for s in PromptStrategy)
-        raise ConfigError(f"unknown strategy {name!r} (expected one of: {valid})") from exc
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    cfg.dataset = args.path
+    cfg, _ = _resolve_config(args)
     dataset = _require_dataset(cfg)
     s = summarize(dataset)
     lines = [
@@ -297,14 +339,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if cfg.out is not None:
         _write_atomic(_out_dir(cfg, "reports") / "ingest.txt", report)
     return EXIT_OK
-
-
-def _pick(flag_value, config_values: tuple, what: str, last: bool = False):
-    if flag_value is not None:
-        return flag_value
-    if not config_values:
-        raise ConfigError(f"a {what} is required (flag or config)")
-    return config_values[-1] if last else config_values[0]
 
 
 def _write_audit(cfg: RunConfig, name: str, priors) -> None:
@@ -323,15 +357,9 @@ def _write_audit(cfg: RunConfig, name: str, priors) -> None:
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    model = _pick(args.model, cfg.models, "model id")
-    strategy = _parse_strategy(args.strategy)
-    temperature = _pick(args.temperature, cfg.temperatures, "temperature")
-    ecfg = cfg.elicitation_config(model, temperature)
-    if args.n_queries is not None:
-        ecfg = replace(ecfg, n_queries=args.n_queries)
+    cfg, [(model, strategy, temperature)] = _resolve_config(args)
     transport = _make_transport(cfg)
-    prior = elicit_prior(strategy, ecfg, transport)
+    prior = elicit_prior(strategy, cfg.elicitation_config(model, temperature), transport)
     # each run makes new queries, so the log grows across runs
     write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
     n_ok = prior.n_successes
@@ -345,7 +373,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     dataset = _require_dataset(cfg)
     try:
         spec = HyperPriorSpec(alpha_rate=args.alpha_rate, beta_rate=args.beta_rate)
@@ -370,41 +398,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cv_conditions(cfg: RunConfig, args: argparse.Namespace) -> list[CvCondition]:
-    conditions: list[CvCondition] = []
-    if not getattr(args, "no_baseline", False):
-        conditions.append(CvCondition.meta_analytical())
-    models = args.models.split(",") if getattr(args, "models", None) else cfg.models
-    strategies = (args.strategies.split(",") if getattr(args, "strategies", None)
-                  else cfg.strategies)
-    temps = (_float_flag(args.temperatures, "--temperatures")
-             if getattr(args, "temperatures", None) else cfg.temperatures)
-    for model in models:
-        for strategy in strategies:
-            for temp in temps:
-                conditions.append(
-                    CvCondition.llm(model.strip(), _parse_strategy(strategy.strip()), temp))
-    return conditions
-
-
 def cmd_cv(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, llm_keys = _resolve_config(args)
     dataset = _require_dataset(cfg)
-    k = args.k if args.k is not None else cfg.k
-    if not 2 <= k <= dataset.n_sites:
-        raise ConfigError(f"k must be between 2 and the site count "
-                          f"({dataset.n_sites}), got {k}")
-    conditions = _cv_conditions(cfg, args)
-    needs_llm = any(c.is_llm for c in conditions)
-    transport = _make_transport(cfg) if needs_llm else None
+    if cfg.k > dataset.n_sites:
+        raise ConfigError(f"k must be at most the site count ({dataset.n_sites}), "
+                          f"got {cfg.k}")
+    conditions = [] if args.no_baseline else [CvCondition.meta_analytical()]
+    conditions += [CvCondition.llm(*key) for key in llm_keys]
+    transport = _make_transport(cfg) if llm_keys else None
     # per-condition model/temperature are substituted in during the run;
-    # the base config only carries endpoint, retry, and query settings
-    base_model = cfg.models[0] if cfg.models else "unused"
-    base_temp = cfg.temperatures[0] if cfg.temperatures else 1.0
-    ecfg = cfg.elicitation_config(base_model, base_temp)
+    # the base config only carries the retry and query settings
+    ecfg = cfg.elicitation_config(llm_keys[0][0], llm_keys[0][2]) if llm_keys else None
 
     results = run_cv_experiment(dataset, conditions, cfg.mcmc_config(),
-                                ecfg, transport, k=k, seed=cfg.seed,
+                                ecfg, transport, k=cfg.k, seed=cfg.seed,
                                 n_jobs=cfg.n_jobs)
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
@@ -424,7 +432,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, [(model, strategy, temperature)] = _resolve_config(args)
     dataset = _require_dataset(cfg)
 
     conditions: list[CvCondition] = []
@@ -434,31 +442,14 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         conditions.append(baseline)
         # the reference table reports the baseline at full data only
         grids[baseline.identity()] = (1.0,)
-    model = _pick(args.model, cfg.models, "model id")
-    strategy = _parse_strategy(args.strategy)
-    temperature = _pick(args.temperature, cfg.temperatures, "temperature", last=True)
     conditions.append(CvCondition.llm(model, strategy, temperature))
 
-    rho_grid = _float_flag(args.rho_grid, "--rho-grid") if args.rho_grid else cfg.rho_grid
-    n_reps = args.n_replications if args.n_replications is not None else cfg.n_replications
-    # checked here, before any elicitation query, not midway through the run
-    if not 0.0 < cfg.train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
-    if n_reps < 1:
-        raise ConfigError(f"n_replications must be >= 1, got {n_reps}")
-    for rho in rho_grid:
-        if not 0.0 < rho <= 1.0:
-            raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
-    needs_llm = any(c.is_llm for c in conditions)
-    transport = _make_transport(cfg) if needs_llm else None
-    ecfg = cfg.elicitation_config(model, temperature)
-
     result = run_efficiency_experiment(
-        dataset, conditions, cfg.mcmc_config(), ecfg, transport,
-        rho_grid=rho_grid, n_replications=n_reps,
+        dataset, conditions, cfg.mcmc_config(),
+        cfg.elicitation_config(model, temperature), _make_transport(cfg),
+        rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
         split=SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed),
         seed=cfg.seed, n_jobs=cfg.n_jobs, rho_grid_by_condition=grids,
-        queries_per_replication=cfg.queries_per_replication,
     )
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
@@ -481,7 +472,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     audit_dir = (Path(args.results_dir) if args.results_dir
                  else Path(cfg.out or "out") / "audit")
     if not audit_dir.is_dir():
@@ -527,31 +518,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every flag that sets a RunConfig key has the key as its dest and keeps
+    # the raw text (action=_Setting) for _resolve_config
     def common(p: argparse.ArgumentParser, dataset: bool = False):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="global seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--fixtures", default=None,
+        p.add_argument("--seed", action=_Setting, help="global seed")
+        p.add_argument("--out", action=_Setting, help="output directory")
+        p.add_argument("--fixtures", action=_Setting,
                        help="JSONL fixture file of recorded responses")
-        p.add_argument("--live", action="store_true",
+        p.add_argument("--live", action="store_const", const=("--live", "true"),
                        help="query the live endpoint (requires LLM_API_KEY)")
-        p.add_argument("--n-jobs", dest="n_jobs", type=int, default=None,
+        p.add_argument("--n-jobs", action=_Setting,
                        help="process-level parallelism for experiment cells")
         if dataset:
-            p.add_argument("--dataset", default=None, help="patient-level CSV file")
+            p.add_argument("--dataset", action=_Setting, help="patient-level CSV file")
+
+    def one_condition(p: argparse.ArgumentParser):
+        p.add_argument("--model", dest="models", metavar="MODEL", action=_Setting,
+                       help="model id (sets models to one id)")
+        p.add_argument("--strategy", dest="strategies", action=_Setting,
+                       choices=[s.value for s in PromptStrategy],
+                       help="prompt strategy (sets strategies to one strategy)")
+        p.add_argument("--temperature", dest="temperatures", metavar="T",
+                       action=_Setting, help="sets temperatures to one value")
 
     p = sub.add_parser("ingest", help="validate a dataset and print its summary")
     common(p)
-    p.add_argument("path", help="patient-level CSV file")
+    p.add_argument("dataset", metavar="path", action=_Setting,
+                   help="patient-level CSV file")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("elicit", help="run one elicitation batch")
     common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--strategy", default="blind",
-                   choices=[s.value for s in PromptStrategy])
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--n-queries", dest="n_queries", type=int, default=None)
+    one_condition(p)
+    p.add_argument("--n-queries", action=_Setting)
     p.set_defaults(func=cmd_elicit)
 
     p = sub.add_parser("fit", help="fit the model once and dump draws")
@@ -566,23 +566,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation experiment")
     common(p, dataset=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--models", default=None, help="comma-separated model ids")
-    p.add_argument("--strategies", default=None, help="comma-separated strategies")
-    p.add_argument("--temperatures", default=None, help="comma-separated temperatures")
+    p.add_argument("--k", action=_Setting)
+    p.add_argument("--models", action=_Setting, help="comma-separated model ids")
+    p.add_argument("--strategies", action=_Setting, help="comma-separated strategies")
+    p.add_argument("--temperatures", action=_Setting, help="comma-separated temperatures")
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the meta-analytical baseline condition")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("efficiency", help="train-fraction subsampling experiment")
     common(p, dataset=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--strategy", default="blind",
-                   choices=[s.value for s in PromptStrategy])
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--rho-grid", dest="rho_grid", default=None,
+    one_condition(p)
+    p.add_argument("--rho-grid", action=_Setting,
                    help="comma-separated subsampling fractions")
-    p.add_argument("--n-replications", dest="n_replications", type=int, default=None)
+    p.add_argument("--n-replications", action=_Setting)
     p.add_argument("--no-baseline", action="store_true")
     p.set_defaults(func=cmd_efficiency)
 

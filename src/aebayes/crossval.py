@@ -122,7 +122,7 @@ class CvResult:
 
 
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
-                      mcmc: McmcConfig, elicit: ElicitationConfig,
+                      mcmc: McmcConfig, elicit: ElicitationConfig | None,
                       transport, k: int = 5, seed: int = 0,
                       n_jobs: int = 1) -> list[CvResult]:
     """Fit and score every (condition, fold) cell.

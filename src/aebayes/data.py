@@ -10,7 +10,6 @@ file and that order is the canonical site order used everywhere else
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -164,20 +163,6 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def loads_dataset(text: str, source: str = "<string>") -> Dataset:
-    """Parse a dataset from an in-memory string (same validation as load_dataset)."""
-    return _parse_rows(io.StringIO(text, newline=""), source=source)
-
-
-def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Write a dataset back to the documented format (load ∘ write is identity)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
-        for rec in dataset.records:
-            writer.writerow([rec.site_id, rec.patient_id, rec.ae_count])
 
 
 def summarize(dataset: Dataset) -> DatasetSummary:

@@ -135,23 +135,21 @@ def run_efficiency_experiment(
     seed: int = 0,
     n_jobs: int = 1,
     rho_grid_by_condition: dict[str, tuple[float, ...]] | None = None,
-    queries_per_replication: int = 1,
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
     The subsampling seed is a function of the replication index alone, so
     all conditions and rho levels within a replication see the same site
     permutations (and nested subsampling makes rho levels comparable).
-    LLM conditions elicit a fresh prior per cell with
-    ``queries_per_replication`` queries, giving n_replications independent
-    queries per sample size by default.
+    LLM conditions elicit a fresh prior per cell from one query, giving
+    n_replications independent queries per sample size.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
     split = split if split is not None else SplitSpec(seed=seed)
     train, test = train_test_split(dataset, split)
 
-    per_query_elicit = replace(elicit, n_queries=queries_per_replication)
+    per_query_elicit = replace(elicit, n_queries=1)
     overrides = rho_grid_by_condition or {}
 
     plan: list[tuple[CvCondition, float]] = []

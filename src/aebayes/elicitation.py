@@ -243,7 +243,6 @@ class AggregatedPrior:
 
     spec: HyperPriorSpec
     records: tuple[ElicitationRecord, ...]
-    aggregation: str = "mean"
 
     @property
     def n_successes(self) -> int:
@@ -295,13 +294,15 @@ class HttpTransport:
 
 
 def _read_jsonl(path: str | os.PathLike, parse) -> list:
-    """Apply ``parse`` to each JSON line of a file; errors name file and line."""
+    """Apply ``parse`` to each JSON line of a file; errors, a line that is
+    not UTF-8 among them, name file and line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 out.append(parse(json.loads(line)))
             except KeyError as exc:
                 raise ElicitationError(

@@ -91,11 +91,11 @@ class CellOutcome:
         return self.lpd.n_patients
 
 
-def plan_cell(condition: CvCondition, elicit: ElicitationConfig, transport, *,
+def plan_cell(condition: CvCondition, elicit: ElicitationConfig | None, transport, *,
               train: Dataset, test: Dataset, mcmc: McmcConfig,
               lpd_seed: int) -> Cell:
     """A cell under the condition's prior, eliciting a fresh one for an LLM
-    condition (the baseline needs no transport)."""
+    condition (the baseline needs neither ``elicit`` nor a transport)."""
     if not condition.is_llm:
         spec, prior = META_ANALYTICAL, None
     else:

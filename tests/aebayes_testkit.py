@@ -1,14 +1,16 @@
-"""Helpers shared by the test modules: synthetic datasets, fixture
-transports, a point-mass posterior for closed-form oracles and a reference
-draw writer."""
+"""Helpers shared by the test modules: synthetic datasets and an in-memory
+dataset reader and writer, fixture transports, a point-mass posterior for
+closed-form oracles and a reference draw writer."""
 
 from __future__ import annotations
 
 import csv
+import io
+import os
 
 import numpy as np
 
-from aebayes.data import Dataset, PatientRecord
+from aebayes.data import HEADER, Dataset, PatientRecord, _parse_rows
 from aebayes.elicitation import FixtureTransport
 from aebayes.sampler import McmcConfig, PosteriorDraws
 
@@ -27,6 +29,20 @@ def make_dataset(site_sizes: list[int], seed: int = 0,
                                          ae_count=int(rng.poisson(lam))))
             pid += 1
     return Dataset(records=tuple(records))
+
+
+def loads_dataset(text: str, source: str = "<string>") -> Dataset:
+    """Parse a dataset from an in-memory string (same validation as load_dataset)."""
+    return _parse_rows(io.StringIO(text, newline=""), source=source)
+
+
+def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
+    """Write a dataset back to the documented format (load ∘ write is identity)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        for rec in dataset.records:
+            writer.writerow([rec.site_id, rec.patient_id, rec.ae_count])
 
 
 # enough sites in every stratum for 5 folds and a 70:30 split

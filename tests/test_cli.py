@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aebayes.cli import load_config, main
-from aebayes.data import Dataset, PatientRecord, write_dataset
-from aebayes.elicitation import FixtureTransport
-from aebayes_testkit import make_dataset
+from aebayes.cli import _resolve_config, build_parser, load_config, main
+from aebayes.data import Dataset, PatientRecord
+from aebayes.elicitation import FixtureTransport, PromptStrategy
+from aebayes_testkit import make_dataset, write_dataset
 
 DATASET = """site_id,patient_id,ae_count
 s01,p01,2
@@ -459,6 +459,14 @@ def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys)
     assert "timeout must be positive" in capsys.readouterr().err
 
 
+def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timeout = 0\n", encoding="utf-8")
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0)])
+    assert main(["elicit", "--fixtures", fx, "--model", "m1", "--temperature", "1.0",
+                 "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("command, config_line, key", [
     (["efficiency"], "train_fraction = 1.5\n", "train_fraction"),
     (["efficiency", "--n-replications", "0"], "", "n_replications"),
@@ -488,6 +496,124 @@ def test_out_of_range_experiment_setting_exit_code(
     assert f"configuration error: {key} " in capsys.readouterr().err
     assert sent == []
     assert not (out_dir / "audit").exists()
+
+
+# each setting given once as a flag and once as a config line must end alike
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, flag, config_line", [
+    ("elicit", ["--n-queries", "0"], "n_queries = 0"),
+    ("cv", ["--temperatures", "3"], "temperatures = 3"),
+    # every temperature is checked, not only the first
+    ("cv", ["--temperatures", "0.5,3"], "temperatures = 0.5, 3"),
+    ("cv", ["--k", "x"], "k = x"),
+], ids=["n_queries", "temperature", "second_temperature", "k_not_an_integer"])
+def test_flag_and_file_reject_alike(dataset_file, tmp_path, monkeypatch, capsys,
+                                    command, flag, config_line, source):
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MCMC_CONFIG + (config_line + "\n" if source == "file" else ""),
+                   encoding="utf-8")
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    base = (["--model", "m1"] if command == "elicit"
+            else ["--models", "m1", "--dataset", dataset_file])
+    rc = main([command, *base, *(flag if source == "flag" else []),
+               "--config", str(cfg), "--out", str(out_dir), "--fixtures", fx])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert sent == []
+    assert not (out_dir / "audit").exists()
+
+
+@pytest.mark.parametrize("flag, config_line", [
+    (["--models", "m1,"], "models = m1,"),
+    (["--strategies", "blind,"], "strategies = blind,"),
+    (["--models", ""], "models ="),  # no models: the baseline only
+], ids=["models_trailing_comma", "strategies_trailing_comma", "models_empty"])
+def test_flag_and_file_lists_parse_alike(dataset_file, tmp_path, flag, config_line):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    base = ["cv", "--dataset", dataset_file, "--k", "3", "--fixtures", fx,
+            "--temperatures", "0.5"]
+    outputs = []
+    for source in ("flag", "file"):
+        cfg = tmp_path / f"{source}.cfg"
+        cfg.write_text(SMALL_MCMC_CONFIG + "models = m1\nstrategies = blind\n"
+                       + (config_line + "\n" if source == "file" else ""),
+                       encoding="utf-8")
+        out_dir = tmp_path / source
+        assert main([*base, *(flag if source == "flag" else []),
+                     "--config", str(cfg), "--out", str(out_dir)]) == 0
+        audit = out_dir / "audit" / "cv_elicitations.jsonl"
+        outputs.append((output_bytes(out_dir), audit.exists()))
+    assert outputs[0] == outputs[1]
+
+
+RESOLVE_CONFIG = """dataset = file.csv
+k = 4
+models = f1, f2
+temperatures = 0.1, 0.2
+rho_grid = 0.5
+n_replications = 7
+n_queries = 9
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cv", "--k", "3", "--models", "m1,", "--temperatures", "0.5, 1",
+      "--dataset", "flag.csv"],
+     {"k": 3, "models": ("m1",), "temperatures": (0.5, 1.0), "dataset": "flag.csv",
+      "rho_grid": (0.5,), "n_replications": 7, "n_queries": 9}),
+    (["efficiency", "--model", "m2", "--temperature", "0.7", "--rho-grid", "0.25,1",
+      "--n-replications", "2"],
+     {"models": ("m2",), "temperatures": (0.7,), "rho_grid": (0.25, 1.0),
+      "n_replications": 2, "k": 4, "dataset": "file.csv"}),
+    (["elicit", "--n-queries", "1"],
+     {"n_queries": 1, "models": ("f1", "f2"), "temperatures": (0.1, 0.2)}),
+    (["ingest", "flag.csv"], {"dataset": "flag.csv", "k": 4}),
+], ids=["cv", "efficiency", "elicit", "ingest"])
+def test_resolve_config_lays_flags_over_file(tmp_path, argv, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(RESOLVE_CONFIG, encoding="utf-8")
+    cfg, _ = _resolve_config(build_parser().parse_args([*argv, "--config", str(path)]))
+    assert {key: getattr(cfg, key) for key in expected} == expected
+
+
+def test_single_condition_commands_pick_from_lists(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(RESOLVE_CONFIG + "strategies = disease_informed, blind\n",
+                    encoding="utf-8")
+    for command, temperature in (("elicit", 0.1), ("efficiency", 0.2)):
+        _, keys = _resolve_config(build_parser().parse_args(
+            [command, "--config", str(path)]))
+        assert keys == [("f1", PromptStrategy.DISEASE_INFORMED, temperature)]
+
+
+def test_config_non_utf8_file_exit_code(dataset_file, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("out = résultats\n".encode("latin-1"))
+    assert main(["ingest", dataset_file, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "latin1.cfg" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["elicit", "cv", "report"])
+def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    path = (out_dir / "audit" if command == "report" else tmp_path) / "latin1.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # line 2 holds a Latin-1 byte, so the error comes before any record is read
+    path.write_bytes(b"\n" + '{"response": "é"}\n'.encode("latin-1"))
+    argv = {"elicit": ["--model", "m1", "--fixtures", str(path)],
+            "cv": ["--models", "m1", "--dataset", dataset_file, "--fixtures", str(path)],
+            "report": []}[command]
+    assert main([command, *argv, "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("elicitation error: ")
+    assert "latin1.jsonl: line 2" in err
 
 
 # sha256 over the names and bytes of results/, reports/ and draws/ after one

@@ -10,10 +10,9 @@ from aebayes.data import (
     Dataset,
     PatientRecord,
     load_dataset,
-    loads_dataset,
     summarize,
-    write_dataset,
 )
+from aebayes_testkit import loads_dataset, write_dataset
 
 VALID = "site_id,patient_id,ae_count\nA,p1,3\nA,p2,0\nB,p3,140\n"
 

@@ -336,7 +336,6 @@ def test_elicit_prior_mean_aggregation():
     prior = elicit_prior(PromptStrategy.BLIND, make_config(n_queries=2), transport)
     assert prior.spec.alpha_rate == pytest.approx(0.5)
     assert prior.spec.beta_rate == pytest.approx(0.1)
-    assert prior.aggregation == "mean"
 
 
 def test_elicit_prior_five_identical():

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aebayes import seeding
-from aebayes.data import loads_dataset
 from aebayes.evaluation import LpdResult, log_sum_exp, lpd_dataset, lpd_patient
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, PosteriorDraws, run_mcmc
-from aebayes_testkit import make_dataset, point_mass_draws
+from aebayes_testkit import loads_dataset, make_dataset, point_mass_draws
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:

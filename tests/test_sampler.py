@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aebayes.data import Dataset, PatientRecord, loads_dataset
+from aebayes.data import Dataset, PatientRecord
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import (
     McmcConfig,
@@ -22,7 +22,8 @@ from aebayes.sampler import (
     export_draws,
     run_mcmc,
 )
-from aebayes_testkit import make_dataset, point_mass_draws, reference_export_draws
+from aebayes_testkit import (loads_dataset, make_dataset, point_mass_draws,
+                             reference_export_draws)
 
 ONE_SITE = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\n")
 TWO_SITES = loads_dataset(
