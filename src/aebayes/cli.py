@@ -31,7 +31,9 @@ from .crossval import (
     CvCondition,
     cv_summary_rows,
     cv_table_rows,
+    make_folds,
     run_cv_experiment,
+    stratify_sites,
 )
 from .data import DataError, load_dataset, summarize
 from .efficiency import (
@@ -231,7 +233,7 @@ def _llm_keys(cfg: RunConfig, command: str) -> list[LlmKey]:
 
 def _check_config(cfg: RunConfig, llm_keys: list[LlmKey]) -> None:
     """Check every setting before anything is queried or written; ``cmd_cv``
-    checks k against the site count once the dataset is loaded."""
+    checks k against the sites once the dataset is loaded."""
     if cfg.n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
     if cfg.k < 2:
@@ -259,6 +261,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[LlmKey]]:
             flag, raw = given
             flags[key] = _coerce_config_value(key, raw, flag)
     cfg = replace(cfg, **flags)
+    if args.command == "efficiency":
+        cfg = replace(cfg, n_queries=1)  # each efficiency cell sends one query
     llm_keys = _llm_keys(cfg, args.command)
     _check_config(cfg, llm_keys)
     return cfg, llm_keys
@@ -401,12 +405,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg, llm_keys = _resolve_config(args)
     dataset = _require_dataset(cfg)
-    if cfg.k > dataset.n_sites:
-        raise ConfigError(f"k must be at most the site count ({dataset.n_sites}), "
-                          f"got {cfg.k}")
     conditions = [] if args.no_baseline else [CvCondition.meta_analytical()]
     conditions += [CvCondition.llm(*key) for key in llm_keys]
     transport = _make_transport(cfg) if llm_keys else None
+    try:  # every fold needs a test site
+        make_folds(stratify_sites(dataset), k=cfg.k, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # per-condition model/temperature are substituted in during the run;
     # the base config only carries the retry and query settings
     ecfg = cfg.elicitation_config(llm_keys[0][0], llm_keys[0][2]) if llm_keys else None

@@ -44,8 +44,7 @@ class SiteStratum:
 def stratify_sites(dataset: Dataset) -> list[SiteStratum]:
     """Partition sites into small/medium/large by patient count."""
     buckets: dict[StratumLabel, list[str]] = {label: [] for label in StratumLabel}
-    for site_id, counts in dataset.sites.items():
-        n = len(counts)
+    for site_id, n in zip(dataset.site_ids, dataset.site_sizes().tolist()):
         if n <= SMALL_MAX:
             label = StratumLabel.SMALL
         elif n <= MEDIUM_MAX:
@@ -61,7 +60,6 @@ def stratify_sites(dataset: Dataset) -> list[SiteStratum]:
 class FoldAssignment:
     k: int
     fold_of_site: dict[str, int]
-    seed: int
 
     def test_sites(self, fold: int) -> tuple[str, ...]:
         return tuple(s for s, f in self.fold_of_site.items() if f == fold)
@@ -71,12 +69,17 @@ class FoldAssignment:
 
 
 def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
-    """Deal each stratum's sites round-robin into k folds after a seeded shuffle."""
+    """Deal each stratum's sites round-robin into k folds after a seeded
+    shuffle; every fold needs a stratum of at least k sites."""
     if k < 2:
         raise ValueError("k must be >= 2")
     total = sum(s.n_sites for s in strata)
     if k > total:
-        raise ValueError(f"k={k} exceeds total site count {total}")
+        raise ValueError(f"k = {k} exceeds total site count {total}")
+    largest = max(s.n_sites for s in strata)
+    if k > largest:
+        raise ValueError(f"k = {k} leaves fold(s) {', '.join(map(str, range(largest, k)))} "
+                         f"without sites: the largest stratum holds {largest}")
     fold_of_site: dict[str, int] = {}
     for stratum in strata:
         if not stratum.site_ids:
@@ -85,7 +88,7 @@ def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
         order = rng.permutation(len(stratum.site_ids))
         for i, idx in enumerate(order):
             fold_of_site[stratum.site_ids[idx]] = i % k
-    return FoldAssignment(k=k, fold_of_site=fold_of_site, seed=seed)
+    return FoldAssignment(k=k, fold_of_site=fold_of_site)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ The on-disk format is a UTF-8 comma-separated file with the exact header
 grouped by clinical site; sites are ordered by first appearance in the
 file and that order is the canonical site order used everywhere else
 (rate vectors, posterior draws).
+Rows are checked once, in ``_parse_rows``, where outside input arrives.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,75 +24,62 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
-class PatientRecord:
-    patient_id: str
-    site_id: str
-    ae_count: int
-
-    def __post_init__(self):
-        if self.ae_count < 0:
-            raise DataError(f"ae_count must be >= 0, got {self.ae_count}")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of patient records with a site index.
+    """Patient rows held as columns, in row order.
 
-    ``sites`` maps site_id to the indices of its records, in row order.
-    Iteration order of ``sites`` is the canonical site order.
+    ``site_ids`` lists the sites in order of first appearance, the canonical
+    site order; ``site_of[i]`` is patient i's position in it.
     """
 
-    records: tuple[PatientRecord, ...]
-    sites: dict[str, tuple[int, ...]] = field(init=False)
+    patient_ids: tuple[str, ...]
+    site_ids: tuple[str, ...]
+    site_of: tuple[int, ...]
+    ae_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.records:
-            raise DataError("dataset must contain at least one record")
-        seen: set[str] = set()
-        sites: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            if rec.patient_id in seen:
-                raise DataError(f"duplicate patient_id {rec.patient_id!r}")
-            seen.add(rec.patient_id)
-            sites.setdefault(rec.site_id, []).append(i)
-        object.__setattr__(
-            self, "sites", {s: tuple(ix) for s, ix in sites.items()}
-        )
+    @classmethod
+    def from_rows(cls, rows) -> "Dataset":
+        """Columns of ``(site_id, patient_id, ae_count)`` rows, kept in row
+        order; the rows are not checked."""
+        site_index: dict[str, int] = {}
+        patient_ids, site_of, ae_counts = [], [], []
+        for site_id, patient_id, ae_count in rows:
+            site_of.append(site_index.setdefault(site_id, len(site_index)))
+            patient_ids.append(patient_id)
+            ae_counts.append(ae_count)
+        return cls(tuple(patient_ids), tuple(site_index), tuple(site_of), tuple(ae_counts))
 
     @property
     def n_patients(self) -> int:
-        return len(self.records)
+        return len(self.patient_ids)
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
-
-    @property
-    def site_ids(self) -> tuple[str, ...]:
-        return tuple(self.sites)
+        return len(self.site_ids)
 
     def site_sizes(self) -> np.ndarray:
         """Patient count per site, in site order."""
-        return np.array([len(ix) for ix in self.sites.values()], dtype=np.int64)
+        return np.bincount(self.site_of, minlength=self.n_sites).astype(np.int64)
 
     def site_totals(self) -> np.ndarray:
-        """Sum of AE counts per site, in site order."""
-        return np.array(
-            [sum(self.records[i].ae_count for i in ix) for ix in self.sites.values()],
-            dtype=np.int64,
-        )
+        """Sum of AE counts per site, in site order (exact below 2**53)."""
+        return np.bincount(self.site_of, self.ae_counts, self.n_sites).astype(np.int64)
 
     def counts(self) -> np.ndarray:
         """All patient AE counts, in row order."""
-        return np.array([r.ae_count for r in self.records], dtype=np.int64)
+        return np.array(self.ae_counts, dtype=np.int64)
 
     def subset_by_sites(self, site_ids) -> "Dataset":
         """New Dataset restricted to the given sites, preserving row order."""
         keep = set(site_ids)
-        missing = keep - set(self.sites)
+        if not keep:
+            raise DataError("no sites selected")
+        missing = keep.difference(self.site_ids)
         if missing:
             raise DataError(f"unknown site_id(s): {sorted(missing)}")
-        return Dataset(tuple(r for r in self.records if r.site_id in keep))
+        return Dataset.from_rows(
+            (self.site_ids[j], patient_id, count)
+            for patient_id, j, count in zip(self.patient_ids, self.site_of, self.ae_counts)
+            if self.site_ids[j] in keep)
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,7 @@ def _parse_rows(lines, source: str) -> Dataset:
             f"{source}: line 1: expected header {','.join(HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    records = []
+    rows = []
     seen: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -143,10 +131,10 @@ def _parse_rows(lines, source: str) -> Dataset:
                 f"{source}: line {lineno}: duplicate patient_id {patient_id!r}"
             )
         seen.add(patient_id)
-        records.append(PatientRecord(patient_id=patient_id, site_id=site_id, ae_count=count))
-    if not records:
+        rows.append((site_id, patient_id, count))
+    if not rows:
         raise DataError(f"{source}: no data rows")
-    return Dataset(tuple(records))
+    return Dataset.from_rows(rows)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:

@@ -10,25 +10,28 @@ import os
 
 import numpy as np
 
-from aebayes.data import HEADER, Dataset, PatientRecord, _parse_rows
+from aebayes.data import HEADER, Dataset, _parse_rows
 from aebayes.elicitation import FixtureTransport
 from aebayes.sampler import McmcConfig, PosteriorDraws
+
+
+def make_rows(site_sizes: list[int], seed: int = 0,
+              mean_rate: float = 3.0) -> list[tuple[str, str, int]]:
+    """Synthetic ``(site_id, patient_id, ae_count)`` rows with the given site
+    sizes and Poisson counts."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j, n in enumerate(site_sizes):
+        lam = rng.gamma(2.0, mean_rate / 2.0)
+        for _ in range(n):
+            rows.append((f"site{j:03d}", f"pat{len(rows):04d}", int(rng.poisson(lam))))
+    return rows
 
 
 def make_dataset(site_sizes: list[int], seed: int = 0,
                  mean_rate: float = 3.0) -> Dataset:
     """Synthetic dataset with the given site sizes and Poisson counts."""
-    rng = np.random.default_rng(seed)
-    records = []
-    pid = 0
-    for j, n in enumerate(site_sizes):
-        lam = rng.gamma(2.0, mean_rate / 2.0)
-        for _ in range(n):
-            records.append(PatientRecord(patient_id=f"pat{pid:04d}",
-                                         site_id=f"site{j:03d}",
-                                         ae_count=int(rng.poisson(lam))))
-            pid += 1
-    return Dataset(records=tuple(records))
+    return Dataset.from_rows(make_rows(site_sizes, seed, mean_rate))
 
 
 def loads_dataset(text: str, source: str = "<string>") -> Dataset:
@@ -41,8 +44,9 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
-        for rec in dataset.records:
-            writer.writerow([rec.site_id, rec.patient_id, rec.ae_count])
+        for patient_id, j, count in zip(dataset.patient_ids, dataset.site_of,
+                                        dataset.ae_counts):
+            writer.writerow([dataset.site_ids[j], patient_id, count])
 
 
 # enough sites in every stratum for 5 folds and a 70:30 split

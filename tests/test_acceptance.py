@@ -18,7 +18,7 @@ import pytest
 from aebayes import seeding
 from aebayes.cli import main
 from aebayes.crossval import CvCondition, run_cv_experiment
-from aebayes.data import Dataset, PatientRecord, load_dataset
+from aebayes.data import Dataset, load_dataset
 from aebayes.efficiency import run_efficiency_experiment
 from aebayes.elicitation import (
     ElicitationConfig,
@@ -50,14 +50,8 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def _dataset_from_site_counts(site_counts: dict[str, list[int]]) -> Dataset:
-    records = []
-    pid = 0
-    for site, counts in site_counts.items():
-        for c in counts:
-            records.append(PatientRecord(site_id=site, patient_id=f"p{pid:05d}",
-                                         ae_count=int(c)))
-            pid += 1
-    return Dataset(records=tuple(records))
+    rows = [(site, int(c)) for site, counts in site_counts.items() for c in counts]
+    return Dataset.from_rows((site, f"p{pid:05d}", c) for pid, (site, c) in enumerate(rows))
 
 
 def test_01_frozen_hyperparams_recover_conjugate_moments():

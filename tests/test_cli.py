@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from aebayes.cli import _resolve_config, build_parser, load_config, main
-from aebayes.data import Dataset, PatientRecord
+from aebayes.data import Dataset
 from aebayes.elicitation import FixtureTransport, PromptStrategy
-from aebayes_testkit import make_dataset, write_dataset
+from aebayes_testkit import make_rows, write_dataset
 
 DATASET = """site_id,patient_id,ae_count
 s01,p01,2
@@ -284,6 +284,79 @@ def test_efficiency_single_condition(dataset_file, config_file, tmp_path, capsys
     assert "test set:" in report
     audit = (out_dir / "audit" / "efficiency_elicitations.jsonl").read_text().splitlines()
     assert len(audit) == 4  # one query per (rho, replication) cell
+
+
+@pytest.mark.parametrize("command", [
+    ["cv", "--k", "3", "--models", "model-one", "--strategies", "blind",
+     "--temperatures", "0.5"],
+    ["efficiency", "--model", "model-one", "--strategy", "blind", "--temperature", "0.5",
+     "--rho-grid", "0.5,1.0", "--n-replications", "2"],
+], ids=["cv", "efficiency"])
+def test_no_baseline_drops_only_baseline_rows(dataset_file, config_file, tmp_path, command):
+    """Seeds derive from condition identity, so dropping the baseline leaves
+    every LLM row byte for byte.  The model id is longer than
+    ``meta_analytical``, so the report tables keep their column widths."""
+    fx = write_fixtures(tmp_path, [fixture_entry("model-one", "blind", 0.5, response=r)
+                                   for r in DISTINCT_RESPONSES])
+    outputs = []
+    for name, extra in (("with", []), ("without", ["--no-baseline"])):
+        out_dir = tmp_path / name
+        assert main([*command, *extra, "--dataset", dataset_file, "--config", config_file,
+                     "--fixtures", fx, "--out", str(out_dir)]) == 0
+        outputs.append({path: data.decode() for path, data in output_bytes(out_dir).items()})
+    with_baseline, without = outputs
+    assert with_baseline.keys() == without.keys()
+    for path, text in with_baseline.items():
+        lines = text.splitlines(keepends=True)
+        llm_lines = [line for line in lines if "meta_analytical" not in line]
+        assert len(llm_lines) < len(lines), path
+        assert "".join(llm_lines) == without[path], path
+
+
+def test_efficiency_ignores_n_queries(dataset_file, tmp_path, capsys):
+    """Efficiency cells send one query each, so ``n_queries`` neither stops
+    the command nor changes its outputs; elicit and cv still check it."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5, response=r)
+                                   for r in DISTINCT_RESPONSES])
+    configs, outputs = {}, []
+    for n_queries in (0, 5):
+        configs[n_queries] = cfg = tmp_path / f"queries{n_queries}.cfg"
+        cfg.write_text(SMALL_MCMC_CONFIG + f"n_queries = {n_queries}\n", encoding="utf-8")
+        out_dir = tmp_path / f"queries{n_queries}"
+        assert main(["efficiency", "--model", "m1", "--strategy", "blind",
+                     "--temperature", "0.5", "--rho-grid", "0.5,1.0",
+                     "--n-replications", "2", "--dataset", dataset_file,
+                     "--config", str(cfg), "--fixtures", fx, "--out", str(out_dir)]) == 0
+        outputs.append(output_bytes(out_dir))
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    out_dir = str(tmp_path / "rejected")
+    assert main(["elicit", "--model", "m1", "--n-queries", "0", "--fixtures", fx,
+                 "--out", out_dir]) == 2
+    assert main(["cv", "--models", "m1", "--strategies", "blind", "--temperatures", "0.5",
+                 "--k", "3", "--dataset", dataset_file, "--config", str(configs[0]),
+                 "--fixtures", fx, "--out", out_dir]) == 2
+    assert capsys.readouterr().err.count("configuration error: n_queries must be >= 1") == 2
+
+
+def test_cv_empty_fold_exit_code(tmp_path, monkeypatch, capsys):
+    """Three sites, one per stratum, pass k <= site count at k = 3, but each
+    stratum deals its one site into fold 0."""
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    data = tmp_path / "three.csv"
+    write_dataset(Dataset.from_rows(make_rows([1, 3, 5])), data)
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    assert main(["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+                 "--temperatures", "0.5", "--dataset", str(data), "--fixtures", fx,
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: k = 3 leaves fold(s) 1, 2 without sites: "
+        "the largest stratum holds 1\n")
+    assert sent == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, audit_name, responses", [
@@ -631,8 +704,8 @@ PINNED_OUTPUT_DIGESTS = {
 # 70 sites, one more than an R-hat block; 69 draws, one block of draws and
 # a partial one; a cv test fold holds more patients than one LPD block; one
 # site id needs csv quoting in draws.csv
-PINNED_DATASET = Dataset(make_dataset([2, 3, 4] * 23, seed=8).records
-                         + (PatientRecord("q1", 'a,"b', 4), PatientRecord("q2", 'a,"b', 0)))
+PINNED_DATASET = Dataset.from_rows(make_rows([2, 3, 4] * 23, seed=8)
+                                   + [('a,"b', "q1", 4), ('a,"b', "q2", 0)])
 PINNED_CONFIG = "n_chains = 3\nn_warmup = 40\nn_draws = 69\nbackoff_base = 0.001\n"
 
 

@@ -87,6 +87,9 @@ def test_make_folds_validation():
         make_folds(stratify_sites(ds), k=5, seed=0)
     with pytest.raises(ValueError):
         make_folds(stratify_sites(ds), k=1, seed=0)
+    # one site per stratum: every stratum deals into fold 0 only
+    with pytest.raises(ValueError, match=r"fold\(s\) 1, 2 without sites"):
+        make_folds(stratify_sites(make_dataset([1, 3, 5])), k=3, seed=0)
 
 
 def test_condition_identity_and_validation():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from aebayes.data import (
     DataError,
     Dataset,
-    PatientRecord,
     load_dataset,
     summarize,
 )
@@ -30,7 +29,7 @@ def test_loads_valid():
 def test_site_order_is_first_appearance():
     ds = loads_dataset("site_id,patient_id,ae_count\nZ,p1,1\nA,p2,1\nZ,p3,2\n")
     assert ds.site_ids == ("Z", "A")
-    assert ds.sites["Z"] == (0, 2)
+    assert ds.site_of == (0, 1, 0)
 
 
 def test_blank_trailing_lines_skipped():
@@ -61,26 +60,10 @@ def test_load_missing_file(tmp_path):
         load_dataset(tmp_path / "nope.csv")
 
 
-def test_negative_count_rejected_at_record_level():
-    with pytest.raises(DataError):
-        PatientRecord(patient_id="p", site_id="s", ae_count=-1)
-
-
-def test_duplicate_patient_across_sites_rejected():
-    recs = (PatientRecord("p1", "A", 1), PatientRecord("p1", "B", 2))
-    with pytest.raises(DataError, match="duplicate patient_id"):
-        Dataset(records=recs)
-
-
-def test_empty_dataset_rejected():
-    with pytest.raises(DataError):
-        Dataset(records=())
-
-
 def test_subset_by_sites_preserves_row_order():
     ds = loads_dataset(VALID)
     sub = ds.subset_by_sites(["B", "A"])  # request order must not matter
-    assert [r.patient_id for r in sub.records] == ["p1", "p2", "p3"]
+    assert sub.patient_ids == ("p1", "p2", "p3")
     only_b = ds.subset_by_sites(["B"])
     assert only_b.site_ids == ("B",)
     assert only_b.n_patients == 1
@@ -90,6 +73,11 @@ def test_subset_unknown_site():
     ds = loads_dataset(VALID)
     with pytest.raises(DataError, match="unknown site_id"):
         ds.subset_by_sites(["A", "Q"])
+
+
+def test_subset_of_no_sites():
+    with pytest.raises(DataError, match="no sites selected"):
+        loads_dataset(VALID).subset_by_sites([])
 
 
 def test_write_load_round_trip(tmp_path):
@@ -112,14 +100,12 @@ def test_summarize():
 def datasets(draw):
     n_sites = draw(st.integers(min_value=1, max_value=6))
     sizes = [draw(st.integers(min_value=1, max_value=4)) for _ in range(n_sites)]
-    records = []
-    pid = 0
+    rows = []
     for j, n in enumerate(sizes):
         for _ in range(n):
             count = draw(st.integers(min_value=0, max_value=200))
-            records.append(PatientRecord(f"p{pid}", f"s{j}", count))
-            pid += 1
-    return Dataset(records=tuple(records))
+            rows.append((f"s{j}", f"p{len(rows)}", count))
+    return Dataset.from_rows(rows)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,6 +122,5 @@ def test_site_arrays_consistent(ds):
     assert ds.site_sizes().sum() == ds.n_patients
     assert ds.site_totals().sum() == ds.counts().sum()
     assert len(ds.site_ids) == ds.n_sites
-    # indices in the site map point back at the right records
-    for site, ix in ds.sites.items():
-        assert all(ds.records[i].site_id == site for i in ix)
+    # every site appears, and in order of first appearance
+    assert sorted(set(ds.site_of), key=ds.site_of.index) == list(range(ds.n_sites))

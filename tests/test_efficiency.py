@@ -41,7 +41,8 @@ def test_split_seventy_thirty_per_stratum():
     train, test = train_test_split(ds, SplitSpec(seed=0))
     assert train.n_sites == 21
     assert test.n_sites == 9
-    small_train = [s for s in train.site_ids if ds.sites and len(ds.sites[s]) <= 2]
+    size_of = dict(zip(ds.site_ids, ds.site_sizes()))
+    small_train = [s for s in train.site_ids if size_of[s] <= 2]
     assert len(small_train) == 7
 
 
@@ -58,8 +59,8 @@ def test_split_is_deterministic_and_seed_sensitive():
 def test_split_partitions_patients():
     ds = make_dataset([1, 2, 3, 3, 4, 5, 6, 7])
     train, test = train_test_split(ds, SplitSpec(seed=1))
-    train_ids = {r.patient_id for r in train.records}
-    test_ids = {r.patient_id for r in test.records}
+    train_ids = set(train.patient_ids)
+    test_ids = set(test.patient_ids)
     assert not train_ids & test_ids
     assert len(train_ids) + len(test_ids) == ds.n_patients
 
@@ -98,7 +99,7 @@ def test_subsample_keeps_at_least_one_site_per_stratum():
     sub = subsample_training(ds, 0.2, seed=0)
     # Each represented stratum must survive even when rho*n rounds to 0.
     labels = {1: "small", 3: "medium", 8: "large"}
-    kept_sizes = {len(sub.sites[s]) for s in sub.site_ids}
+    kept_sizes = set(sub.site_sizes().tolist())
     assert {labels[n] for n in kept_sizes} == {"small", "medium", "large"}
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aebayes.data import Dataset, PatientRecord
+from aebayes.data import Dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import (
     McmcConfig,
@@ -22,15 +22,14 @@ from aebayes.sampler import (
     export_draws,
     run_mcmc,
 )
-from aebayes_testkit import (loads_dataset, make_dataset, point_mass_draws,
+from aebayes_testkit import (loads_dataset, make_rows, point_mass_draws,
                              reference_export_draws)
 
 ONE_SITE = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\n")
 TWO_SITES = loads_dataset(
     "site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\nB,p4,0\nB,p5,1\n")
 # more sites than one R-hat block (64), the last one with no events
-MANY_SITES = Dataset(make_dataset([1, 2, 3] * 23, seed=4).records
-                     + (PatientRecord("q1", "empty", 0),))
+MANY_SITES = Dataset.from_rows(make_rows([1, 2, 3] * 23, seed=4) + [("empty", "q1", 0)])
 
 
 def test_config_validation():
