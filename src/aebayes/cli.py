@@ -6,7 +6,9 @@ the flags laid over it; a flag that sets a key takes the key's own syntax
 (comma lists drop empty parts, so an empty value is an empty list), and the
 singular ``--model``, ``--strategy`` and ``--temperature`` set one-element
 lists.  Every setting is checked once, before any query is sent or any
-output written.  Secrets only ever come from the environment (LLM_API_KEY,
+output written.  Each LLM condition a command runs is a ``CvCondition``
+holding its own ``ElicitationConfig``, which is built, and so checked,
+once.  Secrets only ever come from the environment (LLM_API_KEY,
 endpoint override via LLM_ENDPOINT).  Everything that writes does so
 atomically (temp file + rename), except ``elicit``, which appends to its
 audit log.  All randomness flows from the single seed.
@@ -38,13 +40,11 @@ from .crossval import (
 from .data import DataError, load_dataset, summarize
 from .efficiency import (
     DEFAULT_RHO_GRID,
-    SplitSpec,
     efficiency_summary_rows,
     efficiency_table_rows,
     run_efficiency_experiment,
 )
 from .elicitation import (
-    AllQueriesFailedError,
     ElicitationConfig,
     ElicitationError,
     FixtureTransport,
@@ -202,9 +202,6 @@ class _Setting(argparse.Action):
         setattr(namespace, self.dest, (option_string or self.dest, values))
 
 
-LlmKey = tuple[str, PromptStrategy, float]  # (model, strategy, temperature)
-
-
 def _parse_strategy(name: str) -> PromptStrategy:
     try:
         return PromptStrategy(name)
@@ -213,25 +210,29 @@ def _parse_strategy(name: str) -> PromptStrategy:
         raise ConfigError(f"unknown strategy {name!r} (expected one of: {valid})") from exc
 
 
-def _llm_keys(cfg: RunConfig, command: str) -> list[LlmKey]:
-    """The keys a command elicits: ``cv`` crosses models, strategies and
-    temperatures; ``elicit`` takes the first of each, ``efficiency`` the
-    first model and strategy with the last temperature."""
+def _llm_conditions(cfg: RunConfig, command: str) -> list[CvCondition]:
+    """The LLM conditions a command elicits: ``cv`` crosses models,
+    strategies and temperatures; ``elicit`` takes the first of each,
+    ``efficiency`` the first model and strategy with the last temperature.
+    Building each condition's ``ElicitationConfig`` checks its settings."""
     if command == "cv":
-        return [(model, _parse_strategy(strategy), temperature)
-                for model in cfg.models for strategy in cfg.strategies
-                for temperature in cfg.temperatures]
-    if command not in ("elicit", "efficiency"):
+        keys = [(model, strategy, temperature) for model in cfg.models
+                for strategy in cfg.strategies for temperature in cfg.temperatures]
+    elif command in ("elicit", "efficiency"):
+        for what, values in (("model id", cfg.models), ("strategy", cfg.strategies),
+                             ("temperature", cfg.temperatures)):
+            if not values:
+                raise ConfigError(f"a {what} is required (flag or config)")
+        keys = [(cfg.models[0], cfg.strategies[0],
+                 cfg.temperatures[-1 if command == "efficiency" else 0])]
+    else:
         return []
-    for what, values in (("model id", cfg.models), ("strategy", cfg.strategies),
-                         ("temperature", cfg.temperatures)):
-        if not values:
-            raise ConfigError(f"a {what} is required (flag or config)")
-    temperature = cfg.temperatures[-1 if command == "efficiency" else 0]
-    return [(cfg.models[0], _parse_strategy(cfg.strategies[0]), temperature)]
+    return [CvCondition(strategy=_parse_strategy(strategy),
+                        elicit=cfg.elicitation_config(model, temperature))
+            for model, strategy, temperature in keys]
 
 
-def _check_config(cfg: RunConfig, llm_keys: list[LlmKey]) -> None:
+def _check_config(cfg: RunConfig) -> None:
     """Check every setting before anything is queried or written; ``cmd_cv``
     checks k against the sites once the dataset is loaded."""
     if cfg.n_jobs < 1:
@@ -246,13 +247,11 @@ def _check_config(cfg: RunConfig, llm_keys: list[LlmKey]) -> None:
         if not 0.0 < rho <= 1.0:
             raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
     cfg.mcmc_config()
-    for model, _, temperature in llm_keys:
-        cfg.elicitation_config(model, temperature)
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[LlmKey]]:
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[CvCondition]]:
     """The config file's settings with the flags laid over them, checked,
-    and the keys the command will elicit."""
+    and the LLM conditions the command will elicit."""
     cfg = load_config(args.config) if args.config else RunConfig()
     flags = {}
     for key in _FIELD_TYPES:
@@ -263,9 +262,9 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[LlmKey]]:
     cfg = replace(cfg, **flags)
     if args.command == "efficiency":
         cfg = replace(cfg, n_queries=1)  # each efficiency cell sends one query
-    llm_keys = _llm_keys(cfg, args.command)
-    _check_config(cfg, llm_keys)
-    return cfg, llm_keys
+    conditions = _llm_conditions(cfg, args.command)
+    _check_config(cfg)
+    return cfg, conditions
 
 
 def _make_transport(cfg: RunConfig):
@@ -361,14 +360,15 @@ def _write_audit(cfg: RunConfig, name: str, priors) -> None:
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
-    cfg, [(model, strategy, temperature)] = _resolve_config(args)
+    cfg, [condition] = _resolve_config(args)
     transport = _make_transport(cfg)
-    prior = elicit_prior(strategy, cfg.elicitation_config(model, temperature), transport)
+    prior = elicit_prior(condition.strategy, condition.elicit, transport)
     # each run makes new queries, so the log grows across runs
     write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
     n_ok = prior.n_successes
     sys.stdout.write(
-        f"model {model}, strategy {strategy.value}, temperature {temperature:g}\n"
+        f"model {condition.elicit.model_id}, strategy {condition.strategy.value}, "
+        f"temperature {condition.elicit.temperature:g}\n"
         f"queries: {len(prior.records)} ({n_ok} parsed)\n"
         f"alpha_rate = {prior.spec.alpha_rate!r}\n"
         f"beta_rate = {prior.spec.beta_rate!r}\n"
@@ -403,22 +403,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    cfg, llm_keys = _resolve_config(args)
+    cfg, llm_conditions = _resolve_config(args)
     dataset = _require_dataset(cfg)
-    conditions = [] if args.no_baseline else [CvCondition.meta_analytical()]
-    conditions += [CvCondition.llm(*key) for key in llm_keys]
-    transport = _make_transport(cfg) if llm_keys else None
+    baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
+    transport = _make_transport(cfg) if llm_conditions else None
     try:  # every fold needs a test site
         make_folds(stratify_sites(dataset), k=cfg.k, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # per-condition model/temperature are substituted in during the run;
-    # the base config only carries the retry and query settings
-    ecfg = cfg.elicitation_config(llm_keys[0][0], llm_keys[0][2]) if llm_keys else None
 
-    results = run_cv_experiment(dataset, conditions, cfg.mcmc_config(),
-                                ecfg, transport, k=cfg.k, seed=cfg.seed,
-                                n_jobs=cfg.n_jobs)
+    results = run_cv_experiment(dataset, [*baseline, *llm_conditions], cfg.mcmc_config(),
+                                transport, k=cfg.k, seed=cfg.seed, n_jobs=cfg.n_jobs)
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
@@ -437,24 +432,14 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    cfg, [(model, strategy, temperature)] = _resolve_config(args)
+    cfg, [condition] = _resolve_config(args)
     dataset = _require_dataset(cfg)
-
-    conditions: list[CvCondition] = []
-    grids: dict[str, tuple[float, ...]] = {}
-    if not args.no_baseline:
-        baseline = CvCondition.meta_analytical()
-        conditions.append(baseline)
-        # the reference table reports the baseline at full data only
-        grids[baseline.identity()] = (1.0,)
-    conditions.append(CvCondition.llm(model, strategy, temperature))
+    baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
 
     result = run_efficiency_experiment(
-        dataset, conditions, cfg.mcmc_config(),
-        cfg.elicitation_config(model, temperature), _make_transport(cfg),
+        dataset, [*baseline, condition], cfg.mcmc_config(), _make_transport(cfg),
         rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
-        split=SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed),
-        seed=cfg.seed, n_jobs=cfg.n_jobs, rho_grid_by_condition=grids,
+        train_fraction=cfg.train_fraction, seed=cfg.seed, n_jobs=cfg.n_jobs,
     )
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
@@ -470,7 +455,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
             for cell in result.cells]
     report = _format_table(
         ["condition", "rho", "lpd_mean", "lpd_sd", "train_patients"], rows)
-    report += f"\ntest set: {result.n_test_patients} patients, {len(result.test_site_ids)} sites\n"
+    report += f"\ntest set: {result.n_test_patients} patients, {result.n_test_sites} sites\n"
     _write_atomic(_out_dir(cfg, "reports") / "efficiency_report.txt", report)
     sys.stdout.write(report)
     return EXIT_OK
@@ -608,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (AllQueriesFailedError, ElicitationError) as exc:
+    except ElicitationError as exc:
         print(f"elicitation error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except NumericalError as exc:

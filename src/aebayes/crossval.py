@@ -17,7 +17,6 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .elicitation import ElicitationConfig
 from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
 from .sampler import McmcConfig
 
@@ -125,8 +124,7 @@ class CvResult:
 
 
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
-                      mcmc: McmcConfig, elicit: ElicitationConfig | None,
-                      transport, k: int = 5, seed: int = 0,
+                      mcmc: McmcConfig, transport, k: int = 5, seed: int = 0,
                       n_jobs: int = 1) -> list[CvResult]:
     """Fit and score every (condition, fold) cell.
 
@@ -144,7 +142,7 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
     for condition in conditions:
         ident = condition.identity()
         groups.append([
-            plan_cell(condition, elicit, transport, train=train, test=test,
+            plan_cell(condition, transport, train=train, test=test,
                       mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)),
                       lpd_seed=seeding.derive_seed(seed, "cv_lpd", ident, fold))
             for fold, (train, test) in enumerate(splits)])
@@ -159,9 +157,9 @@ def cv_table_rows(results: list[CvResult]) -> list[dict]:
         cond = res.condition
         for fold, f in enumerate(res.per_fold):
             rows.append({
-                "model": cond.model_id or "meta_analytical",
+                "model": cond.elicit.model_id if cond.is_llm else "meta_analytical",
                 "prompt_type": cond.strategy.value if cond.is_llm else "none",
-                "temperature": f"{cond.temperature:g}" if cond.is_llm else "",
+                "temperature": f"{cond.elicit.temperature:g}" if cond.is_llm else "",
                 "fold": fold,
                 "alpha_rate": repr(f.spec.alpha_rate),
                 "beta_rate": repr(f.spec.beta_rate),

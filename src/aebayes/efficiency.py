@@ -4,7 +4,8 @@ One seeded stratified split fixes the test set for the whole experiment.
 The training sites are then subsampled at each rho level (nested within a
 replication: larger rho extends the smaller site set) and the model is
 refit and rescored per (condition, rho, replication) cell, with a fresh
-elicitation per cell for LLM conditions.
+elicitation per cell for LLM conditions.  The meta-analytical baseline is
+the full-data reference and runs at rho = 1 only.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import seeding
 from .crossval import stratify_sites
-from .data import Dataset
-from .elicitation import ElicitationConfig
+from .data import DataError, Dataset
 from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
 from .sampler import McmcConfig
 
@@ -43,11 +43,17 @@ def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     """Site-level stratified split; patients follow their sites.
 
     A stratum with fewer than 2 sites cannot contribute to both halves;
-    it goes entirely to train with a warning.
+    it goes entirely to train with a warning.  When no stratum holds 2
+    sites the test set would be empty, which raises ``DataError``.
     """
+    strata = stratify_sites(dataset)
+    if all(stratum.n_sites < 2 for stratum in strata):
+        sizes = ", ".join(f"{s.label.value} {s.n_sites}" for s in strata)
+        raise DataError("the train/test split leaves the test set empty: no stratum "
+                        f"holds 2 or more sites (sites per stratum: {sizes})")
     train_sites: list[str] = []
     test_sites: list[str] = []
-    for stratum in stratify_sites(dataset):
+    for stratum in strata:
         n = stratum.n_sites
         if n == 0:
             continue
@@ -119,7 +125,7 @@ class EfficiencyCell:
 @dataclass(frozen=True)
 class EfficiencyResult:
     cells: tuple[EfficiencyCell, ...]
-    test_site_ids: tuple[str, ...]
+    n_test_sites: int
     n_test_patients: int
 
 
@@ -127,40 +133,37 @@ def run_efficiency_experiment(
     dataset: Dataset,
     conditions: list[CvCondition],
     mcmc: McmcConfig,
-    elicit: ElicitationConfig,
     transport,
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID,
     n_replications: int = 20,
-    split: SplitSpec | None = None,
+    train_fraction: float = 0.7,
     seed: int = 0,
     n_jobs: int = 1,
-    rho_grid_by_condition: dict[str, tuple[float, ...]] | None = None,
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
-    The subsampling seed is a function of the replication index alone, so
-    all conditions and rho levels within a replication see the same site
+    ``seed`` fixes the train/test split as well as every cell.  The
+    subsampling seed is a function of the replication index alone, so all
+    conditions and rho levels within a replication see the same site
     permutations (and nested subsampling makes rho levels comparable).
-    LLM conditions elicit a fresh prior per cell from one query, giving
-    n_replications independent queries per sample size.
+    Each LLM condition runs at every rho in ``rho_grid`` and elicits a fresh
+    prior per cell with its own settings, so n_replications independent
+    batches per sample size; the baseline runs at rho = 1 only.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    split = split if split is not None else SplitSpec(seed=seed)
-    train, test = train_test_split(dataset, split)
-
-    per_query_elicit = replace(elicit, n_queries=1)
-    overrides = rho_grid_by_condition or {}
+    train, test = train_test_split(
+        dataset, SplitSpec(train_fraction=train_fraction, seed=seed))
 
     plan: list[tuple[CvCondition, float]] = []
     groups = []
     for condition in conditions:
         ident = condition.identity()
-        for rho in overrides.get(ident, rho_grid):
+        for rho in rho_grid if condition.is_llm else (1.0,):
             plan.append((condition, rho))
             groups.append([
                 plan_cell(
-                    condition, per_query_elicit, transport,
+                    condition, transport,
                     train=subsample_training(
                         train, rho, seeding.derive_seed(seed, "eff_subsample", rep)),
                     test=test,
@@ -171,7 +174,7 @@ def run_efficiency_experiment(
 
     cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)
                   for (condition, rho), runs in zip(plan, run_cells(groups, n_jobs=n_jobs)))
-    return EfficiencyResult(cells=cells, test_site_ids=test.site_ids,
+    return EfficiencyResult(cells=cells, n_test_sites=test.n_sites,
                             n_test_patients=test.n_patients)
 
 

@@ -53,7 +53,6 @@ class LpdResult:
     """Per-patient log predictive densities plus summary statistics."""
 
     per_patient: tuple[float, ...]
-    n_posterior_samples: int
 
     @property
     def n_patients(self) -> int:
@@ -121,4 +120,4 @@ def lpd_dataset(test: Dataset, draws: PosteriorDraws, seed: int) -> LpdResult:
         np.exp(logp_b, out=logp_b)
         lse = m + np.log(logp_b.sum(axis=1))
         values.extend((lse - log_n).tolist())
-    return LpdResult(per_patient=tuple(values), n_posterior_samples=draws.n_samples)
+    return LpdResult(per_patient=tuple(values))

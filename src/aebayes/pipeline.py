@@ -7,17 +7,20 @@ condition, or per efficiency (condition, rho) pair) and hands them to
 ``run_cells``, which returns one ``CellOutcome`` per cell in the same
 groups, each built from its own cell.
 
-Priors are resolved while planning, sequentially and in plan order, so the
-transport sees a deterministic request stream.  The fits are pure functions
-of their cell's data, spec, config and seed, so they can run sequentially or
-in a process pool without changing results; workers receive only those,
-not the prior's audit records.
+A ``CvCondition`` names the prior source: the meta-analytical baseline, or
+a prompt strategy with its own ``ElicitationConfig``, which every cell of
+that condition sends as given.  Priors are resolved while planning,
+sequentially and in plan order, so the transport sees a deterministic
+request stream.  The fits are pure functions of their cell's data, spec,
+config and seed, so they can run sequentially or in a process pool without
+changing results; workers receive only those, not the prior's audit
+records.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .data import Dataset
 from .elicitation import AggregatedPrior, ElicitationConfig, PromptStrategy, elicit_prior
@@ -28,36 +31,31 @@ from .sampler import McmcConfig, run_mcmc
 
 @dataclass(frozen=True)
 class CvCondition:
-    """A prior source: the fixed meta-analytical baseline or one LLM setting."""
+    """A prior source: the fixed meta-analytical baseline (neither field
+    set) or one LLM elicitation, a prompt strategy with the settings of its
+    query batch (model, temperature, queries, retries)."""
 
-    model_id: str | None = None
     strategy: PromptStrategy | None = None
-    temperature: float | None = None
+    elicit: ElicitationConfig | None = None
 
     def __post_init__(self):
-        parts = (self.model_id, self.strategy, self.temperature)
-        if any(p is None for p in parts) != all(p is None for p in parts):
-            raise ValueError("set all of model_id/strategy/temperature or none")
+        if (self.strategy is None) != (self.elicit is None):
+            raise ValueError("set both strategy and elicit or neither")
 
     @classmethod
     def meta_analytical(cls) -> "CvCondition":
         return cls()
 
-    @classmethod
-    def llm(cls, model_id: str, strategy: PromptStrategy,
-            temperature: float) -> "CvCondition":
-        return cls(model_id=model_id, strategy=strategy, temperature=temperature)
-
     @property
     def is_llm(self) -> bool:
-        return self.model_id is not None
+        return self.elicit is not None
 
     def identity(self) -> str:
         """Stable name used for seed derivation and reporting; independent
         of the condition's position in the run."""
         if not self.is_llm:
             return "meta_analytical"
-        return f"{self.model_id}|{self.strategy.value}|T={self.temperature:g}"
+        return f"{self.elicit.model_id}|{self.strategy.value}|T={self.elicit.temperature:g}"
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,14 @@ class CellOutcome:
         return self.lpd.n_patients
 
 
-def plan_cell(condition: CvCondition, elicit: ElicitationConfig | None, transport, *,
-              train: Dataset, test: Dataset, mcmc: McmcConfig,
-              lpd_seed: int) -> Cell:
+def plan_cell(condition: CvCondition, transport, *, train: Dataset, test: Dataset,
+              mcmc: McmcConfig, lpd_seed: int) -> Cell:
     """A cell under the condition's prior, eliciting a fresh one for an LLM
-    condition (the baseline needs neither ``elicit`` nor a transport)."""
+    condition with its own settings (the baseline needs no transport)."""
     if not condition.is_llm:
         spec, prior = META_ANALYTICAL, None
     else:
-        cfg = replace(elicit, model_id=condition.model_id,
-                      temperature=condition.temperature)
-        prior = elicit_prior(condition.strategy, cfg, transport)
+        prior = elicit_prior(condition.strategy, condition.elicit, transport)
         spec = prior.spec
     return Cell(train=train, test=test, spec=spec, prior=prior, mcmc=mcmc,
                 lpd_seed=lpd_seed)

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: synthetic datasets and an in-memory
-dataset reader and writer, fixture transports, a point-mass posterior for
-closed-form oracles and a reference draw writer."""
+dataset reader and writer, LLM conditions and fixture transports, a
+point-mass posterior for closed-form oracles and a reference draw writer."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import os
 import numpy as np
 
 from aebayes.data import HEADER, Dataset, _parse_rows
-from aebayes.elicitation import FixtureTransport
+from aebayes.elicitation import ElicitationConfig, FixtureTransport, PromptStrategy
+from aebayes.pipeline import CvCondition
 from aebayes.sampler import McmcConfig, PosteriorDraws
 
 
@@ -52,6 +53,14 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 # enough sites in every stratum for 5 folds and a 70:30 split
 MIXED_SITE_SIZES = [1, 2, 2, 1, 2, 3, 4, 3, 4, 3, 5, 6, 8, 5, 7,
                     2, 1, 3, 4, 5, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6]
+
+
+def llm_condition(model: str = "m1", strategy: str = "blind",
+                  temperature: float = 1.0, **settings) -> CvCondition:
+    """An LLM condition whose batch retries without waiting; ``settings``
+    are further ``ElicitationConfig`` fields, such as ``n_queries``."""
+    return CvCondition(strategy=PromptStrategy(strategy), elicit=ElicitationConfig(
+        model_id=model, temperature=temperature, backoff_base=0.001, **settings))
 
 
 def fixture_transport(responses: list[str], model: str, strategy: str,

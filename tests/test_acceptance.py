@@ -289,29 +289,35 @@ def test_08_experiment_structure(tmp_path):
     data_path.write_text(_ACC_DATASET, encoding="utf-8")
     dataset = load_dataset(data_path)
     mcmc = McmcConfig(n_chains=2, n_warmup=40, n_draws=40, seed=0)
-    ecfg = ElicitationConfig(model_id="m1", backoff_base=0.001)
-    conditions = [CvCondition.meta_analytical(),
-                  CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)]
+    baseline = CvCondition.meta_analytical()
+
+    def llm(n_queries):
+        return CvCondition(strategy=PromptStrategy.BLIND, elicit=ElicitationConfig(
+            model_id="m1", temperature=1.0, n_queries=n_queries, backoff_base=0.001))
 
     k = 3
-    cv = run_cv_experiment(dataset, conditions, mcmc, ecfg,
+    cv = run_cv_experiment(dataset, [baseline, llm(5)], mcmc,
                            transport=_fixture_transport_for("m1", 1.0),
                            k=k, seed=0)
     llm_cv = next(r for r in cv if r.condition.is_llm)
     cv_records = sum(len(f.prior.records) for f in llm_cv.per_fold)
 
     eff = run_efficiency_experiment(
-        dataset, conditions, mcmc, ecfg,
+        dataset, [baseline, llm(1)], mcmc,
         transport=_fixture_transport_for("m1", 1.0),
         rho_grid=(1.0,), seed=0)  # replication count left at its default
     reps_per_cell = {len(cell.runs) for cell in eff.cells}
     test_sizes = {run.n_test_patients for cell in eff.cells for run in cell.runs}
+    eff_records = {len(run.prior.records) for cell in eff.cells for run in cell.runs
+                   if run.prior is not None}
 
     ok = (cv_records == k * 5
           and reps_per_cell == {20}
+          and eff_records == {1}
           and test_sizes == {eff.n_test_patients})
     _verdict("experiment-structure", ok,
              f"cv records {cv_records} == {k}x5, replications {reps_per_cell}, "
+             f"queries per efficiency cell {eff_records}, "
              f"shared test set of {eff.n_test_patients} patients")
 
 
@@ -320,15 +326,14 @@ def test_09_curated_trial_reproduction():
     dataset = load_dataset(os.environ[DATASET_ENV_VAR])
     size_ok = dataset.n_patients == 468 and dataset.n_sites == 125
 
-    ecfg = ElicitationConfig(model_id="unused")
     cv = run_cv_experiment(dataset, [CvCondition.meta_analytical()],
-                           McmcConfig(), ecfg, transport=None, k=5, seed=0)
+                           McmcConfig(), transport=None, k=5, seed=0)
     cv_lpd = cv[0].pooled_mean_lpd
     cv_ok = abs(cv_lpd - (-3.963)) <= 0.15
 
     eff = run_efficiency_experiment(
-        dataset, [CvCondition.meta_analytical()], McmcConfig(), ecfg,
-        transport=None, rho_grid=(1.0,), n_replications=20, seed=0)
+        dataset, [CvCondition.meta_analytical()], McmcConfig(),
+        transport=None, n_replications=20, seed=0)
     eff_lpd = eff.cells[0].lpd_mean
     eff_ok = abs(eff_lpd - (-4.103)) <= 0.15
 
@@ -341,10 +346,10 @@ def test_09_curated_trial_reproduction():
 @needs_trial_data
 def test_10_eighty_percent_training_data_plateau():
     dataset = load_dataset(os.environ[DATASET_ENV_VAR])
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    cond = CvCondition(strategy=PromptStrategy.BLIND, elicit=ElicitationConfig(
+        model_id="m1", temperature=1.0, n_queries=1, backoff_base=0.001))
     eff = run_efficiency_experiment(
         dataset, [cond], McmcConfig(),
-        ElicitationConfig(model_id="m1", n_queries=1, backoff_base=0.001),
         transport=_fixture_transport_for("m1", 1.0),
         rho_grid=(0.8, 1.0), n_replications=20, seed=0)
     by_rho = {cell.rho: cell.lpd_mean for cell in eff.cells}

@@ -359,6 +359,27 @@ def test_cv_empty_fold_exit_code(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_efficiency_without_test_site_exit_code(tmp_path, monkeypatch, capsys):
+    """Three sites, one per stratum: every stratum is too small to give the
+    70:30 split a test site, which no setting can fix."""
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    data = tmp_path / "three.csv"
+    write_dataset(Dataset.from_rows(make_rows([1, 3, 5])), data)
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    assert main(["efficiency", "--model", "m1", "--strategy", "blind",
+                 "--temperature", "0.5", "--dataset", str(data), "--fixtures", fx,
+                 "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: the train/test split leaves the test set empty: no stratum "
+        "holds 2 or more sites (sites per stratum: small 1, medium 1, large 1)\n")
+    assert sent == []
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command, audit_name, responses", [
     (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
       "--temperatures", "0.5"], "cv_elicitations.jsonl", REPLAY_RESPONSES),
@@ -658,10 +679,12 @@ def test_single_condition_commands_pick_from_lists(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(RESOLVE_CONFIG + "strategies = disease_informed, blind\n",
                     encoding="utf-8")
-    for command, temperature in (("elicit", 0.1), ("efficiency", 0.2)):
-        _, keys = _resolve_config(build_parser().parse_args(
+    for command, temperature, n_queries in (("elicit", 0.1, 9), ("efficiency", 0.2, 1)):
+        _, conditions = _resolve_config(build_parser().parse_args(
             [command, "--config", str(path)]))
-        assert keys == [("f1", PromptStrategy.DISEASE_INFORMED, temperature)]
+        assert [(c.elicit.model_id, c.strategy, c.elicit.temperature, c.elicit.n_queries)
+                for c in conditions] == \
+            [("f1", PromptStrategy.DISEASE_INFORMED, temperature, n_queries)]
 
 
 def test_config_non_utf8_file_exit_code(dataset_file, tmp_path, capsys):

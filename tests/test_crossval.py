@@ -12,10 +12,10 @@ from aebayes.crossval import (
     run_cv_experiment,
     stratify_sites,
 )
-from aebayes.elicitation import PromptStrategy
+from aebayes.elicitation import ElicitationConfig, PromptStrategy
 from aebayes.model import META_ANALYTICAL
 from aebayes.sampler import McmcConfig
-from aebayes_testkit import fixture_transport, make_dataset
+from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=60, n_draws=60, seed=0)
 
@@ -96,11 +96,14 @@ def test_condition_identity_and_validation():
     meta = CvCondition.meta_analytical()
     assert not meta.is_llm
     assert meta.identity() == "meta_analytical"
-    llm = CvCondition.llm("m1", PromptStrategy.BLIND, 0.5)
+    llm = CvCondition(strategy=PromptStrategy.BLIND,
+                      elicit=ElicitationConfig(model_id="m1", temperature=0.5))
     assert llm.is_llm
     assert llm.identity() == "m1|blind|T=0.5"
-    with pytest.raises(ValueError):
-        CvCondition(model_id="m1", strategy=None, temperature=1.0)
+    with pytest.raises(ValueError, match="both strategy and elicit"):
+        CvCondition(strategy=PromptStrategy.BLIND)
+    with pytest.raises(ValueError, match="both strategy and elicit"):
+        CvCondition(elicit=ElicitationConfig(model_id="m1"))
 
 
 def _llm_transport(model="m1", temperature=1.0, strategy="blind",
@@ -108,15 +111,10 @@ def _llm_transport(model="m1", temperature=1.0, strategy="blind",
     return fixture_transport(list(bodies), model, strategy, temperature)
 
 
-def _elicit_cfg():
-    from aebayes.elicitation import ElicitationConfig
-    return ElicitationConfig(model_id="m1", backoff_base=0.001)
-
-
 def test_cv_meta_condition_needs_no_transport(mixed_dataset):
     results = run_cv_experiment(
         mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
-        _elicit_cfg(), transport=None, k=5, seed=0)
+        transport=None, k=5, seed=0)
     assert len(results) == 1
     res = results[0]
     assert len(res.per_fold) == 5
@@ -128,15 +126,15 @@ def test_cv_meta_condition_needs_no_transport(mixed_dataset):
 def test_cv_patients_partition_across_test_folds(mixed_dataset):
     results = run_cv_experiment(
         mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
-        _elicit_cfg(), transport=None, k=5, seed=0)
+        transport=None, k=5, seed=0)
     n_test = sum(f.lpd.n_patients for f in results[0].per_fold)
     assert n_test == mixed_dataset.n_patients
 
 
 def test_cv_llm_condition_queries_k_times_5(mixed_dataset):
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    cond = llm_condition()
     results = run_cv_experiment(
-        mixed_dataset, [cond], TINY_MCMC, _elicit_cfg(),
+        mixed_dataset, [cond], TINY_MCMC,
         transport=_llm_transport(), k=5, seed=0)
     records = [r for f in results[0].per_fold for r in f.prior.records]
     assert len(records) == 25  # k folds x 5 queries
@@ -145,11 +143,11 @@ def test_cv_llm_condition_queries_k_times_5(mixed_dataset):
 
 def test_cv_condition_order_does_not_matter(mixed_dataset):
     meta = CvCondition.meta_analytical()
-    llm = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    llm = llm_condition()
 
     def run(conditions):
         return run_cv_experiment(mixed_dataset, conditions, TINY_MCMC,
-                                 _elicit_cfg(), transport=_llm_transport(),
+                                 transport=_llm_transport(),
                                  k=5, seed=4)
 
     fwd = {r.condition.identity(): r.pooled_mean_lpd for r in run([meta, llm])}
@@ -159,10 +157,10 @@ def test_cv_condition_order_does_not_matter(mixed_dataset):
 
 def test_cv_deterministic_across_parallelism(mixed_dataset):
     cond = [CvCondition.meta_analytical(),
-            CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)]
+            llm_condition()]
 
     def run(n_jobs):
-        res = run_cv_experiment(mixed_dataset, cond, TINY_MCMC, _elicit_cfg(),
+        res = run_cv_experiment(mixed_dataset, cond, TINY_MCMC,
                                 transport=_llm_transport(), k=3, seed=2,
                                 n_jobs=n_jobs)
         return [(r.pooled_mean_lpd, r.pooled_sd_lpd) for r in res]
@@ -173,7 +171,7 @@ def test_cv_deterministic_across_parallelism(mixed_dataset):
 def test_cv_summaries_pool_per_patient(mixed_dataset):
     results = run_cv_experiment(
         mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
-        _elicit_cfg(), transport=None, k=5, seed=0)
+        transport=None, k=5, seed=0)
     res = results[0]
     pooled = np.concatenate([f.lpd.per_patient for f in res.per_fold])
     assert res.pooled_mean_lpd == pytest.approx(pooled.mean())
@@ -183,10 +181,10 @@ def test_cv_summaries_pool_per_patient(mixed_dataset):
 
 
 def test_cv_export_rows(mixed_dataset):
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    cond = llm_condition()
     results = run_cv_experiment(
         mixed_dataset, [CvCondition.meta_analytical(), cond], TINY_MCMC,
-        _elicit_cfg(), transport=_llm_transport(), k=3, seed=0)
+        transport=_llm_transport(), k=3, seed=0)
     rows = cv_table_rows(results)
     assert len(rows) == 6  # 2 conditions x 3 folds
     assert rows[0]["model"] == "meta_analytical"

@@ -13,9 +13,9 @@ from aebayes.efficiency import (
     subsample_training,
     train_test_split,
 )
-from aebayes.elicitation import ElicitationConfig, PromptStrategy
+from aebayes.data import DataError
 from aebayes.sampler import McmcConfig
-from aebayes_testkit import fixture_transport, make_dataset
+from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=50, n_draws=50, seed=0)
 
@@ -74,6 +74,12 @@ def test_split_tiny_stratum_goes_to_train_with_warning():
     assert "site000" not in test.site_ids
 
 
+def test_split_without_a_two_site_stratum_is_a_data_error():
+    # one site per stratum: no stratum can give a site to the test set
+    with pytest.raises(DataError, match=r"test set empty: no stratum holds 2 or more"):
+        train_test_split(make_dataset([1, 3, 8]), SplitSpec(seed=0))
+
+
 def test_split_both_sides_nonempty_in_each_usable_stratum():
     ds = make_dataset([1, 1, 3, 3, 8, 8])
     train, test = train_test_split(ds, SplitSpec(seed=2))
@@ -123,19 +129,15 @@ def _eff_dataset():
     return make_dataset([1, 2, 1, 2, 3, 4, 3, 4, 6, 8, 6, 8], seed=3)
 
 
-def _elicit_cfg():
-    return ElicitationConfig(model_id="m1", backoff_base=0.001)
-
-
 def _llm_transport():
     return fixture_transport(
         ['{"alpha_rate": 0.5, "beta_rate": 0.1}'], "m1", "blind", 1.0)
 
 
 def test_efficiency_shapes_and_test_set_identity():
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    cond = llm_condition()
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC, _elicit_cfg(),
+        _eff_dataset(), [cond], TINY_MCMC,
         transport=_llm_transport(), rho_grid=(0.5, 1.0), n_replications=3,
         seed=0)
     assert [c.rho for c in result.cells] == [0.5, 1.0]
@@ -150,7 +152,7 @@ def test_efficiency_shapes_and_test_set_identity():
 def test_efficiency_full_rho_uses_entire_training_set():
     cond = CvCondition.meta_analytical()
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC, _elicit_cfg(), transport=None,
+        _eff_dataset(), [cond], TINY_MCMC, transport=None,
         rho_grid=(1.0,), n_replications=3, seed=0)
     runs = result.cells[0].runs
     # rho=1 is the full training set, so every replication sees the same data.
@@ -158,39 +160,39 @@ def test_efficiency_full_rho_uses_entire_training_set():
     assert runs[0].n_train_patients + result.n_test_patients == _eff_dataset().n_patients
 
 
-def test_efficiency_one_query_per_cell():
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+def test_efficiency_cells_send_their_conditions_batch():
+    cond = llm_condition(n_queries=2)
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC, _elicit_cfg(),
+        _eff_dataset(), [cond], TINY_MCMC,
         transport=_llm_transport(), rho_grid=(0.5, 1.0), n_replications=4,
         seed=0)
     for cell in result.cells:
         for run in cell.runs:
             assert run.prior is not None
-            assert len(run.prior.records) == 1
+            assert len(run.prior.records) == 2
 
 
-def test_efficiency_rho_grid_by_condition():
+def test_efficiency_baseline_runs_at_full_data_only():
     meta = CvCondition.meta_analytical()
-    llm = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    llm = llm_condition()
     result = run_efficiency_experiment(
-        _eff_dataset(), [meta, llm], TINY_MCMC, _elicit_cfg(),
-        transport=_llm_transport(), rho_grid=(0.5, 1.0), n_replications=2,
-        seed=0, rho_grid_by_condition={"meta_analytical": (1.0,)})
+        _eff_dataset(), [meta, llm], TINY_MCMC,
+        transport=_llm_transport(), rho_grid=(0.4, 0.8), n_replications=2,
+        seed=0)
     by_cond = {}
     for cell in result.cells:
         by_cond.setdefault(cell.condition.identity(), []).append(cell.rho)
-    assert by_cond["meta_analytical"] == [1.0]
-    assert by_cond["m1|blind|T=1"] == [0.5, 1.0]
+    assert by_cond == {"meta_analytical": [1.0], "m1|blind|T=1": [0.4, 0.8]}
+
 
 
 def test_efficiency_deterministic_across_parallelism():
     cond = [CvCondition.meta_analytical(),
-            CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)]
+            llm_condition()]
 
     def run(n_jobs):
         res = run_efficiency_experiment(
-            _eff_dataset(), cond, TINY_MCMC, _elicit_cfg(),
+            _eff_dataset(), cond, TINY_MCMC,
             transport=_llm_transport(), rho_grid=(0.5, 1.0),
             n_replications=2, seed=1, n_jobs=n_jobs)
         return [(c.condition.identity(), c.rho, c.lpd_mean, c.lpd_sd)
@@ -200,26 +202,29 @@ def test_efficiency_deterministic_across_parallelism():
 
 
 def test_efficiency_replications_share_subsamples_across_conditions():
-    meta = CvCondition.meta_analytical()
-    llm = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
+    blind, informed = llm_condition(), llm_condition(strategy="disease_informed")
+    transport = _llm_transport()
+    transport.add_record({"model": "m1", "strategy": "disease_informed",
+                          "temperature": 1.0,
+                          "response": '{"alpha_rate": 0.2, "beta_rate": 0.3}'})
     result = run_efficiency_experiment(
-        _eff_dataset(), [meta, llm], TINY_MCMC, _elicit_cfg(),
-        transport=_llm_transport(), rho_grid=(0.5,), n_replications=3, seed=2)
+        _eff_dataset(), [blind, informed], TINY_MCMC,
+        transport=transport, rho_grid=(0.5,), n_replications=3, seed=2)
     sizes = {}
     for cell in result.cells:
         sizes[cell.condition.identity()] = [r.n_train_patients for r in cell.runs]
     # Same replication index -> same subsampled training set for every condition.
-    assert sizes["meta_analytical"] == sizes["m1|blind|T=1"]
+    assert sizes["m1|blind|T=1"] == sizes["m1|disease_informed|T=1"]
+    assert len(set(sizes["m1|blind|T=1"])) > 1  # the replications differ
 
 
 def test_efficiency_export_rows():
-    cond = CvCondition.meta_analytical()
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC, _elicit_cfg(), transport=None,
+        _eff_dataset(), [llm_condition()], TINY_MCMC, transport=_llm_transport(),
         rho_grid=(0.5, 1.0), n_replications=2, seed=0)
     rows = efficiency_table_rows(result)
     assert len(rows) == 4  # 2 rho values x 2 replications
-    assert {r["condition"] for r in rows} == {"meta_analytical"}
+    assert {r["condition"] for r in rows} == {"m1|blind|T=1"}
     summary = efficiency_summary_rows(result)
     assert len(summary) == 2
     assert all(r["n_replications"] == 2 for r in summary)

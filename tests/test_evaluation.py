@@ -126,9 +126,9 @@ def test_lpd_dataset_patient_stream_matches_direct_call():
 
 
 def test_lpd_result_summaries():
-    r = LpdResult(per_patient=(-1.0, -2.0, -3.0), n_posterior_samples=10)
+    r = LpdResult(per_patient=(-1.0, -2.0, -3.0))
     assert r.n_patients == 3
     assert r.mean_lpd == pytest.approx(-2.0)
     assert r.sd_lpd == pytest.approx(1.0)
-    single = LpdResult(per_patient=(-1.5,), n_posterior_samples=10)
+    single = LpdResult(per_patient=(-1.5,))
     assert single.sd_lpd == 0.0

@@ -13,9 +13,9 @@ from aebayes.efficiency import (
     subsample_training,
     train_test_split,
 )
-from aebayes.elicitation import ElicitationConfig, PromptStrategy
+from aebayes.model import META_ANALYTICAL
 from aebayes.sampler import McmcConfig
-from aebayes_testkit import fixture_transport, make_dataset
+from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=30, n_draws=30, seed=0)
 
@@ -64,10 +64,8 @@ def _answer(i: int) -> str:
 def test_cv_folds_hold_their_own_cells(mixed_dataset, n_jobs):
     k, n_queries = 3, 5
     answers = [_answer(i) for i in range(k * n_queries)]
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
     [res] = run_cv_experiment(
-        mixed_dataset, [cond], TINY_MCMC,
-        ElicitationConfig(model_id="m1", n_queries=n_queries, backoff_base=0.001),
+        mixed_dataset, [llm_condition(n_queries=n_queries)], TINY_MCMC,
         transport=fixture_transport(answers, "m1", "blind", 1.0), k=k, seed=3,
         n_jobs=n_jobs)
     folds = make_folds(stratify_sites(mixed_dataset), k=k, seed=3)
@@ -86,10 +84,8 @@ def test_efficiency_runs_hold_their_own_cells():
     dataset = make_dataset([1, 2, 1, 2, 1, 3, 4, 3, 4, 3, 6, 8, 6, 8, 7], seed=3)
     rho_grid, n_reps, seed = (0.4, 1.0), 3, 4
     answers = [_answer(i) for i in range(len(rho_grid) * n_reps)]
-    cond = CvCondition.llm("m1", PromptStrategy.BLIND, 1.0)
     result = run_efficiency_experiment(
-        dataset, [cond], TINY_MCMC,
-        ElicitationConfig(model_id="m1", backoff_base=0.001),
+        dataset, [llm_condition(n_queries=1)], TINY_MCMC,
         transport=fixture_transport(answers, "m1", "blind", 1.0),
         rho_grid=rho_grid, n_replications=n_reps, seed=seed)
     train, _ = train_test_split(dataset, SplitSpec(seed=seed))
@@ -102,3 +98,15 @@ def test_efficiency_runs_hold_their_own_cells():
             assert run.n_train_patients == sub.n_patients
     sizes = [run.n_train_patients for run in result.cells[0].runs]
     assert len(set(sizes)) > 1  # the replications differ, so the check has teeth
+
+
+def test_baseline_runs_without_elicitation_settings(mixed_dataset):
+    """The baseline needs no ``ElicitationConfig`` and no transport."""
+    baseline = [CvCondition.meta_analytical()]
+    cv = run_cv_experiment(mixed_dataset, baseline, TINY_MCMC, transport=None, k=3)
+    eff = run_efficiency_experiment(mixed_dataset, baseline, TINY_MCMC, transport=None,
+                                    n_replications=2)
+    outcomes = [o for res in cv for o in res.per_fold] + \
+        [o for cell in eff.cells for o in cell.runs]
+    assert len(outcomes) == 3 + 2
+    assert all(o.prior is None and o.spec == META_ANALYTICAL for o in outcomes)
