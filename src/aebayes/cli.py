@@ -404,6 +404,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg, llm_conditions = _resolve_config(args)
+    if args.no_baseline and not llm_conditions:
+        raise ConfigError("no condition to run: --no-baseline and no LLM condition "
+                          "(models, strategies or temperatures is empty)")
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg) if llm_conditions else None

@@ -143,8 +143,7 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
         ident = condition.identity()
         groups.append([
             plan_cell(condition, transport, train=train, test=test,
-                      mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)),
-                      lpd_seed=seeding.derive_seed(seed, "cv_lpd", ident, fold))
+                      mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)))
             for fold, (train, test) in enumerate(splits)])
     return [CvResult(condition=condition, per_fold=outcomes)
             for condition, outcomes in zip(conditions, run_cells(groups, n_jobs=n_jobs))]

@@ -168,8 +168,7 @@ def run_efficiency_experiment(
                         train, rho, seeding.derive_seed(seed, "eff_subsample", rep)),
                     test=test,
                     mcmc=replace(mcmc, seed=seeding.derive_seed(
-                        seed, "eff_mcmc", ident, f"rho={rho:g}", rep)),
-                    lpd_seed=seeding.derive_seed(seed, "eff_lpd", ident, f"rho={rho:g}", rep))
+                        seed, "eff_mcmc", ident, f"rho={rho:g}", rep)))
                 for rep in range(1, n_replications + 1)])
 
     cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)

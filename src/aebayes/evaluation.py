@@ -1,19 +1,20 @@
 """Log predictive density evaluation for held-out patients.
 
-For each test patient we integrate the Poisson likelihood over the
-posterior of a *new* site's rate: lambda_new is drawn once per pooled
-posterior sample from Gamma(alpha^(s), beta^(s)), the Poisson log-pmf is
-evaluated at the observed count, and the sample average is taken in log
-space (log-sum-exp minus log S).  Fresh lambda_new draws are made per
-patient from an RNG keyed by (seed, patient index), so per-patient values
-do not depend on evaluation order.
+A test patient's count is scored against the posterior predictive of a
+*new* site.  Given (alpha, beta), a new site's rate is Gamma(alpha, beta)
+and a Poisson count mixed over it is negative binomial,
+NB(y; alpha, beta / (1 + beta)) (BDA3 section 2.7).  ``lpd_dataset``
+averages that closed form over the pooled posterior draws,
 
-``lpd_dataset`` takes patient i's generator from the i-th ``spawn`` child of
-the (seed, "lpd") seed sequence, which is the stream
-``seeding.rng(seed, "lpd", i)`` gives.  It draws the lambda_new of
-_LPD_BLOCK patients into the rows of one block and computes the log-pmf and
-the row-wise log-sum-exp for the whole block at once, with the same
-element-wise steps as ``lpd_patient``, so each value is bit-identical to it.
+    log (1/S) sum_s NB(y; alpha_s, beta_s / (1 + beta_s)),
+
+the Rao-Blackwellised estimate: exact given the draws, with no lambda_new
+draws and so no random numbers.  It is evaluated once per distinct count,
+and every patient with that count gets the same value.
+
+``lpd_patient`` keeps the plain Monte Carlo estimate (one lambda_new per
+draw from a caller's generator) as the reference the closed form is
+checked against.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import seeding
 from .data import Dataset
 from .model import poisson_logpmf
 from .sampler import PosteriorDraws
-
-# patients per block in lpd_dataset, so no temporary grows with the test set
-_LPD_BLOCK = 64
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -82,42 +79,26 @@ def lpd_patient(y_obs: int, draws: PosteriorDraws, rng: np.random.Generator) -> 
     return log_sum_exp(poisson_logpmf(y_obs, lam_new)) - math.log(n)
 
 
-def lpd_dataset(test: Dataset, draws: PosteriorDraws, seed: int) -> LpdResult:
+def lpd_dataset(test: Dataset, draws: PosteriorDraws, *,
+                seed: int | None = None) -> LpdResult:
     """Evaluate every patient in ``test`` against the posterior.
 
-    Patients are keyed by their position in the dataset, giving each an
-    independent reproducible stream of lambda_new draws; value i equals
-    ``lpd_patient(y_i, draws, seeding.rng(seed, "lpd", i))`` bit for bit.
+    Value i is log mean_s NB(y_i; alpha_s, beta_s / (1 + beta_s)) over the
+    pooled draws.  Nothing is random, so ``seed`` is ignored; it is kept so
+    that callers written for the Monte Carlo estimator still run.
     """
     alpha, beta = draws.pooled_hyperparams()
-    n = alpha.size
-    if n == 0:
+    if alpha.size == 0:
         raise ValueError("posterior contains no draws")
-    inv_beta = 1.0 / beta
-    log_n = math.log(n)
-    counts = test.counts().astype(np.float64)
-    streams = seeding.seed_sequence(seed, "lpd").spawn(counts.size)
-    lam = np.empty((_LPD_BLOCK, n))
-    logp = np.empty_like(lam)
-    values: list[float] = []
-    for start in range(0, counts.size, _LPD_BLOCK):
-        y = counts[start:start + _LPD_BLOCK, None]
-        rows = y.shape[0]
-        lam_b, logp_b = lam[:rows], logp[:rows]
-        for r in range(rows):
-            np.random.default_rng(streams[start + r]).standard_gamma(alpha, out=lam_b[r])
-        # the same element-wise steps as lpd_patient: Gamma(alpha, beta) is
-        # standard_gamma(alpha) * (1 / beta), floored, then poisson_logpmf
-        lam_b *= inv_beta
-        np.maximum(lam_b, 1e-300, out=lam_b)
-        np.log(lam_b, out=logp_b)
-        logp_b *= y
-        logp_b -= lam_b
-        logp_b -= gammaln(y + 1.0)
-        # log-sum-exp per row; the rate floor keeps every log-pmf above -inf
-        m = logp_b.max(axis=1)
-        logp_b -= m[:, None]
-        np.exp(logp_b, out=logp_b)
-        lse = m + np.log(logp_b.sum(axis=1))
-        values.extend((lse - log_n).tolist())
-    return LpdResult(per_patient=tuple(values))
+    ys, patient_y = np.unique(test.counts(), return_inverse=True)
+    y = ys.astype(np.float64)[:, None]
+    # log NB(y; alpha, beta / (1 + beta)), one row per distinct count
+    logp = gammaln(y + alpha) - (alpha + y) * np.log1p(beta)
+    logp += alpha * np.log(beta) - gammaln(alpha)
+    logp -= gammaln(y + 1.0)
+    # log-mean-exp per row; a posterior at one point gives its log-pmf exactly
+    m = logp.max(axis=1, keepdims=True)
+    logp -= m
+    np.exp(logp, out=logp)
+    values = m[:, 0] + np.log(logp.mean(axis=1))
+    return LpdResult(per_patient=tuple(values[patient_y].tolist()))

@@ -1,20 +1,20 @@
 """One way to plan and run the cells of both experiments.
 
 A ``Cell`` is one fit-then-score unit: training data, held-out data, the
-hyperprior spec with the elicited prior it came from, an MCMC config and an
-LPD seed.  Each experiment plans its cells in groups (one group per CV
-condition, or per efficiency (condition, rho) pair) and hands them to
-``run_cells``, which returns one ``CellOutcome`` per cell in the same
-groups, each built from its own cell.
+hyperprior spec with the elicited prior it came from, and an MCMC config.
+Each experiment plans its cells in groups (one group per CV condition, or
+per efficiency (condition, rho) pair) and hands them to ``run_cells``,
+which returns one ``CellOutcome`` per cell in the same groups, each built
+from its own cell.
 
 A ``CvCondition`` names the prior source: the meta-analytical baseline, or
 a prompt strategy with its own ``ElicitationConfig``, which every cell of
 that condition sends as given.  Priors are resolved while planning,
 sequentially and in plan order, so the transport sees a deterministic
-request stream.  The fits are pure functions of their cell's data, spec,
-config and seed, so they can run sequentially or in a process pool without
-changing results; workers receive only those, not the prior's audit
-records.
+request stream.  The fits are pure functions of their cell's data, spec
+and config (its seed fixes the chains; scoring draws no random numbers),
+so they can run sequentially or in a process pool without changing
+results; workers receive only those, not the prior's audit records.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Cell:
     spec: HyperPriorSpec
     prior: AggregatedPrior | None  # None for the meta-analytical baseline
     mcmc: McmcConfig
-    lpd_seed: int
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class CellOutcome:
 
 
 def plan_cell(condition: CvCondition, transport, *, train: Dataset, test: Dataset,
-              mcmc: McmcConfig, lpd_seed: int) -> Cell:
+              mcmc: McmcConfig) -> Cell:
     """A cell under the condition's prior, eliciting a fresh one for an LLM
     condition with its own settings (the baseline needs no transport)."""
     if not condition.is_llm:
@@ -98,15 +97,14 @@ def plan_cell(condition: CvCondition, transport, *, train: Dataset, test: Datase
     else:
         prior = elicit_prior(condition.strategy, condition.elicit, transport)
         spec = prior.spec
-    return Cell(train=train, test=test, spec=spec, prior=prior, mcmc=mcmc,
-                lpd_seed=lpd_seed)
+    return Cell(train=train, test=test, spec=spec, prior=prior, mcmc=mcmc)
 
 
 def _score_cell(args: tuple) -> tuple[LpdResult, dict[str, float]]:
     # module-level so it pickles for process pools
-    train, test, spec, mcmc, lpd_seed = args
+    train, test, spec, mcmc = args
     draws = run_mcmc(train, spec, mcmc)
-    return lpd_dataset(test, draws, seed=lpd_seed), draws.rhat_flags()
+    return lpd_dataset(test, draws), draws.rhat_flags()
 
 
 def map_cells(args_list: list[tuple], n_jobs: int = 1) -> list:
@@ -128,8 +126,7 @@ def map_cells(args_list: list[tuple], n_jobs: int = 1) -> list:
 def run_cells(groups: list[list[Cell]], n_jobs: int = 1) -> list[tuple[CellOutcome, ...]]:
     """Fit and score every cell; the outcomes come back in the same groups."""
     cells = [cell for group in groups for cell in group]
-    fits = iter(map_cells([(c.train, c.test, c.spec, c.mcmc, c.lpd_seed) for c in cells],
-                          n_jobs=n_jobs))
+    fits = iter(map_cells([(c.train, c.test, c.spec, c.mcmc) for c in cells], n_jobs=n_jobs))
     return [tuple(CellOutcome(spec=cell.spec, prior=cell.prior, lpd=lpd,
                               rhat_flags=rhat_flags,
                               n_train_patients=cell.train.n_patients)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: synthetic datasets and an in-memory
 dataset reader and writer, LLM conditions and fixture transports, a
-point-mass posterior for closed-form oracles and a reference draw writer."""
+point-mass posterior for closed-form oracles, a quadrature oracle for the
+exact posterior and a reference draw writer."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import io
 import os
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from aebayes.data import HEADER, Dataset, _parse_rows
 from aebayes.elicitation import ElicitationConfig, FixtureTransport, PromptStrategy
+from aebayes.model import HyperPriorSpec
 from aebayes.pipeline import CvCondition
 from aebayes.sampler import McmcConfig, PosteriorDraws
 
@@ -90,6 +93,67 @@ def point_mass_draws(alpha: float, beta: float, n_samples: int,
         site_ids=site_ids,
         config=config,
     )
+
+
+def hyper_draws(alpha: np.ndarray, beta: np.ndarray) -> PosteriorDraws:
+    """PosteriorDraws holding the given (alpha, beta) draws as one chain,
+    with no site rates."""
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(1, -1)
+    beta = np.asarray(beta, dtype=np.float64).reshape(1, -1)
+    return PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty((1, alpha.size, 0)),
+                          site_ids=(), config=McmcConfig(n_chains=1, n_warmup=1,
+                                                         n_draws=alpha.size))
+
+
+def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
+                         n_grid: int = 401) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact posterior p(alpha, beta | data) on a grid: ``(alpha, beta,
+    weight)`` arrays of one shape, the weights summing to 1.
+
+    With the site rates integrated out, site j (event total t_j over n_j
+    patients) contributes beta^alpha Gamma(alpha + t_j) /
+    (Gamma(alpha) (beta + n_j)^(alpha + t_j)), and sites with equal
+    (t_j, n_j) share that factor.  The grid is uniform in (log alpha,
+    log beta), so each cell carries the Jacobian alpha * beta.  A coarse
+    pass finds where the mass lies; a grid that leaves more than 1e-6 of
+    the mass on its edge raises AssertionError.
+    """
+    pairs, mult = np.unique(np.stack([dataset.site_totals(), dataset.site_sizes()]),
+                            axis=1, return_counts=True)
+    t, n = (row[:, None, None].astype(np.float64) for row in pairs)
+    c = mult[:, None, None].astype(np.float64)
+
+    def log_post(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        a, b = np.exp(u)[:, None], np.exp(v)[None, :]
+        sites = c * (a * np.log(b) + gammaln(a + t) - gammaln(a) - (a + t) * np.log(b + n))
+        return (sites.sum(axis=0) - spec.alpha_rate * a - spec.beta_rate * b
+                + u[:, None] + v[None, :])
+
+    coarse = np.linspace(-12.0, 8.0, 201)
+    lp = log_post(coarse, coarse)
+    iu, iv = np.nonzero(lp > lp.max() - 40.0)
+    step = coarse[1] - coarse[0]
+    u = np.linspace(coarse[iu.min()] - step, coarse[iu.max()] + step, n_grid)
+    v = np.linspace(coarse[iv.min()] - step, coarse[iv.max()] + step, n_grid)
+    lp = log_post(u, v)
+    weight = np.exp(lp - logsumexp(lp))
+    edge = weight[[0, -1], :].sum() + weight[1:-1, [0, -1]].sum()
+    assert edge < 1e-6, f"quadrature grid leaves {edge:.2g} of the mass on its edge"
+    alpha, beta = np.meshgrid(np.exp(u), np.exp(v), indexing="ij")
+    return alpha, beta, weight
+
+
+def exact_lpd(counts, dataset: Dataset, spec: HyperPriorSpec,
+              n_grid: int = 401) -> np.ndarray:
+    """log of the exact posterior predictive of a new site's count,
+    log E[NB(y; alpha, beta / (1 + beta)) | data], for each y in
+    ``counts``, by quadrature."""
+    alpha, beta, weight = (x.reshape(-1) for x in quadrature_posterior(dataset, spec, n_grid))
+    keep = weight > 0
+    alpha, beta, log_w = alpha[keep], beta[keep], np.log(weight[keep])
+    return np.array([logsumexp(log_w + gammaln(y + alpha) - gammaln(alpha) - gammaln(y + 1.0)
+                               + alpha * np.log(beta) - (alpha + y) * np.log1p(beta))
+                     for y in np.asarray(counts, dtype=np.float64)])
 
 
 def reference_export_draws(draws: PosteriorDraws, path,

@@ -226,6 +226,15 @@ def test_cv_baseline_only(dataset_file, tmp_path, capsys):
     assert not (out_dir / "audit").exists()  # nothing was elicited
 
 
+def test_cv_without_any_condition_exit_code(dataset_file, config_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = main(["cv", "--dataset", dataset_file, "--config", config_file,
+               "--out", str(out_dir), "--k", "3", "--no-baseline", "--models", ""])
+    assert rc == 2
+    assert "no condition to run" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cv_with_fixtures(dataset_file, config_file, tmp_path, capsys):
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
     out_dir = tmp_path / "out"
@@ -718,15 +727,14 @@ PINNED_OUTPUT_DIGESTS = {
     "fit": (["fit"], "3ced10757d1ff99f32ac99ce2ff086b911534ebaf3e10dc15c934b4de66290e1"),
     "cv": (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
             "--temperatures", "0.5"],
-           "b9143d04557f6e26fda7d7c4c2c1d27cffc92e7c262f3bb065fc35c2037683e7"),
+           "b70d12c26b380bfe45f58a13643fcc5d993f8a999810cabaaee1199d3cf16ac0"),
     "efficiency": (["efficiency", "--model", "m1", "--strategy", "blind",
                     "--temperature", "0.5", "--rho-grid", "0.5,1.0",
                     "--n-replications", "2"],
-                   "1e65383d3218db01976822b1397fa39c7eb384c90d9c4727d201b35dae875aa8"),
+                   "c784cfd4eaf7275953eb13171db3b9fda24dca21aa35e0e98630bc4d1f909048"),
 }
 # 70 sites, one more than an R-hat block; 69 draws, one block of draws and
-# a partial one; a cv test fold holds more patients than one LPD block; one
-# site id needs csv quoting in draws.csv
+# a partial one; one site id needs csv quoting in draws.csv
 PINNED_DATASET = Dataset.from_rows(make_rows([2, 3, 4] * 23, seed=8)
                                    + [('a,"b', "q1", 4), ('a,"b', "q2", 0)])
 PINNED_CONFIG = "n_chains = 3\nn_warmup = 40\nn_draws = 69\nbackoff_base = 0.001\n"

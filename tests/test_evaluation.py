@@ -9,17 +9,28 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aebayes import seeding
 from aebayes.evaluation import LpdResult, log_sum_exp, lpd_dataset, lpd_patient
-from aebayes.model import HyperPriorSpec
-from aebayes.sampler import McmcConfig, PosteriorDraws, run_mcmc
-from aebayes_testkit import loads_dataset, make_dataset, point_mass_draws
+from aebayes.model import HyperPriorSpec, poisson_logpmf
+from aebayes.sampler import McmcConfig, run_mcmc
+from aebayes_testkit import (exact_lpd, hyper_draws, loads_dataset, make_dataset,
+                             point_mass_draws)
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:
     """Closed-form predictive: Poisson mixed over Gamma(alpha, beta) is
     negative binomial with r = alpha, p = beta / (beta + 1)."""
     return float(sps.nbinom.logpmf(y, alpha, beta / (beta + 1.0)))
+
+
+def counts_dataset(counts):
+    """One patient per count, spread over a few sites."""
+    return loads_dataset("site_id,patient_id,ae_count\n" + "".join(
+        f"s{i % 7},p{i},{y}\n" for i, y in enumerate(counts)))
+
+
+def small_fit(seed: int = 5, n_draws: int = 35):
+    return run_mcmc(make_dataset([3, 4, 5, 2], seed=1), HyperPriorSpec(0.1, 0.1),
+                    McmcConfig(n_chains=2, n_warmup=30, n_draws=n_draws, seed=seed))
 
 
 def test_log_sum_exp_against_scipy():
@@ -78,19 +89,18 @@ def test_lpd_patient_error_shrinks_with_samples():
 
 def test_lpd_patient_two_point_posterior_mixture():
     """With a posterior equally split between two (alpha, beta) points the
-    predictive is the average of the two negative binomials."""
+    predictive is the average of the two negative binomials: exactly for
+    lpd_dataset, within Monte Carlo error for lpd_patient."""
     n = 100_000
-    alpha = np.where(np.arange(n) % 2 == 0, 2.0, 5.0).reshape(1, -1)
-    beta = np.where(np.arange(n) % 2 == 0, 1.0, 0.5).reshape(1, -1)
-    draws = PosteriorDraws(
-        alpha=alpha, beta=beta, lambdas=np.empty((1, n, 0)), site_ids=(),
-        config=McmcConfig(n_chains=1, n_warmup=1, n_draws=n),
-    )
+    even = np.arange(n) % 2 == 0
+    draws = hyper_draws(np.where(even, 2.0, 5.0), np.where(even, 1.0, 0.5))
     y = 4
     expected = math.log(0.5 * math.exp(nb_logpmf(y, 2.0, 1.0))
                         + 0.5 * math.exp(nb_logpmf(y, 5.0, 0.5)))
     got = lpd_patient(y, draws, np.random.default_rng(3))
     assert got == pytest.approx(expected, abs=0.02)
+    assert lpd_dataset(counts_dataset([y]), draws).per_patient[0] == pytest.approx(
+        expected, rel=1e-13)
 
 
 def test_lpd_patient_validation():
@@ -99,30 +109,81 @@ def test_lpd_patient_validation():
         lpd_patient(-1, draws, np.random.default_rng(0))
 
 
-def test_lpd_dataset_deterministic_and_per_patient_streams():
-    ds = loads_dataset("site_id,patient_id,ae_count\nA,p1,2\nA,p2,2\nB,p3,5\n")
-    draws = point_mass_draws(2.0, 1.0, 500)
-    a = lpd_dataset(ds, draws, seed=9)
-    b = lpd_dataset(ds, draws, seed=9)
-    assert a.per_patient == b.per_patient
-    # same observed count, different patient index -> different MC noise
-    assert a.per_patient[0] != a.per_patient[1]
-    c = lpd_dataset(ds, draws, seed=10)
-    assert c.per_patient != a.per_patient
+@pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (0.03, 1.6), (7.5, 0.4)])
+def test_lpd_dataset_point_mass_matches_negative_binomial(alpha, beta):
+    """On draws fixed at one point the estimate is the closed form itself,
+    to rounding, from y = 0 up to counts deep in the tail."""
+    ys = np.arange(51)
+    res = lpd_dataset(counts_dataset(ys), point_mass_draws(alpha, beta, 300))
+    expected = sps.nbinom.logpmf(ys, alpha, beta / (1.0 + beta))
+    np.testing.assert_allclose(res.per_patient, expected, rtol=1e-12, atol=0)
 
 
-def test_lpd_dataset_patient_stream_matches_direct_call():
-    """lpd_dataset scores patients in blocks; every value must equal
-    lpd_patient on that patient's own stream bit for bit.  101 patients
-    leave a partial last block; the counts include 0 and values >= 20."""
+def test_lpd_patient_converges_to_lpd_dataset():
+    """The Monte Carlo estimate over the draws tiled m times converges to
+    the closed-form average over the same draws: its error shrinks as m
+    grows and ends within 4 Monte Carlo SEs."""
+    draws = small_fit(n_draws=250)
+    alpha, beta = draws.pooled_hyperparams()
+    ys = [0, 1, 2, 3, 5, 8, 13]
+    rb = np.array(lpd_dataset(counts_dataset(ys), draws).per_patient)
+    errors = []
+    for m in (1, 16, 256):
+        tiled = hyper_draws(np.tile(alpha, m), np.tile(beta, m))
+        mc = np.array([lpd_patient(y, tiled, np.random.default_rng([m, y])) for y in ys])
+        errors.append(abs(mc.mean() - rb.mean()))
+    assert errors[0] > errors[1] > errors[2]
+    # delta-method SE of log(mean w) with w = Poisson(y | lambda_new), the
+    # counts' streams being independent
+    rng = np.random.default_rng(1)
+    n = alpha.size * 256
+    var = 0.0
+    for y in ys:
+        lam = rng.gamma(np.tile(alpha, 256), 1.0 / np.tile(beta, 256))
+        w = np.exp(poisson_logpmf(y, lam))
+        var += w.var(ddof=1) / (n * w.mean() ** 2)
+    assert errors[2] < 4 * math.sqrt(var) / len(ys)
+
+
+def test_lpd_dataset_matches_exact_posterior_predictive():
+    """Against quadrature of the exact posterior p(alpha, beta | data), the
+    closed-form LPD averaged over independent fits is unbiased per count:
+    z < 3 with the SE taken from its spread across the fits."""
+    train = make_dataset([4, 5, 6] * 12, seed=3)
+    spec = HyperPriorSpec(0.1, 0.1)
+    ys = np.arange(16)
+    test = counts_dataset(ys)
+    rb = np.array([lpd_dataset(test, run_mcmc(train, spec, McmcConfig(seed=seed))).per_patient
+                   for seed in range(8)])
+    se = rb.std(axis=0, ddof=1) / math.sqrt(len(rb))
+    z = (rb.mean(axis=0) - exact_lpd(ys, train, spec)) / se
+    assert np.all(np.abs(z) < 3), z
+
+
+def test_lpd_dataset_independent_of_seed():
+    """Nothing is random: the seed changes nothing, and patients with equal
+    counts get equal values wherever they sit."""
+    ds = counts_dataset([2, 5, 2, 0, 2])
+    draws = small_fit()
+    res = lpd_dataset(ds, draws)
+    assert lpd_dataset(ds, draws, seed=9) == res
+    assert lpd_dataset(ds, draws, seed=10) == res
+    values = res.per_patient
+    assert values[0] == values[2] == values[4]
+    assert len(set(values)) == 3
+
+
+def test_lpd_dataset_permuting_patients_permutes_values():
+    """101 patients with counts from 0 to 47; permuting the rows permutes
+    the values and nothing else."""
     counts = [0, 20, 3, 47, 1, 0, 25, 2] * 12 + [0, 31, 5, 1, 22]
-    ds = loads_dataset("site_id,patient_id,ae_count\n" + "".join(
-        f"s{i % 7},p{i},{y}\n" for i, y in enumerate(counts)))
-    draws = run_mcmc(make_dataset([3, 4, 5, 2], seed=1), HyperPriorSpec(0.1, 0.1),
-                     McmcConfig(n_chains=2, n_warmup=30, n_draws=35, seed=5))
-    res = lpd_dataset(ds, draws, seed=4)
-    assert res.per_patient == tuple(
-        lpd_patient(y, draws, seeding.rng(4, "lpd", i)) for i, y in enumerate(counts))
+    draws = small_fit()
+    values = lpd_dataset(counts_dataset(counts), draws).per_patient
+    order = np.random.default_rng(0).permutation(len(counts))
+    permuted = lpd_dataset(counts_dataset([counts[i] for i in order]), draws).per_patient
+    assert permuted == tuple(values[i] for i in order)
+    by_count = dict(zip(counts, values))
+    assert values == tuple(by_count[y] for y in counts)
 
 
 def test_lpd_result_summaries():
