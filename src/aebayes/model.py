@@ -10,7 +10,8 @@ Model structure, for patient i in site j with AE count y_ij:
 Gamma is parameterized by (shape, rate) throughout: mean = shape / rate.
 Exponential is parameterized by rate: mean = 1 / rate.  Mixing in a scale
 parameterization is the classic silent bug here, so every density states
-the convention it expects.  The sampler's conditionals live in ``sampler``.
+the convention it expects.  The sampler's collapsed log posterior lives in
+``sampler``.
 """
 
 from __future__ import annotations

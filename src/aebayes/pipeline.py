@@ -26,7 +26,7 @@ from .data import Dataset
 from .elicitation import AggregatedPrior, ElicitationConfig, PromptStrategy, elicit_prior
 from .evaluation import LpdResult, lpd_dataset
 from .model import META_ANALYTICAL, HyperPriorSpec
-from .sampler import McmcConfig, run_mcmc
+from .sampler import McmcConfig, fit_hyperparams
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def plan_cell(condition: CvCondition, transport, *, train: Dataset, test: Datase
 def _score_cell(args: tuple) -> tuple[LpdResult, dict[str, float]]:
     # module-level so it pickles for process pools
     train, test, spec, mcmc = args
-    draws = run_mcmc(train, spec, mcmc)
+    draws = fit_hyperparams(train, spec, mcmc)
     return lpd_dataset(test, draws), draws.rhat_flags()
 
 

@@ -1,24 +1,27 @@
-"""Metropolis-within-Gibbs sampler for the hierarchical Poisson-Gamma model.
+"""Collapsed sampler for the hierarchical Poisson-Gamma model.
 
-Each chain runs one loop.  Every iteration first draws all site rates
-exactly from their conjugate conditionals Gamma(alpha + t_j, beta + n_j),
-then moves alpha and then beta by one Gaussian random-walk Metropolis step
-each on the log scale, with the log-transform Jacobian in the acceptance
-ratio.  Both steps read only the sufficient statistics of the rates (their
-count, sum and sum of logs), computed once per iteration.  During warmup
-each step size is scaled by exp(acceptance rate - target) every 50
-iterations; the kept draws use the final step sizes.  Each chain owns an
-RNG stream derived from (seed, chain_index), so results are
-bit-reproducible and independent of scheduling.
+With the site rates integrated out, the posterior of (alpha, beta) is
+two-dimensional: site j (event total t_j, n_j patients) contributes
+beta^alpha Gamma(alpha + t_j) / (Gamma(alpha) (beta + n_j)^(alpha + t_j)),
+which ``_LogPosterior`` evaluates from sufficient statistics.
 
-The loop calls the generator's core methods, which skip the argument
-handling of their wrappers: ``standard_gamma(alpha + t)`` times
-1 / (beta + n) for the site rates, ``standard_normal()`` for a proposal and
-``random()`` for an acceptance test.  numpy computes ``gamma(shape, scale)``,
-``normal()`` and ``uniform()`` as exactly these core draws times the scale
-plus the location, so the stream and every value are those of
-Gamma(alpha + t, beta + n), Normal(0, 1) and Uniform(0, 1).  Site R-hat is
-computed _BLOCK_ROWS sites at a time (see ``_split_rhat``).
+All chains advance together as arrays, one Gaussian random-walk Metropolis
+step on (log alpha, log beta) per iteration.  Chain c draws its start,
+proposal normals and acceptance uniforms up front from its own stream
+``seeding.rng(seed, c)``, a fixed count per iteration, so its draws depend
+neither on the number of chains nor on scheduling.  Warmup adapts each
+chain's kernel (Haario, Saksman & Tamminen 2001; Roberts & Rosenthal 2009):
+the log step scale moves after every iteration by (accepted -
+adapt_target_accept) times a gain decaying as k ** -0.6.  At the end of
+each 50-iteration window but the last, a chain that moved at least 10
+times in the latter half of its warmup so far takes 2.38^2 / 2 times the
+covariance of those draws as its proposal, and its scale and gain start
+afresh.  The kept draws use the final kernel unchanged.
+
+Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
+``run_mcmc`` draws every site rate for every kept draw, one
+``standard_gamma`` call per chain, for the ``fit`` export and site R-hat;
+``fit_hyperparams`` draws none.
 """
 
 from __future__ import annotations
@@ -40,11 +43,16 @@ from .model import HyperPriorSpec
 # densities cannot absorb; rates are floored at this positive value.
 _RATE_FLOOR = 1e-300
 
+# warmup adaptation, as the module docstring describes; _RW_SCALE is
+# 2.38**2 / d for a d = 2 Gaussian target
 _ADAPT_WINDOW = 50
+_GAIN_DECAY = 0.6
+_MIN_MOVES = 10
+_RW_SCALE = 2.38 ** 2 / 2
+_INITIAL_STEP = 0.5
 # sites per split-R-hat block and draws per export block, so no temporary
 # grows with the site count
 _BLOCK_ROWS = 64
-_INITIAL_STEP = 0.5
 
 
 class NumericalError(RuntimeError):
@@ -112,132 +120,134 @@ class PosteriorDraws:
         return {k: v for k, v in self.diagnostics.items() if v >= thr}
 
 
-def alpha_log_conditional(alpha: float, beta: float, n: int, sum_log_lam: float,
-                          spec: HyperPriorSpec) -> float:
-    """log p(alpha | beta, lambdas) up to a constant, from the sufficient
-    statistics n = number of sites and sum_log_lam = sum of log lambda_j."""
-    if alpha <= 0:
-        return -math.inf
-    return (
-        n * (alpha * math.log(beta) - float(gammaln(alpha)))
-        + (alpha - 1.0) * sum_log_lam
-        - spec.alpha_rate * alpha
-    )
+class _LogPosterior:
+    """log p(log alpha, log beta | data) up to a constant, at (C, 2) points:
+    J alpha log(beta) - J+ lgamma(alpha) + sum_t c_t lgamma(alpha + t)
+    - sum_n (alpha M_n + T_n) log(beta + n) - alpha_rate alpha - beta_rate beta
+    + log(alpha) + log(beta), over the distinct positive totals t (c_t sites
+    each) and sizes n (M_n sites with T_n events) of J sites, J+ with events.
+    The first two terms are stored as a total and a size of 0.  Sites without
+    patients carry no likelihood, so ``no_data`` leaves the hyperprior."""
+
+    def __init__(self, totals: np.ndarray, sizes: np.ndarray, spec: HyperPriorSpec):
+        totals, sizes = totals[sizes > 0], sizes[sizes > 0]
+        t, c = np.unique(totals[totals > 0], return_counts=True)
+        n, of_size = np.unique(sizes, return_inverse=True)
+        self.shifts = np.concatenate(([0.0], t))
+        self.shift_weights = np.concatenate(([-c.sum()], c)).astype(np.float64)
+        self.sizes = np.concatenate(([0.0], n))
+        self.size_sites = np.concatenate(([-sizes.size], np.bincount(of_size, minlength=n.size)))
+        self.size_events = np.concatenate(([0.0], np.bincount(of_size, totals, n.size)))
+        self.rates = np.array([spec.alpha_rate, spec.beta_rate])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        e = np.exp(x)
+        a, b = e[:, :1], e[:, 1:]
+        return ((gammaln(a + self.shifts) * self.shift_weights).sum(axis=1)
+                - ((a * self.size_sites + self.size_events) * np.log(b + self.sizes)).sum(axis=1)
+                + (x - e * self.rates).sum(axis=1))
 
 
-def beta_log_conditional(beta: float, alpha: float, n: int, sum_lam: float,
-                         spec: HyperPriorSpec) -> float:
-    """log p(beta | alpha, lambdas) up to a constant, from the sufficient
-    statistics n = number of sites and sum_lam = sum of lambda_j."""
-    if beta <= 0:
-        return -math.inf
-    return n * alpha * math.log(beta) - beta * sum_lam - spec.beta_rate * beta
-
-
-def _draw_lambdas(alpha: float, beta: float, totals: np.ndarray,
-                  sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    draws = rng.standard_gamma(alpha + totals)
-    draws *= 1.0 / (beta + sizes)
+def _draw_lambdas(alpha, beta, totals: np.ndarray, sizes: np.ndarray,
+                  rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact Gamma(alpha + t, beta + n) site rates, with (alpha, beta)
+    broadcast against the sites (a column of draws gives one row each)."""
+    draws = rng.standard_gamma(np.add(alpha, totals, out=out), out=out)
+    draws *= 1.0 / np.add(beta, sizes)
     return np.maximum(draws, _RATE_FLOOR, out=draws)
 
 
-def _mh_log_scale(current: float, step: float, log_target, rng) -> tuple[float, bool]:
-    """One random-walk Metropolis step on the log of a positive scalar."""
-    log_cur = math.log(current)
-    log_prop = log_cur + step * rng.standard_normal()
-    proposed = math.exp(log_prop)
-    g_cur = log_target(current)
-    g_prop = log_target(proposed)
-    if math.isnan(g_cur) or math.isnan(g_prop):
-        raise NumericalError(
-            f"non-finite log conditional at current={current!r}, proposed={proposed!r}"
-        )
-    # Jacobian of the log transform: + log_prop - log_cur
-    log_ratio = g_prop - g_cur + log_prop - log_cur
-    if rng.random() < math.exp(min(log_ratio, 0.0)):
-        return proposed, True
-    return current, False
+def _site_columns(dataset: Dataset, config: McmcConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Event totals and patient counts per site, as floats; zero under ``no_data``."""
+    keep = 0.0 if config.no_data else 1.0
+    return dataset.site_totals() * keep, dataset.site_sizes() * keep
 
 
-def _adapted_step(step: float, rate: float, target: float) -> float:
-    """Scale a step size by exp(rate - target); a rate at target is a fixed point."""
-    return step * math.exp(rate - target)
-
-
-def _run_chain(spec: HyperPriorSpec, config: McmcConfig, totals: np.ndarray,
-               sizes: np.ndarray, chain_index: int):
-    rng = seeding.rng(config.seed, chain_index)
-    frozen = config.freeze_hyperparams is not None
-    if frozen:
-        alpha, beta = config.freeze_hyperparams
-    else:
+def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig):
+    """Kept (alpha, beta) draws, each of shape (n_chains, n_draws), and each
+    chain's generator, positioned after the draws its chain consumed."""
+    n_chains, n_warmup = config.n_chains, config.n_warmup
+    rngs = [seeding.rng(config.seed, c) for c in range(n_chains)]
+    if config.freeze_hyperparams is not None:
+        return (*(np.full((n_chains, config.n_draws), v) for v in config.freeze_hyperparams),
+                rngs)
+    n_iter = n_warmup + config.n_draws
+    x = np.empty((n_chains, 2))
+    normals = np.empty((n_iter, n_chains, 2))
+    log_u = np.empty((n_iter, n_chains))
+    for c, rng in enumerate(rngs):
         # overdispersed starts straight from the hyperprior
-        alpha = rng.exponential(scale=1.0 / spec.alpha_rate)
-        beta = rng.exponential(scale=1.0 / spec.beta_rate)
-        alpha, beta = max(alpha, 1e-8), max(beta, 1e-8)
-    step_alpha = step_beta = _INITIAL_STEP
-    # accepts among the current adaptation window's _ADAPT_WINDOW proposals
-    alpha_accepts = beta_accepts = 0
+        x[c] = rng.exponential(1.0 / spec.alpha_rate), rng.exponential(1.0 / spec.beta_rate)
+        normals[:, c] = rng.standard_normal((n_iter, 2))
+        log_u[:, c] = np.log(rng.random(n_iter))
+    log_post = _LogPosterior(*_site_columns(dataset, config), spec)
+    x = np.log(np.maximum(x, 1e-8))
+    lp = log_post(x)
+    trace = np.empty((n_iter, n_chains, 2))
+    factor = np.tile(np.eye(2), (n_chains, 1, 1))  # Cholesky factor of the proposal shape
+    log_step = np.full(n_chains, math.log(_INITIAL_STEP))
+    gain_from = 0  # the iteration the step's gain sequence last started at
+    bounds = [*range(0, n_warmup, _ADAPT_WINDOW), n_warmup, n_iter]
+    for lo, hi in zip(bounds, bounds[1:]):
+        warmup = hi <= n_warmup
+        if not warmup:  # the kept draws use the final kernel
+            factor *= np.exp(log_step)[:, None, None]
+        steps = (factor * normals[lo:hi, :, None, :]).sum(axis=-1)
+        for it in range(lo, hi):
+            prop = x + (np.exp(log_step)[:, None] * steps[it - lo] if warmup else steps[it - lo])
+            lp_prop = log_post(prop)
+            acc = log_u[it] < lp_prop - lp  # a nan proposal is rejected
+            x = trace[it] = np.where(acc[:, None], prop, x)
+            lp = np.where(acc, lp_prop, lp)
+            if warmup:
+                gain = (it + 1 - gain_from) ** -_GAIN_DECAY
+                log_step += (acc - config.adapt_target_accept) * gain
+        if hi - lo == _ADAPT_WINDOW and hi <= n_warmup - _ADAPT_WINDOW:
+            # reshape by the latter half of the warmup so far where it moved enough
+            recent = trace[hi // 2 - 1:hi]
+            dev = recent[1:] - recent[1:].mean(axis=0)
+            cov = (dev[..., :, None] * dev[..., None, :]).sum(axis=0)
+            ok = (np.diff(recent, axis=0) != 0).any(axis=2).sum(axis=0) >= _MIN_MOVES
+            factor[ok] = np.linalg.cholesky(cov[ok] * (_RW_SCALE / (len(dev) - 1)))
+            log_step[ok] = 0.0
+            gain_from = hi
+    alpha, beta = np.exp(trace[n_warmup:].transpose(2, 1, 0).copy())
+    return alpha, beta, rngs
 
-    n_sites = totals.size
-    alpha_out = np.empty(config.n_draws)
-    beta_out = np.empty(config.n_draws)
-    lambda_out = np.empty((config.n_draws, n_sites))
 
-    for it in range(config.n_warmup + config.n_draws):
-        lam = _draw_lambdas(alpha, beta, totals, sizes, rng)
-        if not frozen:
-            sum_log_lam = float(np.log(lam).sum())
-            sum_lam = float(lam.sum())
-            alpha, accepted = _mh_log_scale(
-                alpha, step_alpha,
-                lambda a: alpha_log_conditional(a, beta, n_sites, sum_log_lam, spec), rng)
-            alpha_accepts += accepted
-            beta, accepted = _mh_log_scale(
-                beta, step_beta,
-                lambda b: beta_log_conditional(b, alpha, n_sites, sum_lam, spec), rng)
-            beta_accepts += accepted
-            if it < config.n_warmup and (it + 1) % _ADAPT_WINDOW == 0:
-                target = config.adapt_target_accept
-                step_alpha = _adapted_step(step_alpha, alpha_accepts / _ADAPT_WINDOW, target)
-                step_beta = _adapted_step(step_beta, beta_accepts / _ADAPT_WINDOW, target)
-                alpha_accepts = beta_accepts = 0
-        k = it - config.n_warmup
-        if k >= 0:
-            alpha_out[k] = alpha
-            beta_out[k] = beta
-            lambda_out[k] = lam
-    return alpha_out, beta_out, lambda_out
+def _hyper_rhat(alpha: np.ndarray, beta: np.ndarray, config: McmcConfig) -> dict[str, float]:
+    if config.freeze_hyperparams is not None or config.n_chains < 2 or config.n_draws < 4:
+        return {}
+    return {"alpha": compute_rhat(alpha), "beta": compute_rhat(beta)}
+
+
+def fit_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
+    """The (alpha, beta) draws of ``run_mcmc``, bit for bit, with their R-hat
+    but no site rates (``site_ids`` empty, ``lambdas`` of shape (C, D, 0))."""
+    alpha, beta, _ = _sample_hyperparams(dataset, spec, config)
+    return PosteriorDraws(
+        alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)), site_ids=(),
+        config=config, diagnostics=_hyper_rhat(alpha, beta, config),
+    )
 
 
 def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
     """Fit the hierarchical model and return draws with diagnostics.
 
-    In ``no_data`` mode the likelihood contribution is suppressed and the
-    chain samples the prior; with ``freeze_hyperparams`` set, (alpha, beta)
-    stay fixed and only the conjugate site-rate draws move.
+    Each kept (alpha, beta) draw gets one exact draw of every site rate.  In
+    ``no_data`` mode the likelihood is suppressed and the chains sample the
+    prior; with ``freeze_hyperparams`` set, (alpha, beta) stay fixed and only
+    the conjugate site-rate draws move.
     """
-    totals = dataset.site_totals().astype(np.float64)
-    sizes = dataset.site_sizes().astype(np.float64)
-    if config.no_data:
-        totals = np.zeros_like(totals)
-        sizes = np.zeros_like(sizes)
-
-    alpha = np.empty((config.n_chains, config.n_draws))
-    beta = np.empty((config.n_chains, config.n_draws))
-    lambdas = np.empty((config.n_chains, config.n_draws, totals.size))
-    for c in range(config.n_chains):
-        alpha[c], beta[c], lambdas[c] = _run_chain(spec, config, totals, sizes, c)
-
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()
-            and np.isfinite(lambdas).all()):
+    alpha, beta, rngs = _sample_hyperparams(dataset, spec, config)
+    totals, sizes = _site_columns(dataset, config)
+    lambdas = np.empty(alpha.shape + totals.shape)
+    for c, rng in enumerate(rngs):
+        _draw_lambdas(alpha[c, :, None], beta[c, :, None], totals, sizes, rng, out=lambdas[c])
+    if not all(np.isfinite(draws).all() for draws in (alpha, beta, lambdas)):
         raise NumericalError("non-finite draw in posterior output")
-
-    diagnostics: dict[str, float] = {}
+    diagnostics = _hyper_rhat(alpha, beta, config)
     if config.n_chains >= 2 and config.n_draws >= 4:
-        if config.freeze_hyperparams is None:
-            diagnostics["alpha"] = compute_rhat(alpha)
-            diagnostics["beta"] = compute_rhat(beta)
         for start in range(0, totals.size, _BLOCK_ROWS):
             block = lambdas[:, :, start:start + _BLOCK_ROWS].transpose(2, 0, 1)
             site_ids = dataset.site_ids[start:start + _BLOCK_ROWS]
@@ -251,13 +261,13 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
 
 
 def _split_rhat(chains: np.ndarray) -> np.ndarray:
-    """``compute_rhat`` of each of P parameters at once, from chains of
-    shape (P, n_chains, n_draws), bit for bit.
+    """Split R-hat (see ``compute_rhat``) of each of P parameters at once,
+    from chains of shape (P, n_chains, n_draws).
 
     Every split half-chain becomes one row of a C-contiguous 2-D array and
-    each reduction runs along a 2-D array's rows, so every parameter sums in
-    the order ``compute_rhat`` does; a 3-D array reduced along its last axis
-    sums in another order and changes the last bits.
+    each reduction runs along a 2-D array's rows, so each parameter's sums
+    run in the same order whatever P is; a 3-D array reduced along its last
+    axis sums in another order and changes the last bits.
     """
     n_params, n_chains, n_draws = chains.shape
     half = n_draws // 2
@@ -283,19 +293,9 @@ def compute_rhat(chains: np.ndarray) -> float:
     arr = np.asarray(chains, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected (n_chains, n_draws) array, got shape {arr.shape}")
-    n_chains, n_draws = arr.shape
-    if n_chains < 2 or n_draws < 4:
+    if arr.shape[0] < 2 or arr.shape[1] < 4:
         raise ValueError("need at least 2 chains and 4 draws per chain")
-
-    half = n_draws // 2
-    split = np.vstack([arr[:, :half], arr[:, n_draws - half:]])
-
-    within = split.var(axis=1, ddof=1).mean()
-    if within == 0.0:
-        return math.inf
-    between = half * split.mean(axis=1).var(ddof=1)
-    var_hat = (half - 1) / half * within + between / half
-    return float(np.sqrt(var_hat / within))
+    return float(_split_rhat(arr[None])[0])
 
 
 def export_draws(draws: PosteriorDraws, path: str | os.PathLike,

@@ -1,13 +1,17 @@
 """Helpers shared by the test modules: synthetic datasets and an in-memory
 dataset reader and writer, LLM conditions and fixture transports, a
 point-mass posterior for closed-form oracles, a quadrature oracle for the
-exact posterior and a reference draw writer."""
+exact posterior with the moment gate built on it, and a reference draw
+writer."""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -141,6 +145,35 @@ def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
     assert edge < 1e-6, f"quadrature grid leaves {edge:.2g} of the mass on its edge"
     alpha, beta = np.meshgrid(np.exp(u), np.exp(v), indexing="ij")
     return alpha, beta, weight
+
+
+def moment_z(draws: PosteriorDraws, dataset: Dataset,
+             spec: HyperPriorSpec) -> dict[str, tuple[float, float, float]]:
+    """``{"alpha": (z_mean, z_sd, ess), "beta": ...}``: how far the draws'
+    mean and SD lie from the exact posterior's, in Monte Carlo SEs.
+
+    The mean's SE is sigma / sqrt(ESS) with ESS the bulk ESS of the draws.
+    The SD is a function of the mean of (x - mu)^2, so its SE is the delta
+    method's sqrt((m4 - sigma^4) / ESS2) / (2 sigma), with ESS2 the bulk ESS
+    of (x - mu)^2; mu, sigma and the fourth central moment m4 come from
+    ``quadrature_posterior``.
+    """
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)  # the benchmark's modules are scripts
+    from diagnostics import ess_bulk
+
+    alpha, beta, weight = quadrature_posterior(dataset, spec)
+    out = {}
+    for name, grid, x in (("alpha", alpha, draws.alpha), ("beta", beta, draws.beta)):
+        mu = float((grid * weight).sum())
+        sigma = math.sqrt(((grid - mu) ** 2 * weight).sum())
+        m4 = float(((grid - mu) ** 4 * weight).sum())
+        ess = ess_bulk(x)
+        z_mean = (x.mean() - mu) / (sigma / math.sqrt(ess))
+        se_sd = math.sqrt((m4 - sigma ** 4) / ess_bulk((x - mu) ** 2)) / (2 * sigma)
+        out[name] = (z_mean, (x.std(ddof=1) - sigma) / se_sd, ess)
+    return out
 
 
 def exact_lpd(counts, dataset: Dataset, spec: HyperPriorSpec,

@@ -724,14 +724,14 @@ def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
 # sha256 over the names and bytes of results/, reports/ and draws/ after one
 # command on PINNED_DATASET; recorded with numpy 2.4.6
 PINNED_OUTPUT_DIGESTS = {
-    "fit": (["fit"], "3ced10757d1ff99f32ac99ce2ff086b911534ebaf3e10dc15c934b4de66290e1"),
+    "fit": (["fit"], "0b53fa1acf95305bf73ee4ed293ae43153c846be7f31da39fbb21f3bc4e5f27c"),
     "cv": (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
             "--temperatures", "0.5"],
-           "b70d12c26b380bfe45f58a13643fcc5d993f8a999810cabaaee1199d3cf16ac0"),
+           "3d953fc8d3d32ba72c5082b997de892d5522b382958d3482d75c68379d7658b4"),
     "efficiency": (["efficiency", "--model", "m1", "--strategy", "blind",
                     "--temperature", "0.5", "--rho-grid", "0.5,1.0",
                     "--n-replications", "2"],
-                   "c784cfd4eaf7275953eb13171db3b9fda24dca21aa35e0e98630bc4d1f909048"),
+                   "fb70c2b555608c1b5c612a6d0d751940fd8a1fade9e3783d7f8965291a3e0dca"),
 }
 # 70 sites, one more than an R-hat block; 69 draws, one block of draws and
 # a partial one; one site id needs csv quoting in draws.csv

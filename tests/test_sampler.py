@@ -14,16 +14,15 @@ from aebayes.data import Dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import (
     McmcConfig,
-    _adapted_step,
-    _mh_log_scale,
-    alpha_log_conditional,
-    beta_log_conditional,
+    _LogPosterior,
+    _site_columns,
     compute_rhat,
     export_draws,
+    fit_hyperparams,
     run_mcmc,
 )
-from aebayes_testkit import (loads_dataset, make_rows, point_mass_draws,
-                             reference_export_draws)
+from aebayes_testkit import (loads_dataset, make_dataset, make_rows, moment_z,
+                             point_mass_draws, reference_export_draws)
 
 ONE_SITE = loads_dataset("site_id,patient_id,ae_count\nA,p1,3\nA,p2,2\nA,p3,2\n")
 TWO_SITES = loads_dataset(
@@ -127,119 +126,115 @@ def test_draws_are_read_only_and_shaped():
     assert set(draws.diagnostics) == {"alpha", "beta", "lambda[A]", "lambda[B]"}
 
 
-def test_hyperparam_conditionals_match_independent_densities():
-    """Up to an additive constant, the conditionals must equal the scipy
-    density sums they summarize."""
+# sites with no events, repeated (total, size) pairs and a one-patient site
+MARGINAL_SITES = loads_dataset(
+    "site_id,patient_id,ae_count\n"
+    "A,p1,3\nA,p2,0\nB,p3,2\nB,p4,1\nC,p5,0\nC,p6,0\nD,p7,0\nD,p8,0\n"
+    "E,p9,0\nF,p10,7\nG,p11,1\nG,p12,0\nG,p13,4\nH,p14,0\n")
+
+
+def site_marginal_logpdf(counts, alpha: float, beta: float) -> float:
+    """log p(counts | alpha, beta) of one site, its rate integrated out, by
+    the chain rule: each count is negative binomial given the ones before,
+    NB(alpha + s, (beta + k) / (beta + k + 1)) after k counts summing to s."""
+    total = 0.0
+    for k, y in enumerate(counts):
+        s = sum(counts[:k])
+        total += sps.nbinom.logpmf(y, alpha + s, (beta + k) / (beta + k + 1))
+    return total
+
+
+def test_log_posterior_matches_site_marginals():
+    """The sufficient-statistic target minus the brute-force sum over sites
+    of the Gamma-Poisson marginal, plus the hyperprior and the log-scale
+    Jacobian, is one constant at random (alpha, beta)."""
     spec = HyperPriorSpec(0.7, 1.3)
-    lam = np.array([0.4, 2.2, 1.1])
-
-    def full_alpha(a, b):
-        return (sps.gamma.logpdf(lam, a=a, scale=1 / b).sum()
-                + sps.expon.logpdf(a, scale=1 / spec.alpha_rate))
-
-    def full_beta(b, a):
-        return (sps.gamma.logpdf(lam, a=a, scale=1 / b).sum()
-                + sps.expon.logpdf(b, scale=1 / spec.beta_rate))
-
-    n, sum_log_lam, sum_lam = lam.size, float(np.log(lam).sum()), float(lam.sum())
-    b0 = 1.5
-    diffs = [alpha_log_conditional(a, b0, n, sum_log_lam, spec) - full_alpha(a, b0)
-             for a in (0.5, 1.0, 3.0)]
-    assert max(diffs) - min(diffs) < 1e-9  # constant in alpha
-    a0 = 2.0
-    diffs = [beta_log_conditional(b, a0, n, sum_lam, spec) - full_beta(b, a0)
-             for b in (0.5, 1.0, 3.0)]
-    assert max(diffs) - min(diffs) < 1e-9
+    ds = MARGINAL_SITES
+    by_site = [[y for j, y in zip(ds.site_of, ds.ae_counts) if j == site]
+               for site in range(ds.n_sites)]
+    log_post = _LogPosterior(ds.site_totals().astype(float), ds.site_sizes().astype(float),
+                             spec)
+    x = np.random.default_rng(0).uniform(-2.5, 2.0, size=(8, 2))
+    brute = np.array([
+        sum(site_marginal_logpdf(counts, a, b) for counts in by_site)
+        + sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
+        + sps.expon.logpdf(b, scale=1 / spec.beta_rate) + u + v
+        for (u, v), (a, b) in zip(x, np.exp(x))])
+    diffs = log_post(x) - brute
+    assert np.ptp(diffs) < 1e-9, diffs
 
 
-def test_conditionals_support_zero_sites():
-    spec = HyperPriorSpec(0.5, 0.5)
-    # reduces to the hyperprior alone (up to a constant)
-    d1 = alpha_log_conditional(2.0, 1.0, 0, 0.0, spec) - \
-        alpha_log_conditional(1.0, 1.0, 0, 0.0, spec)
-    assert d1 == pytest.approx(-spec.alpha_rate * 1.0)
-    d2 = beta_log_conditional(2.0, 1.0, 0, 0.0, spec) - \
-        beta_log_conditional(1.0, 1.0, 0, 0.0, spec)
-    assert d2 == pytest.approx(-spec.beta_rate * 1.0)
+def test_log_posterior_no_data_is_hyperprior():
+    """Under ``no_data`` the target is the exponential hyperprior on the
+    log scale, up to a constant."""
+    spec = HyperPriorSpec(0.5, 2.0)
+    log_post = _LogPosterior(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)
+    x = np.random.default_rng(1).uniform(-3.0, 2.0, size=(6, 2))
+    a, b = np.exp(x).T
+    expected = (sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
+                + sps.expon.logpdf(b, scale=1 / spec.beta_rate) + x.sum(axis=1))
+    assert np.ptp(log_post(x) - expected) < 1e-12
 
 
-def test_metropolis_ratio_identity():
-    """Forward and backward log acceptance ratios must be antisymmetric
-    and equal the independent density computation including the log-scale
-    proposal Jacobian."""
-    spec = HyperPriorSpec(0.7, 1.3)
-    lam = np.array([0.4, 2.2, 1.1])
-    b0 = 1.5
-    a, a_new = 1.2, 2.6
-
-    def target(x):
-        return (sps.gamma.logpdf(lam, a=x, scale=1 / b0).sum()
-                + sps.expon.logpdf(x, scale=1 / spec.alpha_rate))
-
-    stats = (lam.size, float(np.log(lam).sum()))
-    fwd = (alpha_log_conditional(a_new, b0, *stats, spec)
-           - alpha_log_conditional(a, b0, *stats, spec)
-           + math.log(a_new) - math.log(a))
-    bwd = (alpha_log_conditional(a, b0, *stats, spec)
-           - alpha_log_conditional(a_new, b0, *stats, spec)
-           + math.log(a) - math.log(a_new))
-    assert fwd == pytest.approx(-bwd, abs=1e-12)
-    expected = target(a_new) - target(a) + math.log(a_new) - math.log(a)
-    assert fwd == pytest.approx(expected, abs=1e-9)
+def test_chains_do_not_depend_on_chain_count():
+    """Each chain draws from its own stream, a fixed count per iteration, so
+    the first two chains of a 4-chain fit are those of a 2-chain fit."""
+    spec = HyperPriorSpec(0.1, 0.1)
+    two = run_mcmc(MANY_SITES, spec, McmcConfig(n_chains=2, n_warmup=120, n_draws=30, seed=4))
+    four = run_mcmc(MANY_SITES, spec, McmcConfig(n_chains=4, n_warmup=120, n_draws=30, seed=4))
+    for name in ("alpha", "beta", "lambdas"):
+        assert np.array_equal(getattr(four, name)[:2], getattr(two, name)), name
 
 
-def test_mh_update_zero_step_accepts_in_place():
-    """A zero step proposes the current value, whose ratio is 1."""
-    spec = HyperPriorSpec(1.0, 1.0)
-    lam = np.array([1.0, 2.0])
-    rng = np.random.default_rng(0)
-    alpha, accepted = _mh_log_scale(
-        2.0, 0.0,
-        lambda a: alpha_log_conditional(a, 1.0, lam.size, float(np.log(lam).sum()), spec),
-        rng)
-    assert (alpha, accepted) == (2.0, True)
-    beta, accepted = _mh_log_scale(
-        1.0, 0.0, lambda b: beta_log_conditional(b, 2.0, lam.size, float(lam.sum()), spec),
-        rng)
-    assert (beta, accepted) == (1.0, True)
+def test_fit_hyperparams_is_run_mcmc_without_sites():
+    """Scoring cells fit (alpha, beta) only: the same draws as run_mcmc, bit
+    for bit, their R-hat, and no site rates."""
+    spec = HyperPriorSpec(0.1, 0.1)
+    cfg = McmcConfig(n_chains=3, n_warmup=60, n_draws=40, seed=2)
+    full = run_mcmc(TWO_SITES, spec, cfg)
+    hyper = fit_hyperparams(TWO_SITES, spec, cfg)
+    assert np.array_equal(hyper.alpha, full.alpha) and np.array_equal(hyper.beta, full.beta)
+    assert hyper.site_ids == () and hyper.lambdas.shape == (3, 40, 0)
+    assert hyper.diagnostics == {k: full.diagnostics[k] for k in ("alpha", "beta")}
 
 
-def test_mh_update_invariance_of_conditional():
-    """Long MH runs on the alpha conditional alone must reproduce the
-    density that a fine-grid normalization gives."""
-    spec = HyperPriorSpec(1.0, 1.0)
-    lam = np.array([1.5, 2.5, 0.8, 1.2])
-    n, sum_log_lam = lam.size, float(np.log(lam).sum())
-
-    def log_target(a):
-        return alpha_log_conditional(a, 1.0, n, sum_log_lam, spec)
-
-    rng = np.random.default_rng(4)
-    alpha = 1.0
-    samples = []
-    for i in range(40_000):
-        alpha, _ = _mh_log_scale(alpha, 0.5, log_target, rng)
-        if i % 20 == 0:
-            samples.append(alpha)
-    samples = np.array(samples[100:])
-    grid = np.linspace(1e-6, 30, 200_001)
-    log_dens = np.array([log_target(a) for a in grid])
-    dens = np.exp(log_dens - log_dens.max())
-    dens /= np.trapezoid(dens, grid)
-    mean = np.trapezoid(grid * dens, grid)
-    sd = math.sqrt(np.trapezoid((grid - mean) ** 2 * dens, grid))
-    assert samples.mean() == pytest.approx(mean, abs=0.15 * sd)
+def acceptance_rate(draws) -> float:
+    """Share of kept iterations that moved, over all chains."""
+    return float((np.diff(draws.alpha, axis=1) != 0).mean())
 
 
-def test_adapt_step_sizes_contract():
-    # exactly at target: unchanged
-    assert _adapted_step(0.5, 0.44, 0.44) == 0.5
-    # above target: grow; below: shrink — by exp(rate - target)
-    up = _adapted_step(0.5, 0.9, 0.44)
-    down = _adapted_step(0.5, 0.1, 0.44)
-    assert up == pytest.approx(0.5 * math.exp(0.9 - 0.44))
-    assert down == pytest.approx(0.5 * math.exp(0.1 - 0.44))
-    assert up > 0.5 > down
+def test_adaptation_tunes_step_to_target_acceptance():
+    """Warmup scales each chain's step towards adapt_target_accept, so the
+    kept draws accept near the target, and a lower target accepts less."""
+    data = make_dataset([4, 5, 6] * 12, seed=3)
+    spec = HyperPriorSpec(0.1, 0.1)
+    rates = {target: acceptance_rate(fit_hyperparams(
+                 data, spec, McmcConfig(seed=1, adapt_target_accept=target)))
+             for target in (0.2, 0.44, 0.7)}
+    for target, rate in rates.items():
+        assert rate == pytest.approx(target, abs=0.1), rates
+    assert rates[0.2] < rates[0.44] < rates[0.7]
+
+
+# a small well-identified set, and one where 36 of 40 sites have no events
+MOMENT_SETS = {
+    "well_identified": make_dataset([4, 5, 6] * 12, seed=3),
+    "zero_heavy": Dataset.from_rows(
+        [(f"z{j}", f"q{j}_{i}", 0) for j in range(36) for i in range(1 + j % 4)]
+        + [(f"e{j}", f"r{j}_{i}", y) for j, counts in enumerate([[2, 0], [1], [0, 3, 1], [4]])
+           for i, y in enumerate(counts)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_SETS))
+def test_moments_match_quadrature(name):
+    """The mean and SD of alpha and beta over 4 x (1000 + 1000) draws agree
+    with the exact posterior by quadrature: |z| < 3 in Monte Carlo SEs from
+    bulk ESS (see ``moment_z``)."""
+    data, spec = MOMENT_SETS[name], HyperPriorSpec(0.1, 0.1)
+    z = moment_z(fit_hyperparams(data, spec, McmcConfig(seed=0)), data, spec)
+    for param, (z_mean, z_sd, _) in z.items():
+        assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z)
 
 
 def test_rhat_iid_chains_near_one():
@@ -367,14 +362,16 @@ def test_site_rhat_matches_compute_rhat(n_draws, freeze):
 
 # sha256 of the alpha, beta and lambda draws (little-endian float64, in
 # that order) of run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1), 2 chains,
-# 60 warmup + 40 draws, seed 11); the 60 warmup iterations include one
-# step-size adaptation
+# 60 warmup + 40 draws, seed 11); 60 warmup iterations adapt the step scale
+# only, and "reshaped" runs 160, so two windows reshape the proposal
 PINNED_DRAW_DIGESTS = {
-    "default": ({}, "93fde6e6fffa4a3caa03c63c2c9cf78992ec4f11ae5663593f7dccb18177dfee"),
+    "default": ({}, "962883980adfcda1c70bd46147826de9a2af34dabd9ed0b0521acb9f9b776b87"),
     "frozen": ({"freeze_hyperparams": (2.0, 0.5)},
-               "48992f144f7fba48d721e4ddbaf9d18c77b5da6c0cc91609855ef472217fe763"),
+               "8617650be514ee1d26174e8346aeede317c2f066b589736bf1c0512f430a6c8d"),
     "no_data": ({"no_data": True},
-                "339696f668ccb8facc76a4e1442931fa777915a6101f2f30040a384aeaf94cc9"),
+                "2ee77d635037d0c2bf02e3426f112f4351f3f57a90d5e8b2696e6d7043137087"),
+    "reshaped": ({"n_warmup": 160},
+                 "bba28da8d200951c4a17f5f3f87388043484fdd434587103574459bfd0da65f8"),
 }
 
 
@@ -383,7 +380,8 @@ def test_draw_bytes_pinned(name):
     """The chain loop's output bytes must not drift: a refactor of the
     sampler has to reproduce every draw bit for bit."""
     overrides, expected = PINNED_DRAW_DIGESTS[name]
-    cfg = McmcConfig(n_chains=2, n_warmup=60, n_draws=40, seed=11, **overrides)
+    cfg = McmcConfig(**{"n_chains": 2, "n_warmup": 60, "n_draws": 40, "seed": 11,
+                        **overrides})
     draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1), cfg)
     digest = hashlib.sha256()
     for arr in (draws.alpha, draws.beta, draws.lambdas):
