@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .data import Dataset, DataError, load_dataset, summarize
 from .model import META_ANALYTICAL, HyperPriorSpec
 from .sampler import McmcConfig, PosteriorDraws, run_mcmc
-from .evaluation import LpdResult, lpd_dataset, lpd_patient
+from .evaluation import LpdResult, lpd_dataset
 
 __all__ = [
     "Dataset",
@@ -19,6 +19,5 @@ __all__ = [
     "run_mcmc",
     "LpdResult",
     "lpd_dataset",
-    "lpd_patient",
     "__version__",
 ]

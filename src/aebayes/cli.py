@@ -416,7 +416,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
 
     results = run_cv_experiment(dataset, [*baseline, *llm_conditions], cfg.mcmc_config(),
-                                transport, k=cfg.k, seed=cfg.seed, n_jobs=cfg.n_jobs)
+                                transport, k=cfg.k, seed=cfg.seed)
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
@@ -442,7 +442,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     result = run_efficiency_experiment(
         dataset, [*baseline, condition], cfg.mcmc_config(), _make_transport(cfg),
         rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
-        train_fraction=cfg.train_fraction, seed=cfg.seed, n_jobs=cfg.n_jobs,
+        train_fraction=cfg.train_fraction, seed=cfg.seed,
     )
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--live", action="store_const", const=("--live", "true"),
                        help="query the live endpoint (requires LLM_API_KEY)")
         p.add_argument("--n-jobs", action=_Setting,
-                       help="process-level parallelism for experiment cells")
+                       help="accepted and checked, but has no effect: the cells of an "
+                            "experiment are fitted as one batch in one process")
         if dataset:
             p.add_argument("--dataset", action=_Setting, help="patient-level CSV file")
 

@@ -124,16 +124,16 @@ class CvResult:
 
 
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
-                      mcmc: McmcConfig, transport, k: int = 5, seed: int = 0,
-                      n_jobs: int = 1) -> list[CvResult]:
+                      mcmc: McmcConfig, transport, k: int = 5,
+                      seed: int = 0) -> list[CvResult]:
     """Fit and score every (condition, fold) cell.
 
     Elicitation happens while planning, condition by condition and fold by
-    fold, so the transport sees a deterministic request stream; the
-    expensive fits then run through ``run_cells`` at any parallelism level
-    without affecting results.  Seeds are derived from the condition
-    identity (not its list position), so reordering or dropping conditions
-    never changes another condition's numbers.
+    fold, so the transport sees a deterministic request stream; the fits
+    then run through ``run_cells`` as one batch, in which no cell's draws
+    depend on the others.  Seeds are derived from the condition identity
+    (not its list position), so reordering or dropping conditions never
+    changes another condition's numbers.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
     splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
@@ -146,7 +146,7 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
                       mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)))
             for fold, (train, test) in enumerate(splits)])
     return [CvResult(condition=condition, per_fold=outcomes)
-            for condition, outcomes in zip(conditions, run_cells(groups, n_jobs=n_jobs))]
+            for condition, outcomes in zip(conditions, run_cells(groups))]
 
 
 def cv_table_rows(results: list[CvResult]) -> list[dict]:

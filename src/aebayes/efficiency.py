@@ -138,7 +138,6 @@ def run_efficiency_experiment(
     n_replications: int = 20,
     train_fraction: float = 0.7,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
@@ -172,7 +171,7 @@ def run_efficiency_experiment(
                 for rep in range(1, n_replications + 1)])
 
     cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)
-                  for (condition, rho), runs in zip(plan, run_cells(groups, n_jobs=n_jobs)))
+                  for (condition, rho), runs in zip(plan, run_cells(groups)))
     return EfficiencyResult(cells=cells, n_test_sites=test.n_sites,
                             n_test_patients=test.n_patients)
 

@@ -11,38 +11,17 @@ averages that closed form over the pooled posterior draws,
 the Rao-Blackwellised estimate: exact given the draws, with no lambda_new
 draws and so no random numbers.  It is evaluated once per distinct count,
 and every patient with that count gets the same value.
-
-``lpd_patient`` keeps the plain Monte Carlo estimate (one lambda_new per
-draw from a caller's generator) as the reference the closed form is
-checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .data import Dataset
-from .model import poisson_logpmf
 from .sampler import PosteriorDraws
-
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """Numerically stable log(sum(exp(values))).
-
-    Accepts -inf entries; an all-(-inf) input returns -inf.  Empty input
-    is an error.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of empty array")
-    m = arr.max()
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.exp(arr - m).sum()))
 
 
 @dataclass(frozen=True)
@@ -65,18 +44,6 @@ class LpdResult:
         if len(self.per_patient) < 2:
             return 0.0
         return float(np.std(self.per_patient, ddof=1))
-
-
-def lpd_patient(y_obs: int, draws: PosteriorDraws, rng: np.random.Generator) -> float:
-    """Monte Carlo log predictive density of one observed count."""
-    if y_obs < 0:
-        raise ValueError(f"observed count must be >= 0, got {y_obs}")
-    alpha, beta = draws.pooled_hyperparams()
-    n = alpha.size
-    if n == 0:
-        raise ValueError("posterior contains no draws")
-    lam_new = np.maximum(rng.gamma(shape=alpha, scale=1.0 / beta), 1e-300)
-    return log_sum_exp(poisson_logpmf(y_obs, lam_new)) - math.log(n)
 
 
 def lpd_dataset(test: Dataset, draws: PosteriorDraws, *,

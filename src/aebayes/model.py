@@ -1,4 +1,4 @@
-"""The hierarchical Poisson-Gamma model: hyperprior spec and Poisson density.
+"""The hierarchical Poisson-Gamma model and its hyperprior spec.
 
 Model structure, for patient i in site j with AE count y_ij:
 
@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import gammaln
-
 
 @dataclass(frozen=True)
 class HyperPriorSpec:
@@ -39,14 +36,3 @@ class HyperPriorSpec:
 
 #: Meta-analytical baseline: Exponential(0.1) on both hyperparameters.
 META_ANALYTICAL = HyperPriorSpec(alpha_rate=0.1, beta_rate=0.1)
-
-
-def poisson_logpmf(y, lam):
-    """log Poisson(y; lam) = y*ln(lam) - lam - ln(y!), via log-gamma.
-
-    Supports array broadcasting; counts up to the hundreds stay exact
-    where a factorial would overflow.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    return y * np.log(lam) - lam - gammaln(y + 1.0)

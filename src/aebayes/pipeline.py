@@ -11,22 +11,22 @@ A ``CvCondition`` names the prior source: the meta-analytical baseline, or
 a prompt strategy with its own ``ElicitationConfig``, which every cell of
 that condition sends as given.  Priors are resolved while planning,
 sequentially and in plan order, so the transport sees a deterministic
-request stream.  The fits are pure functions of their cell's data, spec
-and config (its seed fixes the chains; scoring draws no random numbers),
-so they can run sequentially or in a process pool without changing
-results; workers receive only those, not the prior's audit records.
+request stream.  ``run_cells`` then fits every cell of the experiment as
+one batch of chains (``sampler.fit_batch``) and scores each cell's draws.
+A cell's fit is a pure function of its data, spec and config (its seed
+fixes the chains, whatever else shares the batch) and scoring draws no
+random numbers, so each outcome depends on its own cell alone.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .data import Dataset
 from .elicitation import AggregatedPrior, ElicitationConfig, PromptStrategy, elicit_prior
 from .evaluation import LpdResult, lpd_dataset
 from .model import META_ANALYTICAL, HyperPriorSpec
-from .sampler import McmcConfig, fit_hyperparams
+from .sampler import McmcConfig, fit_batch
 
 
 @dataclass(frozen=True)
@@ -100,35 +100,14 @@ def plan_cell(condition: CvCondition, transport, *, train: Dataset, test: Datase
     return Cell(train=train, test=test, spec=spec, prior=prior, mcmc=mcmc)
 
 
-def _score_cell(args: tuple) -> tuple[LpdResult, dict[str, float]]:
-    # module-level so it pickles for process pools
-    train, test, spec, mcmc = args
-    draws = fit_hyperparams(train, spec, mcmc)
-    return lpd_dataset(test, draws), draws.rhat_flags()
-
-
-def map_cells(args_list: list[tuple], n_jobs: int = 1) -> list:
-    """Run ``_score_cell`` over many argument tuples, optionally in parallel.
-
-    Results are ordered by input index regardless of scheduling, so the
-    parallelism level never changes the output.  No more workers start
-    than there are cells or CPUs.
-    """
-    workers = min(n_jobs, len(args_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_score_cell(a) for a in args_list]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_score_cell, args_list))
-
-
-def run_cells(groups: list[list[Cell]], n_jobs: int = 1) -> list[tuple[CellOutcome, ...]]:
-    """Fit and score every cell; the outcomes come back in the same groups."""
+def run_cells(groups: list[list[Cell]]) -> list[tuple[CellOutcome, ...]]:
+    """Fit every cell in one batch, then score each; the outcomes come back
+    in the same groups."""
     cells = [cell for group in groups for cell in group]
-    fits = iter(map_cells([(c.train, c.test, c.spec, c.mcmc) for c in cells], n_jobs=n_jobs))
-    return [tuple(CellOutcome(spec=cell.spec, prior=cell.prior, lpd=lpd,
-                              rhat_flags=rhat_flags,
+    fits = iter(fit_batch([(cell.train, cell.spec, cell.mcmc) for cell in cells]))
+    return [tuple(CellOutcome(spec=cell.spec, prior=cell.prior,
+                              lpd=lpd_dataset(cell.test, draws),
+                              rhat_flags=draws.rhat_flags(),
                               n_train_patients=cell.train.n_patients)
-                  for cell, (lpd, rhat_flags) in zip(group, fits))
+                  for cell, draws in zip(group, fits))
             for group in groups]

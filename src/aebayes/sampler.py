@@ -3,25 +3,35 @@
 With the site rates integrated out, the posterior of (alpha, beta) is
 two-dimensional: site j (event total t_j, n_j patients) contributes
 beta^alpha Gamma(alpha + t_j) / (Gamma(alpha) (beta + n_j)^(alpha + t_j)),
-which ``_LogPosterior`` evaluates from sufficient statistics.
+which ``_LogTarget`` evaluates from sufficient statistics.
 
-All chains advance together as arrays, one Gaussian random-walk Metropolis
-step on (log alpha, log beta) per iteration.  Chain c draws its start,
-proposal normals and acceptance uniforms up front from its own stream
-``seeding.rng(seed, c)``, a fixed count per iteration, so its draws depend
-neither on the number of chains nor on scheduling.  Warmup adapts each
-chain's kernel (Haario, Saksman & Tamminen 2001; Roberts & Rosenthal 2009):
-the log step scale moves after every iteration by (accepted -
-adapt_target_accept) times a gain decaying as k ** -0.6.  At the end of
-each 50-iteration window but the last, a chain that moved at least 10
-times in the latter half of its warmup so far takes 2.38^2 / 2 times the
-covariance of those draws as its proposal, and its scale and gain start
-afresh.  The kept draws use the final kernel unchanged.
+One fitter samples a batch of fits (``fit_batch``), and a single fit is a
+batch of one.  Every chain of every fit in the batch is one row of a
+(rows, 2) state, and all rows take one Gaussian random-walk Metropolis step
+on (log alpha, log beta) per iteration.  The fits of a batch share
+n_chains, n_warmup, n_draws and adapt_target_accept.  Each statistic of
+the target is a (K, rows) array with the term index leading, padded with
+terms that add exactly 0, and the K terms are summed one at a time; so a
+row's value, and its chain, do not depend on which fits share the batch.
+Fits are sampled in slabs of at most ``_SLAB_BYTES`` of up-front arrays
+(proposal normals, log-uniforms and the trace: 40 B per chain and
+iteration), so memory stays bounded however many fits a batch holds.
+
+Chain c of a fit draws its start, proposal normals and acceptance uniforms
+up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
+iteration, so its draws depend neither on the number of chains nor on its
+batch.  Warmup adapts each chain's kernel (Haario, Saksman & Tamminen 2001;
+Roberts & Rosenthal 2009): the log step scale moves after every iteration
+by (accepted - adapt_target_accept) times a gain decaying as k ** -0.6.  At
+the end of each 50-iteration window but the last, a chain that moved at
+least 10 times in the latter half of its warmup so far takes 2.38^2 / 2
+times the covariance of those draws as its proposal, and its scale and gain
+start afresh.  The kept draws use the final kernel unchanged.
 
 Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 ``run_mcmc`` draws every site rate for every kept draw, one
 ``standard_gamma`` call per chain, for the ``fit`` export and site R-hat;
-``fit_hyperparams`` draws none.
+``fit_batch`` and ``fit_hyperparams`` draw none.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +64,8 @@ _INITIAL_STEP = 0.5
 # sites per split-R-hat block and draws per export block, so no temporary
 # grows with the site count
 _BLOCK_ROWS = 64
+# bytes of one slab's up-front arrays; see the module docstring
+_SLAB_BYTES = 8 << 20
 
 
 class NumericalError(RuntimeError):
@@ -120,32 +133,64 @@ class PosteriorDraws:
         return {k: v for k, v in self.diagnostics.items() if v >= thr}
 
 
-class _LogPosterior:
-    """log p(log alpha, log beta | data) up to a constant, at (C, 2) points:
+class _LogTarget:
+    """log p(log alpha, log beta | data) up to a constant at (R, 2) points,
+    row r under the sites and hyperprior of its fit (rows i * n_chains to
+    (i + 1) * n_chains - 1 belong to fit i):
     J alpha log(beta) - J+ lgamma(alpha) + sum_t c_t lgamma(alpha + t)
     - sum_n (alpha M_n + T_n) log(beta + n) - alpha_rate alpha - beta_rate beta
     + log(alpha) + log(beta), over the distinct positive totals t (c_t sites
     each) and sizes n (M_n sites with T_n events) of J sites, J+ with events.
     The first two terms are stored as a total and a size of 0.  Sites without
-    patients carry no likelihood, so ``no_data`` leaves the hyperprior."""
+    patients carry no likelihood, so ``no_data`` leaves the hyperprior.
 
-    def __init__(self, totals: np.ndarray, sizes: np.ndarray, spec: HyperPriorSpec):
-        totals, sizes = totals[sizes > 0], sizes[sizes > 0]
-        t, c = np.unique(totals[totals > 0], return_counts=True)
-        n, of_size = np.unique(sizes, return_inverse=True)
-        self.shifts = np.concatenate(([0.0], t))
-        self.shift_weights = np.concatenate(([-c.sum()], c)).astype(np.float64)
-        self.sizes = np.concatenate(([0.0], n))
-        self.size_sites = np.concatenate(([-sizes.size], np.bincount(of_size, minlength=n.size)))
-        self.size_events = np.concatenate(([0.0], np.bincount(of_size, totals, n.size)))
-        self.rates = np.array([spec.alpha_rate, spec.beta_rate])
+    Each statistic is a (K, R) array, K the most terms of any fit.  A fit
+    with fewer terms is padded with a total of 1 of weight 0 and a size of 1
+    without sites or events, which add exactly 0 at any finite alpha and
+    beta, zero included."""
+
+    def __init__(self, fits: list[tuple[np.ndarray, np.ndarray, HyperPriorSpec]],
+                 n_chains: int):
+        terms = zip(*(_site_terms(totals, sizes) for totals, sizes, _ in fits))
+        (self.shifts, self.shift_weights, self.sizes, self.size_sites,
+         self.size_events) = (_pad_rows(columns, pad, n_chains)
+                              for columns, pad in zip(terms, (1.0, 0.0, 1.0, 0.0, 0.0)))
+        self.rates = np.repeat([[spec.alpha_rate for *_, spec in fits],
+                                [spec.beta_rate for *_, spec in fits]], n_chains, axis=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         e = np.exp(x)
-        a, b = e[:, :1], e[:, 1:]
-        return ((gammaln(a + self.shifts) * self.shift_weights).sum(axis=1)
-                - ((a * self.size_sites + self.size_events) * np.log(b + self.sizes)).sum(axis=1)
-                + (x - e * self.rates).sum(axis=1))
+        a, b = e[:, 0], e[:, 1]
+        return (_sum_terms(gammaln(a + self.shifts) * self.shift_weights)
+                - _sum_terms((a * self.size_sites + self.size_events) * np.log(b + self.sizes))
+                + ((x[:, 0] - a * self.rates[0]) + (x[:, 1] - b * self.rates[1])))
+
+
+def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One fit's shifts, shift weights, sizes, size sites and size events."""
+    totals, sizes = totals[sizes > 0], sizes[sizes > 0]
+    t, c = np.unique(totals[totals > 0], return_counts=True)
+    n, of_size = np.unique(sizes, return_inverse=True)
+    return (np.concatenate(([0.0], t)), np.concatenate(([-c.sum()], c)),
+            np.concatenate(([0.0], n)),
+            np.concatenate(([-sizes.size], np.bincount(of_size, minlength=n.size))),
+            np.concatenate(([0.0], np.bincount(of_size, totals, n.size))))
+
+
+def _pad_rows(columns: Sequence[np.ndarray], pad: float, n_chains: int) -> np.ndarray:
+    """A C-contiguous (K, R) float array: fit i's values down each of its
+    n_chains columns, padded with ``pad``."""
+    out = np.full((max(map(len, columns)), len(columns)), pad)
+    for i, column in enumerate(columns):
+        out[:len(column), i] = column
+    return np.repeat(out, n_chains, axis=1)
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum a (K, R) array over K, adding one term at a time in order.  numpy
+    does so along a leading axis, except for a single column, which it sums
+    pairwise; that would give a one-row batch other bits."""
+    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
 
 
 def _draw_lambdas(alpha, beta, totals: np.ndarray, sizes: np.ndarray,
@@ -163,34 +208,65 @@ def _site_columns(dataset: Dataset, config: McmcConfig) -> tuple[np.ndarray, np.
     return dataset.site_totals() * keep, dataset.site_sizes() * keep
 
 
-def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig):
-    """Kept (alpha, beta) draws, each of shape (n_chains, n_draws), and each
-    chain's generator, positioned after the draws its chain consumed."""
+Fit = tuple[Dataset, HyperPriorSpec, McmcConfig]
+
+
+def _sample_batch(fits: Sequence[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
+    """Each fit's kept (alpha, beta) draws, each of shape (n_chains, n_draws),
+    and its chains' generators, positioned after the draws each consumed."""
+    out: list = [None] * len(fits)
+    sampled = []
+    for i, (_, _, config) in enumerate(fits):
+        if config.freeze_hyperparams is None:
+            sampled.append(i)
+        else:
+            out[i] = (*(np.full((config.n_chains, config.n_draws), v)
+                        for v in config.freeze_hyperparams),
+                      [seeding.rng(config.seed, c) for c in range(config.n_chains)])
+    shared = {(c.n_chains, c.n_warmup, c.n_draws, c.adapt_target_accept)
+              for c in (fits[i][2] for i in sampled)}
+    if len(shared) > 1:
+        raise ValueError("the fits of a batch must share n_chains, n_warmup, n_draws "
+                         "and adapt_target_accept")
+    if sampled:
+        [(n_chains, n_warmup, n_draws, _)] = shared
+        per_slab = max(1, _SLAB_BYTES // (40 * (n_warmup + n_draws) * n_chains))
+        # as few slabs as the budget allows, of near-equal size
+        for slab in np.array_split(sampled, -(-len(sampled) // per_slab)):
+            for i, result in zip(slab, _sample_slab([fits[i] for i in slab])):
+                out[i] = result
+    return out
+
+
+def _sample_slab(fits: list[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
+    """``_sample_batch`` of fits that all take their steps, as one array."""
+    config = fits[0][2]
     n_chains, n_warmup = config.n_chains, config.n_warmup
-    rngs = [seeding.rng(config.seed, c) for c in range(n_chains)]
-    if config.freeze_hyperparams is not None:
-        return (*(np.full((n_chains, config.n_draws), v) for v in config.freeze_hyperparams),
-                rngs)
-    n_iter = n_warmup + config.n_draws
-    x = np.empty((n_chains, 2))
-    normals = np.empty((n_iter, n_chains, 2))
-    log_u = np.empty((n_iter, n_chains))
-    for c, rng in enumerate(rngs):
+    n_iter, n_rows = n_warmup + config.n_draws, len(fits) * n_chains
+    rngs = [seeding.rng(cfg.seed, c) for _, _, cfg in fits for c in range(n_chains)]
+    x = np.empty((n_rows, 2))
+    normals = np.empty((n_iter, n_rows, 2))
+    log_u = np.empty((n_iter, n_rows))
+    for r, rng in enumerate(rngs):
+        spec = fits[r // n_chains][1]
         # overdispersed starts straight from the hyperprior
-        x[c] = rng.exponential(1.0 / spec.alpha_rate), rng.exponential(1.0 / spec.beta_rate)
-        normals[:, c] = rng.standard_normal((n_iter, 2))
-        log_u[:, c] = np.log(rng.random(n_iter))
-    log_post = _LogPosterior(*_site_columns(dataset, config), spec)
+        x[r] = rng.exponential(1.0 / spec.alpha_rate), rng.exponential(1.0 / spec.beta_rate)
+        normals[:, r] = rng.standard_normal((n_iter, 2))
+        log_u[:, r] = np.log(rng.random(n_iter))
+    log_post = _LogTarget([(*_site_columns(dataset, cfg), spec) for dataset, spec, cfg in fits],
+                          n_chains)
     x = np.log(np.maximum(x, 1e-8))
     lp = log_post(x)
-    trace = np.empty((n_iter, n_chains, 2))
-    factor = np.tile(np.eye(2), (n_chains, 1, 1))  # Cholesky factor of the proposal shape
-    log_step = np.full(n_chains, math.log(_INITIAL_STEP))
+    trace = np.empty((n_iter, n_rows, 2))
+    factor = np.tile(np.eye(2), (n_rows, 1, 1))  # Cholesky factor of the proposal shape
+    log_step = np.full(n_rows, math.log(_INITIAL_STEP))
     gain_from = 0  # the iteration the step's gain sequence last started at
-    bounds = [*range(0, n_warmup, _ADAPT_WINDOW), n_warmup, n_iter]
+    # the kept draws run in windows too, so no temporary grows with n_draws
+    bounds = [*range(0, n_warmup, _ADAPT_WINDOW), *range(n_warmup, n_iter, _ADAPT_WINDOW),
+              n_iter]
     for lo, hi in zip(bounds, bounds[1:]):
         warmup = hi <= n_warmup
-        if not warmup:  # the kept draws use the final kernel
+        if lo == n_warmup:  # the kept draws use the final kernel
             factor *= np.exp(log_step)[:, None, None]
         steps = (factor * normals[lo:hi, :, None, :]).sum(axis=-1)
         for it in range(lo, hi):
@@ -211,8 +287,8 @@ def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConf
             factor[ok] = np.linalg.cholesky(cov[ok] * (_RW_SCALE / (len(dev) - 1)))
             log_step[ok] = 0.0
             gain_from = hi
-    alpha, beta = np.exp(trace[n_warmup:].transpose(2, 1, 0).copy())
-    return alpha, beta, rngs
+    return [(*np.exp(trace[n_warmup:, rows].transpose(2, 1, 0).copy()), rngs[rows])
+            for rows in (slice(i, i + n_chains) for i in range(0, n_rows, n_chains))]
 
 
 def _hyper_rhat(alpha: np.ndarray, beta: np.ndarray, config: McmcConfig) -> dict[str, float]:
@@ -221,14 +297,20 @@ def _hyper_rhat(alpha: np.ndarray, beta: np.ndarray, config: McmcConfig) -> dict
     return {"alpha": compute_rhat(alpha), "beta": compute_rhat(beta)}
 
 
+def fit_batch(fits: Sequence[Fit]) -> list[PosteriorDraws]:
+    """``fit_hyperparams`` of each (dataset, spec, config), bit for bit, with
+    all chains sampled together; the sampled fits must share n_chains,
+    n_warmup, n_draws and adapt_target_accept."""
+    return [PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)),
+                           site_ids=(), config=config,
+                           diagnostics=_hyper_rhat(alpha, beta, config))
+            for (_, _, config), (alpha, beta, _) in zip(fits, _sample_batch(fits))]
+
+
 def fit_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
     """The (alpha, beta) draws of ``run_mcmc``, bit for bit, with their R-hat
     but no site rates (``site_ids`` empty, ``lambdas`` of shape (C, D, 0))."""
-    alpha, beta, _ = _sample_hyperparams(dataset, spec, config)
-    return PosteriorDraws(
-        alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)), site_ids=(),
-        config=config, diagnostics=_hyper_rhat(alpha, beta, config),
-    )
+    return fit_batch([(dataset, spec, config)])[0]
 
 
 def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
@@ -239,7 +321,7 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
     prior; with ``freeze_hyperparams`` set, (alpha, beta) stay fixed and only
     the conjugate site-rate draws move.
     """
-    alpha, beta, rngs = _sample_hyperparams(dataset, spec, config)
+    [(alpha, beta, rngs)] = _sample_batch([(dataset, spec, config)])
     totals, sizes = _site_columns(dataset, config)
     lambdas = np.empty(alpha.shape + totals.shape)
     for c, rng in enumerate(rngs):

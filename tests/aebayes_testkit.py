@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: synthetic datasets and an in-memory
 dataset reader and writer, LLM conditions and fixture transports, a
-point-mass posterior for closed-form oracles, a quadrature oracle for the
-exact posterior with the moment gate built on it, and a reference draw
-writer."""
+point-mass posterior for closed-form oracles, the Monte Carlo LPD that the
+closed form is checked against, a quadrature oracle for the exact posterior
+with the moment gate built on it, and a reference draw writer."""
 
 from __future__ import annotations
 
@@ -97,6 +97,46 @@ def point_mass_draws(alpha: float, beta: float, n_samples: int,
         site_ids=site_ids,
         config=config,
     )
+
+
+def poisson_logpmf(y, lam):
+    """log Poisson(y; lam) = y*ln(lam) - lam - ln(y!), via log-gamma.
+
+    Supports array broadcasting; counts up to the hundreds stay exact
+    where a factorial would overflow.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    return y * np.log(lam) - lam - gammaln(y + 1.0)
+
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """Numerically stable log(sum(exp(values))).
+
+    Accepts -inf entries; an all-(-inf) input returns -inf.  Empty input
+    is an error.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("log_sum_exp of empty array")
+    m = arr.max()
+    if m == -math.inf:
+        return -math.inf
+    return float(m + np.log(np.exp(arr - m).sum()))
+
+
+def lpd_patient(y_obs: int, draws: PosteriorDraws, rng: np.random.Generator) -> float:
+    """Monte Carlo log predictive density of one observed count: one
+    lambda_new per draw from ``rng``, the reference ``lpd_dataset``'s closed
+    form is checked against."""
+    if y_obs < 0:
+        raise ValueError(f"observed count must be >= 0, got {y_obs}")
+    alpha, beta = draws.pooled_hyperparams()
+    n = alpha.size
+    if n == 0:
+        raise ValueError("posterior contains no draws")
+    lam_new = np.maximum(rng.gamma(shape=alpha, scale=1.0 / beta), 1e-300)
+    return log_sum_exp(poisson_logpmf(y_obs, lam_new)) - math.log(n)
 
 
 def hyper_draws(alpha: np.ndarray, beta: np.ndarray) -> PosteriorDraws:

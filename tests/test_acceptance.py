@@ -27,10 +27,9 @@ from aebayes.elicitation import (
     build_prompt,
     parse_response,
 )
-from aebayes.evaluation import lpd_patient
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, compute_rhat, run_mcmc
-from aebayes_testkit import point_mass_draws
+from aebayes_testkit import lpd_patient, point_mass_draws
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 

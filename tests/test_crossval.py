@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aebayes import sampler
 from aebayes.crossval import (
     CvCondition,
     StratumLabel,
@@ -155,17 +156,19 @@ def test_cv_condition_order_does_not_matter(mixed_dataset):
     assert fwd == rev
 
 
-def test_cv_deterministic_across_parallelism(mixed_dataset):
+def test_cv_deterministic_across_parallelism(mixed_dataset, monkeypatch):
+    """The cells run as one batch of chains, fitted in slabs; how the batch
+    splits into slabs must not change a result."""
     cond = [CvCondition.meta_analytical(),
             llm_condition()]
 
-    def run(n_jobs):
+    def run(slab_bytes):
+        monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
         res = run_cv_experiment(mixed_dataset, cond, TINY_MCMC,
-                                transport=_llm_transport(), k=3, seed=2,
-                                n_jobs=n_jobs)
+                                transport=_llm_transport(), k=3, seed=2)
         return [(r.pooled_mean_lpd, r.pooled_sd_lpd) for r in res]
 
-    assert run(1) == run(2)
+    assert run(sampler._SLAB_BYTES) == run(1)
 
 
 def test_cv_summaries_pool_per_patient(mixed_dataset):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aebayes import sampler
 from aebayes.crossval import CvCondition
 from aebayes.efficiency import (
     SplitSpec,
@@ -186,19 +187,21 @@ def test_efficiency_baseline_runs_at_full_data_only():
 
 
 
-def test_efficiency_deterministic_across_parallelism():
+def test_efficiency_deterministic_across_parallelism(monkeypatch):
+    """How the batch of cells splits into slabs must not change a result."""
     cond = [CvCondition.meta_analytical(),
             llm_condition()]
 
-    def run(n_jobs):
+    def run(slab_bytes):
+        monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
         res = run_efficiency_experiment(
             _eff_dataset(), cond, TINY_MCMC,
             transport=_llm_transport(), rho_grid=(0.5, 1.0),
-            n_replications=2, seed=1, n_jobs=n_jobs)
+            n_replications=2, seed=1)
         return [(c.condition.identity(), c.rho, c.lpd_mean, c.lpd_sd)
                 for c in res.cells]
 
-    assert run(1) == run(2)
+    assert run(sampler._SLAB_BYTES) == run(1)
 
 
 def test_efficiency_replications_share_subsamples_across_conditions():

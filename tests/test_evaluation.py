@@ -9,11 +9,11 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aebayes.evaluation import LpdResult, log_sum_exp, lpd_dataset, lpd_patient
-from aebayes.model import HyperPriorSpec, poisson_logpmf
+from aebayes.evaluation import LpdResult, lpd_dataset
+from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, run_mcmc
-from aebayes_testkit import (exact_lpd, hyper_draws, loads_dataset, make_dataset,
-                             point_mass_draws)
+from aebayes_testkit import (exact_lpd, hyper_draws, loads_dataset, log_sum_exp,
+                             lpd_patient, make_dataset, point_mass_draws, poisson_logpmf)
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:

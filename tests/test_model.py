@@ -8,8 +8,9 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aebayes.model import META_ANALYTICAL, HyperPriorSpec, poisson_logpmf
+from aebayes.model import META_ANALYTICAL, HyperPriorSpec
 from aebayes.sampler import _draw_lambdas
+from aebayes_testkit import poisson_logpmf
 
 
 def test_meta_analytical_baseline_value():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
 
 import pytest
@@ -20,54 +19,16 @@ from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 TINY_MCMC = McmcConfig(n_chains=2, n_warmup=30, n_draws=30, seed=0)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor; runs cells in-process."""
-
-    def __init__(self, seen: list[int], max_workers: int):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("n_jobs, n_cells, cpus, workers", [
-    (8, 3, 4, 3),     # no more workers than cells
-    (8, 10, 4, 4),    # no more workers than CPUs
-    (2, 10, 4, 2),
-    (2, 10, 2, 2),
-    (8, 10, 1, None),  # one CPU: sequential, no pool
-    (4, 1, 4, None),   # one cell: sequential, no pool
-    (1, 10, 4, None),
-])
-def test_map_cells_clamps_workers(monkeypatch, n_jobs, n_cells, cpus, workers):
-    seen: list[int] = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(seen, max_workers))
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(pipeline, "_score_cell", lambda cell: cell * 10)
-    assert pipeline.map_cells(list(range(n_cells)), n_jobs=n_jobs) == \
-        [10 * c for c in range(n_cells)]
-    assert seen == ([] if workers is None else [workers])
-
-
 def _answer(i: int) -> str:
     return json.dumps({"alpha_rate": 0.1 * (i + 1), "beta_rate": 0.01 * (i + 1)})
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_cv_folds_hold_their_own_cells(mixed_dataset, n_jobs):
+def test_cv_folds_hold_their_own_cells(mixed_dataset):
     k, n_queries = 3, 5
     answers = [_answer(i) for i in range(k * n_queries)]
     [res] = run_cv_experiment(
         mixed_dataset, [llm_condition(n_queries=n_queries)], TINY_MCMC,
-        transport=fixture_transport(answers, "m1", "blind", 1.0), k=k, seed=3,
-        n_jobs=n_jobs)
+        transport=fixture_transport(answers, "m1", "blind", 1.0), k=k, seed=3)
     folds = make_folds(stratify_sites(mixed_dataset), k=k, seed=3)
     for fold, outcome in enumerate(res.per_fold):
         batch = answers[fold * n_queries:(fold + 1) * n_queries]

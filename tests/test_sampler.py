@@ -12,12 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from aebayes.data import Dataset
 from aebayes.model import HyperPriorSpec
+from aebayes import sampler
 from aebayes.sampler import (
     McmcConfig,
-    _LogPosterior,
+    _LogTarget,
     _site_columns,
     compute_rhat,
     export_draws,
+    fit_batch,
     fit_hyperparams,
     run_mcmc,
 )
@@ -152,8 +154,8 @@ def test_log_posterior_matches_site_marginals():
     ds = MARGINAL_SITES
     by_site = [[y for j, y in zip(ds.site_of, ds.ae_counts) if j == site]
                for site in range(ds.n_sites)]
-    log_post = _LogPosterior(ds.site_totals().astype(float), ds.site_sizes().astype(float),
-                             spec)
+    log_post = _LogTarget(
+        [(ds.site_totals().astype(float), ds.site_sizes().astype(float), spec)], n_chains=8)
     x = np.random.default_rng(0).uniform(-2.5, 2.0, size=(8, 2))
     brute = np.array([
         sum(site_marginal_logpdf(counts, a, b) for counts in by_site)
@@ -168,12 +170,66 @@ def test_log_posterior_no_data_is_hyperprior():
     """Under ``no_data`` the target is the exponential hyperprior on the
     log scale, up to a constant."""
     spec = HyperPriorSpec(0.5, 2.0)
-    log_post = _LogPosterior(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)
+    log_post = _LogTarget([(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)],
+                          n_chains=6)
     x = np.random.default_rng(1).uniform(-3.0, 2.0, size=(6, 2))
     a, b = np.exp(x).T
     expected = (sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
                 + sps.expon.logpdf(b, scale=1 / spec.beta_rate) + x.sum(axis=1))
     assert np.ptp(log_post(x) - expected) < 1e-12
+
+
+# fits of one batch: many and few distinct totals and sizes, all counts
+# zero, no_data, and sites without patients (a Dataset built directly)
+BATCH_FITS = [
+    (make_dataset([4, 5, 6] * 12, seed=3), HyperPriorSpec(0.1, 0.1), {}),
+    (TWO_SITES, HyperPriorSpec(0.5, 2.0), {}),
+    (Dataset.from_rows([(f"z{j}", f"q{j}_{i}", 0) for j in range(9) for i in range(1 + j % 3)]),
+     HyperPriorSpec(0.1, 0.1), {}),
+    (MANY_SITES, HyperPriorSpec(1.0, 1.0), {"no_data": True}),
+    (Dataset(patient_ids=("p1", "p2", "p3"), site_ids=("A", "none", "B", "nil"),
+             site_of=(0, 0, 2), ae_counts=(3, 1, 0)), HyperPriorSpec(0.2, 0.3), {}),
+    (MARGINAL_SITES, HyperPriorSpec(0.7, 1.3), {}),
+]
+
+
+def test_log_target_rows_do_not_depend_on_batch():
+    """A row's log target has the same bits alone (a one-row batch, which
+    numpy would sum pairwise), with its fit's other chains and in a batch
+    whose other fits pad it, at alpha and beta of 0 and 1e300 too."""
+    x = np.vstack([np.random.default_rng(5).uniform(-4.0, 3.0, size=(3, 2)),
+                   [[-800.0, 0.0], [0.0, -800.0], [690.0, 0.5], [0.5, 690.0]]])
+    columns = [(*_site_columns(ds, McmcConfig(**kw)), spec) for ds, spec, kw in BATCH_FITS]
+    n = len(x)
+    with np.errstate(all="ignore"):  # the extreme points overflow to inf or nan
+        together = _LogTarget(columns, n_chains=n)(np.tile(x, (len(columns), 1)))
+        for i, fit in enumerate(columns):
+            alone = _LogTarget([fit], n_chains=n)(x)
+            np.testing.assert_array_equal(together[i * n:(i + 1) * n], alone)
+            for r in range(n):
+                np.testing.assert_array_equal(_LogTarget([fit], n_chains=1)(x[r:r + 1]),
+                                              alone[r:r + 1])
+
+
+@pytest.mark.parametrize("slab_bytes", [sampler._SLAB_BYTES, 1], ids=["one_slab", "slab_per_fit"])
+def test_fit_batch_matches_single_fits(monkeypatch, slab_bytes):
+    """Each fit of a batch equals its batch-of-one fit bit for bit, in one
+    slab or split across slabs, and a frozen fit among them stays frozen."""
+    cfg = {"n_chains": 3, "n_warmup": 160, "n_draws": 40}
+    fits = [(ds, spec, McmcConfig(**cfg, seed=seed, **kw))
+            for seed, (ds, spec, kw) in enumerate(BATCH_FITS)]
+    fits.append((TWO_SITES, HyperPriorSpec(0.1, 0.1),
+                 McmcConfig(n_chains=2, n_warmup=1, n_draws=5, freeze_hyperparams=(2.0, 0.5))))
+    alone = [fit_hyperparams(*fit) for fit in fits]
+    monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
+    batch = fit_batch(fits)
+    for single, batched in zip(alone, batch, strict=True):
+        assert np.array_equal(single.alpha, batched.alpha)
+        assert np.array_equal(single.beta, batched.beta)
+        assert single.diagnostics == batched.diagnostics
+    assert (batch[-1].alpha == 2.0).all() and batch[-1].alpha.shape == (2, 5)
+    with pytest.raises(ValueError, match="must share"):
+        fit_batch([fits[0], (TWO_SITES, HyperPriorSpec(0.1, 0.1), McmcConfig(n_draws=41))])
 
 
 def test_chains_do_not_depend_on_chain_count():
