@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,11 +24,13 @@ def _answer(i: int) -> str:
     return json.dumps({"alpha_rate": 0.1 * (i + 1), "beta_rate": 0.01 * (i + 1)})
 
 
-def test_cv_folds_hold_their_own_cells(mixed_dataset):
+@pytest.mark.parametrize("n_chains", [1, 2])
+def test_cv_folds_hold_their_own_cells(mixed_dataset, n_chains):
     k, n_queries = 3, 5
     answers = [_answer(i) for i in range(k * n_queries)]
     [res] = run_cv_experiment(
-        mixed_dataset, [llm_condition(n_queries=n_queries)], TINY_MCMC,
+        mixed_dataset, [llm_condition(n_queries=n_queries)],
+        replace(TINY_MCMC, n_chains=n_chains),
         transport=fixture_transport(answers, "m1", "blind", 1.0), k=k, seed=3)
     folds = make_folds(stratify_sites(mixed_dataset), k=k, seed=3)
     for fold, outcome in enumerate(res.per_fold):
