@@ -90,7 +90,6 @@ class RunConfig:
     n_chains: int = 4
     n_warmup: int = 1000
     n_draws: int = 1000
-    target_accept: float = 0.44
     rhat_threshold: float = 1.1
     # elicitation
     endpoint: str = DEFAULT_ENDPOINT
@@ -113,7 +112,6 @@ class RunConfig:
     def mcmc_config(self, **overrides) -> McmcConfig:
         kwargs = dict(n_chains=self.n_chains, n_warmup=self.n_warmup,
                       n_draws=self.n_draws, seed=self.seed,
-                      adapt_target_accept=self.target_accept,
                       rhat_threshold=self.rhat_threshold)
         kwargs.update(overrides)
         try:
@@ -243,9 +241,17 @@ def _check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
     if cfg.n_replications < 1:
         raise ConfigError(f"n_replications must be >= 1, got {cfg.n_replications}")
+    if not cfg.rho_grid:
+        raise ConfigError("rho_grid must not be empty")
     for rho in cfg.rho_grid:
         if not 0.0 < rho <= 1.0:
             raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
+    # a repeat would run two cells or conditions under one name and seed
+    for key in ("rho_grid", "models", "strategies", "temperatures"):
+        values = getattr(cfg, key)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{key} must not repeat a value, got {value!r} twice")
     cfg.mcmc_config()
 
 

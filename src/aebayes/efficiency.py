@@ -151,6 +151,9 @@ def run_efficiency_experiment(
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
+    for rho in rho_grid:  # before any cell elicits its prior
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho must be in (0, 1], got {rho}")
     train, test = train_test_split(
         dataset, SplitSpec(train_fraction=train_fraction, seed=seed))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import numbers
 import os
 import re
@@ -162,8 +163,9 @@ class ElicitationConfig:
             raise ValueError("n_queries must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0:
-            raise ValueError("backoff_base must be positive")
+        if not 0 < self.backoff_base < math.inf:
+            raise ValueError(
+                f"backoff_base must be positive and finite, got {self.backoff_base}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +256,8 @@ class HttpTransport:
 
     def __init__(self, endpoint_url: str, api_key: str | None = None,
                  timeout: float = 60.0):
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         self.timeout = timeout

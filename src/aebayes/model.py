@@ -16,6 +16,7 @@ the convention it expects.  The sampler's collapsed log posterior lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -27,9 +28,9 @@ class HyperPriorSpec:
     beta_rate: float
 
     def __post_init__(self):
-        if not (self.alpha_rate > 0 and self.beta_rate > 0):
+        if not (0 < self.alpha_rate < math.inf and 0 < self.beta_rate < math.inf):
             raise ValueError(
-                f"hyperprior rates must be > 0, got "
+                f"hyperprior rates must be finite and > 0, got "
                 f"({self.alpha_rate}, {self.beta_rate})"
             )
 

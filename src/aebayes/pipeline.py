@@ -76,7 +76,6 @@ class CellOutcome:
     spec: HyperPriorSpec
     prior: AggregatedPrior | None
     lpd: LpdResult
-    rhat_flags: dict[str, float]
     n_train_patients: int
 
     @property
@@ -107,7 +106,6 @@ def run_cells(groups: list[list[Cell]]) -> list[tuple[CellOutcome, ...]]:
     fits = iter(fit_batch([(cell.train, cell.spec, cell.mcmc) for cell in cells]))
     return [tuple(CellOutcome(spec=cell.spec, prior=cell.prior,
                               lpd=lpd_dataset(cell.test, draws),
-                              rhat_flags=draws.rhat_flags(),
                               n_train_patients=cell.train.n_patients)
                   for cell, draws in zip(group, fits))
             for group in groups]

@@ -9,10 +9,10 @@ One fitter samples a batch of fits (``fit_batch``), and a single fit is a
 batch of one.  Every chain of every fit in the batch is one row of a
 (rows, 2) state, and all rows take one Gaussian random-walk Metropolis step
 on (log alpha, log beta) per iteration.  The fits of a batch share
-n_chains, n_warmup, n_draws and adapt_target_accept.  Each statistic of
-the target is a (K, rows) array with the term index leading, padded with
-terms that add exactly 0, and the K terms are summed one at a time; so a
-row's value, and its chain, do not depend on which fits share the batch.
+n_chains, n_warmup and n_draws.  Each statistic of the target is a
+(K, rows) array with the term index leading, padded with terms that add
+exactly 0, and the K terms are summed one at a time; so a row's value, and
+its chain, do not depend on which fits share the batch.
 Fits are sampled in slabs of at most ``_SLAB_BYTES`` of up-front arrays
 (proposal normals, log-uniforms and the trace: 40 B per chain and
 iteration), so memory stays bounded however many fits a batch holds.
@@ -22,7 +22,7 @@ up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
 iteration, so its draws depend neither on the number of chains nor on its
 batch.  Warmup adapts each chain's kernel (Haario, Saksman & Tamminen 2001;
 Roberts & Rosenthal 2009): the log step scale moves after every iteration
-by (accepted - adapt_target_accept) times a gain decaying as k ** -0.6.  At
+by (accepted - _TARGET_ACCEPT) times a gain decaying as k ** -0.6.  At
 the end of each 50-iteration window but the last, a chain that moved at
 least 10 times in the latter half of its warmup so far takes 2.38^2 / 2
 times the covariance of those draws as its proposal, and its scale and gain
@@ -31,7 +31,7 @@ start afresh.  The kept draws use the final kernel unchanged.
 Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 ``run_mcmc`` draws every site rate for every kept draw, one
 ``standard_gamma`` call per chain, for the ``fit`` export and site R-hat;
-``fit_batch`` and ``fit_hyperparams`` draw none.
+``fit_batch`` draws none.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ from .model import HyperPriorSpec
 # densities cannot absorb; rates are floored at this positive value.
 _RATE_FLOOR = 1e-300
 
-# warmup adaptation, as the module docstring describes; _RW_SCALE is
+# warmup adaptation, as the module docstring describes; _TARGET_ACCEPT is
+# the one-dimensional optimum (Gelman, Roberts & Gilks 1996) and _RW_SCALE
 # 2.38**2 / d for a d = 2 Gaussian target
 _ADAPT_WINDOW = 50
+_TARGET_ACCEPT = 0.44
 _GAIN_DECAY = 0.6
 _MIN_MOVES = 10
 _RW_SCALE = 2.38 ** 2 / 2
@@ -81,7 +83,6 @@ class McmcConfig:
     n_warmup: int = 1000
     n_draws: int = 1000
     seed: int = 0
-    adapt_target_accept: float = 0.44
     rhat_threshold: float = 1.1
     freeze_hyperparams: tuple[float, float] | None = None
     no_data: bool = False
@@ -89,14 +90,11 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_chains < 1 or self.n_warmup < 1 or self.n_draws < 1:
             raise ValueError("n_chains, n_warmup and n_draws must be positive")
-        if not 0.0 < self.adapt_target_accept < 1.0:
-            raise ValueError("adapt_target_accept must be in (0, 1)")
-        if self.rhat_threshold <= 1.0:
+        if not self.rhat_threshold > 1.0:  # nan fails too
             raise ValueError("rhat_threshold must be > 1")
-        if self.freeze_hyperparams is not None:
-            a0, b0 = self.freeze_hyperparams
-            if not (a0 > 0 and b0 > 0):
-                raise ValueError("frozen hyperparameters must be positive")
+        if self.freeze_hyperparams is not None and not all(
+                0 < v < math.inf for v in self.freeze_hyperparams):
+            raise ValueError("frozen hyperparameters must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,6 @@ class PosteriorDraws:
     def __post_init__(self):
         for arr in (self.alpha, self.beta, self.lambdas):
             arr.setflags(write=False)
-
-    @property
-    def n_samples(self) -> int:
-        return self.alpha.size
 
     def pooled_hyperparams(self) -> tuple[np.ndarray, np.ndarray]:
         """All (alpha, beta) draws flattened across chains."""
@@ -223,13 +217,11 @@ def _sample_batch(fits: Sequence[Fit]) -> list[tuple[np.ndarray, np.ndarray, lis
             out[i] = (*(np.full((config.n_chains, config.n_draws), v)
                         for v in config.freeze_hyperparams),
                       [seeding.rng(config.seed, c) for c in range(config.n_chains)])
-    shared = {(c.n_chains, c.n_warmup, c.n_draws, c.adapt_target_accept)
-              for c in (fits[i][2] for i in sampled)}
+    shared = {(c.n_chains, c.n_warmup, c.n_draws) for c in (fits[i][2] for i in sampled)}
     if len(shared) > 1:
-        raise ValueError("the fits of a batch must share n_chains, n_warmup, n_draws "
-                         "and adapt_target_accept")
+        raise ValueError("the fits of a batch must share n_chains, n_warmup and n_draws")
     if sampled:
-        [(n_chains, n_warmup, n_draws, _)] = shared
+        [(n_chains, n_warmup, n_draws)] = shared
         per_slab = max(1, _SLAB_BYTES // (40 * (n_warmup + n_draws) * n_chains))
         # as few slabs as the budget allows, of near-equal size
         for slab in np.array_split(sampled, -(-len(sampled) // per_slab)):
@@ -277,7 +269,7 @@ def _sample_slab(fits: list[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
             lp = np.where(acc, lp_prop, lp)
             if warmup:
                 gain = (it + 1 - gain_from) ** -_GAIN_DECAY
-                log_step += (acc - config.adapt_target_accept) * gain
+                log_step += (acc - _TARGET_ACCEPT) * gain
         if hi - lo == _ADAPT_WINDOW and hi <= n_warmup - _ADAPT_WINDOW:
             # reshape by the latter half of the warmup so far where it moved enough
             recent = trace[hi // 2 - 1:hi]
@@ -298,19 +290,14 @@ def _hyper_rhat(alpha: np.ndarray, beta: np.ndarray, config: McmcConfig) -> dict
 
 
 def fit_batch(fits: Sequence[Fit]) -> list[PosteriorDraws]:
-    """``fit_hyperparams`` of each (dataset, spec, config), bit for bit, with
-    all chains sampled together; the sampled fits must share n_chains,
-    n_warmup, n_draws and adapt_target_accept."""
+    """The (alpha, beta) draws of ``run_mcmc`` for each (dataset, spec,
+    config), bit for bit, with their R-hat but no site rates (``site_ids``
+    empty, ``lambdas`` of shape (C, D, 0)).  All chains are sampled
+    together; the sampled fits must share n_chains, n_warmup and n_draws."""
     return [PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)),
                            site_ids=(), config=config,
                            diagnostics=_hyper_rhat(alpha, beta, config))
             for (_, _, config), (alpha, beta, _) in zip(fits, _sample_batch(fits))]
-
-
-def fit_hyperparams(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
-    """The (alpha, beta) draws of ``run_mcmc``, bit for bit, with their R-hat
-    but no site rates (``site_ids`` empty, ``lambdas`` of shape (C, D, 0))."""
-    return fit_batch([(dataset, spec, config)])[0]
 
 
 def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:

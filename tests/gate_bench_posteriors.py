@@ -4,8 +4,8 @@ Fits the three seed-0 datasets of ``perfbench/gen.py`` (trial, zero-heavy,
 wide) under the meta-analytical prior at sampler seeds 0-4, with 4 chains
 of 1000 warmup + 1000 kept draws and of 250 + 250.  All fits of one chain
 length run as one batch (``fit_batch``), as the experiments run their
-cells, and each is checked bit for bit against its batch-of-one fit
-(``fit_hyperparams``).  It prints one row per fit: the z-scores of the
+cells, and each is checked bit for bit against its fit alone, a
+``fit_batch`` call of one.  It prints one row per fit: the z-scores of the
 mean and SD of alpha and beta against the quadrature posterior, their bulk
 ESS and R-hat, from the batched draws.  Pytest does not collect this file
 (its name does not start with ``test_``); run it from the root of a
@@ -33,7 +33,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 import gen  # noqa: E402
 from aebayes import META_ANALYTICAL, McmcConfig, load_dataset  # noqa: E402
-from aebayes.sampler import fit_batch, fit_hyperparams  # noqa: E402
+from aebayes.sampler import fit_batch  # noqa: E402
 from aebayes_testkit import moment_z  # noqa: E402
 
 SETS = ("trial.csv", "zero_heavy.csv", "wide.csv")
@@ -64,7 +64,7 @@ def main() -> int:
                 for name in SETS for seed in range(args.seeds)]
         batch = fit_batch([(datasets[name], META_ANALYTICAL, cfg) for name, _, cfg in runs])
         for (name, seed, cfg), draws in zip(runs, batch):
-            alone = fit_hyperparams(datasets[name], META_ANALYTICAL, cfg)
+            [alone] = fit_batch([(datasets[name], META_ANALYTICAL, cfg)])
             same = (np.array_equal(alone.alpha, draws.alpha)
                     and np.array_equal(alone.beta, draws.beta))
             z = moment_z(draws, datasets[name], META_ANALYTICAL)

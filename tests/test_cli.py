@@ -211,6 +211,34 @@ def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config_line", [
+    (["--alpha-rate", "inf"], ""),
+    (["--beta-rate", "nan"], ""),
+    (["--freeze", "inf", "1"], ""),
+    ([], "rhat_threshold = nan\n"),
+], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "rhat_threshold_nan"])
+def test_fit_non_finite_setting_exit_code(dataset_file, tmp_path, capsys, flags, config_line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["fit", "--dataset", dataset_file, "--config", str(cfg),
+               "--out", str(out_dir), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out_dir / "draws").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_fit_numerical_failure_exit_code(dataset_file, config_file, tmp_path, capsys):
+    # a Gamma(1e308, 1e-300) site rate overflows to inf
+    out_dir = tmp_path / "out"
+    rc = main(["fit", "--dataset", dataset_file, "--config", config_file,
+               "--out", str(out_dir), "--no-data", "--freeze", "1e308", "1e-300"])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not (out_dir / "draws" / "draws.csv").exists()
+
+
 def test_cv_baseline_only(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "cv.cfg"
     cfg.write_text(SMALL_MCMC_CONFIG + "models =\n", encoding="utf-8")
@@ -552,10 +580,11 @@ def test_n_jobs_below_one_exit_code(dataset_file, tmp_path, capsys, flag, config
     assert "n_jobs must be >= 1" in capsys.readouterr().err
 
 
-def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("timeout", ["0", "inf", "nan"])
+def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys, timeout):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("timeout = 0\n", encoding="utf-8")
+    cfg.write_text(f"timeout = {timeout}\n", encoding="utf-8")
     rc = main(["elicit", "--live", "--model", "m1", "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -579,8 +608,17 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
     (["cv", "--k", "1000"], "", "k"),  # the dataset has 9 sites
     (["efficiency", "--rho-grid", "0.5,x"], "", "--rho-grid"),
     (["cv", "--temperatures", "a"], "", "--temperatures"),
+    (["efficiency", "--rho-grid", ""], "", "rho_grid"),
+    (["efficiency", "--rho-grid", "0.5,0.5"], "", "rho_grid"),
+    (["cv", "--temperatures", "1.0,1.0"], "", "temperatures"),
+    (["cv", "--models", "m1,m1"], "", "models"),
+    (["cv", "--strategies", "blind,blind"], "", "strategies"),
+    (["efficiency"], "backoff_base = nan\n", "backoff_base"),
+    (["efficiency"], "backoff_base = inf\n", "backoff_base"),
 ], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites",
-        "rho_grid_not_a_number", "temperatures_not_a_number"])
+        "rho_grid_not_a_number", "temperatures_not_a_number", "rho_grid_empty",
+        "rho_grid_repeated", "temperatures_repeated", "models_repeated",
+        "strategies_repeated", "backoff_base_nan", "backoff_base_inf"])
 def test_out_of_range_experiment_setting_exit_code(
         dataset_file, tmp_path, monkeypatch, capsys, command, config_line, key):
     sent = []

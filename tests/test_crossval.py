@@ -156,7 +156,7 @@ def test_cv_condition_order_does_not_matter(mixed_dataset):
     assert fwd == rev
 
 
-def test_cv_deterministic_across_parallelism(mixed_dataset, monkeypatch):
+def test_cv_deterministic_across_slabs(mixed_dataset, monkeypatch):
     """The cells run as one batch of chains, fitted in slabs; how the batch
     splits into slabs must not change a result."""
     cond = [CvCondition.meta_analytical(),

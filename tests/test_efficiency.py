@@ -15,6 +15,7 @@ from aebayes.efficiency import (
     train_test_split,
 )
 from aebayes.data import DataError
+from aebayes.elicitation import FixtureTransport
 from aebayes.sampler import McmcConfig
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -135,6 +136,18 @@ def _llm_transport():
         ['{"alpha_rate": 0.5, "beta_rate": 0.1}'], "m1", "blind", 1.0)
 
 
+def test_efficiency_checks_rho_grid_before_eliciting(monkeypatch):
+    """A level out of range fails the run before the valid levels' cells
+    send a query."""
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send", lambda self, request: sent.append(request))
+    with pytest.raises(ValueError, match="rho must be in"):
+        run_efficiency_experiment(_eff_dataset(), [llm_condition()], TINY_MCMC,
+                                  transport=_llm_transport(), rho_grid=(0.5, 0.0),
+                                  n_replications=3, seed=0)
+    assert sent == []
+
+
 def test_efficiency_shapes_and_test_set_identity():
     cond = llm_condition()
     result = run_efficiency_experiment(
@@ -187,7 +200,7 @@ def test_efficiency_baseline_runs_at_full_data_only():
 
 
 
-def test_efficiency_deterministic_across_parallelism(monkeypatch):
+def test_efficiency_deterministic_across_slabs(monkeypatch):
     """How the batch of cells splits into slabs must not change a result."""
     cond = [CvCondition.meta_analytical(),
             llm_condition()]

@@ -245,7 +245,7 @@ def test_http_transport_malformed_body(monkeypatch):
         transport.send(ChatRequest("m", "p", 1.0))
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0])
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
 def test_http_transport_rejects_non_positive_timeout(timeout):
     with pytest.raises(ValueError, match="timeout"):
         HttpTransport("http://example.test", timeout=timeout)
@@ -416,6 +416,9 @@ def test_config_validation():
         make_config(n_queries=0)
     with pytest.raises(ValueError):
         ElicitationConfig(model_id="")
+    for backoff_base in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="backoff_base"):
+            make_config(backoff_base=backoff_base)
     cfg = make_config(temperature=2.0)
     assert cfg.n_queries == 5 and cfg.max_retries == 5
 

@@ -17,7 +17,8 @@ def test_meta_analytical_baseline_value():
     assert META_ANALYTICAL == HyperPriorSpec(0.1, 0.1)
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                  (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
 def test_spec_and_params_must_be_positive(a, b):
     with pytest.raises(ValueError):
         HyperPriorSpec(a, b)

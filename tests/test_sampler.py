@@ -20,7 +20,6 @@ from aebayes.sampler import (
     compute_rhat,
     export_draws,
     fit_batch,
-    fit_hyperparams,
     run_mcmc,
 )
 from aebayes_testkit import (loads_dataset, make_dataset, make_rows, moment_z,
@@ -37,17 +36,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McmcConfig(n_chains=0)
     with pytest.raises(ValueError):
-        McmcConfig(adapt_target_accept=1.5)
-    with pytest.raises(ValueError):
         McmcConfig(rhat_threshold=0.9)
     with pytest.raises(ValueError):
+        McmcConfig(rhat_threshold=math.nan)
+    with pytest.raises(ValueError):
         McmcConfig(freeze_hyperparams=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        McmcConfig(freeze_hyperparams=(math.inf, 1.0))
+    with pytest.raises(ValueError):
+        McmcConfig(freeze_hyperparams=(1.0, math.nan))
 
 
 def test_config_defaults():
     cfg = McmcConfig()
     assert (cfg.n_chains, cfg.n_warmup, cfg.n_draws) == (4, 1000, 1000)
-    assert cfg.adapt_target_accept == 0.44
+    assert sampler._TARGET_ACCEPT == 0.44
     assert cfg.rhat_threshold == 1.1
 
 
@@ -121,7 +124,6 @@ def test_draws_are_read_only_and_shaped():
     assert draws.alpha.shape == (3, 40)
     assert draws.lambdas.shape == (3, 40, 2)
     assert draws.site_ids == ("A", "B")
-    assert draws.n_samples == 120
     assert (draws.lambdas > 0).all() and (draws.alpha > 0).all()
     with pytest.raises(ValueError):
         draws.alpha[0, 0] = 1.0
@@ -220,7 +222,7 @@ def test_fit_batch_matches_single_fits(monkeypatch, slab_bytes):
             for seed, (ds, spec, kw) in enumerate(BATCH_FITS)]
     fits.append((TWO_SITES, HyperPriorSpec(0.1, 0.1),
                  McmcConfig(n_chains=2, n_warmup=1, n_draws=5, freeze_hyperparams=(2.0, 0.5))))
-    alone = [fit_hyperparams(*fit) for fit in fits]
+    alone = [fit_batch([fit])[0] for fit in fits]
     monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
     batch = fit_batch(fits)
     for single, batched in zip(alone, batch, strict=True):
@@ -242,13 +244,13 @@ def test_chains_do_not_depend_on_chain_count():
         assert np.array_equal(getattr(four, name)[:2], getattr(two, name)), name
 
 
-def test_fit_hyperparams_is_run_mcmc_without_sites():
+def test_fit_batch_is_run_mcmc_without_sites():
     """Scoring cells fit (alpha, beta) only: the same draws as run_mcmc, bit
     for bit, their R-hat, and no site rates."""
     spec = HyperPriorSpec(0.1, 0.1)
     cfg = McmcConfig(n_chains=3, n_warmup=60, n_draws=40, seed=2)
     full = run_mcmc(TWO_SITES, spec, cfg)
-    hyper = fit_hyperparams(TWO_SITES, spec, cfg)
+    [hyper] = fit_batch([(TWO_SITES, spec, cfg)])
     assert np.array_equal(hyper.alpha, full.alpha) and np.array_equal(hyper.beta, full.beta)
     assert hyper.site_ids == () and hyper.lambdas.shape == (3, 40, 0)
     assert hyper.diagnostics == {k: full.diagnostics[k] for k in ("alpha", "beta")}
@@ -259,14 +261,16 @@ def acceptance_rate(draws) -> float:
     return float((np.diff(draws.alpha, axis=1) != 0).mean())
 
 
-def test_adaptation_tunes_step_to_target_acceptance():
-    """Warmup scales each chain's step towards adapt_target_accept, so the
-    kept draws accept near the target, and a lower target accepts less."""
+def test_adaptation_tunes_step_to_target_acceptance(monkeypatch):
+    """Warmup scales each chain's step towards _TARGET_ACCEPT, so the kept
+    draws accept near the target, and a lower target accepts less."""
     data = make_dataset([4, 5, 6] * 12, seed=3)
     spec = HyperPriorSpec(0.1, 0.1)
-    rates = {target: acceptance_rate(fit_hyperparams(
-                 data, spec, McmcConfig(seed=1, adapt_target_accept=target)))
-             for target in (0.2, 0.44, 0.7)}
+    rates = {}
+    for target in (0.2, 0.44, 0.7):
+        monkeypatch.setattr(sampler, "_TARGET_ACCEPT", target)
+        [draws] = fit_batch([(data, spec, McmcConfig(seed=1))])
+        rates[target] = acceptance_rate(draws)
     for target, rate in rates.items():
         assert rate == pytest.approx(target, abs=0.1), rates
     assert rates[0.2] < rates[0.44] < rates[0.7]
@@ -288,7 +292,8 @@ def test_moments_match_quadrature(name):
     with the exact posterior by quadrature: |z| < 3 in Monte Carlo SEs from
     bulk ESS (see ``moment_z``)."""
     data, spec = MOMENT_SETS[name], HyperPriorSpec(0.1, 0.1)
-    z = moment_z(fit_hyperparams(data, spec, McmcConfig(seed=0)), data, spec)
+    [draws] = fit_batch([(data, spec, McmcConfig(seed=0))])
+    z = moment_z(draws, data, spec)
     for param, (z_mean, z_sd, _) in z.items():
         assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z)
 
@@ -356,7 +361,7 @@ def test_rhat_flags_threshold():
 def test_point_mass_draws():
     draws = point_mass_draws(2.0, 1.0, 100)
     assert (draws.alpha == 2.0).all() and (draws.beta == 1.0).all()
-    assert draws.n_samples == 100
+    assert draws.alpha.shape == (1, 100)
     with pytest.raises(ValueError):
         point_mass_draws(-1.0, 1.0, 10)
 
