@@ -56,7 +56,7 @@ from .elicitation import (
     write_audit_log,
 )
 from .model import META_ANALYTICAL, HyperPriorSpec
-from .sampler import McmcConfig, NumericalError, export_draws, run_mcmc
+from .sampler import RHAT_THRESHOLD, McmcConfig, NumericalError, export_draws, run_mcmc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,7 +90,6 @@ class RunConfig:
     n_chains: int = 4
     n_warmup: int = 1000
     n_draws: int = 1000
-    rhat_threshold: float = 1.1
     # elicitation
     endpoint: str = DEFAULT_ENDPOINT
     models: tuple[str, ...] = _DEFAULT_MODELS
@@ -100,7 +99,6 @@ class RunConfig:
     max_retries: int = 5
     backoff_base: float = 1.0
     timeout: float = 60.0
-    strict: bool = False
     fixtures: str | None = None
     live: bool = False
     # experiments
@@ -111,8 +109,7 @@ class RunConfig:
 
     def mcmc_config(self, **overrides) -> McmcConfig:
         kwargs = dict(n_chains=self.n_chains, n_warmup=self.n_warmup,
-                      n_draws=self.n_draws, seed=self.seed,
-                      rhat_threshold=self.rhat_threshold)
+                      n_draws=self.n_draws, seed=self.seed)
         kwargs.update(overrides)
         try:
             return McmcConfig(**kwargs)
@@ -127,7 +124,6 @@ class RunConfig:
                 n_queries=self.n_queries,
                 max_retries=self.max_retries,
                 backoff_base=self.backoff_base,
-                strict=self.strict,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -233,6 +229,8 @@ def _llm_conditions(cfg: RunConfig, command: str) -> list[CvCondition]:
 def _check_config(cfg: RunConfig) -> None:
     """Check every setting before anything is queried or written; ``cmd_cv``
     checks k against the sites once the dataset is loaded."""
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
     if cfg.k < 2:
@@ -401,7 +399,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     flagged = draws.rhat_flags()
     if flagged:
         names = ", ".join(sorted(flagged))
-        report += f"\nwarning: rhat >= {mcmc.rhat_threshold:g} for: {names}\n"
+        report += f"\nwarning: rhat >= {RHAT_THRESHOLD:g} for: {names}\n"
     _write_atomic(_out_dir(cfg, "reports") / "fit_diagnostics.txt", report)
     sys.stdout.write(report)
     sys.stdout.write(f"\ndraws written to {draws_path}\n")
@@ -472,10 +470,9 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
-    audit_dir = (Path(args.results_dir) if args.results_dir
-                 else Path(cfg.out or "out") / "audit")
+    audit_dir = Path(cfg.out or "out") / "audit"
     if not audit_dir.is_dir():
-        raise DataError(f"no such results directory: {audit_dir}")
+        raise DataError(f"no such audit directory: {audit_dir}")
     records = [rec for path in sorted(audit_dir.glob("*.jsonl"))
                for rec in read_audit_log(path)]
     if not records:
@@ -583,10 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-baseline", action="store_true")
     p.set_defaults(func=cmd_efficiency)
 
-    p = sub.add_parser("report", help="prior-parameter statistics from audit logs")
+    p = sub.add_parser("report", help="prior-parameter statistics from <out>/audit")
     common(p)
-    p.add_argument("--results-dir", default=None,
-                   help="directory of audit JSONL files (default: <out>/audit)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -57,7 +57,6 @@ def stratify_sites(dataset: Dataset) -> list[SiteStratum]:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    k: int
     fold_of_site: dict[str, int]
 
     def test_sites(self, fold: int) -> tuple[str, ...]:
@@ -87,7 +86,7 @@ def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
         order = rng.permutation(len(stratum.site_ids))
         for i, idx in enumerate(order):
             fold_of_site[stratum.site_ids[idx]] = i % k
-    return FoldAssignment(k=k, fold_of_site=fold_of_site)
+    return FoldAssignment(fold_of_site=fold_of_site)
 
 
 @dataclass(frozen=True)

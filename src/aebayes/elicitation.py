@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 import numbers
 import os
 import re
@@ -120,10 +119,6 @@ class TransientTransportError(ElicitationError):
     """Rate limit, server error, or connection problem; safe to retry."""
 
 
-class TransportTimeout(TransientTransportError):
-    """The request timed out."""
-
-
 class RetriesExhaustedError(ElicitationError):
     def __init__(self, attempts: int, last_error: Exception):
         super().__init__(f"giving up after {attempts} attempts: {last_error}")
@@ -143,6 +138,11 @@ class FixtureMissError(ElicitationError):
     """No recorded response matches the request."""
 
 
+# the longest backoff_base or request timeout, in seconds (one day); far
+# larger values overflow time.sleep and socket timeouts
+MAX_WAIT_S = 86_400.0
+
+
 @dataclass(frozen=True)
 class ElicitationConfig:
     """Settings for one batch of elicitation queries."""
@@ -152,7 +152,6 @@ class ElicitationConfig:
     n_queries: int = 5
     max_retries: int = 5
     backoff_base: float = 1.0
-    strict: bool = False
 
     def __post_init__(self):
         if not self.model_id:
@@ -163,9 +162,9 @@ class ElicitationConfig:
             raise ValueError("n_queries must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0 < self.backoff_base < math.inf:
-            raise ValueError(
-                f"backoff_base must be positive and finite, got {self.backoff_base}")
+        if not 0 < self.backoff_base <= MAX_WAIT_S:
+            raise ValueError(f"backoff_base must be positive and at most {MAX_WAIT_S:g} s, "
+                             f"got {self.backoff_base}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +255,9 @@ class HttpTransport:
 
     def __init__(self, endpoint_url: str, api_key: str | None = None,
                  timeout: float = 60.0):
-        if not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be positive and finite, got {timeout}")
+        if not 0 < timeout <= MAX_WAIT_S:
+            raise ValueError(f"timeout must be positive and at most {MAX_WAIT_S:g} s, "
+                             f"got {timeout}")
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         self.timeout = timeout
@@ -272,7 +272,7 @@ class HttpTransport:
             resp = requests.post(self.endpoint_url, json=request.payload(),
                                  headers=headers, timeout=self.timeout)
         except requests.Timeout as exc:
-            raise TransportTimeout(f"request timed out after {self.timeout}s") from exc
+            raise TransientTransportError(f"request timed out after {self.timeout}s") from exc
         except requests.ConnectionError as exc:
             raise TransientTransportError(f"connection failed: {exc}") from exc
 
@@ -320,8 +320,9 @@ class FixtureTransport:
 
     The fixture file is JSONL; each line holds either an explicit
     ``request_hash`` or enough fields (model, strategy, temperature) to
-    recompute it, plus the raw ``response`` body.  Audit logs qualify.
-    Records whose ``response`` is null (transport failures) are skipped.
+    recompute it, plus the raw ``response`` body, a string.  Audit logs
+    qualify.  Records whose ``response`` is null (transport failures) are
+    skipped.
     Responses for the same request are served in file order and cycle
     when exhausted, so a batch larger than the recording still gets
     deterministic answers.
@@ -342,6 +343,9 @@ class FixtureTransport:
     def add_record(self, rec: dict) -> None:
         if "response" not in rec:
             raise ElicitationError(f"fixture record missing 'response': {rec!r}")
+        if not isinstance(rec["response"], (str, type(None))):
+            raise ElicitationError(
+                f"fixture 'response' must be a string or null, got {rec['response']!r}")
         key = rec.get("request_hash")
         if key is None:
             try:
@@ -443,9 +447,9 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
                  transport) -> AggregatedPrior:
     """Run ``n_queries`` query/parse cycles and aggregate by arithmetic mean.
 
-    Failed parses are kept in the audit records but excluded from the
-    mean; the batch fails only when every query fails (or immediately in
-    strict mode).  Records are ordered by request index.
+    Failed queries are kept in the audit records but excluded from the
+    mean; the batch fails only when every query fails.  Records are
+    ordered by request index.
     """
     prompt = build_prompt(strategy)
     request_hash = ChatRequest(model=config.model_id, prompt=prompt,
@@ -453,12 +457,6 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
     records = tuple(_run_one_query(strategy, prompt, request_hash, config, transport)
                     for _ in range(config.n_queries))
 
-    failures = [r for r in records if not r.ok]
-    if config.strict and failures:
-        raise AllQueriesFailedError(
-            f"strict mode: {len(failures)} of {len(records)} queries failed; "
-            f"first error: {failures[0].error}"
-        )
     successes = [r.parsed for r in records if r.ok]
     if not successes:
         raise AllQueriesFailedError(

@@ -32,6 +32,10 @@ Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 ``run_mcmc`` draws every site rate for every kept draw, one
 ``standard_gamma`` call per chain, for the ``fit`` export and site R-hat;
 ``fit_batch`` draws none.
+
+Split R-hat is reported for alpha and beta, and by ``run_mcmc`` for every
+site rate too; ``PosteriorDraws.rhat_flags`` flags each parameter whose
+R-hat is at least ``RHAT_THRESHOLD`` (1.1, fixed).
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ _INITIAL_STEP = 0.5
 _BLOCK_ROWS = 64
 # bytes of one slab's up-front arrays; see the module docstring
 _SLAB_BYTES = 8 << 20
+# a parameter whose split R-hat is at least this is flagged as not converged
+RHAT_THRESHOLD = 1.1
 
 
 class NumericalError(RuntimeError):
@@ -83,15 +89,12 @@ class McmcConfig:
     n_warmup: int = 1000
     n_draws: int = 1000
     seed: int = 0
-    rhat_threshold: float = 1.1
     freeze_hyperparams: tuple[float, float] | None = None
     no_data: bool = False
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_warmup < 1 or self.n_draws < 1:
             raise ValueError("n_chains, n_warmup and n_draws must be positive")
-        if not self.rhat_threshold > 1.0:  # nan fails too
-            raise ValueError("rhat_threshold must be > 1")
         if self.freeze_hyperparams is not None and not all(
                 0 < v < math.inf for v in self.freeze_hyperparams):
             raise ValueError("frozen hyperparameters must be finite and positive")
@@ -109,7 +112,6 @@ class PosteriorDraws:
     beta: np.ndarray
     lambdas: np.ndarray
     site_ids: tuple[str, ...]
-    config: McmcConfig
     diagnostics: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -120,11 +122,10 @@ class PosteriorDraws:
         """All (alpha, beta) draws flattened across chains."""
         return self.alpha.reshape(-1), self.beta.reshape(-1)
 
-    def rhat_flags(self, threshold: float | None = None) -> dict[str, float]:
-        """Parameters whose R-hat meets or exceeds the threshold
+    def rhat_flags(self) -> dict[str, float]:
+        """Parameters whose R-hat is at least ``RHAT_THRESHOLD``
         (degenerate chains report inf and are always flagged)."""
-        thr = self.config.rhat_threshold if threshold is None else threshold
-        return {k: v for k, v in self.diagnostics.items() if v >= thr}
+        return {k: v for k, v in self.diagnostics.items() if v >= RHAT_THRESHOLD}
 
 
 class _LogTarget:
@@ -295,8 +296,7 @@ def fit_batch(fits: Sequence[Fit]) -> list[PosteriorDraws]:
     empty, ``lambdas`` of shape (C, D, 0)).  All chains are sampled
     together; the sampled fits must share n_chains, n_warmup and n_draws."""
     return [PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)),
-                           site_ids=(), config=config,
-                           diagnostics=_hyper_rhat(alpha, beta, config))
+                           site_ids=(), diagnostics=_hyper_rhat(alpha, beta, config))
             for (_, _, config), (alpha, beta, _) in zip(fits, _sample_batch(fits))]
 
 
@@ -325,7 +325,7 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
 
     return PosteriorDraws(
         alpha=alpha, beta=beta, lambdas=lambdas,
-        site_ids=dataset.site_ids, config=config, diagnostics=diagnostics,
+        site_ids=dataset.site_ids, diagnostics=diagnostics,
     )
 
 

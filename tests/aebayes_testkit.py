@@ -88,14 +88,12 @@ def point_mass_draws(alpha: float, beta: float, n_samples: int,
     binomial, which the LPD oracles compare against.  Non-positive values
     raise ValueError through ``McmcConfig``.
     """
-    config = McmcConfig(n_chains=1, n_warmup=1, n_draws=n_samples,
-                        freeze_hyperparams=(alpha, beta))
+    McmcConfig(n_chains=1, n_warmup=1, n_draws=n_samples, freeze_hyperparams=(alpha, beta))
     return PosteriorDraws(
         alpha=np.full((1, n_samples), alpha),
         beta=np.full((1, n_samples), beta),
         lambdas=np.empty((1, n_samples, 0)),
         site_ids=site_ids,
-        config=config,
     )
 
 
@@ -145,8 +143,7 @@ def hyper_draws(alpha: np.ndarray, beta: np.ndarray) -> PosteriorDraws:
     alpha = np.asarray(alpha, dtype=np.float64).reshape(1, -1)
     beta = np.asarray(beta, dtype=np.float64).reshape(1, -1)
     return PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty((1, alpha.size, 0)),
-                          site_ids=(), config=McmcConfig(n_chains=1, n_warmup=1,
-                                                         n_draws=alpha.size))
+                          site_ids=())
 
 
 def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,

@@ -155,6 +155,16 @@ def test_elicit_all_responses_malformed_exit_code(tmp_path, capsys):
     assert "elicitation error" in capsys.readouterr().err
 
 
+def test_elicit_non_text_fixture_response_exit_code(tmp_path, capsys):
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0, response=5)])
+    rc = main(["elicit", "--fixtures", fx, "--model", "m1",
+               "--temperature", "1.0", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("elicitation error: ")
+    assert "fixtures.jsonl: line 1" in err
+
+
 def test_live_mode_requires_api_key(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     rc = main(["elicit", "--live", "--model", "m1",
@@ -216,7 +226,8 @@ def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
     (["--beta-rate", "nan"], ""),
     (["--freeze", "inf", "1"], ""),
     ([], "rhat_threshold = nan\n"),
-], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "rhat_threshold_nan"])
+    (["--seed", "-1"], ""),
+], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "rhat_threshold_nan", "seed_negative"])
 def test_fit_non_finite_setting_exit_code(dataset_file, tmp_path, capsys, flags, config_line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
@@ -522,17 +533,19 @@ def test_cv_rerun_replaces_audit_log(dataset_file, config_file, tmp_path, capsys
 
 def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("chains = 4\n", encoding="utf-8")
-    rc = main(["ingest", dataset_file, "--config", str(cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "unknown config key" in err
-    assert "chains" in err
+    # rhat_threshold and strict were settings once
+    for key, value in (("chains", "4"), ("rhat_threshold", "1.1"), ("strict", "true")):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        rc = main(["ingest", dataset_file, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err
+        assert repr(key) in err
 
 
 def test_config_bad_boolean_exit_code(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("strict = maybe\n", encoding="utf-8")
+    cfg.write_text("live = maybe\n", encoding="utf-8")
     rc = main(["ingest", dataset_file, "--config", str(cfg)])
     assert rc == 2
     assert "expected boolean" in capsys.readouterr().err
@@ -580,7 +593,7 @@ def test_n_jobs_below_one_exit_code(dataset_file, tmp_path, capsys, flag, config
     assert "n_jobs must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("timeout", ["0", "inf", "nan"])
+@pytest.mark.parametrize("timeout", ["0", "inf", "nan", "1e300", "86401"])
 def test_live_mode_non_positive_timeout_exit_code(tmp_path, monkeypatch, capsys, timeout):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
     cfg = tmp_path / "run.cfg"
@@ -615,10 +628,16 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
     (["cv", "--strategies", "blind,blind"], "", "strategies"),
     (["efficiency"], "backoff_base = nan\n", "backoff_base"),
     (["efficiency"], "backoff_base = inf\n", "backoff_base"),
+    (["efficiency"], "backoff_base = 1e300\n", "backoff_base"),
+    (["efficiency"], "backoff_base = 86401\n", "backoff_base"),
+    (["cv", "--seed", "-1"], "", "seed"),
+    (["efficiency", "--seed", "-1"], "", "seed"),
 ], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites",
         "rho_grid_not_a_number", "temperatures_not_a_number", "rho_grid_empty",
         "rho_grid_repeated", "temperatures_repeated", "models_repeated",
-        "strategies_repeated", "backoff_base_nan", "backoff_base_inf"])
+        "strategies_repeated", "backoff_base_nan", "backoff_base_inf",
+        "backoff_base_huge", "backoff_base_above_one_day", "cv_seed_negative",
+        "efficiency_seed_negative"])
 def test_out_of_range_experiment_setting_exit_code(
         dataset_file, tmp_path, monkeypatch, capsys, command, config_line, key):
     sent = []

@@ -245,7 +245,7 @@ def test_http_transport_malformed_body(monkeypatch):
         transport.send(ChatRequest("m", "p", 1.0))
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan, 1e300, 86_401.0])
 def test_http_transport_rejects_non_positive_timeout(timeout):
     with pytest.raises(ValueError, match="timeout"):
         HttpTransport("http://example.test", timeout=timeout)
@@ -286,6 +286,9 @@ def test_fixture_transport_bad_records(tmp_path):
     path.write_text("{not json}\n")
     with pytest.raises(ElicitationError, match="line 1"):
         FixtureTransport.from_path(path)
+    with pytest.raises(ElicitationError, match="'response' must be a string or null"):
+        FixtureTransport(records=[{"model": "m", "strategy": "blind", "temperature": 1.0,
+                                   "response": 5}])
 
 
 def test_fixture_transport_skips_null_responses():
@@ -368,13 +371,6 @@ def test_elicit_prior_all_failed():
         elicit_prior(PromptStrategy.BLIND, make_config(n_queries=3), transport)
 
 
-def test_elicit_prior_strict_mode_aborts_on_any_failure():
-    transport = _transport_for(['{"alpha_rate": 1.0, "beta_rate": 1.0}', "nope"])
-    cfg = make_config(n_queries=2, strict=True)
-    with pytest.raises(AllQueriesFailedError, match="strict mode"):
-        elicit_prior(PromptStrategy.BLIND, cfg, transport)
-
-
 @settings(max_examples=30, deadline=None)
 @given(pairs=st.lists(
     st.tuples(st.floats(min_value=0.01, max_value=100),
@@ -416,9 +412,10 @@ def test_config_validation():
         make_config(n_queries=0)
     with pytest.raises(ValueError):
         ElicitationConfig(model_id="")
-    for backoff_base in (0.0, math.nan, math.inf):
+    for backoff_base in (0.0, math.nan, math.inf, 1e300, 86_401.0):
         with pytest.raises(ValueError, match="backoff_base"):
             make_config(backoff_base=backoff_base)
+    assert make_config(backoff_base=86_400.0).backoff_base == 86_400.0
     cfg = make_config(temperature=2.0)
     assert cfg.n_queries == 5 and cfg.max_retries == 5
 

@@ -16,8 +16,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))  # the benchmark's modules are scripts, not a package
 
 import gen  # noqa: E402
+import run  # noqa: E402
 from replay import Replay  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
+
+from aebayes import cli  # noqa: E402
 
 WORKLOADS = [w["name"] for w in
              json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
@@ -41,3 +44,19 @@ def test_replay_runs_every_layer(inputs, tmp_path, workload):
     assert all(math.isfinite(us) for us in replay.lambda_probe())
     assert {s["name"] for s in rec.spans} >= LAYERS
     assert replay.cells and replay.queries and replay.lpd_patients and replay.export_bytes
+
+
+def test_benchmark_commands_parse(tmp_path):
+    """Every argv the benchmark runs parses and resolves, so dropping a flag
+    it passes fails here and not only in a benchmark run."""
+    inputs = gen.generate(0, tmp_path / "inputs")
+    # the config file run.prepare writes, written here so nothing lands
+    # under the current directory
+    inputs["short_chains.cfg"] = tmp_path / "inputs" / "short_chains.cfg"
+    warmup, draws = gen.SHORT_CHAINS
+    inputs["short_chains.cfg"].write_text(f"n_warmup = {warmup}\nn_draws = {draws}\n",
+                                          encoding="utf-8")
+    ingest = [sys.executable, "-m", "aebayes.cli", "ingest", str(inputs["trial.csv"])]
+    for argv in [*(run.command(w, inputs, 0, tmp_path / "out") for w in WORKLOADS), ingest]:
+        assert argv[1:3] == ["-m", "aebayes.cli"]
+        cli._resolve_config(cli.build_parser().parse_args(argv[3:]))
