@@ -45,6 +45,7 @@ from .efficiency import (
     run_efficiency_experiment,
 )
 from .elicitation import (
+    AllQueriesFailedError,
     ElicitationConfig,
     ElicitationError,
     FixtureTransport,
@@ -366,8 +367,12 @@ def _write_audit(cfg: RunConfig, name: str, priors) -> None:
 def cmd_elicit(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
     transport = _make_transport(cfg)
-    prior = elicit_prior(condition.strategy, condition.elicit, transport)
-    # each run makes new queries, so the log grows across runs
+    # each run makes new queries, so the log grows across runs, failed ones too
+    try:
+        prior = elicit_prior(condition.strategy, condition.elicit, transport)
+    except AllQueriesFailedError as exc:
+        write_audit_log(exc.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
+        raise
     write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
     n_ok = prior.n_successes
     sys.stdout.write(

@@ -131,7 +131,12 @@ class ResponseFormatError(ElicitationError):
 
 
 class AllQueriesFailedError(ElicitationError):
-    """Every query in a batch failed to parse."""
+    """Every query in a batch failed to parse; ``records`` holds the failed
+    queries' records, for the audit log."""
+
+    def __init__(self, message: str, records: tuple[ElicitationRecord, ...]):
+        super().__init__(message)
+        self.records = records
 
 
 class FixtureMissError(ElicitationError):
@@ -460,8 +465,7 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
     successes = [r.parsed for r in records if r.ok]
     if not successes:
         raise AllQueriesFailedError(
-            f"all {len(records)} queries failed; first error: {records[0].error}"
-        )
+            f"all {len(records)} queries failed; first error: {records[0].error}", records)
     alphas = [p[0] for p in successes]
     betas = [p[1] for p in successes]
     spec = HyperPriorSpec(alpha_rate=_hull_mean(alphas), beta_rate=_hull_mean(betas))

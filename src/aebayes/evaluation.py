@@ -10,18 +10,23 @@ averages that closed form over the pooled posterior draws,
 
 the Rao-Blackwellised estimate: exact given the draws, with no lambda_new
 draws and so no random numbers.  It is evaluated once per distinct count,
-and every patient with that count gets the same value.
+and every patient with that count gets the same value.  The NB pmf's
+lgamma(y + alpha) - lgamma(alpha) is a log rising factorial, a running sum
+of log(alpha + k) over k < y, with the part of a count above
+B = ``sampler._RISING_BOUND`` from a Stirling series
+(``sampler.log_rising``); lgamma(y + 1) is ``math.lgamma`` of each distinct
+count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
-from .sampler import PosteriorDraws
+from .sampler import PosteriorDraws, log_rising
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,9 @@ def lpd_dataset(test: Dataset, draws: PosteriorDraws, *,
     ys, patient_y = np.unique(test.counts(), return_inverse=True)
     y = ys.astype(np.float64)[:, None]
     # log NB(y; alpha, beta / (1 + beta)), one row per distinct count
-    logp = gammaln(y + alpha) - (alpha + y) * np.log1p(beta)
-    logp += alpha * np.log(beta) - gammaln(alpha)
-    logp -= gammaln(y + 1.0)
+    logp = log_rising(alpha, ys) - (alpha + y) * np.log1p(beta)
+    logp += alpha * np.log(beta)
+    logp -= np.array([math.lgamma(v + 1.0) for v in ys.tolist()])[:, None]
     # log-mean-exp per row; a posterior at one point gives its log-pmf exactly
     m = logp.max(axis=1, keepdims=True)
     logp -= m

@@ -3,7 +3,13 @@
 With the site rates integrated out, the posterior of (alpha, beta) is
 two-dimensional: site j (event total t_j, n_j patients) contributes
 beta^alpha Gamma(alpha + t_j) / (Gamma(alpha) (beta + n_j)^(alpha + t_j)),
-which ``_LogTarget`` evaluates from sufficient statistics.
+which ``_LogTarget`` evaluates from sufficient statistics.  The ratio
+Gamma(alpha + t) / Gamma(alpha) is the rising factorial
+alpha (alpha + 1) ... (alpha + t - 1), so its log needs only numpy's log:
+summed over sites it is sum_k N_k log(alpha + k), N_k the number of sites
+whose total exceeds k.  The terms stop at B = ``_RISING_BOUND``; a total t
+above B adds lgamma(alpha + t) - lgamma(alpha + B) from a Stirling series
+(``_lgamma_above``, which the LPD shares through ``log_rising``).
 
 One fitter samples a batch of fits (``fit_batch``), and a single fit is a
 batch of one.  Every chain of every fit in the batch is one row of a
@@ -48,7 +54,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import seeding
 from .data import Dataset
@@ -74,6 +79,10 @@ _BLOCK_ROWS = 64
 _SLAB_BYTES = 8 << 20
 # a parameter whose split R-hat is at least this is flagged as not converged
 RHAT_THRESHOLD = 1.1
+# B: a log rising factorial takes one log(alpha + k) term per k below B, and
+# a total above B its part above B from a Stirling series (``log_rising``),
+# so no term array grows past B rows; the bench's largest site total is 180
+_RISING_BOUND = 256
 
 
 class NumericalError(RuntimeError):
@@ -132,41 +141,52 @@ class _LogTarget:
     """log p(log alpha, log beta | data) up to a constant at (R, 2) points,
     row r under the sites and hyperprior of its fit (rows i * n_chains to
     (i + 1) * n_chains - 1 belong to fit i):
-    J alpha log(beta) - J+ lgamma(alpha) + sum_t c_t lgamma(alpha + t)
+    J alpha log(beta) + sum_k N_k log(alpha + k)
+    + sum_{t > B} c_t [lgamma(alpha + t) - lgamma(alpha + B)]
     - sum_n (alpha M_n + T_n) log(beta + n) - alpha_rate alpha - beta_rate beta
-    + log(alpha) + log(beta), over the distinct positive totals t (c_t sites
-    each) and sizes n (M_n sites with T_n events) of J sites, J+ with events.
-    The first two terms are stored as a total and a size of 0.  Sites without
-    patients carry no likelihood, so ``no_data`` leaves the hyperprior.
+    + log(alpha) + log(beta), over J sites with patients: N_k of them have a
+    total above k, for k below the largest total and B = _RISING_BOUND; c_t
+    have the total t; and M_n have n patients and T_n events.  The sums over
+    k and over t > B make up sum_t c_t [lgamma(alpha + t) - lgamma(alpha)]
+    (see ``log_rising``), and J alpha log(beta) is stored as a size of 0.  Sites without patients carry no likelihood, so ``no_data``
+    leaves the hyperprior.
 
     Each statistic is a (K, R) array, K the most terms of any fit.  A fit
-    with fewer terms is padded with a total of 1 of weight 0 and a size of 1
-    without sites or events, which add exactly 0 at any finite alpha and
-    beta, zero included."""
+    with fewer terms is padded with terms of weight 0: a shift of 1, a total
+    of B and a size of 1 without events, which add exactly 0 at any finite
+    alpha and beta, zero included."""
 
     def __init__(self, fits: list[tuple[np.ndarray, np.ndarray, HyperPriorSpec]],
                  n_chains: int):
         terms = zip(*(_site_terms(totals, sizes) for totals, sizes, _ in fits))
-        (self.shifts, self.shift_weights, self.sizes, self.size_sites,
-         self.size_events) = (_pad_rows(columns, pad, n_chains)
-                              for columns, pad in zip(terms, (1.0, 0.0, 1.0, 0.0, 0.0)))
+        pads = (1.0, 0.0, float(_RISING_BOUND), 0.0, 1.0, 0.0, 0.0)
+        (self.shifts, self.shift_weights, self.tails, self.tail_weights, self.sizes,
+         self.size_sites, self.size_events) = (_pad_rows(columns, pad, n_chains)
+                                               for columns, pad in zip(terms, pads))
         self.rates = np.repeat([[spec.alpha_rate for *_, spec in fits],
                                 [spec.beta_rate for *_, spec in fits]], n_chains, axis=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         e = np.exp(x)
         a, b = e[:, 0], e[:, 1]
-        return (_sum_terms(gammaln(a + self.shifts) * self.shift_weights)
+        rising = _sum_terms(np.log(a + self.shifts) * self.shift_weights)
+        if len(self.tails):  # no total above B adds 0
+            rising += _sum_terms(_lgamma_above(a, self.tails) * self.tail_weights)
+        return (rising
                 - _sum_terms((a * self.size_sites + self.size_events) * np.log(b + self.sizes))
                 + ((x[:, 0] - a * self.rates[0]) + (x[:, 1] - b * self.rates[1])))
 
 
 def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One fit's shifts, shift weights, sizes, size sites and size events."""
+    """One fit's shifts k and their weights N_k, totals above B and their
+    counts, sizes, size sites and size events (see ``_LogTarget``)."""
     totals, sizes = totals[sizes > 0], sizes[sizes > 0]
-    t, c = np.unique(totals[totals > 0], return_counts=True)
+    shifts = np.arange(min(totals.max(initial=0.0), _RISING_BOUND))
+    ordered = np.sort(totals)
+    tails, tail_counts = np.unique(totals[totals > _RISING_BOUND], return_counts=True)
     n, of_size = np.unique(sizes, return_inverse=True)
-    return (np.concatenate(([0.0], t)), np.concatenate(([-c.sum()], c)),
+    return (shifts, ordered.size - np.searchsorted(ordered, shifts, side="right"),
+            tails, tail_counts,
             np.concatenate(([0.0], n)),
             np.concatenate(([-sizes.size], np.bincount(of_size, minlength=n.size))),
             np.concatenate(([0.0], np.bincount(of_size, totals, n.size))))
@@ -182,10 +202,49 @@ def _pad_rows(columns: Sequence[np.ndarray], pad: float, n_chains: int) -> np.nd
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum a (K, R) array over K, adding one term at a time in order.  numpy
-    does so along a leading axis, except for a single column, which it sums
-    pairwise; that would give a one-row batch other bits."""
-    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
+    """Sum a (K, R) array over K, adding one term at a time in order (no
+    terms sum to 0).  numpy does so along a leading axis, except for a
+    single column, which it sums pairwise; that would give a one-row batch
+    other bits."""
+    if terms.shape[1] > 1 or not len(terms):
+        return terms.sum(axis=0)
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def _lgamma_above(a, t):
+    """lgamma(a + t) - lgamma(a + B) for totals t >= B and a >= 0, broadcast.
+    Every argument is at least B, so the Stirling series of lgamma, cut
+    after its 1 / z^5 term, is accurate to double precision with no
+    recurrence shift; (z + d - 1/2) log(z + d) - (z - 1/2) log(z) - d is
+    written with log1p, not as a difference of two large terms."""
+    z = a + _RISING_BOUND
+    d = t - _RISING_BOUND
+    return (d * (np.log(z) - 1.0) + (z + d - 0.5) * np.log1p(d / z)
+            + (_stirling_series(z + d) - _stirling_series(z)))
+
+
+def _stirling_series(z):
+    """lgamma(z) - (z - 1/2) log(z) + z - log(2 pi) / 2 for z >= B: the
+    series 1/(12 z) - 1/(360 z^3) + 1/(1260 z^5), whose next term is below
+    1e-20 there."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / z
+
+
+def log_rising(alpha: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """lgamma(alpha + y) - lgamma(alpha), the log rising factorial, for each
+    non-negative integer y of ``counts`` (rows) and alpha of the 1-D
+    ``alpha`` (columns): a running sum of log(alpha + k) over k < min(y, B),
+    plus ``_lgamma_above`` for y above B."""
+    counts = np.asarray(counts, dtype=np.int64)
+    shifts = np.arange(min(counts.max(initial=0), _RISING_BOUND), dtype=np.float64)
+    sums = np.zeros((shifts.size + 1, alpha.size))
+    np.cumsum(np.log(alpha + shifts[:, None]), axis=0, out=sums[1:])
+    out = sums[np.minimum(counts, _RISING_BOUND)]
+    above = counts > _RISING_BOUND
+    if above.any():
+        out[above] += _lgamma_above(alpha, counts[above, None].astype(np.float64))
+    return out
 
 
 def _draw_lambdas(alpha, beta, totals: np.ndarray, sizes: np.ndarray,

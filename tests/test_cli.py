@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,12 +150,20 @@ def test_elicit_fixture_mode(tmp_path, capsys):
 
 
 def test_elicit_all_responses_malformed_exit_code(tmp_path, capsys):
+    """A batch whose every query fails exits 4, and its failed records are
+    appended to the audit log like any others."""
     fx = write_fixtures(
         tmp_path, [fixture_entry("m1", "blind", 1.0, response="not json")])
-    rc = main(["elicit", "--fixtures", fx, "--model", "m1",
-               "--temperature", "1.0", "--out", str(tmp_path / "out")])
-    assert rc == 4
-    assert "elicitation error" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    for runs in (1, 2):
+        rc = main(["elicit", "--fixtures", fx, "--model", "m1",
+                   "--temperature", "1.0", "--out", str(out_dir)])
+        assert rc == 4
+        assert "elicitation error" in capsys.readouterr().err
+        audit = (out_dir / "audit" / "elicitations.jsonl").read_text().splitlines()
+        assert len(audit) == 5 * runs
+        assert all(r["parsed"] is None and r["error"] and r["response"] == "not json"
+                   for r in map(json.loads, audit))
 
 
 def test_elicit_non_text_fixture_response_exit_code(tmp_path, capsys):
@@ -778,17 +789,28 @@ def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
     assert "latin1.jsonl: line 2" in err
 
 
+def test_cli_imports_neither_scipy_nor_requests():
+    """The runtime needs numpy alone: importing the CLI pulls in neither
+    scipy nor the live transport's requests."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import aebayes.cli, sys; "
+            "print(' '.join(m for m in ('scipy', 'requests') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert run.stdout.strip() == ""
+
+
 # sha256 over the names and bytes of results/, reports/ and draws/ after one
 # command on PINNED_DATASET; recorded with numpy 2.4.6
 PINNED_OUTPUT_DIGESTS = {
     "fit": (["fit"], "0b53fa1acf95305bf73ee4ed293ae43153c846be7f31da39fbb21f3bc4e5f27c"),
     "cv": (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
             "--temperatures", "0.5"],
-           "3d953fc8d3d32ba72c5082b997de892d5522b382958d3482d75c68379d7658b4"),
+           "902342ed7c6155896294ca5f92fd61e4ec159db97a2dfcbc44db0a2556f3a098"),
     "efficiency": (["efficiency", "--model", "m1", "--strategy", "blind",
                     "--temperature", "0.5", "--rho-grid", "0.5,1.0",
                     "--n-replications", "2"],
-                   "fb70c2b555608c1b5c612a6d0d751940fd8a1fade9e3783d7f8965291a3e0dca"),
+                   "47d953643e22de028cda13f2010687df8000154aef3b833ac434f35c9349daeb"),
 }
 # 70 sites, one more than an R-hat block; 69 draws, one block of draws and
 # a partial one; one site id needs csv quoting in draws.csv

@@ -9,6 +9,7 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aebayes import sampler
 from aebayes.evaluation import LpdResult, lpd_dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, run_mcmc
@@ -112,8 +113,11 @@ def test_lpd_patient_validation():
 @pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (0.03, 1.6), (7.5, 0.4)])
 def test_lpd_dataset_point_mass_matches_negative_binomial(alpha, beta):
     """On draws fixed at one point the estimate is the closed form itself,
-    to rounding, from y = 0 up to counts deep in the tail."""
-    ys = np.arange(51)
+    to rounding, from y = 0 up to counts deep in the tail, on both sides of
+    the bound B above which the log rising factorial takes a Stirling
+    series."""
+    bound = sampler._RISING_BOUND
+    ys = np.concatenate([np.arange(51), [bound - 1, bound, bound + 1, 1000, 10 ** 5]])
     res = lpd_dataset(counts_dataset(ys), point_mass_draws(alpha, beta, 300))
     expected = sps.nbinom.logpmf(ys, alpha, beta / (1.0 + beta))
     np.testing.assert_allclose(res.per_patient, expected, rtol=1e-12, atol=0)

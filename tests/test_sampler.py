@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy.special import gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,6 +21,7 @@ from aebayes.sampler import (
     compute_rhat,
     export_draws,
     fit_batch,
+    log_rising,
     run_mcmc,
 )
 from aebayes_testkit import (loads_dataset, make_dataset, make_rows, moment_z,
@@ -177,8 +179,62 @@ def test_log_posterior_no_data_is_hyperprior():
     assert np.ptp(log_post(x) - expected) < 1e-12
 
 
+def test_log_rising_matches_gammaln():
+    """lgamma(alpha + t) - lgamma(alpha) for alpha from 1e-3 to 1e3 and
+    totals from 0 to 1e5, on both sides of B, agrees with scipy's gammaln
+    to 1e-14 relative, beyond the oracle's own rounding of one ulp of each
+    gammaln (at alpha = 1e3 and t = 1 that rounding alone is 1.4e-13 of
+    the difference)."""
+    bound = sampler._RISING_BOUND
+    alpha = np.logspace(-3.0, 3.0, 61)
+    totals = np.unique(np.concatenate([
+        np.arange(40), np.arange(bound - 3, bound + 4),
+        np.geomspace(300, 1e5, 30).round()])).astype(np.int64)
+
+    def agrees(got, upper, lower):
+        expected = upper - lower
+        tol = 1e-14 * np.abs(expected) + np.finfo(float).eps * (np.abs(upper) + np.abs(lower))
+        return got.shape == expected.shape and (np.abs(got - expected) <= tol).all()
+
+    got = log_rising(alpha, totals)
+    assert agrees(got, gammaln(alpha + totals[:, None]), gammaln(alpha))
+    # the Stirling part alone, which the sum above B would swamp
+    above = totals[totals >= bound, None].astype(np.float64)
+    assert agrees(sampler._lgamma_above(alpha, above), gammaln(alpha + above),
+                  gammaln(alpha + bound))
+    # the counts need not be sorted or distinct
+    np.testing.assert_array_equal(log_rising(alpha, totals[::-1])[::-1], got)
+    assert log_rising(alpha, np.array([], dtype=np.int64)).shape == (0, alpha.size)
+
+
+# a well-identified set plus one site of 10 patients with 10^4 events each
+BIG_TOTAL = Dataset.from_rows(make_rows([4, 5, 6] * 12, seed=3)
+                              + [("big", f"b{i}", 10 ** 4) for i in range(10)])
+
+
+def test_large_total_keeps_terms_bounded():
+    """A site total of 1e5 adds one Stirling row to the B rising-factorial
+    rows, not 1e5 rows; the target still matches the gammaln form, and the
+    fit passes the moment gate against the quadrature posterior."""
+    spec = HyperPriorSpec(0.1, 0.1)
+    totals, sizes = _site_columns(BIG_TOTAL, McmcConfig())
+    assert totals.max() == 1e5
+    log_post = _LogTarget([(totals, sizes, spec)], n_chains=8)
+    assert len(log_post.shifts) + len(log_post.tails) <= sampler._RISING_BOUND + 1
+    x = np.random.default_rng(2).uniform(-3.0, 3.0, size=(8, 2))
+    a, b = np.exp(x).T[:, :, None]
+    by_site = (a * np.log(b) + gammaln(a + totals) - gammaln(a)
+               - (a + totals) * np.log(b + sizes)).sum(axis=1)
+    expected = by_site - spec.alpha_rate * a[:, 0] - spec.beta_rate * b[:, 0] + x.sum(axis=1)
+    assert np.ptp(log_post(x) - expected) < 1e-8
+    [draws] = fit_batch([(BIG_TOTAL, spec, McmcConfig(seed=0))])
+    for param, (z_mean, z_sd, _) in moment_z(draws, BIG_TOTAL, spec).items():
+        assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z_mean, z_sd)
+
+
 # fits of one batch: many and few distinct totals and sizes, all counts
-# zero, no_data, and sites without patients (a Dataset built directly)
+# zero, no_data, sites without patients (a Dataset built directly) and a
+# total above B
 BATCH_FITS = [
     (make_dataset([4, 5, 6] * 12, seed=3), HyperPriorSpec(0.1, 0.1), {}),
     (TWO_SITES, HyperPriorSpec(0.5, 2.0), {}),
@@ -188,6 +244,7 @@ BATCH_FITS = [
     (Dataset(patient_ids=("p1", "p2", "p3"), site_ids=("A", "none", "B", "nil"),
              site_of=(0, 0, 2), ae_counts=(3, 1, 0)), HyperPriorSpec(0.2, 0.3), {}),
     (MARGINAL_SITES, HyperPriorSpec(0.7, 1.3), {}),
+    (BIG_TOTAL, HyperPriorSpec(0.1, 0.1), {}),
 ]
 
 
