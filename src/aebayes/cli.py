@@ -13,6 +13,11 @@ endpoint override via LLM_ENDPOINT).  Everything that writes does so
 atomically (temp file + rename), except ``elicit``, which appends to its
 audit log.  All randomness flows from the single seed.
 
+Parsing and checking settings, and ``ingest``, load no numpy: ``fit``,
+``cv`` and ``efficiency`` import the sampler and the experiment modules
+once their settings are checked, and ``elicit`` and ``report`` import
+numpy to average and summarize the elicited rates.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 network or
 elicitation failure, 5 numerical failure.
 """
@@ -29,23 +34,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .crossval import (
-    CvCondition,
-    cv_summary_rows,
-    cv_table_rows,
-    make_folds,
-    run_cv_experiment,
-    stratify_sites,
-)
 from .data import DataError, load_dataset, summarize
-from .efficiency import (
-    DEFAULT_RHO_GRID,
-    efficiency_summary_rows,
-    efficiency_table_rows,
-    run_efficiency_experiment,
-)
 from .elicitation import (
     AllQueriesFailedError,
+    CvCondition,
     ElicitationConfig,
     ElicitationError,
     FixtureTransport,
@@ -56,8 +48,8 @@ from .elicitation import (
     read_audit_log,
     write_audit_log,
 )
-from .model import META_ANALYTICAL, HyperPriorSpec
-from .sampler import RHAT_THRESHOLD, McmcConfig, NumericalError, export_draws, run_mcmc
+from .model import (DEFAULT_RHO_GRID, META_ANALYTICAL, HyperPriorSpec, McmcConfig,
+                    NumericalError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -287,6 +279,11 @@ def _make_transport(cfg: RunConfig):
         if not endpoint:
             raise ConfigError("live mode requires an endpoint URL")
         try:
+            import requests  # noqa: F401  (the live transport's one dependency)
+        except ImportError:
+            raise ConfigError("live mode requires the requests package, from the "
+                              "'live' extra: pip install 'aebayes[live]'") from None
+        try:
             return HttpTransport(endpoint, api_key=api_key, timeout=cfg.timeout)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -349,11 +346,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_audit(cfg: RunConfig, name: str, priors) -> None:
-    """Replace audit/<name> with the records of every elicited prior (None =
-    baseline), so it holds the last run only; a run that elicited nothing
-    leaves no file."""
-    records = [rec for prior in priors if prior is not None for rec in prior.records]
+def _records(priors) -> list:
+    """The audit records of every elicited prior (None = baseline), in order."""
+    return [rec for prior in priors if prior is not None for rec in prior.records]
+
+
+def _write_audit(cfg: RunConfig, name: str, records) -> None:
+    """Replace audit/<name> with ``records``, so it holds the last run only;
+    a run that elicited nothing leaves no file."""
     path = Path(cfg.out or "out") / "audit" / name
     if not records:
         path.unlink(missing_ok=True)
@@ -394,6 +394,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     freeze = tuple(args.freeze) if args.freeze else None
     mcmc = cfg.mcmc_config(freeze_hyperparams=freeze, no_data=args.no_data)
+    from .sampler import RHAT_THRESHOLD, export_draws, run_mcmc
     draws = run_mcmc(dataset, spec, mcmc)
 
     draws_path = _out_dir(cfg, "draws") / "draws.csv"
@@ -419,18 +420,24 @@ def cmd_cv(args: argparse.Namespace) -> int:
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg) if llm_conditions else None
+    from .crossval import (cv_summary_rows, cv_table_rows, make_folds, run_cv_experiment,
+                           stratify_sites)
     try:  # every fold needs a test site
         make_folds(stratify_sites(dataset), k=cfg.k, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    results = run_cv_experiment(dataset, [*baseline, *llm_conditions], cfg.mcmc_config(),
-                                transport, k=cfg.k, seed=cfg.seed)
+    try:
+        results = run_cv_experiment(dataset, [*baseline, *llm_conditions],
+                                    cfg.mcmc_config(), transport, k=cfg.k, seed=cfg.seed)
+    except AllQueriesFailedError as exc:
+        _write_audit(cfg, "cv_elicitations.jsonl", exc.records)
+        raise
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
     _write_audit(cfg, "cv_elicitations.jsonl",
-                 (fold.prior for res in results for fold in res.per_fold))
+                 _records(fold.prior for res in results for fold in res.per_fold))
 
     rows = [[res.condition.identity(),
              f"{res.pooled_mean_lpd:.3f}", f"{res.pooled_sd_lpd:.3f}",
@@ -447,19 +454,26 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
+    transport = _make_transport(cfg)
+    from .efficiency import (efficiency_summary_rows, efficiency_table_rows,
+                             run_efficiency_experiment)
 
-    result = run_efficiency_experiment(
-        dataset, [*baseline, condition], cfg.mcmc_config(), _make_transport(cfg),
-        rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
-        train_fraction=cfg.train_fraction, seed=cfg.seed,
-    )
+    try:
+        result = run_efficiency_experiment(
+            dataset, [*baseline, condition], cfg.mcmc_config(), transport,
+            rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
+            train_fraction=cfg.train_fraction, seed=cfg.seed,
+        )
+    except AllQueriesFailedError as exc:
+        _write_audit(cfg, "efficiency_elicitations.jsonl", exc.records)
+        raise
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
                efficiency_table_rows(result))
     _write_csv(_out_dir(cfg, "results") / "efficiency_summary.csv",
                efficiency_summary_rows(result))
     _write_audit(cfg, "efficiency_elicitations.jsonl",
-                 (run.prior for cell in result.cells for run in cell.runs))
+                 _records(run.prior for cell in result.cells for run in cell.runs))
 
     rows = [[cell.condition.identity(), f"{cell.rho:g}",
              f"{cell.lpd_mean:.3f}", f"{cell.lpd_sd:.3f}",

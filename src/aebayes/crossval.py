@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
+from .pipeline import Cell, CellOutcome, CvCondition, run_cells
 from .sampler import McmcConfig
 
 SMALL_MAX = 2   # sites with <= 2 patients
@@ -127,12 +127,12 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
                       seed: int = 0) -> list[CvResult]:
     """Fit and score every (condition, fold) cell.
 
-    Elicitation happens while planning, condition by condition and fold by
-    fold, so the transport sees a deterministic request stream; the fits
-    then run through ``run_cells`` as one batch, in which no cell's draws
-    depend on the others.  Seeds are derived from the condition identity
-    (not its list position), so reordering or dropping conditions never
-    changes another condition's numbers.
+    ``run_cells`` elicits condition by condition and fold by fold, so the
+    transport sees a deterministic request stream, then fits every cell as
+    one batch, in which no cell's draws depend on the others.  Seeds are
+    derived from the condition identity (not its list position), so
+    reordering or dropping conditions never changes another condition's
+    numbers.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
     splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
@@ -141,11 +141,11 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
     for condition in conditions:
         ident = condition.identity()
         groups.append([
-            plan_cell(condition, transport, train=train, test=test,
-                      mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)))
+            Cell(condition, train=train, test=test,
+                 mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)))
             for fold, (train, test) in enumerate(splits)])
     return [CvResult(condition=condition, per_fold=outcomes)
-            for condition, outcomes in zip(conditions, run_cells(groups))]
+            for condition, outcomes in zip(conditions, run_cells(groups, transport))]
 
 
 def cv_table_rows(results: list[CvResult]) -> list[dict]:

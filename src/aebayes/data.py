@@ -6,17 +6,25 @@ grouped by clinical site; sites are ordered by first appearance in the
 file and that order is the canonical site order used everywhere else
 (rate vectors, posterior draws).
 Rows are checked once, in ``_parse_rows``, where outside input arrives.
+The module imports numpy only inside the column helpers that return
+arrays, so loading and summarizing a dataset does not load it.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 HEADER = ("site_id", "patient_id", "ae_count")
+# the largest site total a file may hold: the sampler keeps totals as float64,
+# which holds every integer up to 2**53 exactly
+MAX_SITE_TOTAL = 2 ** 53
 
 
 class DataError(ValueError):
@@ -58,14 +66,18 @@ class Dataset:
 
     def site_sizes(self) -> np.ndarray:
         """Patient count per site, in site order."""
+        import numpy as np
         return np.bincount(self.site_of, minlength=self.n_sites).astype(np.int64)
 
     def site_totals(self) -> np.ndarray:
-        """Sum of AE counts per site, in site order (exact below 2**53)."""
+        """Sum of AE counts per site, in site order (exact up to
+        ``MAX_SITE_TOTAL``, which ``load_dataset`` enforces)."""
+        import numpy as np
         return np.bincount(self.site_of, self.ae_counts, self.n_sites).astype(np.int64)
 
     def counts(self) -> np.ndarray:
         """All patient AE counts, in row order."""
+        import numpy as np
         return np.array(self.ae_counts, dtype=np.int64)
 
     def subset_by_sites(self, site_ids) -> "Dataset":
@@ -106,6 +118,7 @@ def _parse_rows(lines, source: str) -> Dataset:
         )
     rows = []
     seen: set[str] = set()
+    site_totals: dict[str, int] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank trailing line permitted
@@ -131,6 +144,13 @@ def _parse_rows(lines, source: str) -> Dataset:
                 f"{source}: line {lineno}: duplicate patient_id {patient_id!r}"
             )
         seen.add(patient_id)
+        total = site_totals[site_id] = site_totals.get(site_id, 0) + count
+        if total > MAX_SITE_TOTAL:
+            raise DataError(
+                f"{source}: line {lineno}: ae_count {count} takes site {site_id!r} "
+                f"to a total of {total}, above 2**53 (the largest the sampler "
+                "holds exactly)"
+            )
         rows.append((site_id, patient_id, count))
     if not rows:
         raise DataError(f"{source}: no data rows")
@@ -141,8 +161,8 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     """Load and validate a dataset file.
 
     Raises DataError with the offending line number for malformed rows,
-    negative counts, or duplicate patient ids, and naming the file when it
-    cannot be read or is not UTF-8.
+    negative counts, a site total above ``MAX_SITE_TOTAL``, or duplicate
+    patient ids, and naming the file when it cannot be read or is not UTF-8.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -154,14 +174,13 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
 
 def summarize(dataset: Dataset) -> DatasetSummary:
-    sizes = dataset.site_sizes()
-    counts = dataset.counts()
+    sizes = Counter(dataset.site_of).values()  # every site has a patient
     return DatasetSummary(
         n_patients=dataset.n_patients,
         n_sites=dataset.n_sites,
         mean_site_size=dataset.n_patients / dataset.n_sites,
-        min_site_size=int(sizes.min()),
-        max_site_size=int(sizes.max()),
-        min_count=int(counts.min()),
-        max_count=int(counts.max()),
+        min_site_size=min(sizes),
+        max_site_size=max(sizes),
+        min_count=min(dataset.ae_counts),
+        max_count=max(dataset.ae_counts),
     )

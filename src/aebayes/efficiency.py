@@ -19,10 +19,9 @@ import numpy as np
 from . import seeding
 from .crossval import stratify_sites
 from .data import DataError, Dataset
-from .pipeline import CellOutcome, CvCondition, plan_cell, run_cells
+from .model import DEFAULT_RHO_GRID
+from .pipeline import Cell, CellOutcome, CvCondition, run_cells
 from .sampler import McmcConfig
-
-DEFAULT_RHO_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def _round_half_up(x: float) -> int:
@@ -164,8 +163,8 @@ def run_efficiency_experiment(
         for rho in rho_grid if condition.is_llm else (1.0,):
             plan.append((condition, rho))
             groups.append([
-                plan_cell(
-                    condition, transport,
+                Cell(
+                    condition,
                     train=subsample_training(
                         train, rho, seeding.derive_seed(seed, "eff_subsample", rep)),
                     test=test,
@@ -174,7 +173,7 @@ def run_efficiency_experiment(
                 for rep in range(1, n_replications + 1)])
 
     cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)
-                  for (condition, rho), runs in zip(plan, run_cells(groups)))
+                  for (condition, rho), runs in zip(plan, run_cells(groups, transport)))
     return EfficiencyResult(cells=cells, n_test_sites=test.n_sites,
                             n_test_patients=test.n_patients)
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import numbers
 import os
 import re
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import HyperPriorSpec
 
@@ -132,7 +131,8 @@ class ResponseFormatError(ElicitationError):
 
 class AllQueriesFailedError(ElicitationError):
     """Every query in a batch failed to parse; ``records`` holds the failed
-    queries' records, for the audit log."""
+    queries' records, for the audit log, after those of the batches an
+    experiment sent before it (``pipeline.run_cells``)."""
 
     def __init__(self, message: str, records: tuple[ElicitationRecord, ...]):
         super().__init__(message)
@@ -170,6 +170,35 @@ class ElicitationConfig:
         if not 0 < self.backoff_base <= MAX_WAIT_S:
             raise ValueError(f"backoff_base must be positive and at most {MAX_WAIT_S:g} s, "
                              f"got {self.backoff_base}")
+
+
+@dataclass(frozen=True)
+class CvCondition:
+    """A prior source: the fixed meta-analytical baseline (neither field
+    set) or one LLM elicitation, a prompt strategy with the settings of its
+    query batch (model, temperature, queries, retries)."""
+
+    strategy: PromptStrategy | None = None
+    elicit: ElicitationConfig | None = None
+
+    def __post_init__(self):
+        if (self.strategy is None) != (self.elicit is None):
+            raise ValueError("set both strategy and elicit or neither")
+
+    @classmethod
+    def meta_analytical(cls) -> "CvCondition":
+        return cls()
+
+    @property
+    def is_llm(self) -> bool:
+        return self.elicit is not None
+
+    def identity(self) -> str:
+        """Stable name used for seed derivation and reporting; independent
+        of the condition's position in the run."""
+        if not self.is_llm:
+            return "meta_analytical"
+        return f"{self.elicit.model_id}|{self.strategy.value}|T={self.elicit.temperature:g}"
 
 
 @dataclass(frozen=True)
@@ -406,7 +435,7 @@ def _require_rate(obj: dict, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ResponseFormatError(f"non-numeric value for {name}: {value!r}")
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ResponseFormatError(f"non-finite value for {name}: {value}")
     if value <= 0:
         raise ResponseFormatError(f"non-positive value for {name}: {value}")
@@ -475,6 +504,7 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
 def _hull_mean(values: list[float]) -> float:
     """Arithmetic mean, clamped to [min, max]: rounding can carry the mean
     of equal values just past them (three 0.4s average 0.4000000000000001)."""
+    import numpy as np
     return min(max(float(np.mean(values)), min(values)), max(values))
 
 
@@ -495,6 +525,7 @@ class ParamStats:
     def from_values(cls, values: list[float]) -> "ParamStats":
         if not values:
             raise ValueError("empty group")
+        import numpy as np
         arr = np.asarray(values, dtype=np.float64)
         q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
         sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0

@@ -12,6 +12,12 @@ Exponential is parameterized by rate: mean = 1 / rate.  Mixing in a scale
 parameterization is the classic silent bug here, so every density states
 the convention it expects.  The sampler's collapsed log posterior lives in
 ``sampler``.
+
+This module also holds the sampler's settings (``McmcConfig``), its error
+(``NumericalError``) and the default subsampling grid
+(``DEFAULT_RHO_GRID``).  It imports no numpy, so the CLI checks every
+setting, and ``ingest`` runs, without loading numpy; ``sampler`` and
+``efficiency`` import these names from here.
 """
 
 from __future__ import annotations
@@ -37,3 +43,31 @@ class HyperPriorSpec:
 
 #: Meta-analytical baseline: Exponential(0.1) on both hyperparameters.
 META_ANALYTICAL = HyperPriorSpec(alpha_rate=0.1, beta_rate=0.1)
+
+
+#: Training fractions rho of the sample-efficiency experiment.
+DEFAULT_RHO_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+class NumericalError(RuntimeError):
+    """Non-finite log density encountered during sampling."""
+
+
+@dataclass(frozen=True)
+class McmcConfig:
+    """Chain configuration; the defaults are the reference setup
+    (4 chains, 1000 warmup + 1000 kept draws)."""
+
+    n_chains: int = 4
+    n_warmup: int = 1000
+    n_draws: int = 1000
+    seed: int = 0
+    freeze_hyperparams: tuple[float, float] | None = None
+    no_data: bool = False
+
+    def __post_init__(self):
+        if self.n_chains < 1 or self.n_warmup < 1 or self.n_draws < 1:
+            raise ValueError("n_chains, n_warmup and n_draws must be positive")
+        if self.freeze_hyperparams is not None and not all(
+                0 < v < math.inf for v in self.freeze_hyperparams):
+            raise ValueError("frozen hyperparameters must be finite and positive")

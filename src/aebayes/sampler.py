@@ -42,6 +42,10 @@ Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 Split R-hat is reported for alpha and beta, and by ``run_mcmc`` for every
 site rate too; ``PosteriorDraws.rhat_flags`` flags each parameter whose
 R-hat is at least ``RHAT_THRESHOLD`` (1.1, fixed).
+
+The chain settings ``McmcConfig`` and the error ``NumericalError`` are
+defined in ``model``, which imports no numpy, so the CLI checks its
+settings without loading this module; both import from here as well.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .model import HyperPriorSpec
+from .model import HyperPriorSpec, McmcConfig, NumericalError
 
 # Gamma draws with tiny shape can underflow to exactly 0.0, which the log
 # densities cannot absorb; rates are floored at this positive value.
@@ -83,30 +87,6 @@ RHAT_THRESHOLD = 1.1
 # a total above B its part above B from a Stirling series (``log_rising``),
 # so no term array grows past B rows; the bench's largest site total is 180
 _RISING_BOUND = 256
-
-
-class NumericalError(RuntimeError):
-    """Non-finite log density encountered during sampling."""
-
-
-@dataclass(frozen=True)
-class McmcConfig:
-    """Chain configuration; the defaults are the reference setup
-    (4 chains, 1000 warmup + 1000 kept draws)."""
-
-    n_chains: int = 4
-    n_warmup: int = 1000
-    n_draws: int = 1000
-    seed: int = 0
-    freeze_hyperparams: tuple[float, float] | None = None
-    no_data: bool = False
-
-    def __post_init__(self):
-        if self.n_chains < 1 or self.n_warmup < 1 or self.n_draws < 1:
-            raise ValueError("n_chains, n_warmup and n_draws must be positive")
-        if self.freeze_hyperparams is not None and not all(
-                0 < v < math.inf for v in self.freeze_hyperparams):
-            raise ValueError("frozen hyperparameters must be finite and positive")
 
 
 @dataclass(frozen=True)

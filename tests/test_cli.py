@@ -166,6 +166,35 @@ def test_elicit_all_responses_malformed_exit_code(tmp_path, capsys):
                    for r in map(json.loads, audit))
 
 
+@pytest.mark.parametrize("command, fixtures, audit_name, n_records", [
+    # the second condition (T=1.0) has no recording: its batch of 5 fails
+    # after the first condition's 2 folds x 5 queries
+    (["cv", "--k", "2", "--temperatures", "0.1,1.0", "--strategies", "blind",
+      "--models", "m1", "--no-baseline"],
+     [fixture_entry("m1", "blind", 0.1)] * 3, "cv_elicitations.jsonl", 10 + 5),
+    # one query per cell: the first cell parses, the second does not
+    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.1",
+      "--rho-grid", "0.5,1.0", "--n-replications", "2"],
+     [fixture_entry("m1", "blind", 0.1), fixture_entry("m1", "blind", 0.1, "not json")],
+     "efficiency_elicitations.jsonl", 1 + 1),
+], ids=["cv", "efficiency"])
+def test_experiment_failed_batch_keeps_audit_log(dataset_file, config_file, tmp_path,
+                                                 capsys, command, fixtures, audit_name,
+                                                 n_records):
+    """A batch whose every query fails exits 4; the audit log keeps every
+    record sent before it as well as the failed batch's."""
+    out_dir = tmp_path / "out"
+    rc = main([*command, "--dataset", dataset_file, "--config", config_file,
+               "--fixtures", write_fixtures(tmp_path, fixtures), "--out", str(out_dir)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("elicitation error: all ")
+    audit = [json.loads(line) for line in
+             (out_dir / "audit" / audit_name).read_text().splitlines()]
+    assert len(audit) == n_records
+    assert audit[0]["parsed"] is not None and audit[-1]["parsed"] is None
+    assert not (out_dir / "results").exists()
+
+
 def test_elicit_non_text_fixture_response_exit_code(tmp_path, capsys):
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0, response=5)])
     rc = main(["elicit", "--fixtures", fx, "--model", "m1",
@@ -182,6 +211,17 @@ def test_live_mode_requires_api_key(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "LLM_API_KEY" in capsys.readouterr().err
+
+
+def test_live_mode_without_requests_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+    out_dir = tmp_path / "out"
+    rc = main(["elicit", "--live", "--model", "m1", "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "aebayes[live]" in err
+    assert not out_dir.exists()  # no query was sent
 
 
 def test_no_transport_choice_is_config_error(tmp_path, capsys):
@@ -248,6 +288,28 @@ def test_fit_non_finite_setting_exit_code(dataset_file, tmp_path, capsys, flags,
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (out_dir / "draws").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+@pytest.mark.parametrize("count, code", [(2 ** 53, 0), (2 ** 53 + 1, 3), (10 ** 20, 3)],
+                         ids=["bound", "bound_plus_1", "1e20"])
+def test_site_total_bound_exit_code(tmp_path, config_file, capsys, command, count, code):
+    """A site total above 2**53, which float64 cannot hold exactly, is a data
+    error naming its line, not a traceback or a rounded total."""
+    data = tmp_path / "big.csv"
+    data.write_text(DATASET + f"big,q1,{count}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = {"ingest": ["ingest", str(data)],
+            "fit": ["fit", "--dataset", str(data), "--config", config_file]}[command]
+    assert main([*argv, "--out", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith(f"data error: {data}: line 31: ")
+        assert "above 2**53" in captured.err
+    elif command == "ingest":
+        assert f"range 0-{count}" in captured.out
+    else:
+        assert (out_dir / "draws" / "draws.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -789,15 +851,27 @@ def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
     assert "latin1.jsonl: line 2" in err
 
 
-def test_cli_imports_neither_scipy_nor_requests():
-    """The runtime needs numpy alone: importing the CLI pulls in neither
-    scipy nor the live transport's requests."""
+@pytest.mark.parametrize("argv, code", [
+    (["ingest", "{dataset}"], 0),
+    (["--help"], 0),
+    (["fit", "--seed", "-1"], 2),
+    (["report", "--out", "{missing}"], 3),
+], ids=["ingest", "help", "setting_error", "report_missing"])
+def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, code):
+    """These commands run to their exit without loading numpy, scipy or the
+    live transport's requests: only commands that compute import numpy."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import aebayes.cli, sys; "
-            "print(' '.join(m for m in ('scipy', 'requests') if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.strip() == ""
+    script = ("import sys\n"
+              "from aebayes.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, *(m for m in ('numpy', 'scipy', 'requests') if m in sys.modules))\n")
+    argv = [arg.format(dataset=dataset_file, missing=tmp_path / "missing") for arg in argv]
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert run.stdout.splitlines()[-1] == str(code)
 
 
 # sha256 over the names and bytes of results/, reports/ and draws/ after one

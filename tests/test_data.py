@@ -45,6 +45,9 @@ def test_blank_trailing_lines_skipped():
     ("site_id,patient_id,ae_count\nA,p1,1.5\n", "not an integer"),
     ("site_id,patient_id,ae_count\nA,p1,-1\n", "line 2: ae_count must be >= 0"),
     ("site_id,patient_id,ae_count\nA,p1,1\nB,p1,2\n", "line 3: duplicate patient_id 'p1'"),
+    # the site's total reaches 2**53 + 1 on line 3; another site's rows do not count
+    ("site_id,patient_id,ae_count\nA,p1,9007199254740992\nB,p2,1\nA,p3,1\n",
+     "line 4: ae_count 1 takes site 'A' to a total of 9007199254740993, above 2**53"),
     ("site_id,patient_id,ae_count\n,p1,1\n", "line 2: empty identifier"),
     ("site_id,patient_id,ae_count\nA,,1\n", "empty identifier"),
     ("site_id,patient_id,ae_count\n", "no data rows"),

@@ -8,6 +8,8 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aebayes
+from aebayes import model, sampler
 from aebayes.model import META_ANALYTICAL, HyperPriorSpec
 from aebayes.sampler import _draw_lambdas
 from aebayes_testkit import poisson_logpmf
@@ -79,3 +81,16 @@ def test_lambda_conditional_parameters():
 def test_poisson_logpmf_matches_scipy_property(y, lam):
     assert float(poisson_logpmf(y, lam)) == pytest.approx(
         float(sps.poisson.logpmf(y, lam)), rel=1e-9, abs=1e-9)
+
+
+def test_package_names_resolve():
+    """Every public name resolves, the sampler's and the LPD's on first
+    access, to the object its module defines."""
+    for name in aebayes.__all__:
+        assert getattr(aebayes, name) is not None
+    assert aebayes.run_mcmc is sampler.run_mcmc
+    assert aebayes.PosteriorDraws is sampler.PosteriorDraws
+    assert model.McmcConfig is sampler.McmcConfig is aebayes.McmcConfig
+    assert model.NumericalError is sampler.NumericalError
+    with pytest.raises(AttributeError, match="no_such_name"):
+        aebayes.no_such_name
