@@ -79,7 +79,7 @@ class RunConfig:
     out: str | None = None  # output root; commands fall back to ./out
     seed: int = 0
     n_jobs: int = 1
-    # sampler
+    # fit's chains; checked for every command, read by fit alone
     n_chains: int = 4
     n_warmup: int = 1000
     n_draws: int = 1000
@@ -428,8 +428,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
 
     try:
-        results = run_cv_experiment(dataset, [*baseline, *llm_conditions],
-                                    cfg.mcmc_config(), transport, k=cfg.k, seed=cfg.seed)
+        results = run_cv_experiment(dataset, [*baseline, *llm_conditions], transport,
+                                    k=cfg.k, seed=cfg.seed)
     except AllQueriesFailedError as exc:
         _write_audit(cfg, "cv_elicitations.jsonl", exc.records)
         raise
@@ -460,7 +460,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
     try:
         result = run_efficiency_experiment(
-            dataset, [*baseline, condition], cfg.mcmc_config(), transport,
+            dataset, [*baseline, condition], transport,
             rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
             train_fraction=cfg.train_fraction, seed=cfg.seed,
         )
@@ -544,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--live", action="store_const", const=("--live", "true"),
                        help="query the live endpoint (requires LLM_API_KEY)")
         p.add_argument("--n-jobs", action=_Setting,
-                       help="accepted and checked, but has no effect: the cells of an "
-                            "experiment are fitted as one batch in one process")
+                       help="accepted and checked, but has no effect: every cell "
+                            "of an experiment is scored in one process")
         if dataset:
             p.add_argument("--dataset", action=_Setting, help="patient-level CSV file")
 

@@ -4,21 +4,20 @@ Sites are stratified by patient count (small <= 2, medium 3-4, large >= 5)
 and dealt round-robin into folds after a seeded shuffle within each
 stratum, so every fold sees all site types.  Each condition is either the
 meta-analytical baseline prior or an LLM-elicited prior refreshed per
-fold; the model is refit on the training sites and scored on the held-out
-sites every time.
+fold; every cell scores the held-out sites by their exact posterior
+predictive LPD given the training sites (``pipeline.run_cells``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .data import Dataset
 from .pipeline import Cell, CellOutcome, CvCondition, run_cells
-from .sampler import McmcConfig
 
 SMALL_MAX = 2   # sites with <= 2 patients
 MEDIUM_MAX = 4  # 3-4 patients; >= 5 is large
@@ -123,27 +122,18 @@ class CvResult:
 
 
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
-                      mcmc: McmcConfig, transport, k: int = 5,
-                      seed: int = 0) -> list[CvResult]:
-    """Fit and score every (condition, fold) cell.
+                      transport, k: int = 5, seed: int = 0) -> list[CvResult]:
+    """Score every (condition, fold) cell; ``seed`` fixes the folds.
 
-    ``run_cells`` elicits condition by condition and fold by fold, so the
-    transport sees a deterministic request stream, then fits every cell as
-    one batch, in which no cell's draws depend on the others.  Seeds are
-    derived from the condition identity (not its list position), so
-    reordering or dropping conditions never changes another condition's
-    numbers.
+    ``run_cells`` elicits condition by condition and fold by fold, then
+    scores each cell from its own data and prior alone, so reordering or
+    dropping conditions never changes another condition's numbers.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
     splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
                dataset.subset_by_sites(folds.test_sites(fold))) for fold in range(k)]
-    groups = []
-    for condition in conditions:
-        ident = condition.identity()
-        groups.append([
-            Cell(condition, train=train, test=test,
-                 mcmc=replace(mcmc, seed=seeding.derive_seed(seed, "cv_mcmc", ident, fold)))
-            for fold, (train, test) in enumerate(splits)])
+    groups = [[Cell(condition, train=train, test=test) for train, test in splits]
+              for condition in conditions]
     return [CvResult(condition=condition, per_fold=outcomes)
             for condition, outcomes in zip(conditions, run_cells(groups, transport))]
 

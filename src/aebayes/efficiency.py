@@ -3,16 +3,18 @@
 One seeded stratified split fixes the test set for the whole experiment.
 The training sites are then subsampled at each rho level (nested within a
 replication: larger rho extends the smaller site set) and the model is
-refit and rescored per (condition, rho, replication) cell, with a fresh
-elicitation per cell for LLM conditions.  The meta-analytical baseline is
+rescored per (condition, rho, replication) cell, by the exact posterior
+predictive LPD (``pipeline.run_cells``), with a fresh elicitation per
+cell for LLM conditions.  The meta-analytical baseline is
 the full-data reference and runs at rho = 1 only.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .crossval import stratify_sites
 from .data import DataError, Dataset
 from .model import DEFAULT_RHO_GRID
 from .pipeline import Cell, CellOutcome, CvCondition, run_cells
-from .sampler import McmcConfig
 
 
 def _round_half_up(x: float) -> int:
@@ -108,8 +109,8 @@ class EfficiencyCell:
 
     @property
     def lpd_sd(self) -> float:
-        vals = [r.mean_lpd for r in self.runs]
-        return float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        vals = [r.mean_lpd for r in self.runs]  # exact, so equal scores give 0.0
+        return statistics.stdev(vals) if len(vals) > 1 else 0.0
 
     @property
     def train_patients_mean(self) -> float:
@@ -131,7 +132,6 @@ class EfficiencyResult:
 def run_efficiency_experiment(
     dataset: Dataset,
     conditions: list[CvCondition],
-    mcmc: McmcConfig,
     transport,
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID,
     n_replications: int = 20,
@@ -140,7 +140,7 @@ def run_efficiency_experiment(
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
-    ``seed`` fixes the train/test split as well as every cell.  The
+    ``seed`` fixes the train/test split and the subsamples.  The
     subsampling seed is a function of the replication index alone, so all
     conditions and rho levels within a replication see the same site
     permutations (and nested subsampling makes rho levels comparable).
@@ -159,17 +159,11 @@ def run_efficiency_experiment(
     plan: list[tuple[CvCondition, float]] = []
     groups = []
     for condition in conditions:
-        ident = condition.identity()
         for rho in rho_grid if condition.is_llm else (1.0,):
             plan.append((condition, rho))
             groups.append([
-                Cell(
-                    condition,
-                    train=subsample_training(
-                        train, rho, seeding.derive_seed(seed, "eff_subsample", rep)),
-                    test=test,
-                    mcmc=replace(mcmc, seed=seeding.derive_seed(
-                        seed, "eff_mcmc", ident, f"rho={rho:g}", rep)))
+                Cell(condition, test=test, train=subsample_training(
+                    train, rho, seeding.derive_seed(seed, "eff_subsample", rep)))
                 for rep in range(1, n_replications + 1)])
 
     cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)

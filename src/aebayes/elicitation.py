@@ -143,6 +143,11 @@ class FixtureMissError(ElicitationError):
     """No recorded response matches the request."""
 
 
+class RecordedFailureError(ElicitationError):
+    """A replayed query that failed when it was recorded (a null
+    ``response``); its audit record carries the recorded ``error`` text."""
+
+
 # the longest backoff_base or request timeout, in seconds (one day); far
 # larger values overflow time.sleep and socket timeouts
 MAX_WAIT_S = 86_400.0
@@ -355,15 +360,15 @@ class FixtureTransport:
     The fixture file is JSONL; each line holds either an explicit
     ``request_hash`` or enough fields (model, strategy, temperature) to
     recompute it, plus the raw ``response`` body, a string.  Audit logs
-    qualify.  Records whose ``response`` is null (transport failures) are
-    skipped.
-    Responses for the same request are served in file order and cycle
-    when exhausted, so a batch larger than the recording still gets
+    qualify.  Responses for the same request are served in file order, and
+    a null one (a transport failure) raises ``RecordedFailureError`` with
+    its recorded ``error`` text, so an audit log replays exactly.  They
+    cycle when exhausted, so a batch larger than the recording still gets
     deterministic answers.
     """
 
     def __init__(self, records: list[dict] | None = None):
-        self._responses: dict[str, list[str]] = {}
+        self._responses: dict[str, list[str | RecordedFailureError]] = {}
         self._cursor: dict[str, int] = {}
         for rec in records or []:
             self.add_record(rec)
@@ -377,9 +382,10 @@ class FixtureTransport:
     def add_record(self, rec: dict) -> None:
         if "response" not in rec:
             raise ElicitationError(f"fixture record missing 'response': {rec!r}")
-        if not isinstance(rec["response"], (str, type(None))):
-            raise ElicitationError(
-                f"fixture 'response' must be a string or null, got {rec['response']!r}")
+        for name in ("response", "error"):
+            if not isinstance(rec.get(name), (str, type(None))):
+                raise ElicitationError(
+                    f"fixture {name!r} must be a string or null, got {rec[name]!r}")
         key = rec.get("request_hash")
         if key is None:
             try:
@@ -392,8 +398,9 @@ class FixtureTransport:
                     f"fixture record needs request_hash or model/strategy/temperature: {rec!r}"
                 ) from exc
             key = request.request_hash()
-        if rec["response"] is not None:
-            self._responses.setdefault(key, []).append(rec["response"])
+        self._responses.setdefault(key, []).append(
+            RecordedFailureError(rec.get("error") or "recorded query failed")
+            if rec["response"] is None else rec["response"])
 
     def send(self, request: ChatRequest) -> str:
         key = request.request_hash()
@@ -405,6 +412,8 @@ class FixtureTransport:
             )
         i = self._cursor.get(key, 0)
         self._cursor[key] = (i + 1) % len(responses)
+        if isinstance(responses[i], RecordedFailureError):
+            raise RecordedFailureError(str(responses[i]))  # a fresh traceback each turn
         return responses[i]
 
 
@@ -469,7 +478,8 @@ def _run_one_query(strategy: PromptStrategy, prompt: str, request_hash: str,
         response = query_llm(prompt, config, transport)
         parsed = parse_response(response)
     except ElicitationError as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        error = (str(exc) if isinstance(exc, RecordedFailureError)
+                 else f"{type(exc).__name__}: {exc}")
     return ElicitationRecord(
         request_hash=request_hash, model=config.model_id, strategy=strategy,
         temperature=config.temperature, response=response, parsed=parsed,

@@ -1,7 +1,7 @@
 """One way to plan and run the cells of both experiments.
 
-A ``Cell`` is one fit-then-score unit: a condition, training data,
-held-out data and an MCMC config.  Each experiment plans its cells in
+A ``Cell`` is one fit-then-score unit: a condition, training data and
+held-out data.  Each experiment plans its cells in
 groups (one group per CV condition, or per efficiency (condition, rho)
 pair) and hands them to ``run_cells``, which returns one ``CellOutcome``
 per cell in the same groups, each built from its own cell.
@@ -10,12 +10,11 @@ A ``CvCondition`` (defined in ``elicitation``) names the prior source: the
 meta-analytical baseline, or a prompt strategy with its own
 ``ElicitationConfig``, which every cell of that condition sends as given.
 ``run_cells`` first resolves every cell's prior, sequentially and in plan
-order, so the transport sees a deterministic request stream.  It then fits
-every cell of the experiment as one batch of chains (``sampler.fit_batch``)
-and scores each cell's draws.  A cell's fit is a pure function of its data,
-spec and config (its seed fixes the chains, whatever else shares the batch)
-and scoring draws no random numbers, so each outcome depends on its own
-cell alone.
+order, so the transport sees a deterministic request stream.  It then
+scores each cell by ``evaluation.quadrature_lpd``: the exact posterior
+predictive LPD of the held-out patients, computed on a checked grid over
+(log alpha, log beta), with no chains, seeds or R-hat.  So each outcome is
+a pure function of its own cell's data and spec.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 
 from .data import Dataset
 from .elicitation import AggregatedPrior, AllQueriesFailedError, CvCondition, elicit_prior
-from .evaluation import LpdResult, lpd_dataset
+from .evaluation import LpdResult, quadrature_lpd
 from .model import META_ANALYTICAL, HyperPriorSpec
-from .sampler import McmcConfig, fit_batch
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,6 @@ class Cell:
     condition: CvCondition
     train: Dataset
     test: Dataset
-    mcmc: McmcConfig
 
 
 @dataclass(frozen=True)
@@ -58,20 +55,11 @@ class CellOutcome:
         return self.lpd.n_patients
 
 
-def _resolve_prior(condition: CvCondition,
-                   transport) -> tuple[HyperPriorSpec, AggregatedPrior | None]:
-    """The condition's spec and the prior it came from (None for the
-    baseline, which needs no transport); an LLM condition elicits a fresh
-    prior with its own settings."""
-    if not condition.is_llm:
-        return META_ANALYTICAL, None
-    prior = elicit_prior(condition.strategy, condition.elicit, transport)
-    return prior.spec, prior
-
-
 def run_cells(groups: list[list[Cell]], transport) -> list[tuple[CellOutcome, ...]]:
-    """Resolve every cell's prior in plan order, fit every cell in one batch,
-    then score each; the outcomes come back in the same groups.
+    """Resolve every cell's prior in plan order (the baseline's needs no
+    transport; an LLM condition elicits a fresh prior with its own
+    settings), then score each cell; the outcomes come back in the same
+    groups.
 
     When every query of a batch fails, the ``AllQueriesFailedError`` carries
     the records of every batch sent before it, then its own, so the audit
@@ -80,15 +68,16 @@ def run_cells(groups: list[list[Cell]], transport) -> list[tuple[CellOutcome, ..
     cells = [cell for group in groups for cell in group]
     priors = []
     try:
-        for cell in cells:
-            priors.append(_resolve_prior(cell.condition, transport))
+        for cond in (cell.condition for cell in cells):
+            priors.append(elicit_prior(cond.strategy, cond.elicit, transport)
+                          if cond.is_llm else None)
     except AllQueriesFailedError as exc:
-        exc.records = (*(rec for _, prior in priors if prior for rec in prior.records),
+        exc.records = (*(rec for prior in priors if prior for rec in prior.records),
                        *exc.records)
         raise
-    fitted = iter(zip(priors, fit_batch([(cell.train, spec, cell.mcmc)
-                                         for cell, (spec, _) in zip(cells, priors)])))
-    return [tuple(CellOutcome(spec=spec, prior=prior, lpd=lpd_dataset(cell.test, draws),
-                              n_train_patients=cell.train.n_patients)
-                  for cell, ((spec, prior), draws) in zip(group, fitted))
-            for group in groups]
+    specs = [prior.spec if prior else META_ANALYTICAL for prior in priors]
+    outcomes = iter(CellOutcome(spec=spec, prior=prior,
+                                lpd=quadrature_lpd(cell.train, spec, cell.test),
+                                n_train_patients=cell.train.n_patients)
+                    for cell, prior, spec in zip(cells, priors, specs))
+    return [tuple(next(outcomes) for _ in group) for group in groups]

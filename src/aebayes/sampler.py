@@ -1,4 +1,4 @@
-"""Collapsed sampler for the hierarchical Poisson-Gamma model.
+"""Collapsed sampler for the hierarchical Poisson-Gamma model, run by ``fit``.
 
 With the site rates integrated out, the posterior of (alpha, beta) is
 two-dimensional: site j (event total t_j, n_j patients) contributes
@@ -11,22 +11,19 @@ whose total exceeds k.  The terms stop at B = ``_RISING_BOUND``; a total t
 above B adds lgamma(alpha + t) - lgamma(alpha + B) from a Stirling series
 (``_lgamma_above``, which the LPD shares through ``log_rising``).
 
-One fitter samples a batch of fits (``fit_batch``), and a single fit is a
-batch of one.  Every chain of every fit in the batch is one row of a
-(rows, 2) state, and all rows take one Gaussian random-walk Metropolis step
-on (log alpha, log beta) per iteration.  The fits of a batch share
-n_chains, n_warmup and n_draws.  Each statistic of the target is a
-(K, rows) array with the term index leading, padded with terms that add
-exactly 0, and the K terms are summed one at a time; so a row's value, and
-its chain, do not depend on which fits share the batch.
-Fits are sampled in slabs of at most ``_SLAB_BYTES`` of up-front arrays
-(proposal normals, log-uniforms and the trace: 40 B per chain and
-iteration), so memory stays bounded however many fits a batch holds.
+All chains of a fit are the rows of one (n_chains, 2) state, and every
+row takes one Gaussian random-walk Metropolis step on (log alpha, log beta)
+per iteration.  ``_LogTarget`` holds each statistic as a (K, 1) column
+broadcast against the rows, and the K terms are summed one at a time, so a
+row's value, and its chain, do not depend on the other rows.  The same
+statistics give the target's separable form on a (log alpha, log beta)
+grid (``_LogTarget.grid``), on which ``evaluation.quadrature_lpd`` scores
+the experiment cells exactly.
 
 Chain c of a fit draws its start, proposal normals and acceptance uniforms
 up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
-iteration, so its draws depend neither on the number of chains nor on its
-batch.  Warmup adapts each chain's kernel (Haario, Saksman & Tamminen 2001;
+iteration, so its draws do not depend on the number of chains.  Warmup
+adapts each chain's kernel (Haario, Saksman & Tamminen 2001;
 Roberts & Rosenthal 2009): the log step scale moves after every iteration
 by (accepted - _TARGET_ACCEPT) times a gain decaying as k ** -0.6.  At
 the end of each 50-iteration window but the last, a chain that moved at
@@ -36,12 +33,11 @@ start afresh.  The kept draws use the final kernel unchanged.
 
 Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 ``run_mcmc`` draws every site rate for every kept draw, one
-``standard_gamma`` call per chain, for the ``fit`` export and site R-hat;
-``fit_batch`` draws none.
+``standard_gamma`` call per chain, for the ``fit`` export and site R-hat.
 
-Split R-hat is reported for alpha and beta, and by ``run_mcmc`` for every
-site rate too; ``PosteriorDraws.rhat_flags`` flags each parameter whose
-R-hat is at least ``RHAT_THRESHOLD`` (1.1, fixed).
+Split R-hat is reported for alpha, beta and every site rate;
+``PosteriorDraws.rhat_flags`` flags each parameter whose R-hat is at least
+``RHAT_THRESHOLD`` (1.1, fixed).
 
 The chain settings ``McmcConfig`` and the error ``NumericalError`` are
 defined in ``model``, which imports no numpy, so the CLI checks its
@@ -54,7 +50,6 @@ import csv
 import io
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +74,6 @@ _INITIAL_STEP = 0.5
 # sites per split-R-hat block and draws per export block, so no temporary
 # grows with the site count
 _BLOCK_ROWS = 64
-# bytes of one slab's up-front arrays; see the module docstring
-_SLAB_BYTES = 8 << 20
 # a parameter whose split R-hat is at least this is flagged as not converged
 RHAT_THRESHOLD = 1.1
 # B: a log rising factorial takes one log(alpha + k) term per k below B, and
@@ -118,9 +111,7 @@ class PosteriorDraws:
 
 
 class _LogTarget:
-    """log p(log alpha, log beta | data) up to a constant at (R, 2) points,
-    row r under the sites and hyperprior of its fit (rows i * n_chains to
-    (i + 1) * n_chains - 1 belong to fit i):
+    """log p(log alpha, log beta | data) up to a constant at (R, 2) points:
     J alpha log(beta) + sum_k N_k log(alpha + k)
     + sum_{t > B} c_t [lgamma(alpha + t) - lgamma(alpha + B)]
     - sum_n (alpha M_n + T_n) log(beta + n) - alpha_rate alpha - beta_rate beta
@@ -128,33 +119,41 @@ class _LogTarget:
     total above k, for k below the largest total and B = _RISING_BOUND; c_t
     have the total t; and M_n have n patients and T_n events.  The sums over
     k and over t > B make up sum_t c_t [lgamma(alpha + t) - lgamma(alpha)]
-    (see ``log_rising``), and J alpha log(beta) is stored as a size of 0.  Sites without patients carry no likelihood, so ``no_data``
-    leaves the hyperprior.
+    (see ``log_rising``), and J alpha log(beta) is stored as a size of 0.
+    Sites without patients carry no likelihood, so ``no_data`` leaves the
+    hyperprior."""
 
-    Each statistic is a (K, R) array, K the most terms of any fit.  A fit
-    with fewer terms is padded with terms of weight 0: a shift of 1, a total
-    of B and a size of 1 without events, which add exactly 0 at any finite
-    alpha and beta, zero included."""
-
-    def __init__(self, fits: list[tuple[np.ndarray, np.ndarray, HyperPriorSpec]],
-                 n_chains: int):
-        terms = zip(*(_site_terms(totals, sizes) for totals, sizes, _ in fits))
-        pads = (1.0, 0.0, float(_RISING_BOUND), 0.0, 1.0, 0.0, 0.0)
+    def __init__(self, totals: np.ndarray, sizes: np.ndarray, spec: HyperPriorSpec):
+        columns = (np.asarray(c, np.float64)[:, None] for c in _site_terms(totals, sizes))
         (self.shifts, self.shift_weights, self.tails, self.tail_weights, self.sizes,
-         self.size_sites, self.size_events) = (_pad_rows(columns, pad, n_chains)
-                                               for columns, pad in zip(terms, pads))
-        self.rates = np.repeat([[spec.alpha_rate for *_, spec in fits],
-                                [spec.beta_rate for *_, spec in fits]], n_chains, axis=1)
+         self.size_sites, self.size_events) = columns
+        self.rates = (spec.alpha_rate, spec.beta_rate)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         e = np.exp(x)
         a, b = e[:, 0], e[:, 1]
-        rising = _sum_terms(np.log(a + self.shifts) * self.shift_weights)
-        if len(self.tails):  # no total above B adds 0
-            rising += _sum_terms(_lgamma_above(a, self.tails) * self.tail_weights)
-        return (rising
+        return (self.rising(a)
                 - _sum_terms((a * self.size_sites + self.size_events) * np.log(b + self.sizes))
                 + ((x[:, 0] - a * self.rates[0]) + (x[:, 1] - b * self.rates[1])))
+
+    def rising(self, a: np.ndarray) -> np.ndarray:
+        """sum_t c_t [lgamma(a + t) - lgamma(a)] at each alpha of the 1-D ``a``."""
+        out = _sum_terms(np.log(a + self.shifts) * self.shift_weights)
+        if len(self.tails):  # no total above B adds 0
+            out += _sum_terms(_lgamma_above(a, self.tails) * self.tail_weights)
+        return out
+
+    def grid(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The target at every (u[i], v[j]) as R(alpha) + alpha A(beta) + B(beta)
+        - alpha_rate alpha - beta_rate beta + u + v, R = ``rising``, A and B
+        -sum_n M_n log(beta + n) and -sum_n T_n log(beta + n): K logs per
+        alpha and one per size and beta, not K per point."""
+        a, b = np.exp(u), np.exp(v)
+        log_b = np.log(b + self.sizes)
+        by_alpha = self.rising(a) - self.rates[0] * a + u
+        by_beta = -(self.size_events * log_b).sum(axis=0) - self.rates[1] * b + v
+        return (by_alpha[:, None] - a[:, None] * (self.size_sites * log_b).sum(axis=0)
+                + by_beta)
 
 
 def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -172,19 +171,10 @@ def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]
             np.concatenate(([0.0], np.bincount(of_size, totals, n.size))))
 
 
-def _pad_rows(columns: Sequence[np.ndarray], pad: float, n_chains: int) -> np.ndarray:
-    """A C-contiguous (K, R) float array: fit i's values down each of its
-    n_chains columns, padded with ``pad``."""
-    out = np.full((max(map(len, columns)), len(columns)), pad)
-    for i, column in enumerate(columns):
-        out[:len(column), i] = column
-    return np.repeat(out, n_chains, axis=1)
-
-
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
     """Sum a (K, R) array over K, adding one term at a time in order (no
     terms sum to 0).  numpy does so along a leading axis, except for a
-    single column, which it sums pairwise; that would give a one-row batch
+    single column, which it sums pairwise; that would give a one-chain fit
     other bits."""
     if terms.shape[1] > 1 or not len(terms):
         return terms.sum(axis=0)
@@ -242,56 +232,30 @@ def _site_columns(dataset: Dataset, config: McmcConfig) -> tuple[np.ndarray, np.
     return dataset.site_totals() * keep, dataset.site_sizes() * keep
 
 
-Fit = tuple[Dataset, HyperPriorSpec, McmcConfig]
-
-
-def _sample_batch(fits: Sequence[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
-    """Each fit's kept (alpha, beta) draws, each of shape (n_chains, n_draws),
-    and its chains' generators, positioned after the draws each consumed."""
-    out: list = [None] * len(fits)
-    sampled = []
-    for i, (_, _, config) in enumerate(fits):
-        if config.freeze_hyperparams is None:
-            sampled.append(i)
-        else:
-            out[i] = (*(np.full((config.n_chains, config.n_draws), v)
-                        for v in config.freeze_hyperparams),
-                      [seeding.rng(config.seed, c) for c in range(config.n_chains)])
-    shared = {(c.n_chains, c.n_warmup, c.n_draws) for c in (fits[i][2] for i in sampled)}
-    if len(shared) > 1:
-        raise ValueError("the fits of a batch must share n_chains, n_warmup and n_draws")
-    if sampled:
-        [(n_chains, n_warmup, n_draws)] = shared
-        per_slab = max(1, _SLAB_BYTES // (40 * (n_warmup + n_draws) * n_chains))
-        # as few slabs as the budget allows, of near-equal size
-        for slab in np.array_split(sampled, -(-len(sampled) // per_slab)):
-            for i, result in zip(slab, _sample_slab([fits[i] for i in slab])):
-                out[i] = result
-    return out
-
-
-def _sample_slab(fits: list[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
-    """``_sample_batch`` of fits that all take their steps, as one array."""
-    config = fits[0][2]
+def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec,
+                        config: McmcConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """The kept (alpha, beta) draws, each of shape (n_chains, n_draws), and
+    the chains' generators, positioned after the draws each consumed."""
     n_chains, n_warmup = config.n_chains, config.n_warmup
-    n_iter, n_rows = n_warmup + config.n_draws, len(fits) * n_chains
-    rngs = [seeding.rng(cfg.seed, c) for _, _, cfg in fits for c in range(n_chains)]
-    x = np.empty((n_rows, 2))
-    normals = np.empty((n_iter, n_rows, 2))
-    log_u = np.empty((n_iter, n_rows))
+    rngs = [seeding.rng(config.seed, c) for c in range(n_chains)]
+    if config.freeze_hyperparams is not None:
+        return (*(np.full((n_chains, config.n_draws), v) for v in config.freeze_hyperparams),
+                rngs)
+    n_iter = n_warmup + config.n_draws
+    x = np.empty((n_chains, 2))
+    normals = np.empty((n_iter, n_chains, 2))
+    log_u = np.empty((n_iter, n_chains))
     for r, rng in enumerate(rngs):
-        spec = fits[r // n_chains][1]
         # overdispersed starts straight from the hyperprior
         x[r] = rng.exponential(1.0 / spec.alpha_rate), rng.exponential(1.0 / spec.beta_rate)
         normals[:, r] = rng.standard_normal((n_iter, 2))
         log_u[:, r] = np.log(rng.random(n_iter))
-    log_post = _LogTarget([(*_site_columns(dataset, cfg), spec) for dataset, spec, cfg in fits],
-                          n_chains)
+    log_post = _LogTarget(*_site_columns(dataset, config), spec)
     x = np.log(np.maximum(x, 1e-8))
     lp = log_post(x)
-    trace = np.empty((n_iter, n_rows, 2))
-    factor = np.tile(np.eye(2), (n_rows, 1, 1))  # Cholesky factor of the proposal shape
-    log_step = np.full(n_rows, math.log(_INITIAL_STEP))
+    trace = np.empty((n_iter, n_chains, 2))
+    factor = np.tile(np.eye(2), (n_chains, 1, 1))  # Cholesky factor of the proposal shape
+    log_step = np.full(n_chains, math.log(_INITIAL_STEP))
     gain_from = 0  # the iteration the step's gain sequence last started at
     # the kept draws run in windows too, so no temporary grows with n_draws
     bounds = [*range(0, n_warmup, _ADAPT_WINDOW), *range(n_warmup, n_iter, _ADAPT_WINDOW),
@@ -319,24 +283,7 @@ def _sample_slab(fits: list[Fit]) -> list[tuple[np.ndarray, np.ndarray, list]]:
             factor[ok] = np.linalg.cholesky(cov[ok] * (_RW_SCALE / (len(dev) - 1)))
             log_step[ok] = 0.0
             gain_from = hi
-    return [(*np.exp(trace[n_warmup:, rows].transpose(2, 1, 0).copy()), rngs[rows])
-            for rows in (slice(i, i + n_chains) for i in range(0, n_rows, n_chains))]
-
-
-def _hyper_rhat(alpha: np.ndarray, beta: np.ndarray, config: McmcConfig) -> dict[str, float]:
-    if config.freeze_hyperparams is not None or config.n_chains < 2 or config.n_draws < 4:
-        return {}
-    return {"alpha": compute_rhat(alpha), "beta": compute_rhat(beta)}
-
-
-def fit_batch(fits: Sequence[Fit]) -> list[PosteriorDraws]:
-    """The (alpha, beta) draws of ``run_mcmc`` for each (dataset, spec,
-    config), bit for bit, with their R-hat but no site rates (``site_ids``
-    empty, ``lambdas`` of shape (C, D, 0)).  All chains are sampled
-    together; the sampled fits must share n_chains, n_warmup and n_draws."""
-    return [PosteriorDraws(alpha=alpha, beta=beta, lambdas=np.empty(alpha.shape + (0,)),
-                           site_ids=(), diagnostics=_hyper_rhat(alpha, beta, config))
-            for (_, _, config), (alpha, beta, _) in zip(fits, _sample_batch(fits))]
+    return (*np.exp(trace[n_warmup:].transpose(2, 1, 0).copy()), rngs)
 
 
 def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> PosteriorDraws:
@@ -347,15 +294,17 @@ def run_mcmc(dataset: Dataset, spec: HyperPriorSpec, config: McmcConfig) -> Post
     prior; with ``freeze_hyperparams`` set, (alpha, beta) stay fixed and only
     the conjugate site-rate draws move.
     """
-    [(alpha, beta, rngs)] = _sample_batch([(dataset, spec, config)])
+    alpha, beta, rngs = _sample_hyperparams(dataset, spec, config)
     totals, sizes = _site_columns(dataset, config)
     lambdas = np.empty(alpha.shape + totals.shape)
     for c, rng in enumerate(rngs):
         _draw_lambdas(alpha[c, :, None], beta[c, :, None], totals, sizes, rng, out=lambdas[c])
     if not all(np.isfinite(draws).all() for draws in (alpha, beta, lambdas)):
         raise NumericalError("non-finite draw in posterior output")
-    diagnostics = _hyper_rhat(alpha, beta, config)
+    diagnostics = {}
     if config.n_chains >= 2 and config.n_draws >= 4:
+        if config.freeze_hyperparams is None:
+            diagnostics.update(alpha=compute_rhat(alpha), beta=compute_rhat(beta))
         for start in range(0, totals.size, _BLOCK_ROWS):
             block = lambdas[:, :, start:start + _BLOCK_ROWS].transpose(2, 0, 1)
             site_ids = dataset.site_ids[start:start + _BLOCK_ROWS]

@@ -156,7 +156,9 @@ def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
     (Gamma(alpha) (beta + n_j)^(alpha + t_j)), and sites with equal
     (t_j, n_j) share that factor.  The grid is uniform in (log alpha,
     log beta), so each cell carries the Jacobian alpha * beta.  A coarse
-    pass finds where the mass lies; a grid that leaves more than 1e-6 of
+    pass over [-20, 12]^2 finds where the mass lies (a box of [-12, 8]
+    cuts off about 1e-5 of the posterior of an all-zero training set,
+    whose alpha reaches down to 0); a grid that leaves more than 1e-6 of
     the mass on its edge raises AssertionError.
     """
     pairs, mult = np.unique(np.stack([dataset.site_totals(), dataset.site_sizes()]),
@@ -170,7 +172,7 @@ def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
         return (sites.sum(axis=0) - spec.alpha_rate * a - spec.beta_rate * b
                 + u[:, None] + v[None, :])
 
-    coarse = np.linspace(-12.0, 8.0, 201)
+    coarse = np.linspace(-30.0, 12.0, 211)
     lp = log_post(coarse, coarse)
     iu, iv = np.nonzero(lp > lp.max() - 40.0)
     step = coarse[1] - coarse[0]

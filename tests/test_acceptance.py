@@ -287,7 +287,6 @@ def test_08_experiment_structure(tmp_path):
     data_path = tmp_path / "counts.csv"
     data_path.write_text(_ACC_DATASET, encoding="utf-8")
     dataset = load_dataset(data_path)
-    mcmc = McmcConfig(n_chains=2, n_warmup=40, n_draws=40, seed=0)
     baseline = CvCondition.meta_analytical()
 
     def llm(n_queries):
@@ -295,14 +294,14 @@ def test_08_experiment_structure(tmp_path):
             model_id="m1", temperature=1.0, n_queries=n_queries, backoff_base=0.001))
 
     k = 3
-    cv = run_cv_experiment(dataset, [baseline, llm(5)], mcmc,
+    cv = run_cv_experiment(dataset, [baseline, llm(5)],
                            transport=_fixture_transport_for("m1", 1.0),
                            k=k, seed=0)
     llm_cv = next(r for r in cv if r.condition.is_llm)
     cv_records = sum(len(f.prior.records) for f in llm_cv.per_fold)
 
     eff = run_efficiency_experiment(
-        dataset, [baseline, llm(1)], mcmc,
+        dataset, [baseline, llm(1)],
         transport=_fixture_transport_for("m1", 1.0),
         rho_grid=(1.0,), seed=0)  # replication count left at its default
     reps_per_cell = {len(cell.runs) for cell in eff.cells}
@@ -326,12 +325,12 @@ def test_09_curated_trial_reproduction():
     size_ok = dataset.n_patients == 468 and dataset.n_sites == 125
 
     cv = run_cv_experiment(dataset, [CvCondition.meta_analytical()],
-                           McmcConfig(), transport=None, k=5, seed=0)
+                           transport=None, k=5, seed=0)
     cv_lpd = cv[0].pooled_mean_lpd
     cv_ok = abs(cv_lpd - (-3.963)) <= 0.15
 
     eff = run_efficiency_experiment(
-        dataset, [CvCondition.meta_analytical()], McmcConfig(),
+        dataset, [CvCondition.meta_analytical()],
         transport=None, n_replications=20, seed=0)
     eff_lpd = eff.cells[0].lpd_mean
     eff_ok = abs(eff_lpd - (-4.103)) <= 0.15
@@ -348,7 +347,7 @@ def test_10_eighty_percent_training_data_plateau():
     cond = CvCondition(strategy=PromptStrategy.BLIND, elicit=ElicitationConfig(
         model_id="m1", temperature=1.0, n_queries=1, backoff_base=0.001))
     eff = run_efficiency_experiment(
-        dataset, [cond], McmcConfig(),
+        dataset, [cond],
         transport=_fixture_transport_for("m1", 1.0),
         rho_grid=(0.8, 1.0), n_replications=20, seed=0)
     by_rho = {cell.rho: cell.lpd_mean for cell in eff.cells}

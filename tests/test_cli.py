@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aebayes import cli
 from aebayes.cli import _resolve_config, build_parser, load_config, main
 from aebayes.data import Dataset
-from aebayes.elicitation import FixtureTransport, PromptStrategy
+from aebayes.elicitation import FixtureTransport, PromptStrategy, TransientTransportError
 from aebayes_testkit import make_rows, write_dataset
 
 DATASET = """site_id,patient_id,ae_count
@@ -94,7 +95,7 @@ REPLAY_RESPONSES = [DISTINCT_RESPONSES[0], "not json", *DISTINCT_RESPONSES[1:]]
 
 def output_bytes(out_dir):
     return {str(p.relative_to(out_dir)): p.read_bytes()
-            for kind in ("results", "reports")
+            for kind in ("results", "reports") if (out_dir / kind).is_dir()
             for p in sorted((out_dir / kind).iterdir())}
 
 
@@ -276,9 +277,9 @@ def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
     (["--alpha-rate", "inf"], ""),
     (["--beta-rate", "nan"], ""),
     (["--freeze", "inf", "1"], ""),
-    ([], "rhat_threshold = nan\n"),
+    (["--freeze", "1", "nan"], ""),
     (["--seed", "-1"], ""),
-], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "rhat_threshold_nan", "seed_negative"])
+], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "freeze_nan", "seed_negative"])
 def test_fit_non_finite_setting_exit_code(dataset_file, tmp_path, capsys, flags, config_line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
@@ -321,6 +322,23 @@ def test_fit_numerical_failure_exit_code(dataset_file, config_file, tmp_path, ca
     assert rc == 5
     assert capsys.readouterr().err.startswith("numerical error: ")
     assert not (out_dir / "draws" / "draws.csv").exists()
+
+
+def test_cv_posterior_off_the_grid_exit_code(tmp_path, capsys):
+    """Elicited rates of 1e-6 on a set where every count is 3 leave the
+    posterior's mass beyond the quadrature box: exit 5, no results."""
+    data = tmp_path / "equi.csv"
+    write_dataset(Dataset.from_rows([(f"e{j}", f"q{j}_{i}", 3) for j in range(20)
+                                     for i in range(1 + j % 4)]), data)
+    fx = write_fixtures(tmp_path, [fixture_entry(
+        "m1", "blind", 0.5, response='{"alpha_rate": 1e-6, "beta_rate": 1e-6}')])
+    out_dir = tmp_path / "out"
+    rc = main(["cv", "--dataset", str(data), "--fixtures", fx, "--out", str(out_dir),
+               "--k", "2", "--no-baseline", "--models", "m1", "--strategies", "blind",
+               "--temperatures", "0.5"])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("numerical error: quadrature grid leaves ")
+    assert not (out_dir / "results").exists()
 
 
 def test_cv_baseline_only(dataset_file, tmp_path, capsys):
@@ -501,38 +519,90 @@ def test_efficiency_without_test_site_exit_code(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command, audit_name, responses", [
-    (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
-      "--temperatures", "0.5"], "cv_elicitations.jsonl", REPLAY_RESPONSES),
-    # one query per cell here, so an unparseable answer would fail the run
-    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
-      "--rho-grid", "0.5,1.0", "--n-replications", "2"],
-     "efficiency_elicitations.jsonl", DISTINCT_RESPONSES),
-], ids=["cv", "efficiency"])
-def test_audit_log_replays_to_identical_outputs(dataset_file, config_file, tmp_path,
-                                                command, audit_name, responses):
-    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5, response=r)
-                                   for r in responses])
+class ScriptedTransport:
+    """A live session as a script: each request takes the next step, an
+    answer to return or an exception to raise."""
+
+    def __init__(self, steps):
+        self.steps = iter(steps)
+
+    def send(self, request):
+        step = next(self.steps)
+        if isinstance(step, Exception):
+            raise step
+        return step
+
+
+def _transient():
+    return TransientTransportError("503 from the endpoint")
+
+
+# an answer after two transient failures, then an unparseable answer, then
+# retries exhausted: six transient failures where max_retries is 5
+RECOVERED = [_transient(), _transient(), DISTINCT_RESPONSES[1]]
+UNPARSEABLE = ["not json"]
+EXHAUSTED = [_transient() for _ in range(6)]
+FAILING_BATCH = [DISTINCT_RESPONSES[0], *RECOVERED, *UNPARSEABLE, *EXHAUSTED,
+                 DISTINCT_RESPONSES[2]]
+
+
+def audit_records(path):
+    """The records of an audit log without their timestamps."""
+    return [{k: v for k, v in json.loads(line).items() if k != "timestamp"}
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def replay_session(monkeypatch, tmp_path, argv, steps, audit_name):
+    """Run ``argv`` once against the scripted session, then once against its
+    own audit log as the fixture file; both runs must end alike, with the
+    same ``results/`` and ``reports/`` bytes and the same audit records,
+    timestamps aside.  Returns the exit code."""
     first, replay = tmp_path / "first", tmp_path / "replay"
-    base = [*command, "--dataset", dataset_file, "--config", config_file, "--seed", "5"]
-    assert main([*base, "--fixtures", fx, "--out", str(first)]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_make_transport", lambda cfg: ScriptedTransport(steps))
+        code = main([*argv, "--out", str(first)])
     audit = first / "audit" / audit_name
-    assert main([*base, "--fixtures", str(audit), "--out", str(replay)]) == 0
+    assert main([*argv, "--fixtures", str(audit), "--out", str(replay)]) == code
     assert output_bytes(replay) == output_bytes(first)
-    assert ((replay / "audit" / audit_name).read_text().count("\n")
-            == audit.read_text().count("\n"))
+    assert audit_records(replay / "audit" / audit_name) == audit_records(audit)
+    return code
 
 
-def test_elicit_audit_log_replays(tmp_path, capsys):
-    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0, response=r)
-                                   for r in REPLAY_RESPONSES])
-    args = ["elicit", "--model", "m1", "--temperature", "1.0"]
-    assert main([*args, "--fixtures", fx, "--out", str(tmp_path / "first")]) == 0
-    first = capsys.readouterr().out
-    audit = tmp_path / "first" / "audit" / "elicitations.jsonl"
-    assert main([*args, "--fixtures", str(audit), "--out", str(tmp_path / "replay")]) == 0
-    replayed = capsys.readouterr().out
-    assert "queries: 5 (4 parsed)" in first
+@pytest.mark.parametrize("command, audit_name, steps, code", [
+    (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+      "--temperatures", "0.5"], "cv_elicitations.jsonl",
+     # three folds of five queries each
+     [*FAILING_BATCH, *DISTINCT_RESPONSES, *RECOVERED, DISTINCT_RESPONSES[0],
+      *DISTINCT_RESPONSES[:2], *RECOVERED, *DISTINCT_RESPONSES[1:]], 0),
+    # one query per cell, so only a transient failure leaves the run going
+    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+      "--rho-grid", "0.5,1.0", "--n-replications", "2"], "efficiency_elicitations.jsonl",
+     [*RECOVERED, *DISTINCT_RESPONSES], 0),
+    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+      "--rho-grid", "0.5,1.0", "--n-replications", "2"], "efficiency_elicitations.jsonl",
+     [*RECOVERED, *DISTINCT_RESPONSES[:2], *EXHAUSTED], 4),
+    (["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+      "--rho-grid", "0.5,1.0", "--n-replications", "2"], "efficiency_elicitations.jsonl",
+     [*RECOVERED, *DISTINCT_RESPONSES[:2], *UNPARSEABLE], 4),
+], ids=["cv", "efficiency", "efficiency_exhausted", "efficiency_unparseable"])
+def test_audit_log_replays_to_identical_outputs(dataset_file, config_file, tmp_path,
+                                                monkeypatch, command, audit_name, steps,
+                                                code):
+    """A session with transport failures, exhausted retries and unparseable
+    answers replays exactly from its own audit log, a run that stops on a
+    failed batch included."""
+    argv = [*command, "--dataset", dataset_file, "--config", config_file, "--seed", "5"]
+    assert replay_session(monkeypatch, tmp_path, argv, steps, audit_name) == code
+
+
+def test_elicit_audit_log_replays(tmp_path, monkeypatch, capsys):
+    argv = ["elicit", "--model", "m1", "--temperature", "1.0", "--config",
+            str(tmp_path / "run.cfg")]
+    (tmp_path / "run.cfg").write_text("backoff_base = 0.001\n", encoding="utf-8")
+    assert replay_session(monkeypatch, tmp_path, argv, FAILING_BATCH,
+                          "elicitations.jsonl") == 0
+    first, replayed = capsys.readouterr().out.split("model m1", 2)[1:]
+    assert "queries: 5 (3 parsed)" in first
     assert replayed == first
 
 
@@ -705,12 +775,14 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
     (["efficiency"], "backoff_base = 86401\n", "backoff_base"),
     (["cv", "--seed", "-1"], "", "seed"),
     (["efficiency", "--seed", "-1"], "", "seed"),
+    # only fit reads the chain settings, but every command checks them
+    (["cv"], "n_draws = 0\n", "n_chains, n_warmup and n_draws"),
 ], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites",
         "rho_grid_not_a_number", "temperatures_not_a_number", "rho_grid_empty",
         "rho_grid_repeated", "temperatures_repeated", "models_repeated",
         "strategies_repeated", "backoff_base_nan", "backoff_base_inf",
         "backoff_base_huge", "backoff_base_above_one_day", "cv_seed_negative",
-        "efficiency_seed_negative"])
+        "efficiency_seed_negative", "cv_n_draws_zero"])
 def test_out_of_range_experiment_setting_exit_code(
         dataset_file, tmp_path, monkeypatch, capsys, command, config_line, key):
     sent = []
@@ -875,16 +947,17 @@ def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, co
 
 
 # sha256 over the names and bytes of results/, reports/ and draws/ after one
-# command on PINNED_DATASET; recorded with numpy 2.4.6
+# command on PINNED_DATASET; recorded with numpy 2.4.6, whose OpenBLAS
+# matrix product the cv and efficiency cells' quadrature also goes through
 PINNED_OUTPUT_DIGESTS = {
     "fit": (["fit"], "0b53fa1acf95305bf73ee4ed293ae43153c846be7f31da39fbb21f3bc4e5f27c"),
     "cv": (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
             "--temperatures", "0.5"],
-           "902342ed7c6155896294ca5f92fd61e4ec159db97a2dfcbc44db0a2556f3a098"),
+           "bd97737fe84fd0e6e196ac49097ae7dbbf7affb80500c50dbf539c6916b44312"),
     "efficiency": (["efficiency", "--model", "m1", "--strategy", "blind",
                     "--temperature", "0.5", "--rho-grid", "0.5,1.0",
                     "--n-replications", "2"],
-                   "47d953643e22de028cda13f2010687df8000154aef3b833ac434f35c9349daeb"),
+                   "1cd9d1ccfd2fa776033a9d0a33a1eea5ffd280887a3f6d56eb2cae80b0862379"),
 }
 # 70 sites, one more than an R-hat block; 69 draws, one block of draws and
 # a partial one; one site id needs csv quoting in draws.csv

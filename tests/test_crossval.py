@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aebayes import sampler
 from aebayes.crossval import (
     CvCondition,
     StratumLabel,
@@ -15,10 +14,7 @@ from aebayes.crossval import (
 )
 from aebayes.elicitation import ElicitationConfig, PromptStrategy
 from aebayes.model import META_ANALYTICAL
-from aebayes.sampler import McmcConfig
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
-
-TINY_MCMC = McmcConfig(n_chains=2, n_warmup=60, n_draws=60, seed=0)
 
 
 def strata_by_label(dataset):
@@ -114,7 +110,7 @@ def _llm_transport(model="m1", temperature=1.0, strategy="blind",
 
 def test_cv_meta_condition_needs_no_transport(mixed_dataset):
     results = run_cv_experiment(
-        mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
+        mixed_dataset, [CvCondition.meta_analytical()],
         transport=None, k=5, seed=0)
     assert len(results) == 1
     res = results[0]
@@ -126,7 +122,7 @@ def test_cv_meta_condition_needs_no_transport(mixed_dataset):
 
 def test_cv_patients_partition_across_test_folds(mixed_dataset):
     results = run_cv_experiment(
-        mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
+        mixed_dataset, [CvCondition.meta_analytical()],
         transport=None, k=5, seed=0)
     n_test = sum(f.lpd.n_patients for f in results[0].per_fold)
     assert n_test == mixed_dataset.n_patients
@@ -135,7 +131,7 @@ def test_cv_patients_partition_across_test_folds(mixed_dataset):
 def test_cv_llm_condition_queries_k_times_5(mixed_dataset):
     cond = llm_condition()
     results = run_cv_experiment(
-        mixed_dataset, [cond], TINY_MCMC,
+        mixed_dataset, [cond],
         transport=_llm_transport(), k=5, seed=0)
     records = [r for f in results[0].per_fold for r in f.prior.records]
     assert len(records) == 25  # k folds x 5 queries
@@ -147,7 +143,7 @@ def test_cv_condition_order_does_not_matter(mixed_dataset):
     llm = llm_condition()
 
     def run(conditions):
-        return run_cv_experiment(mixed_dataset, conditions, TINY_MCMC,
+        return run_cv_experiment(mixed_dataset, conditions,
                                  transport=_llm_transport(),
                                  k=5, seed=4)
 
@@ -156,24 +152,9 @@ def test_cv_condition_order_does_not_matter(mixed_dataset):
     assert fwd == rev
 
 
-def test_cv_deterministic_across_slabs(mixed_dataset, monkeypatch):
-    """The cells run as one batch of chains, fitted in slabs; how the batch
-    splits into slabs must not change a result."""
-    cond = [CvCondition.meta_analytical(),
-            llm_condition()]
-
-    def run(slab_bytes):
-        monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
-        res = run_cv_experiment(mixed_dataset, cond, TINY_MCMC,
-                                transport=_llm_transport(), k=3, seed=2)
-        return [(r.pooled_mean_lpd, r.pooled_sd_lpd) for r in res]
-
-    assert run(sampler._SLAB_BYTES) == run(1)
-
-
 def test_cv_summaries_pool_per_patient(mixed_dataset):
     results = run_cv_experiment(
-        mixed_dataset, [CvCondition.meta_analytical()], TINY_MCMC,
+        mixed_dataset, [CvCondition.meta_analytical()],
         transport=None, k=5, seed=0)
     res = results[0]
     pooled = np.concatenate([f.lpd.per_patient for f in res.per_fold])
@@ -186,7 +167,7 @@ def test_cv_summaries_pool_per_patient(mixed_dataset):
 def test_cv_export_rows(mixed_dataset):
     cond = llm_condition()
     results = run_cv_experiment(
-        mixed_dataset, [CvCondition.meta_analytical(), cond], TINY_MCMC,
+        mixed_dataset, [CvCondition.meta_analytical(), cond],
         transport=_llm_transport(), k=3, seed=0)
     rows = cv_table_rows(results)
     assert len(rows) == 6  # 2 conditions x 3 folds

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aebayes import sampler
 from aebayes.crossval import CvCondition
 from aebayes.efficiency import (
     SplitSpec,
@@ -16,10 +15,7 @@ from aebayes.efficiency import (
 )
 from aebayes.data import DataError
 from aebayes.elicitation import FixtureTransport
-from aebayes.sampler import McmcConfig
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
-
-TINY_MCMC = McmcConfig(n_chains=2, n_warmup=50, n_draws=50, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +138,7 @@ def test_efficiency_checks_rho_grid_before_eliciting(monkeypatch):
     sent = []
     monkeypatch.setattr(FixtureTransport, "send", lambda self, request: sent.append(request))
     with pytest.raises(ValueError, match="rho must be in"):
-        run_efficiency_experiment(_eff_dataset(), [llm_condition()], TINY_MCMC,
+        run_efficiency_experiment(_eff_dataset(), [llm_condition()],
                                   transport=_llm_transport(), rho_grid=(0.5, 0.0),
                                   n_replications=3, seed=0)
     assert sent == []
@@ -151,7 +147,7 @@ def test_efficiency_checks_rho_grid_before_eliciting(monkeypatch):
 def test_efficiency_shapes_and_test_set_identity():
     cond = llm_condition()
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC,
+        _eff_dataset(), [cond],
         transport=_llm_transport(), rho_grid=(0.5, 1.0), n_replications=3,
         seed=0)
     assert [c.rho for c in result.cells] == [0.5, 1.0]
@@ -166,18 +162,21 @@ def test_efficiency_shapes_and_test_set_identity():
 def test_efficiency_full_rho_uses_entire_training_set():
     cond = CvCondition.meta_analytical()
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC, transport=None,
-        rho_grid=(1.0,), n_replications=3, seed=0)
+        _eff_dataset(), [cond], transport=None,
+        rho_grid=(1.0,), n_replications=20, seed=0)
     runs = result.cells[0].runs
-    # rho=1 is the full training set, so every replication sees the same data.
+    # rho=1 is the full training set, so every replication sees the same data
+    # and, its score being exact, gets the same score to the bit
     assert len({r.n_train_patients for r in runs}) == 1
     assert runs[0].n_train_patients + result.n_test_patients == _eff_dataset().n_patients
+    assert len({r.lpd.per_patient for r in runs}) == 1
+    assert result.cells[0].lpd_sd == 0.0
 
 
 def test_efficiency_cells_send_their_conditions_batch():
     cond = llm_condition(n_queries=2)
     result = run_efficiency_experiment(
-        _eff_dataset(), [cond], TINY_MCMC,
+        _eff_dataset(), [cond],
         transport=_llm_transport(), rho_grid=(0.5, 1.0), n_replications=4,
         seed=0)
     for cell in result.cells:
@@ -190,7 +189,7 @@ def test_efficiency_baseline_runs_at_full_data_only():
     meta = CvCondition.meta_analytical()
     llm = llm_condition()
     result = run_efficiency_experiment(
-        _eff_dataset(), [meta, llm], TINY_MCMC,
+        _eff_dataset(), [meta, llm],
         transport=_llm_transport(), rho_grid=(0.4, 0.8), n_replications=2,
         seed=0)
     by_cond = {}
@@ -200,23 +199,6 @@ def test_efficiency_baseline_runs_at_full_data_only():
 
 
 
-def test_efficiency_deterministic_across_slabs(monkeypatch):
-    """How the batch of cells splits into slabs must not change a result."""
-    cond = [CvCondition.meta_analytical(),
-            llm_condition()]
-
-    def run(slab_bytes):
-        monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
-        res = run_efficiency_experiment(
-            _eff_dataset(), cond, TINY_MCMC,
-            transport=_llm_transport(), rho_grid=(0.5, 1.0),
-            n_replications=2, seed=1)
-        return [(c.condition.identity(), c.rho, c.lpd_mean, c.lpd_sd)
-                for c in res.cells]
-
-    assert run(sampler._SLAB_BYTES) == run(1)
-
-
 def test_efficiency_replications_share_subsamples_across_conditions():
     blind, informed = llm_condition(), llm_condition(strategy="disease_informed")
     transport = _llm_transport()
@@ -224,7 +206,7 @@ def test_efficiency_replications_share_subsamples_across_conditions():
                           "temperature": 1.0,
                           "response": '{"alpha_rate": 0.2, "beta_rate": 0.3}'})
     result = run_efficiency_experiment(
-        _eff_dataset(), [blind, informed], TINY_MCMC,
+        _eff_dataset(), [blind, informed],
         transport=transport, rho_grid=(0.5,), n_replications=3, seed=2)
     sizes = {}
     for cell in result.cells:
@@ -236,7 +218,7 @@ def test_efficiency_replications_share_subsamples_across_conditions():
 
 def test_efficiency_export_rows():
     result = run_efficiency_experiment(
-        _eff_dataset(), [llm_condition()], TINY_MCMC, transport=_llm_transport(),
+        _eff_dataset(), [llm_condition()], transport=_llm_transport(),
         rho_grid=(0.5, 1.0), n_replications=2, seed=0)
     rows = efficiency_table_rows(result)
     assert len(rows) == 4  # 2 rho values x 2 replications

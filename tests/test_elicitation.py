@@ -21,6 +21,7 @@ from aebayes.elicitation import (
     HttpTransport,
     ParamStats,
     PromptStrategy,
+    RecordedFailureError,
     ResponseFormatError,
     RetriesExhaustedError,
     TransientTransportError,
@@ -289,22 +290,32 @@ def test_fixture_transport_bad_records(tmp_path):
     with pytest.raises(ElicitationError, match="'response' must be a string or null"):
         FixtureTransport(records=[{"model": "m", "strategy": "blind", "temperature": 1.0,
                                    "response": 5}])
+    with pytest.raises(ElicitationError, match="'error' must be a string or null"):
+        FixtureTransport(records=[{"model": "m", "strategy": "blind", "temperature": 1.0,
+                                   "response": None, "error": 5}])
 
 
-def test_fixture_transport_skips_null_responses():
+def test_fixture_transport_replays_null_responses_as_failures():
+    """A null response is a recorded transport failure: its turn raises a
+    non-retryable error with the recorded text, and the sequence cycles
+    through it."""
     base = {"model": "m", "strategy": "blind", "temperature": 1.0}
-    transport = FixtureTransport(records=[{**base, "response": None},
-                                          {**base, "response": "kept"}])
+    transport = FixtureTransport(records=[
+        {**base, "response": None, "error": "RetriesExhaustedError: boom"},
+        {**base, "response": "kept"}, {**base, "response": None}])
     req = ChatRequest("m", build_prompt(PromptStrategy.BLIND), 1.0)
-    assert [transport.send(req) for _ in range(2)] == ["kept", "kept"]
-    only_null = FixtureTransport(records=[{**base, "response": None}])
-    with pytest.raises(FixtureMissError):
-        only_null.send(req)
+    for _ in range(2):
+        with pytest.raises(RecordedFailureError, match="^RetriesExhaustedError: boom$"):
+            transport.send(req)
+        assert transport.send(req) == "kept"
+        with pytest.raises(RecordedFailureError, match="^recorded query failed$"):
+            transport.send(req)
+    assert not issubclass(RecordedFailureError, TransientTransportError)
 
 
 def test_audit_log_replays_as_fixtures(tmp_path):
-    """An audit log is a fixture file: replaying it reproduces every record
-    except those of transport failures, which carry no response."""
+    """An audit log is a fixture file: replaying it reproduces every record,
+    transport failures included."""
     bodies = ['{"alpha_rate": 0.4, "beta_rate": 0.1}', "garbage",
               '{"alpha_rate": 0.8, "beta_rate": 0.3}']
     cfg = make_config(n_queries=3)
@@ -316,11 +327,12 @@ def test_audit_log_replays_as_fixtures(tmp_path):
     path = tmp_path / "audit.jsonl"
     write_audit_log([failed, *first.records], path)
 
-    replayed = elicit_prior(PromptStrategy.BLIND, cfg, FixtureTransport.from_path(path))
+    replayed = elicit_prior(PromptStrategy.BLIND, make_config(n_queries=4),
+                            FixtureTransport.from_path(path))
 
     def strip(rec):
         return {k: v for k, v in rec.to_json_dict().items() if k != "timestamp"}
-    assert [strip(r) for r in replayed.records] == [strip(r) for r in first.records]
+    assert [strip(r) for r in replayed.records] == [strip(r) for r in (failed, *first.records)]
     assert replayed.spec == first.spec
     assert read_audit_log(path) == [failed, *first.records]
 

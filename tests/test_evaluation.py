@@ -9,12 +9,14 @@ import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aebayes import sampler
-from aebayes.evaluation import LpdResult, lpd_dataset
+from aebayes import evaluation, sampler
+from aebayes.data import Dataset
+from aebayes.evaluation import LpdResult, lpd_dataset, quadrature_lpd
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, run_mcmc
-from aebayes_testkit import (exact_lpd, hyper_draws, loads_dataset, log_sum_exp,
-                             lpd_patient, make_dataset, point_mass_draws, poisson_logpmf)
+from aebayes_testkit import (MIXED_SITE_SIZES, exact_lpd, hyper_draws, loads_dataset,
+                             log_sum_exp, lpd_patient, make_dataset, make_rows,
+                             point_mass_draws, poisson_logpmf)
 
 
 def nb_logpmf(y: int, alpha: float, beta: float) -> float:
@@ -155,7 +157,8 @@ def test_lpd_patient_converges_to_lpd_dataset():
 def test_lpd_dataset_matches_exact_posterior_predictive():
     """Against quadrature of the exact posterior p(alpha, beta | data), the
     closed-form LPD averaged over independent fits is unbiased per count:
-    z < 3 with the SE taken from its spread across the fits."""
+    z < 3 with the SE taken from its spread across the fits.  The cells'
+    ``quadrature_lpd`` lies within 4 such SEs too."""
     train = make_dataset([4, 5, 6] * 12, seed=3)
     spec = HyperPriorSpec(0.1, 0.1)
     ys = np.arange(16)
@@ -165,6 +168,93 @@ def test_lpd_dataset_matches_exact_posterior_predictive():
     se = rb.std(axis=0, ddof=1) / math.sqrt(len(rb))
     z = (rb.mean(axis=0) - exact_lpd(ys, train, spec)) / se
     assert np.all(np.abs(z) < 3), z
+    # the experiment cells' quadrature, per count and in the mean LPD
+    quad = np.array(quadrature_lpd(train, spec, test).per_patient)
+    assert np.all(np.abs(rb.mean(axis=0) - quad) < 4 * se)
+    cell_means = rb.mean(axis=1)
+    assert abs(cell_means.mean() - quad.mean()) < 4 * cell_means.std(ddof=1) / math.sqrt(8)
+
+
+# training sets of the cells' quadrature: the tier-1 sets, a set where
+# most sites have no events, an all-zero set (alpha reaches down to 0), an
+# equidispersed set (every count 3), on which G = 64 and 128 disagree, and
+# a set with a site total of 1e5 (the rising factorial's Stirling rows)
+QUADRATURE_SETS = {
+    "mixed": make_dataset(MIXED_SITE_SIZES, seed=9),
+    "well_identified": make_dataset([4, 5, 6] * 12, seed=3),
+    "zero_heavy": Dataset.from_rows(
+        [(f"z{j}", f"q{j}_{i}", 0) for j in range(36) for i in range(1 + j % 4)]
+        + [("e0", "r0", 2), ("e0", "r1", 0), ("e1", "r2", 1), ("e2", "r3", 4)]),
+    "all_zero": Dataset.from_rows(
+        [(f"z{j}", f"q{j}_{i}", 0) for j in range(9) for i in range(1 + j % 3)]),
+    "equidispersed": Dataset.from_rows(
+        [(f"e{j}", f"q{j}_{i}", 3) for j in range(20) for i in range(1 + j % 4)]),
+    "big_total": Dataset.from_rows(make_rows([4, 5, 6] * 12, seed=3)
+                                   + [("big", f"b{i}", 10 ** 4) for i in range(10)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_SETS))
+def test_quadrature_lpd_matches_oracle(name, monkeypatch):
+    """Every patient's score equals the scipy-gammaln quadrature oracle
+    within 1e-10, on the training set's own counts and on counts from 0 to
+    13, under two priors; the equidispersed set needs a grid finer than
+    G = 128."""
+    sizes, grid_lpd = [], evaluation._grid_lpd  # the grid sizes scored
+    monkeypatch.setattr(evaluation, "_grid_lpd",
+                        lambda *args: sizes.append(args[2]) or grid_lpd(*args))
+    train = QUADRATURE_SETS[name]
+    for test in (train, counts_dataset([0, 1, 2, 3, 5, 8, 13])):
+        for spec in (HyperPriorSpec(0.1, 0.1), HyperPriorSpec(0.7, 1.3)):
+            got = np.array(quadrature_lpd(train, spec, test).per_patient)
+            ys, patient_y = np.unique(test.counts(), return_inverse=True)
+            expected = exact_lpd(ys, train, spec)[patient_y]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+    if name == "equidispersed":
+        assert max(sizes) > evaluation._GRID_SIZES[1]
+
+
+def brute_force_lpd(counts, train: Dataset, spec: HyperPriorSpec, n: int = 1500) -> np.ndarray:
+    """The posterior predictive by scipy's gammaln on one n x n grid over
+    (log alpha, log beta) in [-12, 12]^2, with no search for the mass."""
+    pairs, mult = np.unique(np.stack([train.site_totals(), train.site_sizes()]), axis=1,
+                            return_counts=True)
+    u = np.linspace(-12.0, 12.0, n)
+    a, b = np.exp(u)[:, None], np.exp(u)[None, :]
+    lp = u[:, None] + u[None, :] - spec.alpha_rate * a - spec.beta_rate * b
+    for (t, m), c in zip(pairs.T, mult):
+        lp += c * (a * np.log(b) + scipy.special.gammaln(a + t) - scipy.special.gammaln(a)
+                   - (a + t) * np.log(b + m))
+    return np.array([scipy.special.logsumexp(
+        lp + scipy.special.gammaln(y + a) - scipy.special.gammaln(a) - math.lgamma(y + 1.0)
+        + a * np.log(b) - (a + y) * np.log1p(b)) for y in counts]) - scipy.special.logsumexp(lp)
+
+
+def test_quadrature_lpd_extreme_counts():
+    """A count far above the training rates draws its predictive mass from
+    where the posterior is below e^-40 of its peak: the grid reaches there
+    too, so the score matches a brute-force grid over a box that holds
+    everything, where one over the posterior's mass alone is off by up to
+    one nat at y = 300."""
+    train, spec = QUADRATURE_SETS["equidispersed"], HyperPriorSpec(0.1, 0.1)
+    counts = [0, 40, 300, 2000]  # 2000 takes the log-space sum
+    got = np.array(quadrature_lpd(train, spec, counts_dataset(counts)).per_patient)
+    np.testing.assert_allclose(got, brute_force_lpd(counts, train, spec), rtol=0, atol=1e-9)
+    assert abs(got[2] - exact_lpd([300], train, spec)[0]) > 0.5
+
+
+def test_quadrature_lpd_rejects_mass_off_the_grid():
+    """Rates of 1e-6 leave the equidispersed set's posterior running on
+    along alpha / beta = 3 past the largest alpha of the coarse box, where
+    its maximum sits, and the score raises NumericalError."""
+    train = QUADRATURE_SETS["equidispersed"]
+    spec = HyperPriorSpec(1e-6, 1e-6)
+    target = sampler._LogTarget(train.site_totals().astype(float),
+                                train.site_sizes().astype(float), spec)
+    lp = target.grid(evaluation._COARSE, evaluation._COARSE)
+    assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
+    with pytest.raises(sampler.NumericalError, match="on its edge"):
+        quadrature_lpd(train, spec, train)
 
 
 def test_lpd_dataset_independent_of_seed():

@@ -20,7 +20,6 @@ from aebayes.sampler import (
     _site_columns,
     compute_rhat,
     export_draws,
-    fit_batch,
     log_rising,
     run_mcmc,
 )
@@ -154,8 +153,7 @@ def test_log_posterior_matches_site_marginals():
     ds = MARGINAL_SITES
     by_site = [[y for j, y in zip(ds.site_of, ds.ae_counts) if j == site]
                for site in range(ds.n_sites)]
-    log_post = _LogTarget(
-        [(ds.site_totals().astype(float), ds.site_sizes().astype(float), spec)], n_chains=8)
+    log_post = _LogTarget(ds.site_totals().astype(float), ds.site_sizes().astype(float), spec)
     x = np.random.default_rng(0).uniform(-2.5, 2.0, size=(8, 2))
     brute = np.array([
         sum(site_marginal_logpdf(counts, a, b) for counts in by_site)
@@ -170,8 +168,7 @@ def test_log_posterior_no_data_is_hyperprior():
     """Under ``no_data`` the target is the exponential hyperprior on the
     log scale, up to a constant."""
     spec = HyperPriorSpec(0.5, 2.0)
-    log_post = _LogTarget([(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)],
-                          n_chains=6)
+    log_post = _LogTarget(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)
     x = np.random.default_rng(1).uniform(-3.0, 2.0, size=(6, 2))
     a, b = np.exp(x).T
     expected = (sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
@@ -219,7 +216,7 @@ def test_large_total_keeps_terms_bounded():
     spec = HyperPriorSpec(0.1, 0.1)
     totals, sizes = _site_columns(BIG_TOTAL, McmcConfig())
     assert totals.max() == 1e5
-    log_post = _LogTarget([(totals, sizes, spec)], n_chains=8)
+    log_post = _LogTarget(totals, sizes, spec)
     assert len(log_post.shifts) + len(log_post.tails) <= sampler._RISING_BOUND + 1
     x = np.random.default_rng(2).uniform(-3.0, 3.0, size=(8, 2))
     a, b = np.exp(x).T[:, :, None]
@@ -227,15 +224,15 @@ def test_large_total_keeps_terms_bounded():
                - (a + totals) * np.log(b + sizes)).sum(axis=1)
     expected = by_site - spec.alpha_rate * a[:, 0] - spec.beta_rate * b[:, 0] + x.sum(axis=1)
     assert np.ptp(log_post(x) - expected) < 1e-8
-    [draws] = fit_batch([(BIG_TOTAL, spec, McmcConfig(seed=0))])
+    draws = run_mcmc(BIG_TOTAL, spec, McmcConfig(seed=0))
     for param, (z_mean, z_sd, _) in moment_z(draws, BIG_TOTAL, spec).items():
         assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z_mean, z_sd)
 
 
-# fits of one batch: many and few distinct totals and sizes, all counts
+# targets of one fit: many and few distinct totals and sizes, all counts
 # zero, no_data, sites without patients (a Dataset built directly) and a
 # total above B
-BATCH_FITS = [
+TARGET_FITS = [
     (make_dataset([4, 5, 6] * 12, seed=3), HyperPriorSpec(0.1, 0.1), {}),
     (TWO_SITES, HyperPriorSpec(0.5, 2.0), {}),
     (Dataset.from_rows([(f"z{j}", f"q{j}_{i}", 0) for j in range(9) for i in range(1 + j % 3)]),
@@ -249,42 +246,28 @@ BATCH_FITS = [
 
 
 def test_log_target_rows_do_not_depend_on_batch():
-    """A row's log target has the same bits alone (a one-row batch, which
-    numpy would sum pairwise), with its fit's other chains and in a batch
-    whose other fits pad it, at alpha and beta of 0 and 1e300 too."""
+    """A row's log target has the same bits alone (one row, which numpy
+    would sum pairwise) as among the other chains' rows, at alpha and beta
+    of 0 and 1e300 too."""
     x = np.vstack([np.random.default_rng(5).uniform(-4.0, 3.0, size=(3, 2)),
                    [[-800.0, 0.0], [0.0, -800.0], [690.0, 0.5], [0.5, 690.0]]])
-    columns = [(*_site_columns(ds, McmcConfig(**kw)), spec) for ds, spec, kw in BATCH_FITS]
-    n = len(x)
     with np.errstate(all="ignore"):  # the extreme points overflow to inf or nan
-        together = _LogTarget(columns, n_chains=n)(np.tile(x, (len(columns), 1)))
-        for i, fit in enumerate(columns):
-            alone = _LogTarget([fit], n_chains=n)(x)
-            np.testing.assert_array_equal(together[i * n:(i + 1) * n], alone)
-            for r in range(n):
-                np.testing.assert_array_equal(_LogTarget([fit], n_chains=1)(x[r:r + 1]),
-                                              alone[r:r + 1])
+        for ds, spec, kw in TARGET_FITS:
+            log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)), spec)
+            together = log_post(x)
+            for r in range(len(x)):
+                np.testing.assert_array_equal(log_post(x[r:r + 1]), together[r:r + 1])
 
 
-@pytest.mark.parametrize("slab_bytes", [sampler._SLAB_BYTES, 1], ids=["one_slab", "slab_per_fit"])
-def test_fit_batch_matches_single_fits(monkeypatch, slab_bytes):
-    """Each fit of a batch equals its batch-of-one fit bit for bit, in one
-    slab or split across slabs, and a frozen fit among them stays frozen."""
-    cfg = {"n_chains": 3, "n_warmup": 160, "n_draws": 40}
-    fits = [(ds, spec, McmcConfig(**cfg, seed=seed, **kw))
-            for seed, (ds, spec, kw) in enumerate(BATCH_FITS)]
-    fits.append((TWO_SITES, HyperPriorSpec(0.1, 0.1),
-                 McmcConfig(n_chains=2, n_warmup=1, n_draws=5, freeze_hyperparams=(2.0, 0.5))))
-    alone = [fit_batch([fit])[0] for fit in fits]
-    monkeypatch.setattr(sampler, "_SLAB_BYTES", slab_bytes)
-    batch = fit_batch(fits)
-    for single, batched in zip(alone, batch, strict=True):
-        assert np.array_equal(single.alpha, batched.alpha)
-        assert np.array_equal(single.beta, batched.beta)
-        assert single.diagnostics == batched.diagnostics
-    assert (batch[-1].alpha == 2.0).all() and batch[-1].alpha.shape == (2, 5)
-    with pytest.raises(ValueError, match="must share"):
-        fit_batch([fits[0], (TWO_SITES, HyperPriorSpec(0.1, 0.1), McmcConfig(n_draws=41))])
+def test_log_target_grid_matches_points():
+    """The separable grid form equals the target at each grid point, to
+    rounding, on every fit above."""
+    u, v = np.linspace(-4.0, 3.0, 9), np.linspace(-5.0, 4.0, 7)
+    points = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
+    for ds, spec, kw in TARGET_FITS:
+        log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)), spec)
+        expected = log_post(points).reshape(u.size, v.size)
+        np.testing.assert_allclose(log_post.grid(u, v), expected, rtol=1e-12, atol=1e-9)
 
 
 def test_chains_do_not_depend_on_chain_count():
@@ -295,18 +278,6 @@ def test_chains_do_not_depend_on_chain_count():
     four = run_mcmc(MANY_SITES, spec, McmcConfig(n_chains=4, n_warmup=120, n_draws=30, seed=4))
     for name in ("alpha", "beta", "lambdas"):
         assert np.array_equal(getattr(four, name)[:2], getattr(two, name)), name
-
-
-def test_fit_batch_is_run_mcmc_without_sites():
-    """Scoring cells fit (alpha, beta) only: the same draws as run_mcmc, bit
-    for bit, their R-hat, and no site rates."""
-    spec = HyperPriorSpec(0.1, 0.1)
-    cfg = McmcConfig(n_chains=3, n_warmup=60, n_draws=40, seed=2)
-    full = run_mcmc(TWO_SITES, spec, cfg)
-    [hyper] = fit_batch([(TWO_SITES, spec, cfg)])
-    assert np.array_equal(hyper.alpha, full.alpha) and np.array_equal(hyper.beta, full.beta)
-    assert hyper.site_ids == () and hyper.lambdas.shape == (3, 40, 0)
-    assert hyper.diagnostics == {k: full.diagnostics[k] for k in ("alpha", "beta")}
 
 
 def acceptance_rate(draws) -> float:
@@ -322,7 +293,7 @@ def test_adaptation_tunes_step_to_target_acceptance(monkeypatch):
     rates = {}
     for target in (0.2, 0.44, 0.7):
         monkeypatch.setattr(sampler, "_TARGET_ACCEPT", target)
-        [draws] = fit_batch([(data, spec, McmcConfig(seed=1))])
+        draws = run_mcmc(data, spec, McmcConfig(seed=1))
         rates[target] = acceptance_rate(draws)
     for target, rate in rates.items():
         assert rate == pytest.approx(target, abs=0.1), rates
@@ -345,7 +316,7 @@ def test_moments_match_quadrature(name):
     with the exact posterior by quadrature: |z| < 3 in Monte Carlo SEs from
     bulk ESS (see ``moment_z``)."""
     data, spec = MOMENT_SETS[name], HyperPriorSpec(0.1, 0.1)
-    [draws] = fit_batch([(data, spec, McmcConfig(seed=0))])
+    draws = run_mcmc(data, spec, McmcConfig(seed=0))
     z = moment_z(draws, data, spec)
     for param, (z_mean, z_sd, _) in z.items():
         assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z)
