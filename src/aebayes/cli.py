@@ -8,10 +8,13 @@ singular ``--model``, ``--strategy`` and ``--temperature`` set one-element
 lists.  Every setting is checked once, before any query is sent or any
 output written.  Each LLM condition a command runs is a ``CvCondition``
 holding its own ``ElicitationConfig``, which is built, and so checked,
-once.  Secrets only ever come from the environment (LLM_API_KEY,
-endpoint override via LLM_ENDPOINT).  Everything that writes does so
-atomically (temp file + rename), except ``elicit``, which appends to its
-audit log.  All randomness flows from the single seed.
+once.  Each command then checks that its output directories can be made,
+before it loads data or sends a query.  Secrets only ever come from the
+environment (LLM_API_KEY, endpoint override via LLM_ENDPOINT).
+Everything that writes does so atomically (temp file + rename), except
+``elicit``, which appends to its audit log.  The commands that query
+collect every elicitation record in one list and write it to the audit
+log on every exit path.  All randomness flows from the single seed.
 
 Parsing and checking settings, and ``ingest``, load no numpy: ``fit``,
 ``cv`` and ``efficiency`` import the sampler and the experiment modules
@@ -36,7 +39,6 @@ from pathlib import Path
 from . import __version__
 from .data import DataError, load_dataset, summarize
 from .elicitation import (
-    AllQueriesFailedError,
     CvCondition,
     ElicitationConfig,
     ElicitationError,
@@ -237,12 +239,16 @@ def _check_config(cfg: RunConfig) -> None:
     for rho in cfg.rho_grid:
         if not 0.0 < rho <= 1.0:
             raise ConfigError(f"rho_grid values must be in (0, 1], got {rho}")
-    # a repeat would run two cells or conditions under one name and seed
+    # a repeat would run two cells or conditions under one name; numbers
+    # are named by their :g text, so 0.5 and 0.5000001 would share a row
     for key in ("rho_grid", "models", "strategies", "temperatures"):
-        values = getattr(cfg, key)
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"{key} must not repeat a value, got {value!r} twice")
+        seen = {}
+        for value in getattr(cfg, key):
+            name = f"{value:g}" if isinstance(value, float) else value
+            if name in seen:
+                raise ConfigError(f"{key} must not repeat a value, got {seen[name]!r} "
+                                  f"and {value!r}, both reported as {name!r}")
+            seen[name] = value
     cfg.mcmc_config()
 
 
@@ -296,6 +302,22 @@ def _out_dir(cfg: RunConfig, kind: str) -> Path:
     return path
 
 
+def _check_out_dirs(cfg: RunConfig, *kinds: str) -> None:
+    """Check that each output directory a command writes exists or can be
+    made, before it loads data or sends a query; nothing is created until
+    a file is written, so a run that fails on its input leaves no output."""
+    root = Path(cfg.out or "out")
+    for path in (root, *(root / kind for kind in kinds)):
+        existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            reason = f"{existing} is not a directory"
+        elif not os.access(existing, os.W_OK | os.X_OK):
+            reason = f"{existing} is not writable"
+        else:
+            continue
+        raise ConfigError(f"cannot create output directory {path}: {reason}")
+
+
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -332,6 +354,8 @@ def _require_dataset(cfg: RunConfig):
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
+    if cfg.out is not None:
+        _check_out_dirs(cfg, "reports")
     dataset = _require_dataset(cfg)
     s = summarize(dataset)
     lines = [
@@ -344,11 +368,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if cfg.out is not None:
         _write_atomic(_out_dir(cfg, "reports") / "ingest.txt", report)
     return EXIT_OK
-
-
-def _records(priors) -> list:
-    """The audit records of every elicited prior (None = baseline), in order."""
-    return [rec for prior in priors if prior is not None for rec in prior.records]
 
 
 def _write_audit(cfg: RunConfig, name: str, records) -> None:
@@ -366,14 +385,14 @@ def _write_audit(cfg: RunConfig, name: str, records) -> None:
 
 def cmd_elicit(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
+    _check_out_dirs(cfg, "audit")
     transport = _make_transport(cfg)
     # each run makes new queries, so the log grows across runs, failed ones too
+    audit = []
     try:
-        prior = elicit_prior(condition.strategy, condition.elicit, transport)
-    except AllQueriesFailedError as exc:
-        write_audit_log(exc.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
-        raise
-    write_audit_log(prior.records, _out_dir(cfg, "audit") / "elicitations.jsonl")
+        prior = elicit_prior(condition.strategy, condition.elicit, transport, audit)
+    finally:
+        write_audit_log(audit, _out_dir(cfg, "audit") / "elicitations.jsonl")
     n_ok = prior.n_successes
     sys.stdout.write(
         f"model {condition.elicit.model_id}, strategy {condition.strategy.value}, "
@@ -387,6 +406,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
+    _check_out_dirs(cfg, "draws", "reports")
     dataset = _require_dataset(cfg)
     try:
         spec = HyperPriorSpec(alpha_rate=args.alpha_rate, beta_rate=args.beta_rate)
@@ -417,6 +437,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if args.no_baseline and not llm_conditions:
         raise ConfigError("no condition to run: --no-baseline and no LLM condition "
                           "(models, strategies or temperatures is empty)")
+    _check_out_dirs(cfg, "results", "reports", "audit")
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg) if llm_conditions else None
@@ -427,17 +448,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    audit = []
     try:
         results = run_cv_experiment(dataset, [*baseline, *llm_conditions], transport,
-                                    k=cfg.k, seed=cfg.seed)
-    except AllQueriesFailedError as exc:
-        _write_audit(cfg, "cv_elicitations.jsonl", exc.records)
-        raise
+                                    k=cfg.k, seed=cfg.seed, audit=audit)
+    finally:
+        _write_audit(cfg, "cv_elicitations.jsonl", audit)
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
-    _write_audit(cfg, "cv_elicitations.jsonl",
-                 _records(fold.prior for res in results for fold in res.per_fold))
 
     rows = [[res.condition.identity(),
              f"{res.pooled_mean_lpd:.3f}", f"{res.pooled_sd_lpd:.3f}",
@@ -452,28 +471,27 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
+    _check_out_dirs(cfg, "results", "reports", "audit")
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg)
     from .efficiency import (efficiency_summary_rows, efficiency_table_rows,
                              run_efficiency_experiment)
 
+    audit = []
     try:
         result = run_efficiency_experiment(
             dataset, [*baseline, condition], transport,
             rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
-            train_fraction=cfg.train_fraction, seed=cfg.seed,
+            train_fraction=cfg.train_fraction, seed=cfg.seed, audit=audit,
         )
-    except AllQueriesFailedError as exc:
-        _write_audit(cfg, "efficiency_elicitations.jsonl", exc.records)
-        raise
+    finally:
+        _write_audit(cfg, "efficiency_elicitations.jsonl", audit)
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
                efficiency_table_rows(result))
     _write_csv(_out_dir(cfg, "results") / "efficiency_summary.csv",
                efficiency_summary_rows(result))
-    _write_audit(cfg, "efficiency_elicitations.jsonl",
-                 _records(run.prior for cell in result.cells for run in cell.runs))
 
     rows = [[cell.condition.identity(), f"{cell.rho:g}",
              f"{cell.lpd_mean:.3f}", f"{cell.lpd_sd:.3f}",

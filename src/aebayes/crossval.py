@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .pipeline import Cell, CellOutcome, CvCondition, run_cells
+from .pipeline import CellOutcome, CvCondition, run_cells
 
 SMALL_MAX = 2   # sites with <= 2 patients
 MEDIUM_MAX = 4  # 3-4 patients; >= 5 is large
@@ -122,20 +122,22 @@ class CvResult:
 
 
 def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
-                      transport, k: int = 5, seed: int = 0) -> list[CvResult]:
+                      transport, k: int = 5, seed: int = 0, *,
+                      audit: list | None = None) -> list[CvResult]:
     """Score every (condition, fold) cell; ``seed`` fixes the folds.
 
-    ``run_cells`` elicits condition by condition and fold by fold, then
-    scores each cell from its own data and prior alone, so reordering or
-    dropping conditions never changes another condition's numbers.
+    ``run_cells`` elicits and scores condition by condition and fold by
+    fold, each cell from its own data and prior alone, so reordering or
+    dropping conditions never changes another condition's numbers.  Every
+    elicitation record is appended to ``audit`` as its query completes.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
     splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
                dataset.subset_by_sites(folds.test_sites(fold))) for fold in range(k)]
-    groups = [[Cell(condition, train=train, test=test) for train, test in splits]
-              for condition in conditions]
-    return [CvResult(condition=condition, per_fold=outcomes)
-            for condition, outcomes in zip(conditions, run_cells(groups, transport))]
+    outcomes = run_cells([(condition, train, test) for condition in conditions
+                          for train, test in splits], transport, audit)
+    return [CvResult(condition=condition, per_fold=tuple(outcomes[i * k:(i + 1) * k]))
+            for i, condition in enumerate(conditions)]
 
 
 def cv_table_rows(results: list[CvResult]) -> list[dict]:

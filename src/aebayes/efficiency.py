@@ -22,7 +22,7 @@ from . import seeding
 from .crossval import stratify_sites
 from .data import DataError, Dataset
 from .model import DEFAULT_RHO_GRID
-from .pipeline import Cell, CellOutcome, CvCondition, run_cells
+from .pipeline import CellOutcome, CvCondition, run_cells
 
 
 def _round_half_up(x: float) -> int:
@@ -137,6 +137,8 @@ def run_efficiency_experiment(
     n_replications: int = 20,
     train_fraction: float = 0.7,
     seed: int = 0,
+    *,
+    audit: list | None = None,
 ) -> EfficiencyResult:
     """Run every (condition, rho, replication) cell against one fixed test set.
 
@@ -146,7 +148,8 @@ def run_efficiency_experiment(
     permutations (and nested subsampling makes rho levels comparable).
     Each LLM condition runs at every rho in ``rho_grid`` and elicits a fresh
     prior per cell with its own settings, so n_replications independent
-    batches per sample size; the baseline runs at rho = 1 only.
+    batches per sample size; the baseline runs at rho = 1 only.  Every
+    elicitation record is appended to ``audit`` as its query completes.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
@@ -156,18 +159,17 @@ def run_efficiency_experiment(
     train, test = train_test_split(
         dataset, SplitSpec(train_fraction=train_fraction, seed=seed))
 
-    plan: list[tuple[CvCondition, float]] = []
-    groups = []
-    for condition in conditions:
-        for rho in rho_grid if condition.is_llm else (1.0,):
-            plan.append((condition, rho))
-            groups.append([
-                Cell(condition, test=test, train=subsample_training(
-                    train, rho, seeding.derive_seed(seed, "eff_subsample", rep)))
-                for rep in range(1, n_replications + 1)])
-
-    cells = tuple(EfficiencyCell(condition=condition, rho=rho, runs=runs)
-                  for (condition, rho), runs in zip(plan, run_cells(groups, transport)))
+    levels = [(condition, rho) for condition in conditions
+              for rho in (rho_grid if condition.is_llm else (1.0,))]
+    outcomes = run_cells([
+        (condition, subsample_training(
+            train, rho, seeding.derive_seed(seed, "eff_subsample", rep)), test)
+        for condition, rho in levels for rep in range(1, n_replications + 1)],
+        transport, audit)
+    n = n_replications
+    cells = tuple(EfficiencyCell(condition=condition, rho=rho,
+                                 runs=tuple(outcomes[i * n:(i + 1) * n]))
+                  for i, (condition, rho) in enumerate(levels))
     return EfficiencyResult(cells=cells, n_test_sites=test.n_sites,
                             n_test_patients=test.n_patients)
 

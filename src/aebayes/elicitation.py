@@ -130,13 +130,8 @@ class ResponseFormatError(ElicitationError):
 
 
 class AllQueriesFailedError(ElicitationError):
-    """Every query in a batch failed to parse; ``records`` holds the failed
-    queries' records, for the audit log, after those of the batches an
-    experiment sent before it (``pipeline.run_cells``)."""
-
-    def __init__(self, message: str, records: tuple[ElicitationRecord, ...]):
-        super().__init__(message)
-        self.records = records
+    """Every query in a batch failed to parse; the failed records are in
+    the ``audit`` list passed to ``elicit_prior``."""
 
 
 class FixtureMissError(ElicitationError):
@@ -487,28 +482,33 @@ def _run_one_query(strategy: PromptStrategy, prompt: str, request_hash: str,
     )
 
 
-def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig,
-                 transport) -> AggregatedPrior:
+def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
+                 audit: list[ElicitationRecord] | None = None) -> AggregatedPrior:
     """Run ``n_queries`` query/parse cycles and aggregate by arithmetic mean.
 
     Failed queries are kept in the audit records but excluded from the
     mean; the batch fails only when every query fails.  Records are
-    ordered by request index.
+    ordered by request index, and each is also appended to ``audit`` as
+    its query completes, so that list holds every query sent even when
+    the batch fails (``AllQueriesFailedError``) or is interrupted.
     """
     prompt = build_prompt(strategy)
     request_hash = ChatRequest(model=config.model_id, prompt=prompt,
                                temperature=config.temperature).request_hash()
-    records = tuple(_run_one_query(strategy, prompt, request_hash, config, transport)
-                    for _ in range(config.n_queries))
+    records = []
+    for _ in range(config.n_queries):
+        records.append(_run_one_query(strategy, prompt, request_hash, config, transport))
+        if audit is not None:
+            audit.append(records[-1])
 
     successes = [r.parsed for r in records if r.ok]
     if not successes:
         raise AllQueriesFailedError(
-            f"all {len(records)} queries failed; first error: {records[0].error}", records)
+            f"all {len(records)} queries failed; first error: {records[0].error}")
     alphas = [p[0] for p in successes]
     betas = [p[1] for p in successes]
     spec = HyperPriorSpec(alpha_rate=_hull_mean(alphas), beta_rate=_hull_mean(betas))
-    return AggregatedPrior(spec=spec, records=records)
+    return AggregatedPrior(spec=spec, records=tuple(records))
 
 
 def _hull_mean(values: list[float]) -> float:

@@ -324,9 +324,15 @@ def test_fit_numerical_failure_exit_code(dataset_file, config_file, tmp_path, ca
     assert not (out_dir / "draws" / "draws.csv").exists()
 
 
-def test_cv_posterior_off_the_grid_exit_code(tmp_path, capsys):
+def test_cv_posterior_off_the_grid_exit_code(tmp_path, monkeypatch, capsys):
     """Elicited rates of 1e-6 on a set where every count is 3 leave the
-    posterior's mass beyond the quadrature box: exit 5, no results."""
+    posterior's mass beyond the quadrature box: exit 5, no results.  The
+    run stops at the first cell, so it sends that cell's 5 queries only,
+    and its audit log keeps their records."""
+    served = []
+    send = FixtureTransport.send
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: served.append(request) or send(self, request))
     data = tmp_path / "equi.csv"
     write_dataset(Dataset.from_rows([(f"e{j}", f"q{j}_{i}", 3) for j in range(20)
                                      for i in range(1 + j % 4)]), data)
@@ -339,6 +345,9 @@ def test_cv_posterior_off_the_grid_exit_code(tmp_path, capsys):
     assert rc == 5
     assert capsys.readouterr().err.startswith("numerical error: quadrature grid leaves ")
     assert not (out_dir / "results").exists()
+    audit = audit_records(out_dir / "audit" / "cv_elicitations.jsonl")
+    assert [r["parsed"] for r in audit] == [[1e-6, 1e-6]] * 5
+    assert len(served) == 5
 
 
 def test_cv_baseline_only(dataset_file, tmp_path, capsys):
@@ -528,7 +537,7 @@ class ScriptedTransport:
 
     def send(self, request):
         step = next(self.steps)
-        if isinstance(step, Exception):
+        if isinstance(step, BaseException):
             raise step
         return step
 
@@ -606,6 +615,26 @@ def test_elicit_audit_log_replays(tmp_path, monkeypatch, capsys):
     assert replayed == first
 
 
+@pytest.mark.parametrize("command, audit_name", [
+    (["elicit", "--model", "m1", "--temperature", "0.5"], "elicitations.jsonl"),
+    (["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+      "--temperatures", "0.5"], "cv_elicitations.jsonl"),
+], ids=["elicit", "cv"])
+def test_interrupted_run_keeps_audit_log(dataset_file, config_file, tmp_path,
+                                         monkeypatch, command, audit_name):
+    """A run interrupted at its third query leaves the two records sent
+    before it in the audit log."""
+    steps = [*DISTINCT_RESPONSES[:2], KeyboardInterrupt()]
+    monkeypatch.setattr(cli, "_make_transport", lambda cfg: ScriptedTransport(steps))
+    out_dir = tmp_path / "out"
+    extra = ["--dataset", dataset_file] if command[0] == "cv" else []
+    with pytest.raises(KeyboardInterrupt):
+        main([*command, *extra, "--config", config_file, "--out", str(out_dir)])
+    audit = audit_records(out_dir / "audit" / audit_name)
+    assert [r["response"] for r in audit] == DISTINCT_RESPONSES[:2]
+    assert not (out_dir / "results").exists()
+
+
 @pytest.mark.parametrize("line, fragment", [
     ("{not json", "invalid record"),
     ('{"request_hash": "h", "model": "m1", "temperature": 1.0, "response": "x",'
@@ -672,6 +701,48 @@ def test_cv_rerun_replaces_audit_log(dataset_file, config_file, tmp_path, capsys
         assert main(["report", "--out", str(out_dir)]) == 0
         stats = (out_dir / "results" / "prior_param_stats.csv").read_text().splitlines()
         assert {line.split(",")[4] for line in stats[1:]} == {"15"}
+
+
+@pytest.mark.parametrize("command", ["ingest", "elicit", "fit", "cv", "efficiency"])
+@pytest.mark.parametrize("blocked", ["root", "subdir", "read_only"])
+def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypatch,
+                                  capsys, command, blocked):
+    """An output directory that cannot be made, because a regular file holds
+    its name (the --out root, or a directory the command writes) or the
+    --out root is read-only, exits 2 before any data is loaded or query
+    sent."""
+    sent = []
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda path: pytest.fail("the dataset was loaded"))
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    replay = ["--fixtures", fx, "--config", config_file]
+    one = ["--model", "m1", "--strategy", "blind", "--temperature", "0.5"]
+    argv, kind = {
+        "ingest": (["ingest", dataset_file], "reports"),
+        "elicit": (["elicit", *replay, *one], "audit"),
+        "fit": (["fit", "--dataset", dataset_file, "--config", config_file], "draws"),
+        "cv": (["cv", "--dataset", dataset_file, *replay, "--models", "m1",
+                "--strategies", "blind", "--temperatures", "0.5"], "results"),
+        "efficiency": (["efficiency", "--dataset", dataset_file, *replay, *one], "audit"),
+    }[command]
+    out_dir = tmp_path / "out"
+    blocked_path, reason = {"root": (out_dir, "is not a directory"),
+                            "subdir": (out_dir / kind, "is not a directory"),
+                            "read_only": (out_dir, "is not writable")}[blocked]
+    if blocked != "root":
+        out_dir.mkdir()
+    if blocked == "read_only":
+        # a superuser ignores permission bits, so a read-only mode is faked
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != out_dir)
+    else:
+        blocked_path.write_text("a regular file\n", encoding="utf-8")
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot create output directory {blocked_path}: "
+        f"{blocked_path} {reason}\n")
+    assert sent == []
 
 
 def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):
@@ -769,6 +840,11 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
     (["cv", "--temperatures", "1.0,1.0"], "", "temperatures"),
     (["cv", "--models", "m1,m1"], "", "models"),
     (["cv", "--strategies", "blind,blind"], "", "strategies"),
+    # distinct values that the outputs would report under one name
+    (["cv", "--temperatures", "0.1,0.1000001"], "",
+     "temperatures must not repeat a value, got 0.1 and 0.1000001,"),
+    (["efficiency", "--rho-grid", "0.5,0.5000001"], "",
+     "rho_grid must not repeat a value, got 0.5 and 0.5000001,"),
     (["efficiency"], "backoff_base = nan\n", "backoff_base"),
     (["efficiency"], "backoff_base = inf\n", "backoff_base"),
     (["efficiency"], "backoff_base = 1e300\n", "backoff_base"),
@@ -780,7 +856,8 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
 ], ids=["train_fraction", "n_replications", "rho_grid", "k_below_2", "k_above_sites",
         "rho_grid_not_a_number", "temperatures_not_a_number", "rho_grid_empty",
         "rho_grid_repeated", "temperatures_repeated", "models_repeated",
-        "strategies_repeated", "backoff_base_nan", "backoff_base_inf",
+        "strategies_repeated", "temperatures_same_name", "rho_grid_same_name",
+        "backoff_base_nan", "backoff_base_inf",
         "backoff_base_huge", "backoff_base_above_one_day", "cv_seed_negative",
         "efficiency_seed_negative", "cv_n_draws_zero"])
 def test_out_of_range_experiment_setting_exit_code(

@@ -12,6 +12,8 @@ from aebayes.efficiency import (
     subsample_training,
     train_test_split,
 )
+from aebayes.elicitation import AllQueriesFailedError, FixtureTransport
+from aebayes.evaluation import quadrature_lpd
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -69,3 +71,46 @@ def test_baseline_runs_without_elicitation_settings(mixed_dataset):
         [o for cell in eff.cells for o in cell.runs]
     assert len(outcomes) == 3 + 2
     assert all(o.prior is None and o.spec == META_ANALYTICAL for o in outcomes)
+
+
+def test_run_cells_elicits_then_scores_each_cell_in_plan_order(mixed_dataset):
+    """One outcome per (condition, train, test) triple, in plan order; each
+    LLM cell takes the next batch, and ``audit`` gets every record in the
+    order sent."""
+    train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
+    small = subsample_training(train, 0.5, seed=1)
+    llm = llm_condition(n_queries=2)
+    answers = [_answer(i) for i in range(4)]
+    audit = []
+    outcomes = pipeline.run_cells(
+        [(llm, train, test), (CvCondition.meta_analytical(), small, test),
+         (llm, small, test)],
+        fixture_transport(answers, "m1", "blind", 1.0), audit)
+    first, baseline, last = outcomes
+    assert [r.response for r in first.prior.records] == answers[:2]
+    assert [r.response for r in last.prior.records] == answers[2:]
+    assert audit == [*first.prior.records, *last.prior.records]
+    assert baseline.prior is None and baseline.spec == META_ANALYTICAL
+    for outcome, cell_train in zip(outcomes, (train, small, small)):
+        assert outcome.lpd == quadrature_lpd(cell_train, outcome.spec, test)
+        assert outcome.n_train_patients == cell_train.n_patients
+
+
+def test_run_cells_stops_at_a_failed_batch(mixed_dataset, monkeypatch):
+    """A batch whose every query fails ends the run at its cell: the cells
+    after it send nothing, and ``audit`` keeps every record sent."""
+    served = []
+    send = FixtureTransport.send
+    monkeypatch.setattr(FixtureTransport, "send",
+                        lambda self, request: served.append(request) or send(self, request))
+    transport = FixtureTransport(records=[
+        {"model": "m1", "strategy": "blind", "temperature": t, "response": body}
+        for t, body in ((0.5, _answer(0)), (1.0, "not json"))])
+    train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
+    plan = [(llm_condition(temperature=t, n_queries=2), train, test)
+            for t in (0.5, 1.0, 0.5)]
+    audit = []
+    with pytest.raises(AllQueriesFailedError, match="all 2 queries failed"):
+        pipeline.run_cells(plan, transport, audit)
+    assert [r.ok for r in audit] == [True, True, False, False]
+    assert len(served) == 4
