@@ -11,10 +11,13 @@ holding its own ``ElicitationConfig``, which is built, and so checked,
 once.  Each command then checks that its output directories can be made,
 before it loads data or sends a query.  Secrets only ever come from the
 environment (LLM_API_KEY, endpoint override via LLM_ENDPOINT).
-Everything that writes does so atomically (temp file + rename), except
-``elicit``, which appends to its audit log.  The commands that query
-collect every elicitation record in one list and write it to the audit
-log on every exit path.  All randomness flows from the single seed.
+Everything that writes does so atomically (temp file + rename),
+``fit``'s draws included, except ``elicit``, which appends to its audit
+log.  The commands that query collect every elicitation record in one
+list and write it to the audit log on every exit path; a ``cv`` or
+``efficiency`` run that fails there also removes its own earlier tables
+and report.  Warnings print as one ``warning: <message>`` line each.
+All randomness flows from the single seed.
 
 Parsing and checking settings, and ``ingest``, load no numpy: ``fit``,
 ``cv`` and ``efficiency`` import the sampler and the experiment modules
@@ -28,11 +31,13 @@ elicitation failure, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import csv
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -100,7 +105,6 @@ class RunConfig:
     k: int = 5
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
     n_replications: int = 20
-    train_fraction: float = 0.7
 
     def mcmc_config(self, **overrides) -> McmcConfig:
         kwargs = dict(n_chains=self.n_chains, n_warmup=self.n_warmup,
@@ -230,8 +234,6 @@ def _check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
     if cfg.k < 2:
         raise ConfigError(f"k must be >= 2, got {cfg.k}")
-    if not 0.0 < cfg.train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
     if cfg.n_replications < 1:
         raise ConfigError(f"n_replications must be >= 1, got {cfg.n_replications}")
     if not cfg.rho_grid:
@@ -370,17 +372,32 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_audit(cfg: RunConfig, name: str, records) -> None:
-    """Replace audit/<name> with ``records``, so it holds the last run only;
-    a run that elicited nothing leaves no file."""
-    path = Path(cfg.out or "out") / "audit" / name
-    if not records:
-        path.unlink(missing_ok=True)
-        return
-    tmp = _out_dir(cfg, "audit") / (name + ".tmp")
-    tmp.unlink(missing_ok=True)
-    write_audit_log(records, tmp)
-    os.replace(tmp, path)
+@contextlib.contextmanager
+def _experiment_audit(cfg: RunConfig, command: str):
+    """Yield the list that collects an experiment's elicitation records, and
+    on every exit path replace audit/<command>_elicitations.jsonl with it,
+    so the file holds the last run only; a run that elicited nothing leaves
+    no file.  A run that fails or is interrupted also removes the command's
+    own results/ and reports/ files, so they never sit beside another run's
+    audit log."""
+    root = Path(cfg.out or "out")
+    audit = []
+    try:
+        yield audit
+    except BaseException:
+        for kind in ("results", "reports"):
+            for path in root.glob(f"{kind}/{command}_*"):
+                path.unlink()
+        raise
+    finally:
+        path = root / "audit" / f"{command}_elicitations.jsonl"
+        if audit:
+            tmp = _out_dir(cfg, "audit") / (path.name + ".tmp")
+            tmp.unlink(missing_ok=True)
+            write_audit_log(audit, tmp)
+            os.replace(tmp, path)
+        else:
+            path.unlink(missing_ok=True)
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
@@ -418,7 +435,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     draws = run_mcmc(dataset, spec, mcmc)
 
     draws_path = _out_dir(cfg, "draws") / "draws.csv"
-    export_draws(draws, draws_path, include_hyperparams=freeze is None)
+    tmp = draws_path.with_name(draws_path.name + ".tmp")
+    export_draws(draws, tmp, include_hyperparams=freeze is None)
+    os.replace(tmp, draws_path)
 
     rows = [[name, f"{value:.4f}"] for name, value in sorted(draws.diagnostics.items())]
     report = _format_table(["parameter", "rhat"], rows)
@@ -448,12 +467,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    audit = []
-    try:
+    with _experiment_audit(cfg, "cv") as audit:
         results = run_cv_experiment(dataset, [*baseline, *llm_conditions], transport,
                                     k=cfg.k, seed=cfg.seed, audit=audit)
-    finally:
-        _write_audit(cfg, "cv_elicitations.jsonl", audit)
 
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
     _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
@@ -478,15 +494,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     from .efficiency import (efficiency_summary_rows, efficiency_table_rows,
                              run_efficiency_experiment)
 
-    audit = []
-    try:
+    with _experiment_audit(cfg, "efficiency") as audit:
         result = run_efficiency_experiment(
-            dataset, [*baseline, condition], transport,
-            rho_grid=cfg.rho_grid, n_replications=cfg.n_replications,
-            train_fraction=cfg.train_fraction, seed=cfg.seed, audit=audit,
-        )
-    finally:
-        _write_audit(cfg, "efficiency_elicitations.jsonl", audit)
+            dataset, [*baseline, condition], transport, rho_grid=cfg.rho_grid,
+            n_replications=cfg.n_replications, seed=cfg.seed, audit=audit)
 
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
                efficiency_table_rows(result))
@@ -507,6 +518,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
+    _check_out_dirs(cfg, "reports", "results")
     audit_dir = Path(cfg.out or "out") / "audit"
     if not audit_dir.is_dir():
         raise DataError(f"no such audit directory: {audit_dir}")
@@ -628,7 +640,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one line each, without the source
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,11 @@
 """Site-stratified 5-fold cross-validation comparing prior sources.
 
-Sites are stratified by patient count (small <= 2, medium 3-4, large >= 5)
-and dealt round-robin into folds after a seeded shuffle within each
-stratum, so every fold sees all site types.  Each condition is either the
-meta-analytical baseline prior or an LLM-elicited prior refreshed per
+Sites are stratified by patient count (small <= 2, medium 3-4, large >= 5).
+``shuffled_strata`` is the one seeded shuffle of each stratum that every
+site selection cuts: the folds here, and the 70:30 split and training
+subsamples of ``efficiency``.  Folds deal each shuffled stratum
+round-robin, so every fold sees all site types.  Each condition is either
+the meta-analytical baseline prior or an LLM-elicited prior refreshed per
 fold; every cell scores the held-out sites by their exact posterior
 predictive LPD given the training sites (``pipeline.run_cells``).
 """
@@ -11,6 +13,7 @@ predictive LPD given the training sites (``pipeline.run_cells``).
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,21 @@ def stratify_sites(dataset: Dataset) -> list[SiteStratum]:
             for label in StratumLabel]
 
 
+def shuffled_strata(strata: list[SiteStratum], seed: int,
+                    purpose: str) -> Iterator[tuple[SiteStratum, tuple[str, ...]]]:
+    """Yield each nonempty stratum with its sites in a seeded order.
+
+    The order is the permutation drawn from the stream (seed, purpose,
+    label), so a stratum's order depends on neither the other strata nor
+    the order they come in.
+    """
+    for stratum in strata:
+        if stratum.site_ids:
+            order = seeding.rng(seed, purpose, stratum.label.value).permutation(
+                stratum.n_sites)
+            yield stratum, tuple(stratum.site_ids[i] for i in order)
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     fold_of_site: dict[str, int]
@@ -66,8 +84,8 @@ class FoldAssignment:
 
 
 def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
-    """Deal each stratum's sites round-robin into k folds after a seeded
-    shuffle; every fold needs a stratum of at least k sites."""
+    """Deal each shuffled stratum's sites round-robin into k folds; every
+    fold needs a stratum of at least k sites."""
     if k < 2:
         raise ValueError("k must be >= 2")
     total = sum(s.n_sites for s in strata)
@@ -77,15 +95,9 @@ def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
     if k > largest:
         raise ValueError(f"k = {k} leaves fold(s) {', '.join(map(str, range(largest, k)))} "
                          f"without sites: the largest stratum holds {largest}")
-    fold_of_site: dict[str, int] = {}
-    for stratum in strata:
-        if not stratum.site_ids:
-            continue
-        rng = seeding.rng(seed, "cv_folds", stratum.label.value)
-        order = rng.permutation(len(stratum.site_ids))
-        for i, idx in enumerate(order):
-            fold_of_site[stratum.site_ids[idx]] = i % k
-    return FoldAssignment(fold_of_site=fold_of_site)
+    return FoldAssignment(fold_of_site={
+        site: i % k for _, sites in shuffled_strata(strata, seed, "cv_folds")
+        for i, site in enumerate(sites)})
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Sample-efficiency experiment: 70:30 site split with training subsampling.
 
-One seeded stratified split fixes the test set for the whole experiment.
-The training sites are then subsampled at each rho level (nested within a
-replication: larger rho extends the smaller site set) and the model is
-rescored per (condition, rho, replication) cell, by the exact posterior
+One seeded stratified split, at the fixed ``TRAIN_FRACTION``, fixes the
+test set for the whole experiment.  The training sites are then
+subsampled at each rho level (nested within a replication: larger rho
+extends the smaller site set), both by cutting the seeded stratum orders
+of ``crossval.shuffled_strata``, and the model is rescored per
+(condition, rho, replication) cell, by the exact posterior
 predictive LPD (``pipeline.run_cells``), with a fresh elicitation per
 cell for LLM conditions.  The meta-analytical baseline is
 the full-data reference and runs at rho = 1 only.
@@ -19,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .crossval import stratify_sites
+from .crossval import shuffled_strata, stratify_sites
 from .data import DataError, Dataset
 from .model import DEFAULT_RHO_GRID
 from .pipeline import CellOutcome, CvCondition, run_cells
+
+TRAIN_FRACTION = 0.7  # the paper's 70:30 site split
 
 
 def _round_half_up(x: float) -> int:
@@ -31,20 +35,16 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.7
     seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
 
 
 def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Site-level stratified split; patients follow their sites.
+    """Site-level stratified 70:30 split; patients follow their sites.
 
-    A stratum with fewer than 2 sites cannot contribute to both halves;
-    it goes entirely to train with a warning.  When no stratum holds 2
-    sites the test set would be empty, which raises ``DataError``.
+    Each shuffled stratum is cut at its train count.  A stratum with
+    fewer than 2 sites cannot contribute to both halves; it goes entirely
+    to train with a warning.  When no stratum holds 2 sites the test set
+    would be empty, which raises ``DataError``.
     """
     strata = stratify_sites(dataset)
     if all(stratum.n_sites < 2 for stratum in strata):
@@ -53,22 +53,18 @@ def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
                         f"holds 2 or more sites (sites per stratum: {sizes})")
     train_sites: list[str] = []
     test_sites: list[str] = []
-    for stratum in strata:
-        n = stratum.n_sites
-        if n == 0:
-            continue
+    for stratum, sites in shuffled_strata(strata, spec.seed, "split"):
+        n = len(sites)
         if n < 2:
             warnings.warn(
                 f"stratum {stratum.label.value!r} has {n} site(s); "
                 "assigning all to train", stacklevel=2)
-            train_sites.extend(stratum.site_ids)
+            train_sites.extend(sites)
             continue
-        rng = seeding.rng(spec.seed, "split", stratum.label.value)
-        order = rng.permutation(n)
-        n_train = _round_half_up(spec.train_fraction * n)
+        n_train = _round_half_up(TRAIN_FRACTION * n)
         n_train = min(max(n_train, 1), n - 1)  # both halves keep >= 1 site
-        for i, idx in enumerate(order):
-            (train_sites if i < n_train else test_sites).append(stratum.site_ids[idx])
+        train_sites.extend(sites[:n_train])
+        test_sites.extend(sites[n_train:])
     return dataset.subset_by_sites(train_sites), dataset.subset_by_sites(test_sites)
 
 
@@ -76,22 +72,16 @@ def subsample_training(train: Dataset, rho: float, seed: int) -> Dataset:
     """Retain round(rho * n) sites per stratum (>= 1 per nonempty stratum).
 
     The retained set at a larger rho is a superset of the set at a smaller
-    rho for the same seed, because each stratum keeps a prefix of one fixed
-    seeded permutation.
+    rho for the same seed, because each stratum keeps a prefix of its
+    shuffled sites.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if rho == 1.0:
         return train
     kept: list[str] = []
-    for stratum in stratify_sites(train):
-        n = stratum.n_sites
-        if n == 0:
-            continue
-        rng = seeding.rng(seed, "subsample", stratum.label.value)
-        order = rng.permutation(n)
-        n_keep = max(_round_half_up(rho * n), 1)
-        kept.extend(stratum.site_ids[idx] for idx in order[:n_keep])
+    for _, sites in shuffled_strata(stratify_sites(train), seed, "subsample"):
+        kept.extend(sites[:max(_round_half_up(rho * len(sites)), 1)])
     return train.subset_by_sites(kept)
 
 
@@ -135,7 +125,6 @@ def run_efficiency_experiment(
     transport,
     rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID,
     n_replications: int = 20,
-    train_fraction: float = 0.7,
     seed: int = 0,
     *,
     audit: list | None = None,
@@ -156,8 +145,7 @@ def run_efficiency_experiment(
     for rho in rho_grid:  # before any cell elicits its prior
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {rho}")
-    train, test = train_test_split(
-        dataset, SplitSpec(train_fraction=train_fraction, seed=seed))
+    train, test = train_test_split(dataset, SplitSpec(seed=seed))
 
     levels = [(condition, rho) for condition in conditions
               for rho in (rho_grid if condition.is_llm else (1.0,))]

@@ -93,6 +93,12 @@ DISTINCT_RESPONSES = ['{"alpha_rate": 0.5, "beta_rate": 0.1}',
 REPLAY_RESPONSES = [DISTINCT_RESPONSES[0], "not json", *DISTINCT_RESPONSES[1:]]
 
 
+# one audit record, as ``elicit`` writes it
+PARSED_RECORD = {"request_hash": "h", "model": "m1", "strategy": "blind",
+                 "temperature": 0.5, "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}',
+                 "parsed": [0.5, 0.1], "error": None, "timestamp": 0.0}
+
+
 def output_bytes(out_dir):
     return {str(p.relative_to(out_dir)): p.read_bytes()
             for kind in ("results", "reports") if (out_dir / kind).is_dir()
@@ -266,6 +272,26 @@ def test_fit_is_deterministic(dataset_file, config_file, tmp_path):
             == (out_b / "draws" / "draws.csv").read_bytes())
 
 
+def test_interrupted_draws_export_keeps_previous_draws(dataset_file, config_file,
+                                                       tmp_path, monkeypatch):
+    """An export interrupted after a partial line leaves the previous run's
+    draws.csv byte for byte."""
+    argv = ["fit", "--dataset", dataset_file, "--config", config_file,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    draws_path = tmp_path / "out" / "draws" / "draws.csv"
+    before = draws_path.read_bytes()
+
+    def interrupted_export(draws, path, include_hyperparams=True):
+        Path(path).write_text("chain,draw,parameter,value\n0,0,alp", encoding="utf-8")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("aebayes.sampler.export_draws", interrupted_export)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert draws_path.read_bytes() == before
+
+
 def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
     rc = main(["fit", "--dataset", dataset_file, "--out", str(tmp_path / "out"),
                "--alpha-rate", "-1.0"])
@@ -432,6 +458,20 @@ def test_efficiency_single_condition(dataset_file, config_file, tmp_path, capsys
     assert "test set:" in report
     audit = (out_dir / "audit" / "efficiency_elicitations.jsonl").read_text().splitlines()
     assert len(audit) == 4  # one query per (rho, replication) cell
+
+
+def test_warning_prints_one_line(config_file, tmp_path, capsys):
+    """A warning reaches stderr as one ``warning:`` line, without the source
+    line that raised it."""
+    data = tmp_path / "one_small.csv"
+    write_dataset(Dataset.from_rows(make_rows([1] + [3] * 4 + [8] * 4)), data)
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0)])
+    assert main(["efficiency", "--dataset", str(data), "--config", config_file,
+                 "--out", str(tmp_path / "out"), "--fixtures", fx, "--model", "m1",
+                 "--strategy", "blind", "--temperature", "1.0",
+                 "--rho-grid", "1.0", "--n-replications", "1"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: stratum 'small' has 1 site(s); assigning all to train\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -703,14 +743,59 @@ def test_cv_rerun_replaces_audit_log(dataset_file, config_file, tmp_path, capsys
         assert {line.split(",")[4] for line in stats[1:]} == {"15"}
 
 
-@pytest.mark.parametrize("command", ["ingest", "elicit", "fit", "cv", "efficiency"])
+EXPERIMENTS = {
+    "cv": ["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+           "--temperatures", "0.5"],
+    "efficiency": ["efficiency", "--model", "m1", "--strategy", "blind", "--temperature",
+                   "0.5", "--rho-grid", "0.5,1.0", "--n-replications", "2"],
+}
+
+
+@pytest.mark.parametrize("failure", ["unparseable", "interrupted"])
+@pytest.mark.parametrize("command", ["cv", "efficiency"])
+def test_failed_run_removes_its_earlier_tables(dataset_file, config_file, tmp_path,
+                                               monkeypatch, command, failure):
+    """Both experiments succeed into one --out, then one of them fails or is
+    interrupted there once it has queried: none of its tables or report
+    is left beside its audit log, which holds the failed run's records, and
+    the other experiment's files stay."""
+    out_dir = tmp_path / "out"
+    common = ["--dataset", dataset_file, "--config", config_file, "--out", str(out_dir)]
+    ok = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    for argv in EXPERIMENTS.values():
+        assert main([*argv, *common, "--fixtures", ok]) == 0
+    other = "efficiency" if command == "cv" else "cv"
+    kept = sorted(out_dir.glob(f"re*/{other}_*"))
+    assert len(kept) == 3 and len(list(out_dir.glob(f"re*/{command}_*"))) == 3
+
+    if failure == "unparseable":  # every query of the first LLM cell
+        steps = ["not json"] * (5 if command == "cv" else 1)
+    else:
+        steps = [DISTINCT_RESPONSES[0], KeyboardInterrupt()]
+    monkeypatch.setattr(cli, "_make_transport", lambda cfg: ScriptedTransport(steps))
+    argv = [*EXPERIMENTS[command], *common]
+    if failure == "unparseable":
+        assert main(argv) == 4
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert list(out_dir.glob(f"re*/{command}_*")) == []
+    assert sorted(out_dir.glob(f"re*/{other}_*")) == kept
+    audit = audit_records(out_dir / "audit" / f"{command}_elicitations.jsonl")
+    # an interrupted query leaves no record
+    answered = steps if failure == "unparseable" else steps[:1]
+    assert [r["response"] for r in audit] == answered
+
+
+@pytest.mark.parametrize("command", ["ingest", "elicit", "fit", "cv", "efficiency",
+                                     "report"])
 @pytest.mark.parametrize("blocked", ["root", "subdir", "read_only"])
 def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypatch,
                                   capsys, command, blocked):
     """An output directory that cannot be made, because a regular file holds
     its name (the --out root, or a directory the command writes) or the
-    --out root is read-only, exits 2 before any data is loaded or query
-    sent."""
+    --out root is read-only, exits 2 before any data is loaded, query
+    sent or file written, ``report`` even when it has an audit log to read."""
     sent = []
     monkeypatch.setattr(FixtureTransport, "send",
                         lambda self, request: sent.append(request))
@@ -726,6 +811,7 @@ def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypat
         "cv": (["cv", "--dataset", dataset_file, *replay, "--models", "m1",
                 "--strategies", "blind", "--temperatures", "0.5"], "results"),
         "efficiency": (["efficiency", "--dataset", dataset_file, *replay, *one], "audit"),
+        "report": (["report"], "results"),
     }[command]
     out_dir = tmp_path / "out"
     blocked_path, reason = {"root": (out_dir, "is not a directory"),
@@ -733,6 +819,9 @@ def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypat
                             "read_only": (out_dir, "is not writable")}[blocked]
     if blocked != "root":
         out_dir.mkdir()
+    if command == "report" and blocked != "root":
+        (out_dir / "audit").mkdir()
+        write_fixtures(out_dir / "audit", [PARSED_RECORD], "elicitations.jsonl")
     if blocked == "read_only":
         # a superuser ignores permission bits, so a read-only mode is faked
         monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != out_dir)
@@ -743,12 +832,14 @@ def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypat
         f"configuration error: cannot create output directory {blocked_path}: "
         f"{blocked_path} {reason}\n")
     assert sent == []
+    assert not (out_dir / "reports").is_dir()
 
 
 def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # rhat_threshold and strict were settings once
-    for key, value in (("chains", "4"), ("rhat_threshold", "1.1"), ("strict", "true")):
+    # rhat_threshold, strict and train_fraction were settings once
+    for key, value in (("chains", "4"), ("rhat_threshold", "1.1"), ("strict", "true"),
+                       ("train_fraction", "0.7")):
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         rc = main(["ingest", dataset_file, "--config", str(cfg)])
         assert rc == 2
@@ -827,6 +918,7 @@ def test_fixture_run_does_not_check_timeout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, config_line, key", [
+    # no longer a setting: the line is rejected as an unknown key
     (["efficiency"], "train_fraction = 1.5\n", "train_fraction"),
     (["efficiency", "--n-replications", "0"], "", "n_replications"),
     # a valid level first: its cells must not be elicited before the check
@@ -875,7 +967,11 @@ def test_out_of_range_experiment_setting_exit_code(
     rc = main([command[0], *llm, *command[1:], "--dataset", dataset_file,
                "--config", str(cfg), "--out", str(out_dir), "--fixtures", fx])
     assert rc == 2
-    assert f"configuration error: {key} " in capsys.readouterr().err
+    expected = f"{key} "
+    if key == "train_fraction":
+        lineno = SMALL_MCMC_CONFIG.count("\n") + 1
+        expected = f"{cfg}: line {lineno}: unknown config key 'train_fraction'\n"
+    assert f"configuration error: {expected}" in capsys.readouterr().err
     assert sent == []
     assert not (out_dir / "audit").exists()
 

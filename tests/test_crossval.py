@@ -10,8 +10,10 @@ from aebayes.crossval import (
     cv_table_rows,
     make_folds,
     run_cv_experiment,
+    shuffled_strata,
     stratify_sites,
 )
+from aebayes.efficiency import SplitSpec, subsample_training, train_test_split
 from aebayes.elicitation import ElicitationConfig, PromptStrategy
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
@@ -42,6 +44,30 @@ def test_stratify_partitions_sites():
     all_ids = [s for stratum in stratify_sites(ds) for s in stratum.site_ids]
     assert sorted(all_ids) == sorted(ds.site_ids)
     assert len(all_ids) == len(set(all_ids))
+
+
+def test_shuffled_strata_gives_each_stratum_one_seeded_order():
+    """Each nonempty stratum comes once, its sites in an order fixed by
+    (seed, purpose, label) alone, and the folds, the split and the
+    subsamples each cut their own purpose's order."""
+    ds = make_dataset([1] * 4 + [3] * 6)  # no large site
+    strata = stratify_sites(ds)
+    shuffled = list(shuffled_strata(strata, seed=2, purpose="cv_folds"))
+    assert [s.label for s, _ in shuffled] == [StratumLabel.SMALL, StratumLabel.MEDIUM]
+    for stratum, sites in shuffled:
+        assert sorted(sites) == sorted(stratum.site_ids)
+        assert list(shuffled_strata([stratum], 2, "cv_folds")) == [(stratum, sites)]
+    assert dict(shuffled) != dict(shuffled_strata(strata, 2, "split"))
+
+    folds = make_folds(strata, k=3, seed=2)
+    for _, sites in shuffled:
+        assert [folds.fold_of_site[s] for s in sites] == [i % 3 for i in range(len(sites))]
+    train, _ = train_test_split(ds, SplitSpec(seed=2))
+    split = dict(shuffled_strata(strata, 2, "split"))
+    assert set(train.site_ids) == {*split[strata[0]][:3], *split[strata[1]][:4]}
+    half = subsample_training(ds, 0.5, seed=2)
+    subsample = dict(shuffled_strata(strata, 2, "subsample"))
+    assert set(half.site_ids) == {*subsample[strata[0]][:2], *subsample[strata[1]][:3]}
 
 
 def test_make_folds_even_division():

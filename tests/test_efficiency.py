@@ -26,13 +26,6 @@ def test_round_half_up(x, expected):
     assert _round_half_up(x) == expected
 
 
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(train_fraction=0.0)
-    with pytest.raises(ValueError):
-        SplitSpec(train_fraction=1.0)
-
-
 def test_split_seventy_thirty_per_stratum():
     # 10 sites in each stratum: expect 7 train / 3 test from each.
     ds = make_dataset([1] * 10 + [3] * 10 + [6] * 10)
