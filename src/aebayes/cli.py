@@ -491,8 +491,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     dataset = _require_dataset(cfg)
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg)
+    from .crossval import stratify_sites
     from .efficiency import (efficiency_summary_rows, efficiency_table_rows,
-                             run_efficiency_experiment)
+                             require_test_sites, run_efficiency_experiment)
+    require_test_sites(stratify_sites(dataset))  # before a failed run clears out/
 
     with _experiment_audit(cfg, "efficiency") as audit:
         result = run_efficiency_experiment(
@@ -637,6 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's only BLAS calls here are small products, which an idle second
+    # OpenBLAS thread only slows; a value set in the environment still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

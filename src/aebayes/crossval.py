@@ -7,7 +7,9 @@ subsamples of ``efficiency``.  Folds deal each shuffled stratum
 round-robin, so every fold sees all site types.  Each condition is either
 the meta-analytical baseline prior or an LLM-elicited prior refreshed per
 fold; every cell scores the held-out sites by their exact posterior
-predictive LPD given the training sites (``pipeline.run_cells``).
+predictive LPD given the training sites (``pipeline.run_cells``), with the
+fold's quadrature terms built once for all conditions (one
+``evaluation.Split`` per fold).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
+from .evaluation import HeldOut, Split
 from .pipeline import CellOutcome, CvCondition, run_cells
 
 SMALL_MAX = 2   # sites with <= 2 patients
@@ -140,14 +143,17 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
 
     ``run_cells`` elicits and scores condition by condition and fold by
     fold, each cell from its own data and prior alone, so reordering or
-    dropping conditions never changes another condition's numbers.  Every
-    elicitation record is appended to ``audit`` as its query completes.
+    dropping conditions never changes another condition's numbers; every
+    condition shares each fold's ``Split`` and so its quadrature terms.
+    Every elicitation record is appended to ``audit`` as its query
+    completes.
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
-    splits = [(dataset.subset_by_sites(folds.train_sites(fold)),
-               dataset.subset_by_sites(folds.test_sites(fold))) for fold in range(k)]
-    outcomes = run_cells([(condition, train, test) for condition in conditions
-                          for train, test in splits], transport, audit)
+    splits = [Split(dataset.subset_by_sites(folds.train_sites(fold)),
+                    HeldOut(dataset.subset_by_sites(folds.test_sites(fold))))
+              for fold in range(k)]
+    outcomes = run_cells([(condition, split) for condition in conditions
+                          for split in splits], transport, audit)
     return [CvResult(condition=condition, per_fold=tuple(outcomes[i * k:(i + 1) * k]))
             for i, condition in enumerate(conditions)]
 

@@ -7,7 +7,9 @@ extends the smaller site set), both by cutting the seeded stratum orders
 of ``crossval.shuffled_strata``, and the model is rescored per
 (condition, rho, replication) cell, by the exact posterior
 predictive LPD (``pipeline.run_cells``), with a fresh elicitation per
-cell for LLM conditions.  The meta-analytical baseline is
+cell for LLM conditions.  Each distinct training subsample is one
+``evaluation.Split`` against the one fixed ``HeldOut`` test set, shared by
+every cell that trains on it.  The meta-analytical baseline is
 the full-data reference and runs at rho = 1 only.
 """
 
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .crossval import shuffled_strata, stratify_sites
+from .crossval import SiteStratum, shuffled_strata, stratify_sites
 from .data import DataError, Dataset
+from .evaluation import HeldOut, Split
 from .model import DEFAULT_RHO_GRID
 from .pipeline import CellOutcome, CvCondition, run_cells
 
@@ -38,6 +41,15 @@ class SplitSpec:
     seed: int = 0
 
 
+def require_test_sites(strata: list[SiteStratum]) -> None:
+    """Raise ``DataError`` when no stratum holds the 2 sites that give the
+    70:30 split a test site."""
+    if all(stratum.n_sites < 2 for stratum in strata):
+        sizes = ", ".join(f"{s.label.value} {s.n_sites}" for s in strata)
+        raise DataError("the train/test split leaves the test set empty: no stratum "
+                        f"holds 2 or more sites (sites per stratum: {sizes})")
+
+
 def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Site-level stratified 70:30 split; patients follow their sites.
 
@@ -47,10 +59,7 @@ def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     would be empty, which raises ``DataError``.
     """
     strata = stratify_sites(dataset)
-    if all(stratum.n_sites < 2 for stratum in strata):
-        sizes = ", ".join(f"{s.label.value} {s.n_sites}" for s in strata)
-        raise DataError("the train/test split leaves the test set empty: no stratum "
-                        f"holds 2 or more sites (sites per stratum: {sizes})")
+    require_test_sites(strata)
     train_sites: list[str] = []
     test_sites: list[str] = []
     for stratum, sites in shuffled_strata(strata, spec.seed, "split"):
@@ -137,8 +146,11 @@ def run_efficiency_experiment(
     permutations (and nested subsampling makes rho levels comparable).
     Each LLM condition runs at every rho in ``rho_grid`` and elicits a fresh
     prior per cell with its own settings, so n_replications independent
-    batches per sample size; the baseline runs at rho = 1 only.  Every
-    elicitation record is appended to ``audit`` as its query completes.
+    batches per sample size; the baseline runs at rho = 1 only.  Cells with
+    the same training sites share one ``Split``, and so its quadrature
+    terms: every replication at rho = 1 trains on the whole training half,
+    so the baseline is scored once there.  Every elicitation record is
+    appended to ``audit`` as its query completes.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
@@ -146,14 +158,19 @@ def run_efficiency_experiment(
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {rho}")
     train, test = train_test_split(dataset, SplitSpec(seed=seed))
+    held_out = HeldOut(test)
+    splits: dict[tuple[str, ...], Split] = {}  # by training sites
+
+    def split(rho: float, rep: int) -> Split:
+        sub = subsample_training(train, rho, seeding.derive_seed(seed, "eff_subsample", rep))
+        if sub.site_ids not in splits:
+            splits[sub.site_ids] = Split(sub, held_out)
+        return splits[sub.site_ids]
 
     levels = [(condition, rho) for condition in conditions
               for rho in (rho_grid if condition.is_llm else (1.0,))]
-    outcomes = run_cells([
-        (condition, subsample_training(
-            train, rho, seeding.derive_seed(seed, "eff_subsample", rep)), test)
-        for condition, rho in levels for rep in range(1, n_replications + 1)],
-        transport, audit)
+    outcomes = run_cells([(condition, split(rho, rep)) for condition, rho in levels
+                          for rep in range(1, n_replications + 1)], transport, audit)
     n = n_replications
     cells = tuple(EfficiencyCell(condition=condition, rho=rho,
                                  runs=tuple(outcomes[i * n:(i + 1) * n]))

@@ -8,31 +8,43 @@ lgamma(alpha) by ``sampler.log_rising``.  ``lpd_dataset`` averages the NB
 over the pooled draws of a fit, log (1/S) sum_s NB(y; alpha_s, beta_s /
 (1 + beta_s)): the Rao-Blackwellised estimate, exact given the draws.
 
-``quadrature_lpd``, which scores the experiment cells, integrates it over
-the exact posterior instead.  A coarse grid over (log alpha, log beta) in
-[-30, 12]^2 holds even an all-zero training set's posterior, whose alpha
-reaches down to 0.  The box covers every point within ``_LOG_DROP`` of the
-peak of the posterior, or of the predictive integrand of the smallest or
-largest test count (a count far above the training rates takes its mass
-from where the posterior is negligible).  Grids of ``_GRID_SIZES`` score
-every count until two in a row agree within ``_GRID_TOL``; if they never
-do, or more than ``_EDGE_MASS`` of the posterior lies on a grid's edge,
-``NumericalError`` is raised.  A grid's sum is one (counts x G) (G x G)
-matrix product of scaled factors, or a log-space sum where that underflows.
+The experiment cells integrate it over the exact posterior instead.  A
+coarse grid over (log alpha, log beta) in [-30, 12]^2 holds even an
+all-zero training set's posterior, whose alpha reaches down to 0.  The box
+covers every point within ``_LOG_DROP`` of the peak of the posterior, or
+of the predictive integrand of the smallest or largest test count (a count
+far above the training rates takes its mass from where the posterior is
+negligible).  Grids of ``_GRID_SIZES`` score every count until two in a
+row agree within ``_GRID_TOL``; if they never do, or more than
+``_EDGE_MASS`` of the posterior lies on a grid's edge, ``NumericalError``
+is raised.  A grid's sum is one (counts x G) (G x G) matrix product of
+scaled factors, or a log-space sum where that underflows.
+
+Every condition of an experiment scores the same training and test sets,
+and only the prior's two rates differ, so the terms that do not depend on
+the prior are built once per ``Split`` (a training set with the
+``HeldOut`` set it is scored on): the training set's statistics, their
+coarse-grid terms, and per fine grid (box, G) a memo of the data's target
+terms, the (beta / (1 + beta))^alpha and (1 + beta)^-y factors and the log
+rising factorials of the test counts.  A cell then adds only its prior's
+terms, each in the order a fresh build would, so sharing moves no bit
+(``quadrature_lpd`` builds fresh terms for one cell).  ``Split.lpd`` keeps
+each prior's result, so a repeated cell is scored once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .model import HyperPriorSpec, NumericalError
-from .sampler import PosteriorDraws, _LogTarget, log_rising
+from .sampler import GridTerms, PosteriorDraws, _LogTarget, grid_posterior, log_rising
 
-# quadrature_lpd's grids and bounds (see the module docstring)
+# the quadrature's grids and bounds (see the module docstring)
 _COARSE = np.linspace(-30.0, 12.0, 211)
 _COARSE_LOG1P = np.log1p(np.exp(_COARSE))  # log1p(beta), and alpha log(beta / (1 + beta))
 _COARSE_LOG_Q = np.exp(_COARSE)[:, None] * (_COARSE - _COARSE_LOG1P)
@@ -94,49 +106,115 @@ def quadrature_lpd(train: Dataset, spec: HyperPriorSpec, test: Dataset) -> LpdRe
     """Evaluate every patient in ``test`` against the exact posterior given
     ``train`` under ``spec``: value i is
     log E[NB(y_i; alpha, beta / (1 + beta)) | train]."""
-    target = _LogTarget(train.site_totals() * 1.0, train.site_sizes() * 1.0, spec)
-    ys, patient_y = np.unique(test.counts(), return_inverse=True)
-    lp = target.grid(_COARSE, _COARSE)
-    keep = lp > lp.max() - _LOG_DROP
-    lp += _COARSE_LOG_Q  # the factor (beta / (1 + beta))^alpha of every count's NB
-    for y in {ys[0], ys[-1]}:  # their predictive integrands, up to lgamma(y + 1)
-        tilted = lp + log_rising(np.exp(_COARSE), [y]).T - y * _COARSE_LOG1P if y else lp
-        keep |= tilted > tilted.max() - _LOG_DROP
-    step = _COARSE[1] - _COARSE[0]
-    box = [(_COARSE[i.min()] - step, _COARSE[i.max()] + step) for i in np.nonzero(keep)]
-    values = None
-    for n_grid in _GRID_SIZES:
-        finer, edge = _grid_lpd(target, box, n_grid, ys)
-        if not edge < _EDGE_MASS:
-            raise NumericalError(f"quadrature grid leaves {edge:.2g} of the mass on its edge")
-        if values is not None and np.abs(finer - values).max() <= _GRID_TOL:
-            return LpdResult(per_patient=tuple(finer[patient_y].tolist()))
-        values = finer
-    raise NumericalError(f"quadrature LPD still moves by over {_GRID_TOL:g} at G = {n_grid}")
+    return Split(train, HeldOut(test)).lpd(spec)
 
 
-def _grid_lpd(target, box, n_grid: int, ys: np.ndarray) -> tuple[np.ndarray, float]:
+class HeldOut:
+    """A test set's distinct counts ``ys``, each patient's index into them,
+    log(y!) of each, and the coarse grid's tilts toward the predictive
+    integrands of the smallest and largest count (None for a count of 0)."""
+
+    def __init__(self, test: Dataset):
+        self.ys, self.patient_y = np.unique(test.counts(), return_inverse=True)
+        self.log_factorials = np.array([math.lgamma(y + 1.0) for y in self.ys.tolist()])
+        self.tilts = [(log_rising(np.exp(_COARSE), [y]).T, y * _COARSE_LOG1P) if y else None
+                      for y in {self.ys[0], self.ys[-1]}]
+
+
+class _FineTerms(NamedTuple):
+    """One fine grid's terms for a split that the prior does not change."""
+
+    target: GridTerms
+    log_q: np.ndarray  # log(beta / (1 + beta)), which alpha multiplies
+    log_tail: np.ndarray  # -y log(1 + beta), (counts, G)
+    by_count: np.ndarray  # its row maxima
+    tail: np.ndarray  # exp(log_tail - by_count)
+    log_rise: np.ndarray  # lgamma(y + alpha) - lgamma(alpha), (counts, G)
+
+
+class Split:
+    """A training set and the ``HeldOut`` set its cells are scored on,
+    with the quadrature's prior-free terms built once (see the module
+    docstring)."""
+
+    def __init__(self, train: Dataset, held_out: HeldOut):
+        self.train, self.held_out = train, held_out
+        self._target = _LogTarget(train.site_totals() * 1.0, train.site_sizes() * 1.0)
+        self._coarse = self._target.grid_terms(_COARSE, _COARSE)
+        self._fine: dict[tuple, _FineTerms] = {}
+        self._scores: dict[HyperPriorSpec, LpdResult] = {}
+
+    def lpd(self, spec: HyperPriorSpec) -> LpdResult:
+        """Evaluate every held-out patient against the exact posterior given
+        the training set under ``spec`` (see ``quadrature_lpd``); a prior
+        scored before returns its kept result."""
+        if spec not in self._scores:
+            self._scores[spec] = self._quadrature((spec.alpha_rate, spec.beta_rate))
+        return self._scores[spec]
+
+    def _quadrature(self, rates: tuple[float, float]) -> LpdResult:
+        lp = grid_posterior(self._coarse, rates)
+        keep = lp > lp.max() - _LOG_DROP
+        lp += _COARSE_LOG_Q  # the factor (beta / (1 + beta))^alpha of every count's NB
+        for tilt in self.held_out.tilts:  # predictive integrands, up to lgamma(y + 1)
+            tilted = lp
+            if tilt:
+                tilted = lp + tilt[0]
+                tilted -= tilt[1]
+            keep |= tilted > tilted.max() - _LOG_DROP
+        step = _COARSE[1] - _COARSE[0]
+        # the first and last alpha row, then beta column, that keep a point
+        box = tuple((_COARSE[i[0]] - step, _COARSE[i[-1]] + step)
+                    for i in (np.flatnonzero(keep.any(axis=axis)) for axis in (1, 0)))
+        values = None
+        for n_grid in _GRID_SIZES:
+            finer, edge = _grid_lpd(self, box, n_grid, rates)
+            if not edge < _EDGE_MASS:
+                raise NumericalError(f"quadrature grid leaves {edge:.2g} of the mass on its edge")
+            if values is not None and np.abs(finer - values).max() <= _GRID_TOL:
+                return LpdResult(per_patient=tuple(finer[self.held_out.patient_y].tolist()))
+            values = finer
+        raise NumericalError(f"quadrature LPD still moves by over {_GRID_TOL:g} at G = {n_grid}")
+
+    def _fine_terms(self, box: tuple, n_grid: int) -> _FineTerms:
+        """The memo's terms of the n_grid x n_grid grid over ``box``."""
+        terms = self._fine.get((box, n_grid))
+        if terms is None:
+            u, v = (np.linspace(lo, hi, n_grid) for lo, hi in box)
+            target = self._target.grid_terms(u, v)
+            log1p_b = np.log1p(target.b)
+            log_tail = -self.held_out.ys[:, None].astype(np.float64) * log1p_b
+            by_count = log_tail.max(axis=1)
+            terms = self._fine[box, n_grid] = _FineTerms(
+                target, v - log1p_b, log_tail, by_count,
+                np.exp(log_tail - by_count[:, None]), log_rising(target.a, self.held_out.ys))
+        return terms
+
+
+def _grid_lpd(split: Split, box: tuple, n_grid: int,
+              rates: tuple[float, float]) -> tuple[np.ndarray, float]:
     """log sum_ij w_ij NB(y; alpha_i, beta_j / (1 + beta_j)) for each count
-    y of ``ys`` on an n_grid x n_grid grid over ``box``, with w the
-    normalised posterior, and the share of w on the grid's edge."""
-    u, v = (np.linspace(lo, hi, n_grid) for lo, hi in box)
-    a, log1p_b = np.exp(u), np.log1p(np.exp(v))
-    lw = target.grid(u, v)
+    y of the split's test set on an n_grid x n_grid grid over ``box``, with
+    w the normalised posterior under ``rates``, and the share of w on the
+    grid's edge."""
+    t = split._fine_terms(box, n_grid)
+    lw = grid_posterior(t.target, rates)
     lw -= lw.max()
     w = np.exp(lw)
     edge = (w[[0, -1]].sum() + w[1:-1, [0, -1]].sum()) / w.sum()
     # w_ij (beta_j / (1 + beta_j))^alpha_i and (1 + beta_j)^-y, scaled per row
-    log_wq = lw + a[:, None] * (v - log1p_b)
-    log_tail = -ys[:, None].astype(np.float64) * log1p_b
-    by_alpha, by_count = log_wq.max(axis=1), log_tail.max(axis=1)
-    sums = np.exp(log_tail - by_count[:, None]) @ np.exp(log_wq - by_alpha[:, None]).T
-    log_rise = log_rising(a, ys) + by_alpha
+    log_wq = np.multiply(t.target.a[:, None], t.log_q)
+    log_wq += lw
+    by_alpha = log_wq.max(axis=1)
+    scaled_wq = np.subtract(log_wq, by_alpha[:, None])
+    sums = t.tail @ np.exp(scaled_wq, out=scaled_wq).T
+    log_rise = t.log_rise + by_alpha
     top = log_rise.max(axis=1)
     scaled = (np.exp(log_rise - top[:, None]) * sums).sum(axis=1)
     small = scaled < _SMALL_SUM
-    values = top + by_count + np.log(np.where(small, 1.0, scaled))
+    values = top + t.by_count + np.log(np.where(small, 1.0, scaled))
     for k in np.flatnonzero(small):
-        terms = log_rise[k, :, None] - by_alpha[:, None] + log_wq + log_tail[k]
+        terms = log_rise[k, :, None] - by_alpha[:, None] + log_wq + t.log_tail[k]
         values[k] = terms.max() + np.log(np.exp(terms - terms.max()).sum())
-    values -= np.log(w.sum()) + np.array([math.lgamma(y + 1.0) for y in ys.tolist()])
+    values -= np.log(w.sum()) + split.held_out.log_factorials
     return values, edge

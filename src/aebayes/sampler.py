@@ -17,8 +17,10 @@ per iteration.  ``_LogTarget`` holds each statistic as a (K, 1) column
 broadcast against the rows, and the K terms are summed one at a time, so a
 row's value, and its chain, do not depend on the other rows.  The same
 statistics give the target's separable form on a (log alpha, log beta)
-grid (``_LogTarget.grid``), on which ``evaluation.quadrature_lpd`` scores
-the experiment cells exactly.
+grid, on which ``evaluation`` scores the experiment cells exactly.  The
+data's terms there (``_LogTarget.grid_terms``) are kept apart from the
+hyperprior's (``grid_posterior``), so cells that share a training set
+compute them once.
 
 Chain c of a fit draws its start, proposal normals and acceptance uniforms
 up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
@@ -51,6 +53,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,11 +126,13 @@ class _LogTarget:
     Sites without patients carry no likelihood, so ``no_data`` leaves the
     hyperprior."""
 
-    def __init__(self, totals: np.ndarray, sizes: np.ndarray, spec: HyperPriorSpec):
+    def __init__(self, totals: np.ndarray, sizes: np.ndarray,
+                 spec: HyperPriorSpec | None = None):
         columns = (np.asarray(c, np.float64)[:, None] for c in _site_terms(totals, sizes))
         (self.shifts, self.shift_weights, self.tails, self.tail_weights, self.sizes,
          self.size_sites, self.size_events) = columns
-        self.rates = (spec.alpha_rate, spec.beta_rate)
+        # the hyperprior's rates, which __call__ needs and grid_terms does not
+        self.rates = (spec.alpha_rate, spec.beta_rate) if spec else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         e = np.exp(x)
@@ -143,17 +148,44 @@ class _LogTarget:
             out += _sum_terms(_lgamma_above(a, self.tails) * self.tail_weights)
         return out
 
-    def grid(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The target at every (u[i], v[j]) as R(alpha) + alpha A(beta) + B(beta)
-        - alpha_rate alpha - beta_rate beta + u + v, R = ``rising``, A and B
-        -sum_n M_n log(beta + n) and -sum_n T_n log(beta + n): K logs per
-        alpha and one per size and beta, not K per point."""
+    def grid_terms(self, u: np.ndarray, v: np.ndarray) -> GridTerms:
+        """The data's terms of the target on the grid u x v, which
+        ``grid_posterior`` completes for a hyperprior: the target at every
+        (u[i], v[j]) is R(alpha) + alpha A(beta) + B(beta) - alpha_rate alpha
+        - beta_rate beta + u + v, R = ``rising``, A and B -sum_n M_n
+        log(beta + n) and -sum_n T_n log(beta + n): K logs per alpha and one
+        per size and beta, not K per point."""
         a, b = np.exp(u), np.exp(v)
         log_b = np.log(b + self.sizes)
-        by_alpha = self.rising(a) - self.rates[0] * a + u
-        by_beta = -(self.size_events * log_b).sum(axis=0) - self.rates[1] * b + v
-        return (by_alpha[:, None] - a[:, None] * (self.size_sites * log_b).sum(axis=0)
-                + by_beta)
+        return GridTerms(u, v, a, b, self.rising(a), -(self.size_sites * log_b).sum(axis=0),
+                         -(self.size_events * log_b).sum(axis=0))
+
+
+class GridTerms(NamedTuple):
+    """A (log alpha, log beta) grid u x v, its alpha = e^u and beta = e^v,
+    and the data's terms of the target there, R(alpha), A(beta) and B(beta)
+    (see ``_LogTarget.grid_terms``)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    rising: np.ndarray
+    alpha_coef: np.ndarray
+    beta_term: np.ndarray
+
+
+def grid_posterior(terms: GridTerms, rates: tuple[float, float]) -> np.ndarray:
+    """The target on the grid of ``terms`` under the hyperprior's
+    (alpha_rate, beta_rate), as a (len(u), len(v)) array."""
+    by_alpha = terms.rising - rates[0] * terms.a + terms.u
+    by_beta = terms.beta_term - rates[1] * terms.b + terms.v
+    out = np.multiply(terms.a[:, None], terms.alpha_coef)
+    # the bits of (by_alpha - alpha (-A)) + by_beta: a sum rounds the same
+    # with its two terms either way round, and a negation is exact
+    out += by_alpha[:, None]
+    out += by_beta
+    return out
 
 
 def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:

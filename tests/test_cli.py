@@ -568,6 +568,41 @@ def test_efficiency_without_test_site_exit_code(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+def test_efficiency_without_test_site_keeps_the_last_run(tmp_path, capsys):
+    """A run whose split has no test site exits before it touches out/, so
+    the last run's four files stay as they were."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    out_dir = tmp_path / "out"
+    argv = ["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+            "--rho-grid", "1.0", "--n-replications", "1", "--fixtures", fx,
+            "--out", str(out_dir)]
+    for name, sizes in (("nine", [1, 3, 5] * 3), ("three", [1, 3, 5])):
+        write_dataset(Dataset.from_rows(make_rows(sizes)), tmp_path / f"{name}.csv")
+    assert main([*argv, "--dataset", str(tmp_path / "nine.csv")]) == 0
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    assert len(files) == 4
+    before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
+    capsys.readouterr()
+    assert main([*argv, "--dataset", str(tmp_path / "three.csv")]) == 3
+    assert capsys.readouterr().err.startswith("data error: the train/test split leaves "
+                                              "the test set empty")
+    assert sorted(p for p in out_dir.rglob("*") if p.is_file()) == files
+    assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+
+
+def test_efficiency_warns_of_a_one_site_stratum_once(tmp_path, capsys):
+    """A stratum of one site goes to train, with one warning line."""
+    data = tmp_path / "one_large.csv"
+    write_dataset(Dataset.from_rows(make_rows([1, 2, 1, 3, 4, 3, 5])), data)
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    assert main(["efficiency", "--model", "m1", "--strategy", "blind",
+                 "--temperature", "0.5", "--rho-grid", "1.0", "--n-replications", "1",
+                 "--dataset", str(data), "--fixtures", fx,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: stratum 'large' has 1 site(s); assigning all to train\n")
+
+
 class ScriptedTransport:
     """A live session as a script: each request takes the next step, an
     answer to return or an exception to raise."""
@@ -1117,6 +1152,33 @@ def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, co
     run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert run.stdout.splitlines()[-1] == str(code)
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user_value"])
+def test_cli_runs_blas_on_one_thread(dataset_file, tmp_path, preset):
+    """``main`` sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so on
+    Linux a cv run's process holds one thread; a value the user set stays."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import os, sys\n"
+              "from aebayes.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "threads = ([line.split()[1] for line in open('/proc/self/status')\n"
+              "            if line.startswith('Threads:')] if sys.platform == 'linux' else [])\n"
+              "print(code, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], *threads)\n")
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    argv = ["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
+            "--temperatures", "0.5", "--dataset", dataset_file, "--fixtures", fx,
+            "--out", str(tmp_path / "out")]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env=env, check=True)
+    code, numpy_loaded, value, *threads = run.stdout.splitlines()[-1].split()
+    assert (code, numpy_loaded, value) == ("0", "True", preset or "1")
+    if preset is None and sys.platform == "linux":
+        assert threads == ["1"]
 
 
 # sha256 over the names and bytes of results/, reports/ and draws/ after one

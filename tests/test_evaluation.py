@@ -251,10 +251,46 @@ def test_quadrature_lpd_rejects_mass_off_the_grid():
     spec = HyperPriorSpec(1e-6, 1e-6)
     target = sampler._LogTarget(train.site_totals().astype(float),
                                 train.site_sizes().astype(float), spec)
-    lp = target.grid(evaluation._COARSE, evaluation._COARSE)
+    lp = sampler.grid_posterior(target.grid_terms(evaluation._COARSE, evaluation._COARSE),
+                                target.rates)
     assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
     with pytest.raises(sampler.NumericalError, match="on its edge"):
         quadrature_lpd(train, spec, train)
+
+
+# a CV fold's 13 priors: the baseline's and 12 more whose rates span three
+# decades, so the coarse grid picks more than one box
+FOLD_SPECS = [HyperPriorSpec(0.1, 0.1)] + [HyperPriorSpec(a, b) for a in (0.05, 0.5, 5.0)
+                                           for b in (0.02, 0.3, 3.0, 30.0)]
+
+
+@pytest.mark.parametrize("name", ["equidispersed", "well_identified"])
+def test_shared_split_scores_as_fresh_terms(name, monkeypatch):
+    """One ``Split`` scores a fold's 13 priors, over more than one box, to
+    the same bits as terms built fresh for each cell.  The equidispersed
+    set needs G > 128, and at y = 2000 its sum is taken in log space."""
+    grids, grid_lpd = [], evaluation._grid_lpd  # (box, G) of every grid scored
+    monkeypatch.setattr(evaluation, "_grid_lpd",
+                        lambda *args: grids.append(args[1:3]) or grid_lpd(*args))
+    train, test = QUADRATURE_SETS[name], counts_dataset([0, 1, 3, 40, 300, 2000])
+    split = evaluation.Split(train, evaluation.HeldOut(test))
+    for spec in FOLD_SPECS:
+        assert split.lpd(spec).per_patient == quadrature_lpd(train, spec, test).per_patient
+    n_boxes = len({box for box, _ in grids})
+    if name == "equidispersed":
+        assert n_boxes > 1
+        assert max(n_grid for _, n_grid in grids) > evaluation._GRID_SIZES[1]
+    else:  # some priors share a box, and so its memo
+        assert 1 < n_boxes < len(FOLD_SPECS)
+
+
+def test_split_scores_a_repeated_prior_once(monkeypatch):
+    """A prior scored before gets its kept result, with no grid scored."""
+    split = evaluation.Split(QUADRATURE_SETS["mixed"],
+                             evaluation.HeldOut(counts_dataset([0, 2, 5])))
+    first = split.lpd(HyperPriorSpec(0.1, 0.1))
+    monkeypatch.setattr(evaluation, "_grid_lpd", None)
+    assert split.lpd(HyperPriorSpec(0.1, 0.1)) is first
 
 
 def test_lpd_dataset_independent_of_seed():

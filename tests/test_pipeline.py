@@ -13,7 +13,7 @@ from aebayes.efficiency import (
     train_test_split,
 )
 from aebayes.elicitation import AllQueriesFailedError, FixtureTransport
-from aebayes.evaluation import quadrature_lpd
+from aebayes.evaluation import HeldOut, Split, quadrature_lpd
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -74,17 +74,19 @@ def test_baseline_runs_without_elicitation_settings(mixed_dataset):
 
 
 def test_run_cells_elicits_then_scores_each_cell_in_plan_order(mixed_dataset):
-    """One outcome per (condition, train, test) triple, in plan order; each
-    LLM cell takes the next batch, and ``audit`` gets every record in the
-    order sent."""
+    """One outcome per (condition, split) pair, in plan order; each LLM
+    cell takes the next batch, and ``audit`` gets every record in the order
+    sent."""
     train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
     small = subsample_training(train, 0.5, seed=1)
+    held_out = HeldOut(test)
+    shared = Split(small, held_out)
     llm = llm_condition(n_queries=2)
     answers = [_answer(i) for i in range(4)]
     audit = []
     outcomes = pipeline.run_cells(
-        [(llm, train, test), (CvCondition.meta_analytical(), small, test),
-         (llm, small, test)],
+        [(llm, Split(train, held_out)), (CvCondition.meta_analytical(), shared),
+         (llm, shared)],
         fixture_transport(answers, "m1", "blind", 1.0), audit)
     first, baseline, last = outcomes
     assert [r.response for r in first.prior.records] == answers[:2]
@@ -107,7 +109,7 @@ def test_run_cells_stops_at_a_failed_batch(mixed_dataset, monkeypatch):
         {"model": "m1", "strategy": "blind", "temperature": t, "response": body}
         for t, body in ((0.5, _answer(0)), (1.0, "not json"))])
     train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
-    plan = [(llm_condition(temperature=t, n_queries=2), train, test)
+    plan = [(llm_condition(temperature=t, n_queries=2), Split(train, HeldOut(test)))
             for t in (0.5, 1.0, 0.5)]
     audit = []
     with pytest.raises(AllQueriesFailedError, match="all 2 queries failed"):
