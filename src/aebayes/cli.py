@@ -172,6 +172,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # the line that set each key
     for lineno, line in enumerate(lines, start=1):
         stripped = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
         if not stripped:
@@ -182,6 +183,10 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}: line {lineno}: config key {key!r} already set "
+                              f"on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _coerce_config_value(key, raw, f"{path}: line {lineno}: {key}")
     return RunConfig(**values)
 
@@ -273,6 +278,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[CvConditi
 
 
 def _make_transport(cfg: RunConfig):
+    if cfg.fixtures and cfg.live:
+        raise ConfigError("a fixtures path (--fixtures) and --live exclude each other")
     if cfg.fixtures:
         try:
             return FixtureTransport.from_path(cfg.fixtures)

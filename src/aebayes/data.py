@@ -129,12 +129,13 @@ def _parse_rows(lines, source: str) -> Dataset:
         site_id, patient_id, raw_count = (c.strip() for c in row)
         if not site_id or not patient_id:
             raise DataError(f"{source}: line {lineno}: empty identifier")
-        try:
-            count = int(raw_count)
-        except ValueError:
+        # ASCII digits only: int() also takes "1_000" and other scripts' digits
+        digits = raw_count[1:] if raw_count.startswith("-") else raw_count
+        if not (digits.isascii() and digits.isdigit()):
             raise DataError(
                 f"{source}: line {lineno}: ae_count {raw_count!r} is not an integer"
-            ) from None
+            )
+        count = int(raw_count)
         if count < 0:
             raise DataError(
                 f"{source}: line {lineno}: ae_count must be >= 0, got {count}"

@@ -23,13 +23,12 @@ scaled factors, or a log-space sum where that underflows.
 Every condition of an experiment scores the same training and test sets,
 and only the prior's two rates differ, so the terms that do not depend on
 the prior are built once per ``Split`` (a training set with the
-``HeldOut`` set it is scored on): the training set's statistics, their
-coarse-grid terms, and per fine grid (box, G) a memo of the data's target
+``HeldOut`` count table it is scored on): the training set's statistics,
+and per grid (box, G), the coarse one too, a memo of the data's target
 terms, the (beta / (1 + beta))^alpha and (1 + beta)^-y factors and the log
 rising factorials of the test counts.  A cell then adds only its prior's
-terms, each in the order a fresh build would, so sharing moves no bit
-(``quadrature_lpd`` builds fresh terms for one cell).  ``Split.lpd`` keeps
-each prior's result, so a repeated cell is scored once.
+terms, each in the order a fresh ``Split`` would, so sharing moves no bit.
+``Split.lpd`` keeps each prior's result, so a repeated cell is scored once.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ from .model import HyperPriorSpec, NumericalError
 from .sampler import GridTerms, PosteriorDraws, _LogTarget, grid_posterior, log_rising
 
 # the quadrature's grids and bounds (see the module docstring)
-_COARSE = np.linspace(-30.0, 12.0, 211)
-_COARSE_LOG1P = np.log1p(np.exp(_COARSE))  # log1p(beta), and alpha log(beta / (1 + beta))
-_COARSE_LOG_Q = np.exp(_COARSE)[:, None] * (_COARSE - _COARSE_LOG1P)
+_COARSE_BOX = ((-30.0, 12.0), (-30.0, 12.0))
+_COARSE = np.linspace(*_COARSE_BOX[0], 211)
+_COARSE_LOG_Q = np.exp(_COARSE)[:, None] * (_COARSE - np.log1p(np.exp(_COARSE)))
 _LOG_DROP = 40.0
 _GRID_SIZES = (64, 128, 256, 512, 1024)
 _GRID_TOL = 1e-9
@@ -88,41 +87,31 @@ def lpd_dataset(test: Dataset, draws: PosteriorDraws, *,
     alpha, beta = draws.pooled_hyperparams()
     if alpha.size == 0:
         raise ValueError("posterior contains no draws")
-    ys, patient_y = np.unique(test.counts(), return_inverse=True)
-    y = ys.astype(np.float64)[:, None]
+    table = HeldOut(test)
+    y = table.ys.astype(np.float64)[:, None]
     # log NB(y; alpha, beta / (1 + beta)), one row per distinct count
-    logp = log_rising(alpha, ys) - (alpha + y) * np.log1p(beta)
+    logp = log_rising(alpha, table.ys) - (alpha + y) * np.log1p(beta)
     logp += alpha * np.log(beta)
-    logp -= np.array([math.lgamma(v + 1.0) for v in ys.tolist()])[:, None]
+    logp -= table.log_factorials[:, None]
     # log-mean-exp per row; a posterior at one point gives its log-pmf exactly
     m = logp.max(axis=1, keepdims=True)
     logp -= m
     np.exp(logp, out=logp)
     values = m[:, 0] + np.log(logp.mean(axis=1))
-    return LpdResult(per_patient=tuple(values[patient_y].tolist()))
-
-
-def quadrature_lpd(train: Dataset, spec: HyperPriorSpec, test: Dataset) -> LpdResult:
-    """Evaluate every patient in ``test`` against the exact posterior given
-    ``train`` under ``spec``: value i is
-    log E[NB(y_i; alpha, beta / (1 + beta)) | train]."""
-    return Split(train, HeldOut(test)).lpd(spec)
+    return LpdResult(per_patient=tuple(values[table.patient_y].tolist()))
 
 
 class HeldOut:
-    """A test set's distinct counts ``ys``, each patient's index into them,
-    log(y!) of each, and the coarse grid's tilts toward the predictive
-    integrands of the smallest and largest count (None for a count of 0)."""
+    """A test set's count table: its distinct counts ``ys``, each patient's
+    index into them and log(y!) of each."""
 
     def __init__(self, test: Dataset):
         self.ys, self.patient_y = np.unique(test.counts(), return_inverse=True)
         self.log_factorials = np.array([math.lgamma(y + 1.0) for y in self.ys.tolist()])
-        self.tilts = [(log_rising(np.exp(_COARSE), [y]).T, y * _COARSE_LOG1P) if y else None
-                      for y in {self.ys[0], self.ys[-1]}]
 
 
 class _FineTerms(NamedTuple):
-    """One fine grid's terms for a split that the prior does not change."""
+    """One grid's terms for a split that the prior does not change."""
 
     target: GridTerms
     log_q: np.ndarray  # log(beta / (1 + beta)), which alpha multiplies
@@ -133,34 +122,37 @@ class _FineTerms(NamedTuple):
 
 
 class Split:
-    """A training set and the ``HeldOut`` set its cells are scored on,
+    """A training set and the ``HeldOut`` count table its cells score,
     with the quadrature's prior-free terms built once (see the module
     docstring)."""
 
     def __init__(self, train: Dataset, held_out: HeldOut):
         self.train, self.held_out = train, held_out
         self._target = _LogTarget(train.site_totals() * 1.0, train.site_sizes() * 1.0)
-        self._coarse = self._target.grid_terms(_COARSE, _COARSE)
         self._fine: dict[tuple, _FineTerms] = {}
+        # the coarse grid's terms, which every cell reads, built up front:
+        # built amid a cell's temporaries, they slowed `cv` by heap churn
+        self._fine_terms(_COARSE_BOX, _COARSE.size)
         self._scores: dict[HyperPriorSpec, LpdResult] = {}
 
     def lpd(self, spec: HyperPriorSpec) -> LpdResult:
-        """Evaluate every held-out patient against the exact posterior given
-        the training set under ``spec`` (see ``quadrature_lpd``); a prior
-        scored before returns its kept result."""
+        """log E[NB(y_i; alpha, beta / (1 + beta)) | train] of each held-out
+        patient i, under the exact posterior given the training set and
+        ``spec``; a prior scored before returns its kept result."""
         if spec not in self._scores:
             self._scores[spec] = self._quadrature((spec.alpha_rate, spec.beta_rate))
         return self._scores[spec]
 
     def _quadrature(self, rates: tuple[float, float]) -> LpdResult:
-        lp = grid_posterior(self._coarse, rates)
+        coarse = self._fine_terms(_COARSE_BOX, _COARSE.size)
+        lp = grid_posterior(coarse.target, rates)
         keep = lp > lp.max() - _LOG_DROP
         lp += _COARSE_LOG_Q  # the factor (beta / (1 + beta))^alpha of every count's NB
-        for tilt in self.held_out.tilts:  # predictive integrands, up to lgamma(y + 1)
+        for k in {0, self.held_out.ys.size - 1}:  # predictive integrands, up to lgamma(y + 1)
             tilted = lp
-            if tilt:
-                tilted = lp + tilt[0]
-                tilted -= tilt[1]
+            if self.held_out.ys[k]:  # a count of 0 adds nothing
+                tilted = lp + coarse.log_rise[k][:, None]
+                tilted += coarse.log_tail[k]
             keep |= tilted > tilted.max() - _LOG_DROP
         step = _COARSE[1] - _COARSE[0]
         # the first and last alpha row, then beta column, that keep a point

@@ -18,11 +18,11 @@ baseline needs no transport) and then scores the cell by ``Split.lpd``,
 the exact posterior predictive LPD of the held-out patients on a checked
 grid over (log alpha, log beta), with no chains, seeds or R-hat.  So the
 transport sees a deterministic request stream, each outcome is a pure
-function of its own cell's data and spec (the shared terms give the bits
-a fresh build would), and a run that fails at a cell sends no query for
-the cells after it.  Every query's record is appended to the caller's
-``audit`` list as it completes, so the caller can write the audit log on
-any exit path.
+function of its own cell's data and spec (a shared ``Split`` gives the
+bits of one built for the cell alone), and a run that fails at a cell
+sends no query for the cells after it.  Every query's record is appended
+to the caller's ``audit`` list as it completes, so the caller can write
+the audit log on any exit path.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ per iteration.  ``_LogTarget`` holds each statistic as a (K, 1) column
 broadcast against the rows, and the K terms are summed one at a time, so a
 row's value, and its chain, do not depend on the other rows.  The same
 statistics give the target's separable form on a (log alpha, log beta)
-grid, on which ``evaluation`` scores the experiment cells exactly.  The
-data's terms there (``_LogTarget.grid_terms``) are kept apart from the
-hyperprior's (``grid_posterior``), so cells that share a training set
-compute them once.
+grid, on which ``evaluation`` scores the experiment cells exactly.
+``_LogTarget`` holds the data's statistics alone; the hyperprior's rates
+are an argument of its call, as of ``grid_posterior`` over its
+``grid_terms``, so cells that share a training set compute them once.
 
 Chain c of a fit draws its start, proposal normals and acceptance uniforms
 up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
@@ -114,7 +114,8 @@ class PosteriorDraws:
 
 
 class _LogTarget:
-    """log p(log alpha, log beta | data) up to a constant at (R, 2) points:
+    """log p(log alpha, log beta | data) up to a constant at (R, 2) points,
+    under the hyperprior's ``rates`` (alpha_rate, beta_rate) of each call:
     J alpha log(beta) + sum_k N_k log(alpha + k)
     + sum_{t > B} c_t [lgamma(alpha + t) - lgamma(alpha + B)]
     - sum_n (alpha M_n + T_n) log(beta + n) - alpha_rate alpha - beta_rate beta
@@ -126,20 +127,17 @@ class _LogTarget:
     Sites without patients carry no likelihood, so ``no_data`` leaves the
     hyperprior."""
 
-    def __init__(self, totals: np.ndarray, sizes: np.ndarray,
-                 spec: HyperPriorSpec | None = None):
+    def __init__(self, totals: np.ndarray, sizes: np.ndarray):
         columns = (np.asarray(c, np.float64)[:, None] for c in _site_terms(totals, sizes))
         (self.shifts, self.shift_weights, self.tails, self.tail_weights, self.sizes,
          self.size_sites, self.size_events) = columns
-        # the hyperprior's rates, which __call__ needs and grid_terms does not
-        self.rates = (spec.alpha_rate, spec.beta_rate) if spec else None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, rates: tuple[float, float]) -> np.ndarray:
         e = np.exp(x)
         a, b = e[:, 0], e[:, 1]
         return (self.rising(a)
                 - _sum_terms((a * self.size_sites + self.size_events) * np.log(b + self.sizes))
-                + ((x[:, 0] - a * self.rates[0]) + (x[:, 1] - b * self.rates[1])))
+                + ((x[:, 0] - a * rates[0]) + (x[:, 1] - b * rates[1])))
 
     def rising(self, a: np.ndarray) -> np.ndarray:
         """sum_t c_t [lgamma(a + t) - lgamma(a)] at each alpha of the 1-D ``a``."""
@@ -282,9 +280,10 @@ def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec,
         x[r] = rng.exponential(1.0 / spec.alpha_rate), rng.exponential(1.0 / spec.beta_rate)
         normals[:, r] = rng.standard_normal((n_iter, 2))
         log_u[:, r] = np.log(rng.random(n_iter))
-    log_post = _LogTarget(*_site_columns(dataset, config), spec)
+    log_post = _LogTarget(*_site_columns(dataset, config))
+    rates = (spec.alpha_rate, spec.beta_rate)
     x = np.log(np.maximum(x, 1e-8))
-    lp = log_post(x)
+    lp = log_post(x, rates)
     trace = np.empty((n_iter, n_chains, 2))
     factor = np.tile(np.eye(2), (n_chains, 1, 1))  # Cholesky factor of the proposal shape
     log_step = np.full(n_chains, math.log(_INITIAL_STEP))
@@ -299,7 +298,7 @@ def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec,
         steps = (factor * normals[lo:hi, :, None, :]).sum(axis=-1)
         for it in range(lo, hi):
             prop = x + (np.exp(log_step)[:, None] * steps[it - lo] if warmup else steps[it - lo])
-            lp_prop = log_post(prop)
+            lp_prop = log_post(prop, rates)
             acc = log_u[it] < lp_prop - lp  # a nan proposal is rejected
             x = trace[it] = np.where(acc[:, None], prop, x)
             lp = np.where(acc, lp_prop, lp)

@@ -156,7 +156,7 @@ def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
     (Gamma(alpha) (beta + n_j)^(alpha + t_j)), and sites with equal
     (t_j, n_j) share that factor.  The grid is uniform in (log alpha,
     log beta), so each cell carries the Jacobian alpha * beta.  A coarse
-    pass over [-20, 12]^2 finds where the mass lies (a box of [-12, 8]
+    pass over [-30, 12]^2 finds where the mass lies (a box of [-12, 8]
     cuts off about 1e-5 of the posterior of an all-zero training set,
     whose alpha reaches down to 0); a grid that leaves more than 1e-6 of
     the mass on its edge raises AssertionError.

@@ -57,6 +57,15 @@ backoff_base = 0.001
 """
 
 
+def small_config(extra: str = "") -> str:
+    """SMALL_MCMC_CONFIG with the lines of ``extra`` laid over it, each in
+    place of a line that sets the same key: a config file sets a key once."""
+    by_key = {}
+    for line in [*SMALL_MCMC_CONFIG.splitlines(), *extra.splitlines()]:
+        by_key[line.partition("=")[0].strip()] = line
+    return "\n".join(by_key.values()) + "\n"
+
+
 @pytest.fixture
 def dataset_file(tmp_path):
     path = tmp_path / "counts.csv"
@@ -308,7 +317,7 @@ def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
 ], ids=["alpha_rate_inf", "beta_rate_nan", "freeze_inf", "freeze_nan", "seed_negative"])
 def test_fit_non_finite_setting_exit_code(dataset_file, tmp_path, capsys, flags, config_line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
+    cfg.write_text(small_config(config_line), encoding="utf-8")
     out_dir = tmp_path / "out"
     rc = main(["fit", "--dataset", dataset_file, "--config", str(cfg),
                "--out", str(out_dir), *flags])
@@ -378,7 +387,7 @@ def test_cv_posterior_off_the_grid_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_cv_baseline_only(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "cv.cfg"
-    cfg.write_text(SMALL_MCMC_CONFIG + "models =\n", encoding="utf-8")
+    cfg.write_text(small_config("models =\n"), encoding="utf-8")
     out_dir = tmp_path / "out"
     rc = main(["cv", "--dataset", dataset_file, "--config", str(cfg),
                "--out", str(out_dir), "--k", "3"])
@@ -509,7 +518,7 @@ def test_efficiency_ignores_n_queries(dataset_file, tmp_path, capsys):
     configs, outputs = {}, []
     for n_queries in (0, 5):
         configs[n_queries] = cfg = tmp_path / f"queries{n_queries}.cfg"
-        cfg.write_text(SMALL_MCMC_CONFIG + f"n_queries = {n_queries}\n", encoding="utf-8")
+        cfg.write_text(small_config(f"n_queries = {n_queries}\n"), encoding="utf-8")
         out_dir = tmp_path / f"queries{n_queries}"
         assert main(["efficiency", "--model", "m1", "--strategy", "blind",
                      "--temperature", "0.5", "--rho-grid", "0.5,1.0",
@@ -883,6 +892,24 @@ def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):
         assert repr(key) in err
 
 
+def test_config_repeated_key_exit_code(tmp_path, monkeypatch, capsys):
+    """A file that sets a key twice names the key and both lines, before
+    any dataset is read; a flag over a file line is an override."""
+    read = []
+    monkeypatch.setattr(cli, "load_dataset", lambda path: read.append(path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nk = 3\n  # note\nseed = 2\n", encoding="utf-8")
+    rc = main(["cv", "--dataset", "counts.csv", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}: line 4: config key 'seed' already set on line 1\n")
+    assert read == []
+    cfg.write_text("seed = 1\n", encoding="utf-8")
+    args = build_parser().parse_args(["cv", "--config", str(cfg), "--seed", "2"])
+    assert _resolve_config(args)[0].seed == 2
+
+
 def test_config_bad_boolean_exit_code(dataset_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("live = maybe\n", encoding="utf-8")
@@ -993,7 +1020,7 @@ def test_out_of_range_experiment_setting_exit_code(
     monkeypatch.setattr(FixtureTransport, "send",
                         lambda self, request: sent.append(request))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_MCMC_CONFIG + config_line, encoding="utf-8")
+    cfg.write_text(small_config(config_line), encoding="utf-8")
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
     out_dir = tmp_path / "out"
     llm = (["--models", "m1", "--strategies", "blind", "--temperatures", "0.5"]
@@ -1019,15 +1046,18 @@ def test_out_of_range_experiment_setting_exit_code(
     # every temperature is checked, not only the first
     ("cv", ["--temperatures", "0.5,3"], "temperatures = 0.5, 3"),
     ("cv", ["--k", "x"], "k = x"),
-], ids=["n_queries", "temperature", "second_temperature", "k_not_an_integer"])
+    # recorded answers and a live endpoint exclude each other
+    ("elicit", ["--live"], "live = true"),
+    ("cv", ["--live", "--k", "3"], "live = true\nk = 3"),  # 3 folds fill the 9 sites
+], ids=["n_queries", "temperature", "second_temperature", "k_not_an_integer",
+        "elicit_fixtures_and_live", "cv_fixtures_and_live"])
 def test_flag_and_file_reject_alike(dataset_file, tmp_path, monkeypatch, capsys,
                                     command, flag, config_line, source):
     sent = []
     monkeypatch.setattr(FixtureTransport, "send",
                         lambda self, request: sent.append(request))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_MCMC_CONFIG + (config_line + "\n" if source == "file" else ""),
-                   encoding="utf-8")
+    cfg.write_text(small_config(config_line if source == "file" else ""), encoding="utf-8")
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
     out_dir = tmp_path / "out"
     base = (["--model", "m1"] if command == "elicit"
@@ -1053,8 +1083,8 @@ def test_flag_and_file_lists_parse_alike(dataset_file, tmp_path, flag, config_li
     outputs = []
     for source in ("flag", "file"):
         cfg = tmp_path / f"{source}.cfg"
-        cfg.write_text(SMALL_MCMC_CONFIG + "models = m1\nstrategies = blind\n"
-                       + (config_line + "\n" if source == "file" else ""),
+        cfg.write_text(small_config("models = m1\nstrategies = blind\n"
+                                    + (config_line if source == "file" else "")),
                        encoding="utf-8")
         out_dir = tmp_path / source
         assert main([*base, *(flag if source == "flag" else []),

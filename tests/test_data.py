@@ -43,6 +43,10 @@ def test_blank_trailing_lines_skipped():
     ("site_id,patient_id,ae_count\nA,p1\n", "line 2: expected 3 columns"),
     ("site_id,patient_id,ae_count\nA,p1,x\n", "line 2: ae_count 'x' is not an integer"),
     ("site_id,patient_id,ae_count\nA,p1,1.5\n", "not an integer"),
+    # int() takes these, but they are not ASCII digits
+    ("site_id,patient_id,ae_count\nA,p1,1_000\n", "line 2: ae_count '1_000' is not an integer"),
+    ("site_id,patient_id,ae_count\nA,p1,\u0663\n", "line 2: ae_count '\u0663' is not an integer"),
+    ("site_id,patient_id,ae_count\nA,p1,\uff11\uff12\n", "line 2: ae_count '\uff11\uff12' is not an integer"),
     ("site_id,patient_id,ae_count\nA,p1,-1\n", "line 2: ae_count must be >= 0"),
     ("site_id,patient_id,ae_count\nA,p1,1\nB,p1,2\n", "line 3: duplicate patient_id 'p1'"),
     # the site's total reaches 2**53 + 1 on line 3; another site's rows do not count

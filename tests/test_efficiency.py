@@ -16,7 +16,7 @@ from aebayes.efficiency import (
 )
 from aebayes.data import DataError
 from aebayes.elicitation import FixtureTransport
-from aebayes.evaluation import quadrature_lpd
+from aebayes.evaluation import HeldOut, Split
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -181,7 +181,7 @@ def test_efficiency_scores_the_repeated_baseline_cell_once(monkeypatch):
         rho_grid=(1.0,), n_replications=20, seed=0)
     assert sizes.count(evaluation._GRID_SIZES[0]) == 1
     train, test = train_test_split(_eff_dataset(), SplitSpec(seed=0))
-    fresh = quadrature_lpd(train, META_ANALYTICAL, test)
+    fresh = Split(train, HeldOut(test)).lpd(META_ANALYTICAL)
     assert [run.lpd for run in result.cells[0].runs] == [fresh] * 20
 
 

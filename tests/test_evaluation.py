@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aebayes import evaluation, sampler
 from aebayes.data import Dataset
-from aebayes.evaluation import LpdResult, lpd_dataset, quadrature_lpd
+from aebayes.evaluation import HeldOut, LpdResult, Split, lpd_dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, run_mcmc
 from aebayes_testkit import (MIXED_SITE_SIZES, exact_lpd, hyper_draws, loads_dataset,
@@ -158,7 +158,7 @@ def test_lpd_dataset_matches_exact_posterior_predictive():
     """Against quadrature of the exact posterior p(alpha, beta | data), the
     closed-form LPD averaged over independent fits is unbiased per count:
     z < 3 with the SE taken from its spread across the fits.  The cells'
-    ``quadrature_lpd`` lies within 4 such SEs too."""
+    ``Split.lpd`` lies within 4 such SEs too."""
     train = make_dataset([4, 5, 6] * 12, seed=3)
     spec = HyperPriorSpec(0.1, 0.1)
     ys = np.arange(16)
@@ -169,7 +169,7 @@ def test_lpd_dataset_matches_exact_posterior_predictive():
     z = (rb.mean(axis=0) - exact_lpd(ys, train, spec)) / se
     assert np.all(np.abs(z) < 3), z
     # the experiment cells' quadrature, per count and in the mean LPD
-    quad = np.array(quadrature_lpd(train, spec, test).per_patient)
+    quad = np.array(Split(train, HeldOut(test)).lpd(spec).per_patient)
     assert np.all(np.abs(rb.mean(axis=0) - quad) < 4 * se)
     cell_means = rb.mean(axis=1)
     assert abs(cell_means.mean() - quad.mean()) < 4 * cell_means.std(ddof=1) / math.sqrt(8)
@@ -206,7 +206,7 @@ def test_quadrature_lpd_matches_oracle(name, monkeypatch):
     train = QUADRATURE_SETS[name]
     for test in (train, counts_dataset([0, 1, 2, 3, 5, 8, 13])):
         for spec in (HyperPriorSpec(0.1, 0.1), HyperPriorSpec(0.7, 1.3)):
-            got = np.array(quadrature_lpd(train, spec, test).per_patient)
+            got = np.array(Split(train, HeldOut(test)).lpd(spec).per_patient)
             ys, patient_y = np.unique(test.counts(), return_inverse=True)
             expected = exact_lpd(ys, train, spec)[patient_y]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
@@ -238,7 +238,7 @@ def test_quadrature_lpd_extreme_counts():
     one nat at y = 300."""
     train, spec = QUADRATURE_SETS["equidispersed"], HyperPriorSpec(0.1, 0.1)
     counts = [0, 40, 300, 2000]  # 2000 takes the log-space sum
-    got = np.array(quadrature_lpd(train, spec, counts_dataset(counts)).per_patient)
+    got = np.array(Split(train, HeldOut(counts_dataset(counts))).lpd(spec).per_patient)
     np.testing.assert_allclose(got, brute_force_lpd(counts, train, spec), rtol=0, atol=1e-9)
     assert abs(got[2] - exact_lpd([300], train, spec)[0]) > 0.5
 
@@ -250,12 +250,12 @@ def test_quadrature_lpd_rejects_mass_off_the_grid():
     train = QUADRATURE_SETS["equidispersed"]
     spec = HyperPriorSpec(1e-6, 1e-6)
     target = sampler._LogTarget(train.site_totals().astype(float),
-                                train.site_sizes().astype(float), spec)
+                                train.site_sizes().astype(float))
     lp = sampler.grid_posterior(target.grid_terms(evaluation._COARSE, evaluation._COARSE),
-                                target.rates)
+                                (spec.alpha_rate, spec.beta_rate))
     assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
     with pytest.raises(sampler.NumericalError, match="on its edge"):
-        quadrature_lpd(train, spec, train)
+        Split(train, HeldOut(train)).lpd(spec)
 
 
 # a CV fold's 13 priors: the baseline's and 12 more whose rates span three
@@ -275,7 +275,7 @@ def test_shared_split_scores_as_fresh_terms(name, monkeypatch):
     train, test = QUADRATURE_SETS[name], counts_dataset([0, 1, 3, 40, 300, 2000])
     split = evaluation.Split(train, evaluation.HeldOut(test))
     for spec in FOLD_SPECS:
-        assert split.lpd(spec).per_patient == quadrature_lpd(train, spec, test).per_patient
+        assert split.lpd(spec).per_patient == Split(train, HeldOut(test)).lpd(spec).per_patient
     n_boxes = len({box for box, _ in grids})
     if name == "equidispersed":
         assert n_boxes > 1

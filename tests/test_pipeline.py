@@ -13,7 +13,7 @@ from aebayes.efficiency import (
     train_test_split,
 )
 from aebayes.elicitation import AllQueriesFailedError, FixtureTransport
-from aebayes.evaluation import HeldOut, Split, quadrature_lpd
+from aebayes.evaluation import HeldOut, Split
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -94,7 +94,7 @@ def test_run_cells_elicits_then_scores_each_cell_in_plan_order(mixed_dataset):
     assert audit == [*first.prior.records, *last.prior.records]
     assert baseline.prior is None and baseline.spec == META_ANALYTICAL
     for outcome, cell_train in zip(outcomes, (train, small, small)):
-        assert outcome.lpd == quadrature_lpd(cell_train, outcome.spec, test)
+        assert outcome.lpd == Split(cell_train, HeldOut(test)).lpd(outcome.spec)
         assert outcome.n_train_patients == cell_train.n_patients
 
 

@@ -154,14 +154,15 @@ def test_log_posterior_matches_site_marginals():
     ds = MARGINAL_SITES
     by_site = [[y for j, y in zip(ds.site_of, ds.ae_counts) if j == site]
                for site in range(ds.n_sites)]
-    log_post = _LogTarget(ds.site_totals().astype(float), ds.site_sizes().astype(float), spec)
+    log_post = _LogTarget(ds.site_totals().astype(float), ds.site_sizes().astype(float))
+    rates = (spec.alpha_rate, spec.beta_rate)
     x = np.random.default_rng(0).uniform(-2.5, 2.0, size=(8, 2))
     brute = np.array([
         sum(site_marginal_logpdf(counts, a, b) for counts in by_site)
         + sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
         + sps.expon.logpdf(b, scale=1 / spec.beta_rate) + u + v
         for (u, v), (a, b) in zip(x, np.exp(x))])
-    diffs = log_post(x) - brute
+    diffs = log_post(x, rates) - brute
     assert np.ptp(diffs) < 1e-9, diffs
 
 
@@ -169,12 +170,13 @@ def test_log_posterior_no_data_is_hyperprior():
     """Under ``no_data`` the target is the exponential hyperprior on the
     log scale, up to a constant."""
     spec = HyperPriorSpec(0.5, 2.0)
-    log_post = _LogTarget(*_site_columns(TWO_SITES, McmcConfig(no_data=True)), spec)
+    log_post = _LogTarget(*_site_columns(TWO_SITES, McmcConfig(no_data=True)))
+    rates = (spec.alpha_rate, spec.beta_rate)
     x = np.random.default_rng(1).uniform(-3.0, 2.0, size=(6, 2))
     a, b = np.exp(x).T
     expected = (sps.expon.logpdf(a, scale=1 / spec.alpha_rate)
                 + sps.expon.logpdf(b, scale=1 / spec.beta_rate) + x.sum(axis=1))
-    assert np.ptp(log_post(x) - expected) < 1e-12
+    assert np.ptp(log_post(x, rates) - expected) < 1e-12
 
 
 def test_log_rising_matches_gammaln():
@@ -217,14 +219,15 @@ def test_large_total_keeps_terms_bounded():
     spec = HyperPriorSpec(0.1, 0.1)
     totals, sizes = _site_columns(BIG_TOTAL, McmcConfig())
     assert totals.max() == 1e5
-    log_post = _LogTarget(totals, sizes, spec)
+    log_post = _LogTarget(totals, sizes)
+    rates = (spec.alpha_rate, spec.beta_rate)
     assert len(log_post.shifts) + len(log_post.tails) <= sampler._RISING_BOUND + 1
     x = np.random.default_rng(2).uniform(-3.0, 3.0, size=(8, 2))
     a, b = np.exp(x).T[:, :, None]
     by_site = (a * np.log(b) + gammaln(a + totals) - gammaln(a)
                - (a + totals) * np.log(b + sizes)).sum(axis=1)
     expected = by_site - spec.alpha_rate * a[:, 0] - spec.beta_rate * b[:, 0] + x.sum(axis=1)
-    assert np.ptp(log_post(x) - expected) < 1e-8
+    assert np.ptp(log_post(x, rates) - expected) < 1e-8
     draws = run_mcmc(BIG_TOTAL, spec, McmcConfig(seed=0))
     for param, (z_mean, z_sd, _) in moment_z(draws, BIG_TOTAL, spec).items():
         assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z_mean, z_sd)
@@ -254,10 +257,11 @@ def test_log_target_rows_do_not_depend_on_batch():
                    [[-800.0, 0.0], [0.0, -800.0], [690.0, 0.5], [0.5, 690.0]]])
     with np.errstate(all="ignore"):  # the extreme points overflow to inf or nan
         for ds, spec, kw in TARGET_FITS:
-            log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)), spec)
-            together = log_post(x)
+            log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)))
+            rates = (spec.alpha_rate, spec.beta_rate)
+            together = log_post(x, rates)
             for r in range(len(x)):
-                np.testing.assert_array_equal(log_post(x[r:r + 1]), together[r:r + 1])
+                np.testing.assert_array_equal(log_post(x[r:r + 1], rates), together[r:r + 1])
 
 
 def test_log_target_grid_matches_points():
@@ -266,9 +270,10 @@ def test_log_target_grid_matches_points():
     u, v = np.linspace(-4.0, 3.0, 9), np.linspace(-5.0, 4.0, 7)
     points = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
     for ds, spec, kw in TARGET_FITS:
-        log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)), spec)
-        expected = log_post(points).reshape(u.size, v.size)
-        grid = grid_posterior(log_post.grid_terms(u, v), log_post.rates)
+        log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)))
+        rates = (spec.alpha_rate, spec.beta_rate)
+        expected = log_post(points, rates).reshape(u.size, v.size)
+        grid = grid_posterior(log_post.grid_terms(u, v), rates)
         np.testing.assert_allclose(grid, expected, rtol=1e-12, atol=1e-9)
 
 
