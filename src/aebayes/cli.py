@@ -327,10 +327,23 @@ def _check_out_dirs(cfg: RunConfig, *kinds: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {reason}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside ``path``; the file written there
+    replaces ``path`` on success and is removed on any failure or interrupt,
+    so ``path`` keeps its previous bytes and no partial file remains."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -399,10 +412,9 @@ def _experiment_audit(cfg: RunConfig, command: str):
     finally:
         path = root / "audit" / f"{command}_elicitations.jsonl"
         if audit:
-            tmp = _out_dir(cfg, "audit") / (path.name + ".tmp")
-            tmp.unlink(missing_ok=True)
-            write_audit_log(audit, tmp)
-            os.replace(tmp, path)
+            with _replacing(_out_dir(cfg, "audit") / path.name) as tmp:
+                tmp.unlink(missing_ok=True)  # write_audit_log appends
+                write_audit_log(audit, tmp)
         else:
             path.unlink(missing_ok=True)
 
@@ -442,9 +454,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     draws = run_mcmc(dataset, spec, mcmc)
 
     draws_path = _out_dir(cfg, "draws") / "draws.csv"
-    tmp = draws_path.with_name(draws_path.name + ".tmp")
-    export_draws(draws, tmp, include_hyperparams=freeze is None)
-    os.replace(tmp, draws_path)
+    with _replacing(draws_path) as tmp:
+        export_draws(draws, tmp, include_hyperparams=freeze is None)
 
     rows = [[name, f"{value:.4f}"] for name, value in sorted(draws.diagnostics.items())]
     report = _format_table(["parameter", "rhat"], rows)

@@ -41,6 +41,12 @@ Split R-hat is reported for alpha, beta and every site rate;
 ``PosteriorDraws.rhat_flags`` flags each parameter whose R-hat is at least
 ``RHAT_THRESHOLD`` (1.1, fixed).
 
+``export_draws`` writes the draws as one csv line per value, each value
+in ``repr``'s shortest round-trip form.  ``_floatrepr.repr_bytes`` gives
+those bytes for a block of draws at once, and the lines are assembled
+from them as bytes; the module and its tables load only when a fit is
+exported.
+
 The chain settings ``McmcConfig`` and the error ``NumericalError`` are
 defined in ``model``, which imports no numpy, so the CLI checks its
 settings without loading this module; both import from here as well.
@@ -390,10 +396,14 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                  include_hyperparams: bool = True) -> None:
     """Dump draws as columnar delimited text: chain, draw, parameter, value.
 
-    The bytes are those of one ``csv.writer`` row per value (with
-    ``repr(float)`` values), but each parameter name is csv-escaped once and
-    draws are formatted _BLOCK_ROWS at a time.
+    The bytes are those of one ``csv.writer`` row per value, each value
+    written as ``repr(float)``, Python's shortest round-trip form.  Each
+    parameter name is csv-escaped once, and the values are formatted
+    _BLOCK_ROWS draws at a time by ``_floatrepr.repr_bytes``, which gives
+    ``repr``'s bytes for a whole array.
     """
+    from ._floatrepr import WIDTH, repr_bytes
+
     names = [f"lambda[{site_id}]" for site_id in draws.site_ids]
     if include_hyperparams:
         names = ["alpha", "beta"] + names
@@ -405,10 +415,24 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
         buf.seek(0)
         buf.truncate()
         writer.writerow((name, ""))
-        columns.append(buf.getvalue()[:-1])
+        columns.append(buf.getvalue()[:-1].encode("utf-8"))
     n_chains, n_draws = draws.alpha.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("chain,draw,parameter,value\n")
+    # a block of lines, one per draw and column: "<c>,<d>,", the column's
+    # "<parameter>,", the value and a newline, each part left-aligned in its
+    # own slot; only the bytes kept are written, in order
+    prefix_width = len(f"{n_chains - 1},{n_draws - 1},")
+    name_width = max(map(len, columns), default=0)
+    name_end = prefix_width + name_width
+    line = np.empty((_BLOCK_ROWS, len(columns), name_end + WIDTH + 1), dtype=np.uint8)
+    keep = np.empty(line.shape, dtype=bool)
+    name_bytes = np.array(columns, dtype=f"S{name_width}").view(np.uint8)
+    line[:, :, prefix_width:name_end] = name_bytes.reshape(len(columns), name_width)
+    keep[:, :, prefix_width:name_end] = (np.arange(name_width)
+                                         < np.array([len(col) for col in columns])[:, None])
+    line[:, :, -1] = ord("\n")
+    keep[:, :, -1] = True
+    with open(path, "wb") as fh:
+        fh.write(b"chain,draw,parameter,value\n")
         # without a single column (no sites, hyperparameters left out) a draw
         # has no line
         for c in range(n_chains if columns else 0):
@@ -418,10 +442,11 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                     hyper = (draws.alpha[c, start:start + _BLOCK_ROWS, None],
                              draws.beta[c, start:start + _BLOCK_ROWS, None])
                     block = np.concatenate(hyper + (block,), axis=1)
-                lines = []
-                for d, row in enumerate(block.tolist(), start=start):
-                    prefix = f"{c},{d},"
-                    lines.append(prefix)
-                    lines.append(("\n" + prefix).join(map(str.__add__, columns, map(repr, row))))
-                    lines.append("\n")
-                fh.write("".join(lines))
+                rows = len(block)
+                prefix = np.array([f"{c},{d}," for d in range(start, start + rows)],
+                                  dtype=f"S{prefix_width}").view(np.uint8)
+                line[:rows, :, :prefix_width] = prefix.reshape(rows, 1, prefix_width)
+                keep[:rows, :, :prefix_width] = line[:rows, :, :prefix_width] != 0
+                line[:rows, :, name_end:-1] = repr_bytes(block)
+                keep[:rows, :, name_end:-1] = line[:rows, :, name_end:-1] != 0
+                fh.write(line[:rows][keep[:rows]])

@@ -284,7 +284,7 @@ def test_fit_is_deterministic(dataset_file, config_file, tmp_path):
 def test_interrupted_draws_export_keeps_previous_draws(dataset_file, config_file,
                                                        tmp_path, monkeypatch):
     """An export interrupted after a partial line leaves the previous run's
-    draws.csv byte for byte."""
+    draws.csv byte for byte, and no partial temporary file beside it."""
     argv = ["fit", "--dataset", dataset_file, "--config", config_file,
             "--out", str(tmp_path / "out")]
     assert main(argv) == 0
@@ -299,6 +299,19 @@ def test_interrupted_draws_export_keeps_previous_draws(dataset_file, config_file
     with pytest.raises(KeyboardInterrupt):
         main(argv)
     assert draws_path.read_bytes() == before
+    assert sorted(p.name for p in draws_path.parent.iterdir()) == ["draws.csv"]
+
+
+def test_write_atomic_failure_keeps_previous_file(tmp_path):
+    """A write that fails after its temporary file was created (here a lone
+    surrogate that UTF-8 cannot encode) leaves the previous file and removes
+    the temporary one."""
+    path = tmp_path / "report.txt"
+    cli._write_atomic(path, "previous\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(path, "partial \ud800\n")
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
 
 def test_fit_invalid_prior_rate_exit_code(dataset_file, tmp_path, capsys):
@@ -1187,14 +1200,17 @@ def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, co
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user_value"])
 def test_cli_runs_blas_on_one_thread(dataset_file, tmp_path, preset):
     """``main`` sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so on
-    Linux a cv run's process holds one thread; a value the user set stays."""
+    Linux a cv run's process holds one thread; a value the user set stays.
+    Only ``fit``'s export loads the draw formatter, so cv never builds its
+    tables."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = ("import os, sys\n"
               "from aebayes.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "threads = ([line.split()[1] for line in open('/proc/self/status')\n"
               "            if line.startswith('Threads:')] if sys.platform == 'linux' else [])\n"
-              "print(code, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], *threads)\n")
+              "print(code, 'numpy' in sys.modules, 'aebayes._floatrepr' in sys.modules,\n"
+              "      os.environ['OPENBLAS_NUM_THREADS'], *threads)\n")
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
     argv = ["cv", "--k", "3", "--models", "m1", "--strategies", "blind",
             "--temperatures", "0.5", "--dataset", dataset_file, "--fixtures", fx,
@@ -1205,8 +1221,9 @@ def test_cli_runs_blas_on_one_thread(dataset_file, tmp_path, preset):
         env["OPENBLAS_NUM_THREADS"] = preset
     run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                          text=True, env=env, check=True)
-    code, numpy_loaded, value, *threads = run.stdout.splitlines()[-1].split()
+    code, numpy_loaded, formatter_loaded, value, *threads = run.stdout.splitlines()[-1].split()
     assert (code, numpy_loaded, value) == ("0", "True", preset or "1")
+    assert formatter_loaded == "False"
     if preset is None and sys.platform == "linux":
         assert threads == ["1"]
 
