@@ -51,7 +51,7 @@ from .elicitation import (
     HttpTransport,
     PromptStrategy,
     elicit_prior,
-    prior_param_stats,
+    prior_param_rows,
     read_audit_log,
     write_audit_log,
 )
@@ -356,15 +356,18 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def _format_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _format_table(columns: list[tuple[str, str, str]], rows: list[dict]) -> str:
+    """A text table of ``rows``, one column per (header, row key, format
+    spec).  A cell with a spec holds a float or its repr, which
+    ``float`` reads back exactly, so a results row and the text report
+    show one number."""
+    headers = [header for header, _, _ in columns]
+    cells = [[format(float(row[key]), spec) if spec else str(row[key])
+              for _, key, spec in columns] for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
+    lines = [fmt(headers), fmt(["-" * w for w in widths]), *map(fmt, cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -457,8 +460,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     with _replacing(draws_path) as tmp:
         export_draws(draws, tmp, include_hyperparams=freeze is None)
 
-    rows = [[name, f"{value:.4f}"] for name, value in sorted(draws.diagnostics.items())]
-    report = _format_table(["parameter", "rhat"], rows)
+    rows = [{"parameter": name, "rhat": value}
+            for name, value in sorted(draws.diagnostics.items())]
+    report = _format_table([("parameter", "parameter", ""), ("rhat", "rhat", ".4f")], rows)
     flagged = draws.rhat_flags()
     if flagged:
         names = ", ".join(sorted(flagged))
@@ -489,15 +493,13 @@ def cmd_cv(args: argparse.Namespace) -> int:
         results = run_cv_experiment(dataset, [*baseline, *llm_conditions], transport,
                                     k=cfg.k, seed=cfg.seed, audit=audit)
 
+    summary = cv_summary_rows(results)
     _write_csv(_out_dir(cfg, "results") / "cv_folds.csv", cv_table_rows(results))
-    _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", cv_summary_rows(results))
-
-    rows = [[res.condition.identity(),
-             f"{res.pooled_mean_lpd:.3f}", f"{res.pooled_sd_lpd:.3f}",
-             f"{res.fold_mean_lpd:.3f}", f"{res.fold_sd_lpd:.3f}"]
-            for res in results]
+    _write_csv(_out_dir(cfg, "results") / "cv_summary.csv", summary)
     report = _format_table(
-        ["condition", "lpd_mean", "lpd_sd", "fold_mean", "fold_sd"], rows)
+        [("condition", "condition", ""), ("lpd_mean", "pooled_lpd_mean", ".3f"),
+         ("lpd_sd", "pooled_lpd_sd", ".3f"), ("fold_mean", "fold_lpd_mean", ".3f"),
+         ("fold_sd", "fold_lpd_sd", ".3f")], summary)
     _write_atomic(_out_dir(cfg, "reports") / "cv_report.txt", report)
     sys.stdout.write(report)
     return EXIT_OK
@@ -519,17 +521,14 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
             dataset, [*baseline, condition], transport, rho_grid=cfg.rho_grid,
             n_replications=cfg.n_replications, seed=cfg.seed, audit=audit)
 
+    summary = efficiency_summary_rows(result)
     _write_csv(_out_dir(cfg, "results") / "efficiency_runs.csv",
                efficiency_table_rows(result))
-    _write_csv(_out_dir(cfg, "results") / "efficiency_summary.csv",
-               efficiency_summary_rows(result))
-
-    rows = [[cell.condition.identity(), f"{cell.rho:g}",
-             f"{cell.lpd_mean:.3f}", f"{cell.lpd_sd:.3f}",
-             f"{cell.train_patients_mean:.1f}"]
-            for cell in result.cells]
+    _write_csv(_out_dir(cfg, "results") / "efficiency_summary.csv", summary)
     report = _format_table(
-        ["condition", "rho", "lpd_mean", "lpd_sd", "train_patients"], rows)
+        [("condition", "condition", ""), ("rho", "rho", ""),
+         ("lpd_mean", "lpd_mean", ".3f"), ("lpd_sd", "lpd_sd", ".3f"),
+         ("train_patients", "train_patients_mean", ".1f")], summary)
     report += f"\ntest set: {result.n_test_patients} patients, {result.n_test_sites} sites\n"
     _write_atomic(_out_dir(cfg, "reports") / "efficiency_report.txt", report)
     sys.stdout.write(report)
@@ -547,30 +546,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not records:
         raise DataError(f"no elicitation records found under {audit_dir}")
     try:
-        stats = prior_param_stats(records)
-    except ValueError as exc:  # a group whose every query failed to parse
+        rows = prior_param_rows(records)
+    except ValueError as exc:  # a group whose every query failed
         raise ElicitationError(f"{audit_dir}: {exc}") from exc
-    rows = []
-    csv_rows = []
-    for key in sorted(stats):
-        model, strategy, temp = key
-        for param in ("alpha_rate", "beta_rate"):
-            st = stats[key][param]
-            rows.append([model, strategy, f"{temp:g}", param, str(st.n),
-                         f"{st.mean:.3f}", f"{st.sd:.3f}", f"{st.minimum:.3f}",
-                         f"{st.q1:.3f}", f"{st.median:.3f}", f"{st.q3:.3f}",
-                         f"{st.maximum:.3f}"])
-            csv_rows.append({
-                "model": model, "strategy": strategy, "temperature": f"{temp:g}",
-                "parameter": param, "n": st.n, "mean": repr(st.mean),
-                "sd": repr(st.sd), "min": repr(st.minimum), "q1": repr(st.q1),
-                "median": repr(st.median), "q3": repr(st.q3), "max": repr(st.maximum),
-            })
     report = _format_table(
-        ["model", "strategy", "T", "parameter", "n", "mean", "sd",
-         "min", "q1", "median", "q3", "max"], rows)
+        [("model", "model", ""), ("strategy", "strategy", ""), ("T", "temperature", ""),
+         ("parameter", "parameter", ""), ("n", "n", ""),
+         *((name, name, ".3f") for name in ("mean", "sd", "min", "q1", "median", "q3",
+                                            "max"))], rows)
     _write_atomic(_out_dir(cfg, "reports") / "prior_param_stats.txt", report)
-    _write_csv(_out_dir(cfg, "results") / "prior_param_stats.csv", csv_rows)
+    _write_csv(_out_dir(cfg, "results") / "prior_param_stats.csv", rows)
     sys.stdout.write(report)
     return EXIT_OK
 

@@ -194,8 +194,8 @@ class CvCondition:
         return self.elicit is not None
 
     def identity(self) -> str:
-        """Stable name used for seed derivation and reporting; independent
-        of the condition's position in the run."""
+        """Stable name used in results and reports; independent of the
+        condition's position in the run."""
         if not self.is_llm:
             return "meta_analytical"
         return f"{self.elicit.model_id}|{self.strategy.value}|T={self.elicit.temperature:g}"
@@ -227,7 +227,10 @@ class ElicitationRecord:
 
     Its JSON form is a superset of a fixture record, so an audit log
     replays through ``FixtureTransport``.  ``response`` is None when the
-    transport itself failed.
+    transport itself failed.  ``parsed`` and ``error`` follow from
+    ``response`` (``_outcome``): the JSON form writes ``parsed`` for readers
+    of the log, and ``from_json_dict`` reads the rates from ``response``
+    again, exactly as a replay does.
     """
 
     request_hash: str
@@ -261,14 +264,12 @@ class ElicitationRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ElicitationRecord":
-        parsed = obj["parsed"]
-        if parsed is not None:
-            alpha_rate, beta_rate = parsed
-            parsed = (float(alpha_rate), float(beta_rate))
-        return cls(request_hash=obj["request_hash"], model=obj["model"],
+        request_hash = _check_line(obj)
+        parsed, error = _outcome(obj["response"], obj.get("error"))
+        return cls(request_hash=request_hash, model=obj["model"],
                    strategy=PromptStrategy(obj["strategy"]),
                    temperature=float(obj["temperature"]),
-                   response=obj["response"], parsed=parsed, error=obj["error"],
+                   response=obj["response"], parsed=parsed, error=error,
                    timestamp=float(obj["timestamp"]))
 
 
@@ -329,6 +330,30 @@ class HttpTransport:
         return content
 
 
+def _check_line(rec) -> str:
+    """Check one line of a fixture file or audit log and return its request
+    hash: its own ``request_hash``, or the hash of its model, strategy and
+    temperature."""
+    if not isinstance(rec, dict):
+        raise ElicitationError(f"expected a JSON object, got {rec!r}")
+    if "response" not in rec:
+        raise ElicitationError(f"record missing 'response': {rec!r}")
+    for name in ("response", "error"):
+        if not isinstance(rec.get(name), (str, type(None))):
+            raise ElicitationError(f"{name!r} must be a string or null, got {rec[name]!r}")
+    if "model" in rec and not (isinstance(rec["model"], str) and rec["model"]):
+        raise ElicitationError(f"'model' must be a non-empty string, got {rec['model']!r}")
+    if rec.get("request_hash") is not None:
+        return rec["request_hash"]
+    try:
+        return ChatRequest(model=rec["model"],
+                           prompt=build_prompt(PromptStrategy(rec["strategy"])),
+                           temperature=float(rec["temperature"])).request_hash()
+    except (KeyError, ValueError) as exc:
+        raise ElicitationError(
+            f"record needs request_hash or model/strategy/temperature: {rec!r}") from exc
+
+
 def _read_jsonl(path: str | os.PathLike, parse) -> list:
     """Apply ``parse`` to each JSON line of a file; errors, a line that is
     not UTF-8 among them, name file and line."""
@@ -343,7 +368,7 @@ def _read_jsonl(path: str | os.PathLike, parse) -> list:
             except KeyError as exc:
                 raise ElicitationError(
                     f"{path}: line {lineno}: record missing {exc.args[0]!r}") from exc
-            except (ElicitationError, ValueError, TypeError) as exc:
+            except (ElicitationError, ValueError, TypeError, RecursionError) as exc:
                 raise ElicitationError(
                     f"{path}: line {lineno}: invalid record: {exc}") from exc
     return out
@@ -375,25 +400,7 @@ class FixtureTransport:
         return transport
 
     def add_record(self, rec: dict) -> None:
-        if "response" not in rec:
-            raise ElicitationError(f"fixture record missing 'response': {rec!r}")
-        for name in ("response", "error"):
-            if not isinstance(rec.get(name), (str, type(None))):
-                raise ElicitationError(
-                    f"fixture {name!r} must be a string or null, got {rec[name]!r}")
-        key = rec.get("request_hash")
-        if key is None:
-            try:
-                strategy = PromptStrategy(rec["strategy"])
-                request = ChatRequest(model=rec["model"],
-                                      prompt=build_prompt(strategy),
-                                      temperature=float(rec["temperature"]))
-            except (KeyError, ValueError) as exc:
-                raise ElicitationError(
-                    f"fixture record needs request_hash or model/strategy/temperature: {rec!r}"
-                ) from exc
-            key = request.request_hash()
-        self._responses.setdefault(key, []).append(
+        self._responses.setdefault(_check_line(rec), []).append(
             RecordedFailureError(rec.get("error") or "recorded query failed")
             if rec["response"] is None else rec["response"])
 
@@ -438,7 +445,10 @@ def _require_rate(obj: dict, name: str) -> float:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ResponseFormatError(f"non-numeric value for {name}: {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ResponseFormatError(f"non-finite value for {name}: out of range") from None
     if not math.isfinite(value):
         raise ResponseFormatError(f"non-finite value for {name}: {value}")
     if value <= 0:
@@ -459,22 +469,36 @@ def parse_response(raw: str) -> tuple[float, float]:
         text = fence.group(1).strip()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ResponseFormatError(f"unparseable body: {exc}") from exc
     if not isinstance(obj, dict):
         raise ResponseFormatError(f"expected JSON object, got {type(obj).__name__}")
     return _require_rate(obj, "alpha_rate"), _require_rate(obj, "beta_rate")
 
 
+def _outcome(response: str | None,
+             failure: str | None) -> tuple[tuple[float, float] | None, str | None]:
+    """A query's (parsed, error) pair: the rates parsed from its response,
+    or the error text, which for a query without a response is its
+    transport's ``failure`` text.  A query sent and a logged line read
+    back both go through here."""
+    if response is None:
+        return None, failure or "recorded query failed"
+    try:
+        return parse_response(response), None
+    except ResponseFormatError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _run_one_query(strategy: PromptStrategy, prompt: str, request_hash: str,
                    config: ElicitationConfig, transport) -> ElicitationRecord:
-    response = parsed = error = None
+    response = failure = None
     try:
         response = query_llm(prompt, config, transport)
-        parsed = parse_response(response)
     except ElicitationError as exc:
-        error = (str(exc) if isinstance(exc, RecordedFailureError)
-                 else f"{type(exc).__name__}: {exc}")
+        failure = (str(exc) if isinstance(exc, RecordedFailureError)
+                   else f"{type(exc).__name__}: {exc}")
+    parsed, error = _outcome(response, failure)
     return ElicitationRecord(
         request_hash=request_hash, model=config.model_id, strategy=strategy,
         temperature=config.temperature, response=response, parsed=parsed,
@@ -518,57 +542,33 @@ def _hull_mean(values: list[float]) -> float:
     return min(max(float(np.mean(values)), min(values)), max(values))
 
 
-@dataclass(frozen=True)
-class ParamStats:
-    """Boxplot-ready summary of one parameter within one condition group."""
-
-    n: int
-    mean: float
-    sd: float
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-    @classmethod
-    def from_values(cls, values: list[float]) -> "ParamStats":
-        if not values:
-            raise ValueError("empty group")
-        import numpy as np
-        arr = np.asarray(values, dtype=np.float64)
-        q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        return cls(n=arr.size, mean=float(arr.mean()), sd=sd,
-                   minimum=float(arr.min()), q1=float(q1), median=float(med),
-                   q3=float(q3), maximum=float(arr.max()))
-
-
-GroupKey = tuple[str, str, float]  # (model, strategy value, temperature)
-
-
-def prior_param_stats(
-    records,
-) -> dict[GroupKey, dict[str, ParamStats]]:
-    """Distribution statistics of elicited rates per (model, strategy, temperature).
-
-    Every successfully parsed record contributes one point; groups with no
-    parsed records are an error.
-    """
-    grouped: dict[GroupKey, dict[str, list[float]]] = {}
+def prior_param_rows(records) -> list[dict]:
+    """The rows of ``prior_param_stats.csv``: per (model, strategy,
+    temperature) group, in that order, and per rate, the count, mean, SD
+    and quartiles of the group's parsed rates; a group with none is an
+    error."""
+    import numpy as np
+    grouped: dict[tuple[str, str, float], list[tuple[float, float]]] = {}
     for rec in records:
-        key = (rec.model, rec.strategy.value, rec.temperature)
-        bucket = grouped.setdefault(key, {"alpha_rate": [], "beta_rate": []})
+        pairs = grouped.setdefault((rec.model, rec.strategy.value, rec.temperature), [])
         if rec.ok:
-            bucket["alpha_rate"].append(rec.parsed[0])
-            bucket["beta_rate"].append(rec.parsed[1])
-    out: dict[GroupKey, dict[str, ParamStats]] = {}
-    for key, bucket in grouped.items():
-        if not bucket["alpha_rate"]:
-            raise ValueError(f"no parsed records in group {key}")
-        out[key] = {name: ParamStats.from_values(vals)
-                    for name, vals in bucket.items()}
-    return out
+            pairs.append(rec.parsed)
+    rows = []
+    for (model, strategy, temperature), pairs in sorted(grouped.items()):
+        if not pairs:
+            raise ValueError(f"no parsed records in group {(model, strategy, temperature)}")
+        for parameter, values in zip(("alpha_rate", "beta_rate"), zip(*pairs)):
+            arr = np.asarray(values, dtype=np.float64)
+            q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+            sd = arr.std(ddof=1) if arr.size > 1 else 0.0
+            rows.append({
+                "model": model, "strategy": strategy, "temperature": f"{temperature:g}",
+                "parameter": parameter, "n": arr.size, "mean": repr(float(arr.mean())),
+                "sd": repr(float(sd)), "min": repr(float(arr.min())), "q1": repr(float(q1)),
+                "median": repr(float(median)), "q3": repr(float(q3)),
+                "max": repr(float(arr.max())),
+            })
+    return rows
 
 
 def write_audit_log(records, path: str | os.PathLike) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from aebayes import cli
 from aebayes.cli import _resolve_config, build_parser, load_config, main
 from aebayes.data import Dataset
-from aebayes.elicitation import FixtureTransport, PromptStrategy, TransientTransportError
+from aebayes.elicitation import (ChatRequest, FixtureTransport, PromptStrategy,
+                                 TransientTransportError, build_prompt)
 from aebayes_testkit import make_rows, write_dataset
 
 DATASET = """site_id,patient_id,ae_count
@@ -736,7 +738,8 @@ def test_interrupted_run_keeps_audit_log(dataset_file, config_file, tmp_path,
     ("{not json", "invalid record"),
     ('{"request_hash": "h", "model": "m1", "temperature": 1.0, "response": "x",'
      ' "parsed": [0.5, 0.1], "error": null, "timestamp": 0.0}', "missing 'strategy'"),
-], ids=["not-json", "no-strategy"])
+    ("[" * 100_000, "invalid record"),
+], ids=["not-json", "no-strategy", "nested-too-deep"])
 def test_report_malformed_audit_log_exit_code(tmp_path, capsys, line, fragment):
     audit_dir = tmp_path / "out" / "audit"
     audit_dir.mkdir(parents=True)
@@ -782,6 +785,66 @@ def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "elicitation error" in err
     assert "m-unparsed" in err
+
+
+def _audit_line(**fields):
+    """One audit line for (m1, blind, 0.5), as ``elicit`` writes it."""
+    request = ChatRequest("m1", build_prompt(PromptStrategy.BLIND), 0.5)
+    return {"request_hash": request.request_hash(), "model": "m1", "strategy": "blind",
+            "temperature": 0.5, "response": None, "parsed": None, "error": None,
+            "timestamp": 0.0, **fields}
+
+
+@pytest.mark.parametrize("line", [
+    _audit_line(parsed=[0.5, 0.1]),
+    _audit_line(response=PARSED_RECORD["response"], parsed=[-3, 0]),
+    _audit_line(response=5, error="ResponseFormatError: not text"),
+], ids=["parsed-without-response", "parsed-beside-response", "non-text-response"])
+def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line):
+    """``report`` and a ``--fixtures`` replay of the same audit line either
+    both count the same rates or both reject the line."""
+    out_dir = tmp_path / "out"
+    (out_dir / "audit").mkdir(parents=True)
+    log = out_dir / "audit" / "elicitations.jsonl"
+    log.write_text(json.dumps(line) + "\n", encoding="utf-8")
+
+    def outcome(rc, rates):
+        out, err = capsys.readouterr()
+        if rc == 0:
+            return rates(out)
+        assert rc == 4, err
+        return "rejected" if "elicitations.jsonl: line 1:" in err else "no rates"
+
+    rc = main(["report", "--out", str(out_dir)])
+    reported = outcome(rc, lambda out: [
+        (row["parameter"], row["n"], float(row["mean"])) for row in csv.DictReader(
+            (out_dir / "results" / "prior_param_stats.csv").read_text().splitlines())])
+    rc = main(["elicit", "--fixtures", str(log), "--model", "m1", "--strategy", "blind",
+               "--temperature", "0.5", "--n-queries", "1", "--out", str(tmp_path / "replay")])
+    replayed = outcome(rc, lambda out: [  # the alpha_rate and beta_rate lines
+        (name, "1", float(value))
+        for name, _, value in (text.partition(" = ") for text in out.splitlines()[2:])])
+    assert reported == replayed
+
+
+@pytest.mark.parametrize("model", [5, None], ids=["int", "null"])
+@pytest.mark.parametrize("command", ["report", "elicit"])
+def test_non_string_model_exit_code(tmp_path, capsys, command, model):
+    """A logged or recorded line must name its model by a non-empty string;
+    one that does not ends in exit 4 naming the line, not a traceback from
+    sorting a number among model names."""
+    out_dir = tmp_path / "out"
+    (out_dir / "audit").mkdir(parents=True)
+    log = out_dir / "audit" / "elicitations.jsonl"
+    log.write_text(f"{json.dumps(PARSED_RECORD)}\n"
+                   f"{json.dumps({**PARSED_RECORD, 'model': model})}\n", encoding="utf-8")
+    argv = {"report": ["report"],
+            "elicit": ["elicit", "--fixtures", str(log), "--model", "m1",
+                       "--strategy", "blind", "--temperature", "0.5"]}[command]
+    assert main([*argv, "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert "elicitations.jsonl: line 2" in err
+    assert "'model' must be a non-empty string" in err
 
 
 def test_cv_rerun_replaces_audit_log(dataset_file, config_file, tmp_path, capsys):
@@ -1270,3 +1333,43 @@ def test_output_bytes_pinned(tmp_path, capsys, name):
     assert digest.hexdigest() == expected, (
         f"{name} outputs changed: sha256 {digest.hexdigest()} (numpy {np.__version__}; "
         "the digests were recorded with numpy 2.4.6 and depend on its Generator bitstream)")
+
+
+# sha256 over the names and bytes of results/ and reports/ after three
+# elicit runs and report; the (m1, blind, 0.5) group holds 11 parsed
+# answers, enough for numpy's pairwise sum
+PINNED_REPORT_DIGEST = "f394c6577b3a3bfce8abf34a8502875ca33f57a0b16d9e3084dd6fbc860ba7da"
+REPORT_RESPONSES = ['{"alpha_rate": 0.37, "beta_rate": 0.113}',
+                    '{"alpha_rate": 1.9, "beta_rate": 0.07}',
+                    '{"alpha_rate": 0.2, "beta_rate": 2.0}',
+                    "not json",
+                    '{"alpha_rate": 0.61, "beta_rate": 0.3}',
+                    '{"alpha_rate": 3.3, "beta_rate": 0.45}',
+                    '{"alpha_rate": 0.05, "beta_rate": 1.25}']
+
+
+def test_report_bytes_pinned(tmp_path, capsys):
+    """``report`` must reproduce every byte it writes to results/ and
+    reports/, and echo its report to stdout."""
+    fx = write_fixtures(tmp_path, [
+        *(fixture_entry("m1", "blind", 0.5, response=r) for r in REPORT_RESPONSES),
+        *(fixture_entry("m2", "disease_informed", 1.0, response=r)
+          for r in REPORT_RESPONSES[:3])])
+    out_dir = tmp_path / "out"
+    for model, strategy, temperature, n_queries in [("m1", "blind", "0.5", "7"),
+                                                    ("m1", "blind", "0.5", "5"),
+                                                    ("m2", "disease_informed", "1.0", "3")]:
+        assert main(["elicit", "--fixtures", fx, "--model", model, "--strategy", strategy,
+                     "--temperature", temperature, "--n-queries", n_queries,
+                     "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 0
+    report = (out_dir / "reports" / "prior_param_stats.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == report
+    digest = hashlib.sha256()
+    for kind in ("results", "reports"):
+        for path in sorted((out_dir / kind).iterdir()):
+            digest.update(f"{kind}/{path.name}\n".encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_REPORT_DIGEST, (
+        f"report outputs changed: sha256 {digest.hexdigest()} (numpy {np.__version__})")

@@ -19,7 +19,6 @@ from aebayes.elicitation import (
     FixtureMissError,
     FixtureTransport,
     HttpTransport,
-    ParamStats,
     PromptStrategy,
     RecordedFailureError,
     ResponseFormatError,
@@ -28,7 +27,7 @@ from aebayes.elicitation import (
     build_prompt,
     elicit_prior,
     parse_response,
-    prior_param_stats,
+    prior_param_rows,
     query_llm,
     read_audit_log,
     write_audit_log,
@@ -100,6 +99,11 @@ def test_parse_valid_responses(raw, expected):
     ('{"alpha_rate": null, "beta_rate": 0.1}', "non-numeric value for alpha_rate"),
     ('{"alpha_rate": 0.5, "beta_rate": Infinity}', "non-finite value for beta_rate"),
     ('{"alpha_rate": NaN, "beta_rate": 0.1}', "non-finite value for alpha_rate"),
+    pytest.param('{"alpha_rate": 1%s, "beta_rate": 0.1}' % ("0" * 400),
+                 "non-finite value for alpha_rate", id="integer_beyond_float"),
+    pytest.param('{"alpha_rate": 1%s, "beta_rate": 0.1}' % ("0" * 5000),
+                 "unparseable", id="integer_of_5001_digits"),
+    pytest.param("[" * 100_000, "unparseable", id="nested_100000_deep"),
     ('```\nnot json\n```', "unparseable"),
 ])
 def test_parse_malformed_responses_name_the_problem(raw, fragment):
@@ -283,6 +287,8 @@ def test_fixture_transport_explicit_hash_and_file(tmp_path):
 def test_fixture_transport_bad_records(tmp_path):
     with pytest.raises(ElicitationError, match="missing 'response'"):
         FixtureTransport(records=[{"model": "m"}])
+    with pytest.raises(ElicitationError, match="expected a JSON object"):
+        FixtureTransport(records=["response"])
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n")
     with pytest.raises(ElicitationError, match="line 1"):
@@ -437,26 +443,45 @@ def test_config_validation():
 def _ok_record(model: str, strategy: PromptStrategy, temp: float,
                a: float, b: float) -> ElicitationRecord:
     return ElicitationRecord(request_hash="h", model=model, strategy=strategy,
-                             temperature=temp, response="", parsed=(a, b),
-                             error=None, timestamp=0.0)
+                             temperature=temp,
+                             response=json.dumps({"alpha_rate": a, "beta_rate": b}),
+                             parsed=(a, b), error=None, timestamp=0.0)
+
+
+def _failed_record(model: str = "m") -> ElicitationRecord:
+    return ElicitationRecord(request_hash="h", model=model,
+                             strategy=PromptStrategy.BLIND, temperature=1.0,
+                             response="x", parsed=None, error="nope", timestamp=0.0)
+
+
+def _alpha_stats(records) -> dict:
+    """The numbers of the first group's alpha_rate row, read back."""
+    row = prior_param_rows(records)[0]
+    assert row["parameter"] == "alpha_rate"
+    return {k: float(v) for k, v in row.items()
+            if k not in ("model", "strategy", "temperature", "parameter")}
 
 
 def test_param_stats_two_values():
-    st_ = ParamStats.from_values([1.0, 3.0])
-    assert st_.mean == pytest.approx(2.0)
-    assert st_.sd == pytest.approx(math.sqrt(2.0))
-    assert (st_.minimum, st_.median, st_.maximum) == (1.0, 2.0, 3.0)
+    st_ = _alpha_stats([_ok_record("m", PromptStrategy.BLIND, 1.0, a, 1.0) for a in (1.0, 3.0)])
+    assert st_["n"] == 2
+    assert st_["mean"] == pytest.approx(2.0)
+    assert st_["sd"] == pytest.approx(math.sqrt(2.0))
+    assert (st_["min"], st_["median"], st_["max"]) == (1.0, 2.0, 3.0)
 
 
 def test_param_stats_constant_group():
-    st_ = ParamStats.from_values([0.5] * 6)
-    assert st_.sd == 0.0
-    assert st_.q1 == st_.median == st_.q3 == 0.5
+    st_ = _alpha_stats([_ok_record("m", PromptStrategy.BLIND, 1.0, 0.5, 1.0)] * 6)
+    assert st_["sd"] == 0.0
+    assert st_["q1"] == st_["median"] == st_["q3"] == 0.5
 
 
 def test_param_stats_empty_group():
-    with pytest.raises(ValueError):
-        ParamStats.from_values([])
+    """A group left empty by its failed queries is an error, also beside a
+    group with parsed rates."""
+    records = [_ok_record("m1", PromptStrategy.BLIND, 1.0, 1.0, 1.0), _failed_record("m2")]
+    with pytest.raises(ValueError, match="no parsed records in group .'m2'"):
+        prior_param_rows(records)
 
 
 def test_prior_param_stats_grouping():
@@ -465,23 +490,24 @@ def test_prior_param_stats_grouping():
         _ok_record("m1", PromptStrategy.BLIND, 1.0, 3.0, 0.3),
         _ok_record("m1", PromptStrategy.DISEASE_INFORMED, 1.0, 9.0, 9.0),
         _ok_record("m2", PromptStrategy.BLIND, 0.1, 5.0, 5.0),
+        _failed_record("m1"),
     ]
-    stats = prior_param_stats(recs)
-    assert set(stats) == {("m1", "blind", 1.0),
-                          ("m1", "disease_informed", 1.0),
-                          ("m2", "blind", 0.1)}
-    g = stats[("m1", "blind", 1.0)]
-    assert g["alpha_rate"].mean == pytest.approx(2.0)
-    assert g["alpha_rate"].sd == pytest.approx(math.sqrt(2.0))
-    assert g["beta_rate"].mean == pytest.approx(0.2)
+    rows = prior_param_rows(recs)
+    assert [(r["model"], r["strategy"], r["temperature"], r["parameter"]) for r in rows] == [
+        (model, strategy, temp, parameter)
+        for model, strategy, temp in [("m1", "blind", "1"), ("m1", "disease_informed", "1"),
+                                      ("m2", "blind", "0.1")]
+        for parameter in ("alpha_rate", "beta_rate")]
+    alpha = _alpha_stats(recs)
+    assert alpha["n"] == 2
+    assert alpha["mean"] == pytest.approx(2.0)
+    assert alpha["sd"] == pytest.approx(math.sqrt(2.0))
+    assert rows[1]["mean"] == repr(0.2)
 
 
 def test_prior_param_stats_failed_only_group_raises():
-    bad = ElicitationRecord(request_hash="h", model="m",
-                            strategy=PromptStrategy.BLIND, temperature=1.0,
-                            response="x", parsed=None, error="nope", timestamp=0.0)
     with pytest.raises(ValueError, match="no parsed records"):
-        prior_param_stats([bad])
+        prior_param_rows([_failed_record()])
 
 
 def test_write_audit_log(tmp_path):
