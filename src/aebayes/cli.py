@@ -166,7 +166,7 @@ def _coerce_config_value(key: str, raw: str, source: str):
 def load_config(path: str | os.PathLike) -> RunConfig:
     """Parse a line-oriented ``key = value`` file (whitespace-led # starts a comment)."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:

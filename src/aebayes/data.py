@@ -166,7 +166,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     patient ids, and naming the file when it cannot be read or is not UTF-8.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return _parse_rows(fh, source=str(path))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -9,7 +9,9 @@ of queries is aggregated by arithmetic mean into a HyperPriorSpec.
 The transport is pluggable: ``HttpTransport`` talks to a live endpoint
 with retry/backoff, ``FixtureTransport`` replays recorded responses from
 a JSONL file so experiments are reproducible offline.  Every audit log
-written by ``write_audit_log`` is itself a valid fixture file.
+written by ``write_audit_log`` is itself a valid fixture file.  A batch's
+one ``ChatRequest`` is its identity, and a recorded line is filed under the
+hash of the request its model, strategy and temperature make (``_check_line``).
 """
 
 from __future__ import annotations
@@ -331,9 +333,10 @@ class HttpTransport:
 
 
 def _check_line(rec) -> str:
-    """Check one line of a fixture file or audit log and return its request
-    hash: its own ``request_hash``, or the hash of its model, strategy and
-    temperature."""
+    """Check one line of a fixture file or audit log and return the request
+    hash it is filed under: the hash of its model, strategy and temperature,
+    or, on a line that gives none of the three, its stored ``request_hash``,
+    which must then be a non-empty string like any stored one."""
     if not isinstance(rec, dict):
         raise ElicitationError(f"expected a JSON object, got {rec!r}")
     if "response" not in rec:
@@ -341,17 +344,20 @@ def _check_line(rec) -> str:
     for name in ("response", "error"):
         if not isinstance(rec.get(name), (str, type(None))):
             raise ElicitationError(f"{name!r} must be a string or null, got {rec[name]!r}")
-    if "model" in rec and not (isinstance(rec["model"], str) and rec["model"]):
-        raise ElicitationError(f"'model' must be a non-empty string, got {rec['model']!r}")
-    if rec.get("request_hash") is not None:
+    for name in ("model", "request_hash"):
+        if name in rec and not (isinstance(rec[name], str) and rec[name]):
+            raise ElicitationError(f"{name!r} must be a non-empty string, got {rec[name]!r}")
+    if "request_hash" in rec and rec.keys().isdisjoint(("model", "strategy", "temperature")):
         return rec["request_hash"]
     try:
         return ChatRequest(model=rec["model"],
                            prompt=build_prompt(PromptStrategy(rec["strategy"])),
                            temperature=float(rec["temperature"])).request_hash()
-    except (KeyError, ValueError) as exc:
-        raise ElicitationError(
-            f"record needs request_hash or model/strategy/temperature: {rec!r}") from exc
+    except KeyError as exc:
+        raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
+                               f"and temperature, or only a request_hash): {rec!r}") from exc
+    except ValueError as exc:
+        raise ElicitationError(f"invalid strategy or temperature: {exc}") from exc
 
 
 def _read_jsonl(path: str | os.PathLike, parse) -> list:
@@ -361,7 +367,7 @@ def _read_jsonl(path: str | os.PathLike, parse) -> list:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig")  # a leading byte-order mark reads as nothing
                 if not line.strip():
                     continue
                 out.append(parse(json.loads(line)))
@@ -377,21 +383,19 @@ def _read_jsonl(path: str | os.PathLike, parse) -> list:
 class FixtureTransport:
     """Replays recorded responses keyed by request hash.
 
-    The fixture file is JSONL; each line holds either an explicit
-    ``request_hash`` or enough fields (model, strategy, temperature) to
-    recompute it, plus the raw ``response`` body, a string.  Audit logs
-    qualify.  Responses for the same request are served in file order, and
-    a null one (a transport failure) raises ``RecordedFailureError`` with
-    its recorded ``error`` text, so an audit log replays exactly.  They
-    cycle when exhausted, so a batch larger than the recording still gets
-    deterministic answers.
+    The fixture file (``from_path``) is JSONL; each line (``add_record``)
+    holds the model, strategy and temperature its request hash is computed
+    from, or else only an explicit ``request_hash``, plus the raw
+    ``response`` body, a string.  Audit logs qualify.  Responses for the
+    same request are served in file order, and a null one (a transport
+    failure) raises ``RecordedFailureError`` with its recorded ``error``
+    text, so an audit log replays exactly.  They cycle when exhausted, so a
+    batch larger than the recording still gets deterministic answers.
     """
 
-    def __init__(self, records: list[dict] | None = None):
+    def __init__(self):
         self._responses: dict[str, list[str | RecordedFailureError]] = {}
         self._cursor: dict[str, int] = {}
-        for rec in records or []:
-            self.add_record(rec)
 
     @classmethod
     def from_path(cls, path: str | os.PathLike) -> "FixtureTransport":
@@ -419,10 +423,9 @@ class FixtureTransport:
         return responses[i]
 
 
-def query_llm(prompt: str, config: ElicitationConfig, transport) -> str:
-    """Send one chat request, retrying transient failures with doubling backoff."""
-    request = ChatRequest(model=config.model_id, prompt=prompt,
-                          temperature=config.temperature)
+def query_llm(request: ChatRequest, config: ElicitationConfig, transport) -> str:
+    """Send ``request`` once, retrying transient failures with doubling
+    backoff from ``config.backoff_base`` up to ``config.max_retries`` times."""
     attempts = 0
     delay = config.backoff_base
     while True:
@@ -490,22 +493,6 @@ def _outcome(response: str | None,
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_one_query(strategy: PromptStrategy, prompt: str, request_hash: str,
-                   config: ElicitationConfig, transport) -> ElicitationRecord:
-    response = failure = None
-    try:
-        response = query_llm(prompt, config, transport)
-    except ElicitationError as exc:
-        failure = (str(exc) if isinstance(exc, RecordedFailureError)
-                   else f"{type(exc).__name__}: {exc}")
-    parsed, error = _outcome(response, failure)
-    return ElicitationRecord(
-        request_hash=request_hash, model=config.model_id, strategy=strategy,
-        temperature=config.temperature, response=response, parsed=parsed,
-        error=error, timestamp=time.time(),
-    )
-
-
 def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
                  audit: list[ElicitationRecord] | None = None) -> AggregatedPrior:
     """Run ``n_queries`` query/parse cycles and aggregate by arithmetic mean.
@@ -516,12 +503,22 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
     its query completes, so that list holds every query sent even when
     the batch fails (``AllQueriesFailedError``) or is interrupted.
     """
-    prompt = build_prompt(strategy)
-    request_hash = ChatRequest(model=config.model_id, prompt=prompt,
-                               temperature=config.temperature).request_hash()
+    request = ChatRequest(model=config.model_id, prompt=build_prompt(strategy),
+                          temperature=config.temperature)
+    request_hash = request.request_hash()
     records = []
     for _ in range(config.n_queries):
-        records.append(_run_one_query(strategy, prompt, request_hash, config, transport))
+        response = failure = None
+        try:
+            response = query_llm(request, config, transport)
+        except ElicitationError as exc:
+            failure = (str(exc) if isinstance(exc, RecordedFailureError)
+                       else f"{type(exc).__name__}: {exc}")
+        parsed, error = _outcome(response, failure)
+        records.append(ElicitationRecord(
+            request_hash=request_hash, model=config.model_id, strategy=strategy,
+            temperature=config.temperature, response=response, parsed=parsed,
+            error=error, timestamp=time.time()))
         if audit is not None:
             audit.append(records[-1])
 

@@ -70,14 +70,22 @@ def llm_condition(model: str = "m1", strategy: str = "blind",
         model_id=model, temperature=temperature, backoff_base=0.001, **settings))
 
 
+def transport_from(lines) -> FixtureTransport:
+    """Transport replaying the given fixture lines, as ``from_path`` reads
+    them from a file."""
+    transport = FixtureTransport()
+    for line in lines:
+        transport.add_record(line)
+    return transport
+
+
 def fixture_transport(responses: list[str], model: str, strategy: str,
                       temperature: float) -> FixtureTransport:
     """Transport replaying the given bodies for one (model, strategy, T)."""
-    return FixtureTransport(records=[
+    return transport_from(
         {"model": model, "strategy": strategy, "temperature": temperature,
          "response": body}
-        for body in responses
-    ])
+        for body in responses)
 
 
 def point_mass_draws(alpha: float, beta: float, n_samples: int,

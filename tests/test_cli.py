@@ -787,28 +787,45 @@ def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):
     assert "m-unparsed" in err
 
 
+def _request_hash(temperature):
+    """The hash of the request for (m1, blind, ``temperature``)."""
+    return ChatRequest("m1", build_prompt(PromptStrategy.BLIND), temperature).request_hash()
+
+
 def _audit_line(**fields):
     """One audit line for (m1, blind, 0.5), as ``elicit`` writes it."""
-    request = ChatRequest("m1", build_prompt(PromptStrategy.BLIND), 0.5)
-    return {"request_hash": request.request_hash(), "model": "m1", "strategy": "blind",
+    return {"request_hash": _request_hash(0.5), "model": "m1", "strategy": "blind",
             "temperature": 0.5, "response": None, "parsed": None, "error": None,
             "timestamp": 0.0, **fields}
 
 
-@pytest.mark.parametrize("line", [
-    _audit_line(parsed=[0.5, 0.1]),
-    _audit_line(response=PARSED_RECORD["response"], parsed=[-3, 0]),
-    _audit_line(response=5, error="ResponseFormatError: not text"),
-], ids=["parsed-without-response", "parsed-beside-response", "non-text-response"])
-def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line):
+# the rates the line's response gives, as (parameter, n, mean)
+LINE_RATES = [("alpha_rate", "1", 0.5), ("beta_rate", "1", 0.1)]
+
+
+@pytest.mark.parametrize("line, outcome", [
+    (_audit_line(parsed=[0.5, 0.1]), "no rates"),
+    (_audit_line(response=PARSED_RECORD["response"], parsed=[-3, 0]), LINE_RATES),
+    (_audit_line(response=5, error="ResponseFormatError: not text"), "rejected"),
+    (_audit_line(response=PARSED_RECORD["response"], request_hash=5), "rejected"),
+    (_audit_line(response=PARSED_RECORD["response"], request_hash=_request_hash(1.0)),
+     LINE_RATES),
+    ({"request_hash": _request_hash(0.5), "response": PARSED_RECORD["response"]},
+     LINE_RATES),
+], ids=["parsed-without-response", "parsed-beside-response", "non-text-response",
+        "numeric-hash", "hash-of-other-fields", "hash-only"])
+def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line, outcome):
     """``report`` and a ``--fixtures`` replay of the same audit line either
-    both count the same rates or both reject the line."""
+    both count the same rates or both reject the line: each files it under
+    its model, strategy and temperature, whatever hash it stores.  A
+    hash-only fixture line still replays; ``report``, which groups lines by
+    those fields, rejects it."""
     out_dir = tmp_path / "out"
     (out_dir / "audit").mkdir(parents=True)
     log = out_dir / "audit" / "elicitations.jsonl"
     log.write_text(json.dumps(line) + "\n", encoding="utf-8")
 
-    def outcome(rc, rates):
+    def seen(rc, rates):
         out, err = capsys.readouterr()
         if rc == 0:
             return rates(out)
@@ -816,15 +833,16 @@ def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line):
         return "rejected" if "elicitations.jsonl: line 1:" in err else "no rates"
 
     rc = main(["report", "--out", str(out_dir)])
-    reported = outcome(rc, lambda out: [
+    reported = seen(rc, lambda out: [
         (row["parameter"], row["n"], float(row["mean"])) for row in csv.DictReader(
             (out_dir / "results" / "prior_param_stats.csv").read_text().splitlines())])
     rc = main(["elicit", "--fixtures", str(log), "--model", "m1", "--strategy", "blind",
                "--temperature", "0.5", "--n-queries", "1", "--out", str(tmp_path / "replay")])
-    replayed = outcome(rc, lambda out: [  # the alpha_rate and beta_rate lines
+    replayed = seen(rc, lambda out: [  # the alpha_rate and beta_rate lines
         (name, "1", float(value))
         for name, _, value in (text.partition(" = ") for text in out.splitlines()[2:])])
-    assert reported == replayed
+    assert replayed == outcome
+    assert reported == (outcome if "model" in line else "rejected")
 
 
 @pytest.mark.parametrize("model", [5, None], ids=["int", "null"])
@@ -1210,6 +1228,14 @@ def test_single_condition_commands_pick_from_lists(tmp_path):
         assert [(c.elicit.model_id, c.strategy, c.elicit.temperature, c.elicit.n_queries)
                 for c in conditions] == \
             [("f1", PromptStrategy.DISEASE_INFORMED, temperature, n_queries)]
+
+
+def test_config_reads_a_leading_byte_order_mark_as_nothing(tmp_path):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("seed = 7\nn_chains = 2\n", encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(bom) == load_config(plain)
+    assert load_config(bom).seed == 7
 
 
 def test_config_non_utf8_file_exit_code(dataset_file, tmp_path, capsys):

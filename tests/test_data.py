@@ -67,6 +67,13 @@ def test_load_missing_file(tmp_path):
         load_dataset(tmp_path / "nope.csv")
 
 
+def test_load_reads_a_leading_byte_order_mark_as_nothing(tmp_path):
+    """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + VALID.encode("utf-8"))
+    assert load_dataset(path) == loads_dataset(VALID)
+
+
 def test_subset_by_sites_preserves_row_order():
     ds = loads_dataset(VALID)
     sub = ds.subset_by_sites(["B", "A"])  # request order must not matter

@@ -33,6 +33,7 @@ from aebayes.elicitation import (
     write_audit_log,
 )
 from aebayes.model import HyperPriorSpec
+from aebayes_testkit import transport_from
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,12 +144,11 @@ class FlakyTransport:
 
 
 def test_query_llm_passes_through_fixture_body():
-    transport = FixtureTransport(records=[{
+    transport = transport_from([{
         "model": "test-model", "strategy": "blind", "temperature": 1.0,
         "response": "VERBATIM BODY"}])
-    cfg = make_config()
-    assert query_llm(build_prompt(PromptStrategy.BLIND), cfg, transport) == \
-        "VERBATIM BODY"
+    request = ChatRequest("test-model", build_prompt(PromptStrategy.BLIND), 1.0)
+    assert query_llm(request, make_config(), transport) == "VERBATIM BODY"
 
 
 def test_query_llm_retries_then_succeeds(monkeypatch):
@@ -156,7 +156,7 @@ def test_query_llm_retries_then_succeeds(monkeypatch):
     monkeypatch.setattr(time, "sleep", sleeps.append)
     transport = FlakyTransport(
         [TransientTransportError("429"), TransientTransportError("429")], "ok")
-    got = query_llm("p", make_config(backoff_base=1.0), transport)
+    got = query_llm(ChatRequest("m", "p", 1.0), make_config(backoff_base=1.0), transport)
     assert got == "ok"
     assert transport.calls == 3
     assert sleeps == [1.0, 2.0]  # doubling backoff
@@ -168,7 +168,7 @@ def test_query_llm_exhausts_retries(monkeypatch):
     transport = FlakyTransport([TransientTransportError("boom")] * 100, "never")
     cfg = make_config(max_retries=5, backoff_base=1.0)
     with pytest.raises(RetriesExhaustedError) as exc_info:
-        query_llm("p", cfg, transport)
+        query_llm(ChatRequest("m", "p", 1.0), cfg, transport)
     assert exc_info.value.attempts == 6  # initial try + 5 retries
     assert transport.calls == 6
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -179,7 +179,7 @@ def test_query_llm_auth_error_is_immediate(monkeypatch):
     monkeypatch.setattr(time, "sleep", sleeps.append)
     transport = FlakyTransport([AuthenticationError("401")], "never")
     with pytest.raises(AuthenticationError):
-        query_llm("p", make_config(), transport)
+        query_llm(ChatRequest("m", "p", 1.0), make_config(), transport)
     assert transport.calls == 1 and sleeps == []
 
 
@@ -259,16 +259,16 @@ def test_http_transport_rejects_non_positive_timeout(timeout):
 def test_fixture_transport_cycles_when_exhausted():
     bodies = ['{"alpha_rate": 0.4, "beta_rate": 0.1}',
               '{"alpha_rate": 0.6, "beta_rate": 0.1}']
-    transport = FixtureTransport(records=[
+    transport = transport_from(
         {"model": "m", "strategy": "blind", "temperature": 1.0, "response": b}
-        for b in bodies])
+        for b in bodies)
     req = ChatRequest("m", build_prompt(PromptStrategy.BLIND), 1.0)
     seen = [transport.send(req) for _ in range(5)]
     assert seen == [bodies[0], bodies[1], bodies[0], bodies[1], bodies[0]]
 
 
 def test_fixture_transport_miss():
-    transport = FixtureTransport(records=[
+    transport = transport_from([
         {"model": "m", "strategy": "blind", "temperature": 1.0, "response": "x"}])
     with pytest.raises(FixtureMissError, match="other-model"):
         transport.send(ChatRequest("other-model",
@@ -284,21 +284,33 @@ def test_fixture_transport_explicit_hash_and_file(tmp_path):
     assert transport.send(req) == "hello"
 
 
+def test_jsonl_reads_a_leading_byte_order_mark_as_nothing(tmp_path):
+    """A fixture file or audit log that starts with a UTF-8 byte-order mark
+    reads as the same file without it."""
+    rec = _ok_record("m", PromptStrategy.BLIND, 1.0, 0.5, 0.1)
+    plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    write_audit_log([rec], plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_audit_log(bom) == [rec]
+    request = ChatRequest("m", build_prompt(PromptStrategy.BLIND), 1.0)
+    assert FixtureTransport.from_path(bom).send(request) == rec.response
+
+
 def test_fixture_transport_bad_records(tmp_path):
     with pytest.raises(ElicitationError, match="missing 'response'"):
-        FixtureTransport(records=[{"model": "m"}])
+        FixtureTransport().add_record({"model": "m"})
     with pytest.raises(ElicitationError, match="expected a JSON object"):
-        FixtureTransport(records=["response"])
+        FixtureTransport().add_record("response")
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n")
     with pytest.raises(ElicitationError, match="line 1"):
         FixtureTransport.from_path(path)
     with pytest.raises(ElicitationError, match="'response' must be a string or null"):
-        FixtureTransport(records=[{"model": "m", "strategy": "blind", "temperature": 1.0,
-                                   "response": 5}])
+        FixtureTransport().add_record({"model": "m", "strategy": "blind", "temperature": 1.0,
+                                       "response": 5})
     with pytest.raises(ElicitationError, match="'error' must be a string or null"):
-        FixtureTransport(records=[{"model": "m", "strategy": "blind", "temperature": 1.0,
-                                   "response": None, "error": 5}])
+        FixtureTransport().add_record({"model": "m", "strategy": "blind", "temperature": 1.0,
+                                       "response": None, "error": 5})
 
 
 def test_fixture_transport_replays_null_responses_as_failures():
@@ -306,7 +318,7 @@ def test_fixture_transport_replays_null_responses_as_failures():
     non-retryable error with the recorded text, and the sequence cycles
     through it."""
     base = {"model": "m", "strategy": "blind", "temperature": 1.0}
-    transport = FixtureTransport(records=[
+    transport = transport_from([
         {**base, "response": None, "error": "RetriesExhaustedError: boom"},
         {**base, "response": "kept"}, {**base, "response": None}])
     req = ChatRequest("m", build_prompt(PromptStrategy.BLIND), 1.0)
@@ -346,9 +358,9 @@ def test_audit_log_replays_as_fixtures(tmp_path):
 # ---------------------------------------------------------------- batches
 
 def _transport_for(bodies: list[str], model="test-model", temperature=1.0):
-    return FixtureTransport(records=[
+    return transport_from(
         {"model": model, "strategy": "blind", "temperature": temperature,
-         "response": b} for b in bodies])
+         "response": b} for b in bodies)
 
 
 def test_elicit_prior_mean_aggregation():
@@ -440,17 +452,23 @@ def test_config_validation():
 
 # ------------------------------------------------------------------- stats
 
+def _request_hash(model: str, strategy: PromptStrategy, temp: float) -> str:
+    """The hash a line for (model, strategy, temp) is filed under."""
+    return ChatRequest(model, build_prompt(strategy), temp).request_hash()
+
+
 def _ok_record(model: str, strategy: PromptStrategy, temp: float,
                a: float, b: float) -> ElicitationRecord:
-    return ElicitationRecord(request_hash="h", model=model, strategy=strategy,
+    return ElicitationRecord(request_hash=_request_hash(model, strategy, temp),
+                             model=model, strategy=strategy,
                              temperature=temp,
                              response=json.dumps({"alpha_rate": a, "beta_rate": b}),
                              parsed=(a, b), error=None, timestamp=0.0)
 
 
 def _failed_record(model: str = "m") -> ElicitationRecord:
-    return ElicitationRecord(request_hash="h", model=model,
-                             strategy=PromptStrategy.BLIND, temperature=1.0,
+    return ElicitationRecord(request_hash=_request_hash(model, PromptStrategy.BLIND, 1.0),
+                             model=model, strategy=PromptStrategy.BLIND, temperature=1.0,
                              response="x", parsed=None, error="nope", timestamp=0.0)
 
 

@@ -15,7 +15,7 @@ from aebayes.efficiency import (
 from aebayes.elicitation import AllQueriesFailedError, FixtureTransport
 from aebayes.evaluation import HeldOut, Split
 from aebayes.model import META_ANALYTICAL
-from aebayes_testkit import fixture_transport, llm_condition, make_dataset
+from aebayes_testkit import fixture_transport, llm_condition, make_dataset, transport_from
 
 
 def _answer(i: int) -> str:
@@ -105,9 +105,9 @@ def test_run_cells_stops_at_a_failed_batch(mixed_dataset, monkeypatch):
     send = FixtureTransport.send
     monkeypatch.setattr(FixtureTransport, "send",
                         lambda self, request: served.append(request) or send(self, request))
-    transport = FixtureTransport(records=[
+    transport = transport_from(
         {"model": "m1", "strategy": "blind", "temperature": t, "response": body}
-        for t, body in ((0.5, _answer(0)), (1.0, "not json"))])
+        for t, body in ((0.5, _answer(0)), (1.0, "not json")))
     train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
     plan = [(llm_condition(temperature=t, n_queries=2), Split(train, HeldOut(test)))
             for t in (0.5, 1.0, 0.5)]

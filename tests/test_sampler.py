@@ -421,9 +421,12 @@ def test_export_draws(tmp_path):
 @pytest.mark.parametrize("include_hyperparams", [True, False], ids=["hyper", "sites_only"])
 def test_export_draws_matches_csv_writer(tmp_path, include_hyperparams):
     """The block writer produces the bytes of one csv.writer row per value,
-    csv-escaping site ids; 70 draws span two blocks of draws."""
+    csv-escaping site ids, and keeps the bytes of ids holding a NUL, a
+    non-ASCII letter or a carriage return; 70 draws span two blocks of
+    draws."""
     data = loads_dataset('site_id,patient_id,ae_count\n"a,""b",p1,3\n"a,""b",p2,0\n'
-                         'plain,p3,25\n"x\ny",p4,1\n')
+                         'plain,p3,25\n"x\ny",p4,1\nn\0ul,p5,2\ncafé,p6,0\n"c\rr",p7,1\n')
+    assert data.site_ids[-3:] == ("n\0ul", "café", "c\rr")
     draws = run_mcmc(data, HyperPriorSpec(0.1, 0.1),
                      McmcConfig(n_chains=2, n_warmup=10, n_draws=70, seed=2))
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
