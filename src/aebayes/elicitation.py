@@ -152,7 +152,8 @@ MAX_WAIT_S = 86_400.0
 
 @dataclass(frozen=True)
 class ElicitationConfig:
-    """Settings for one batch of elicitation queries."""
+    """Settings for one batch of elicitation queries.  ``temperature`` is
+    stored as a float, so 1 and 1.0 name the same batch."""
 
     model_id: str
     temperature: float = 1.0
@@ -163,6 +164,7 @@ class ElicitationConfig:
     def __post_init__(self):
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
+        object.__setattr__(self, "temperature", _real(self.temperature, "temperature"))
         if not 0.0 < self.temperature <= 2.0:
             raise ValueError(f"temperature must be in (0, 2], got {self.temperature}")
         if self.n_queries < 1:
@@ -352,7 +354,7 @@ def _check_line(rec) -> str:
     try:
         return ChatRequest(model=rec["model"],
                            prompt=build_prompt(PromptStrategy(rec["strategy"])),
-                           temperature=float(rec["temperature"])).request_hash()
+                           temperature=_real(rec["temperature"], "temperature")).request_hash()
     except KeyError as exc:
         raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
                                f"and temperature, or only a request_hash): {rec!r}") from exc
@@ -442,16 +444,20 @@ def query_llm(request: ChatRequest, config: ElicitationConfig, transport) -> str
 _FENCE_RE = re.compile(r"\A```[A-Za-z0-9_+-]*[ \t]*\r?\n(.*?)\r?\n?```\s*\Z", re.DOTALL)
 
 
+def _real(value, name: str, error: type[Exception] = ValueError) -> float:
+    """A rate or temperature as a float: a real number, not a bool, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"non-numeric value for {name}: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise error(f"non-finite value for {name}: out of range") from None
+
+
 def _require_rate(obj: dict, name: str) -> float:
     if name not in obj:
         raise ResponseFormatError(f"missing field: {name}")
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ResponseFormatError(f"non-numeric value for {name}: {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ResponseFormatError(f"non-finite value for {name}: out of range") from None
+    value = _real(obj[name], name, ResponseFormatError)
     if not math.isfinite(value):
         raise ResponseFormatError(f"non-finite value for {name}: {value}")
     if value <= 0:

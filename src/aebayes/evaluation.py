@@ -23,12 +23,15 @@ scaled factors, or a log-space sum where that underflows.
 Every condition of an experiment scores the same training and test sets,
 and only the prior's two rates differ, so the terms that do not depend on
 the prior are built once per ``Split`` (a training set with the
-``HeldOut`` count table it is scored on): the training set's statistics,
-and per grid (box, G), the coarse one too, a memo of the data's target
-terms, the (beta / (1 + beta))^alpha and (1 + beta)^-y factors and the log
-rising factorials of the test counts.  A cell then adds only its prior's
-terms, each in the order a fresh ``Split`` would, so sharing moves no bit.
-``Split.lpd`` keeps each prior's result, so a repeated cell is scored once.
+``HeldOut`` count table it is scored on): the training set's statistics
+(``sampler._LogTarget``), and per grid (box, G), the coarse one too, a
+``_Grid`` holding the data's target terms, the (beta / (1 + beta))^alpha
+and (1 + beta)^-y factors and the log rising factorials of the test
+counts.  ``_Grid.posterior`` adds a prior's terms, each in the order a
+fresh ``Split`` would, so sharing moves no bit.  ``Split.quadrature``
+returns and keeps a prior's ``Quadrature`` (its ``LpdResult``, box, G,
+edge mass and last refinement change), so a repeated cell is scored once;
+``Split.lpd`` is its ``lpd``.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ import numpy as np
 
 from .data import Dataset
 from .model import HyperPriorSpec, NumericalError
-from .sampler import GridTerms, PosteriorDraws, _LogTarget, grid_posterior, log_rising
+from .sampler import PosteriorDraws, _LogTarget, log_rising
 
 # the quadrature's grids and bounds (see the module docstring)
 _COARSE_BOX = ((-30.0, 12.0), (-30.0, 12.0))
 _COARSE = np.linspace(*_COARSE_BOX[0], 211)
-_COARSE_LOG_Q = np.exp(_COARSE)[:, None] * (_COARSE - np.log1p(np.exp(_COARSE)))
 _LOG_DROP = 40.0
 _GRID_SIZES = (64, 128, 256, 512, 1024)
 _GRID_TOL = 1e-9
@@ -110,15 +112,46 @@ class HeldOut:
         self.log_factorials = np.array([math.lgamma(y + 1.0) for y in self.ys.tolist()])
 
 
-class _FineTerms(NamedTuple):
-    """One grid's terms for a split that the prior does not change."""
+class Quadrature(NamedTuple):
+    """A prior's checked grid: its ``LpdResult``, the (log alpha, log beta)
+    box, the G its values settled at, the share of the posterior on that
+    grid's edge, and the largest change of a count's value from G / 2."""
 
-    target: GridTerms
-    log_q: np.ndarray  # log(beta / (1 + beta)), which alpha multiplies
-    log_tail: np.ndarray  # -y log(1 + beta), (counts, G)
-    by_count: np.ndarray  # its row maxima
-    tail: np.ndarray  # exp(log_tail - by_count)
-    log_rise: np.ndarray  # lgamma(y + alpha) - lgamma(alpha), (counts, G)
+    lpd: LpdResult
+    box: tuple[tuple[float, float], tuple[float, float]]
+    n_grid: int
+    edge_mass: float
+    change: float
+
+
+class _Grid:
+    """A split's prior-free terms on the G x G grid over ``box``: the
+    (log alpha, log beta) grid u x v, alpha = e^u and beta = e^v, the data's
+    target terms (``_LogTarget.grid_terms``) and the NB factors of the test
+    counts ``ys``."""
+
+    def __init__(self, target: _LogTarget, ys: np.ndarray, box: tuple, n_grid: int):
+        self.u, self.v = (np.linspace(lo, hi, n_grid) for lo, hi in box)
+        self.a, self.b = np.exp(self.u), np.exp(self.v)
+        self.rising, self.alpha_coef, self.beta_term = target.grid_terms(self.a, self.b)
+        log1p_b = np.log1p(self.b)
+        self.log_tail = -ys[:, None].astype(np.float64) * log1p_b  # -y log(1 + beta)
+        self.by_count = self.log_tail.max(axis=1)  # its row maxima
+        self.log_q = self.v - log1p_b  # log(beta / (1 + beta)), which alpha multiplies
+        self.tail = np.exp(self.log_tail - self.by_count[:, None])
+        self.log_rise = log_rising(self.a, ys)  # lgamma(y + alpha) - lgamma(alpha)
+
+    def posterior(self, rates: tuple[float, float]) -> np.ndarray:
+        """The target on this grid under the hyperprior's (alpha_rate,
+        beta_rate), as a (G, G) array."""
+        by_alpha = self.rising - rates[0] * self.a + self.u
+        by_beta = self.beta_term - rates[1] * self.b + self.v
+        out = np.multiply(self.a[:, None], self.alpha_coef)
+        # the bits of (by_alpha - alpha (-A)) + by_beta: a sum rounds the same
+        # with its two terms either way round, and a negation is exact
+        out += by_alpha[:, None]
+        out += by_beta
+        return out
 
 
 class Split:
@@ -129,25 +162,29 @@ class Split:
     def __init__(self, train: Dataset, held_out: HeldOut):
         self.train, self.held_out = train, held_out
         self._target = _LogTarget(train.site_totals() * 1.0, train.site_sizes() * 1.0)
-        self._fine: dict[tuple, _FineTerms] = {}
+        self._grids: dict[tuple, _Grid] = {}
         # the coarse grid's terms, which every cell reads, built up front:
         # built amid a cell's temporaries, they slowed `cv` by heap churn
-        self._fine_terms(_COARSE_BOX, _COARSE.size)
-        self._scores: dict[HyperPriorSpec, LpdResult] = {}
+        self._grid(_COARSE_BOX, _COARSE.size)
+        self._scores: dict[HyperPriorSpec, Quadrature] = {}
 
     def lpd(self, spec: HyperPriorSpec) -> LpdResult:
         """log E[NB(y_i; alpha, beta / (1 + beta)) | train] of each held-out
         patient i, under the exact posterior given the training set and
-        ``spec``; a prior scored before returns its kept result."""
-        if spec not in self._scores:
-            self._scores[spec] = self._quadrature((spec.alpha_rate, spec.beta_rate))
-        return self._scores[spec]
+        ``spec``: the ``lpd`` of ``quadrature(spec)``."""
+        return self.quadrature(spec).lpd
 
-    def _quadrature(self, rates: tuple[float, float]) -> LpdResult:
-        coarse = self._fine_terms(_COARSE_BOX, _COARSE.size)
-        lp = grid_posterior(coarse.target, rates)
+    def quadrature(self, spec: HyperPriorSpec) -> Quadrature:
+        """The checked grid that scores ``spec``; a prior scored before
+        returns its kept record."""
+        if spec in self._scores:
+            return self._scores[spec]
+        rates = (spec.alpha_rate, spec.beta_rate)
+        coarse = self._grid(_COARSE_BOX, _COARSE.size)
+        lp = coarse.posterior(rates)
         keep = lp > lp.max() - _LOG_DROP
-        lp += _COARSE_LOG_Q  # the factor (beta / (1 + beta))^alpha of every count's NB
+        # the factor (beta / (1 + beta))^alpha of every count's NB
+        lp += np.multiply(coarse.a[:, None], coarse.log_q)
         for k in {0, self.held_out.ys.size - 1}:  # predictive integrands, up to lgamma(y + 1)
             tilted = lp
             if self.held_out.ys[k]:  # a count of 0 adds nothing
@@ -160,53 +197,48 @@ class Split:
                     for i in (np.flatnonzero(keep.any(axis=axis)) for axis in (1, 0)))
         values = None
         for n_grid in _GRID_SIZES:
-            finer, edge = _grid_lpd(self, box, n_grid, rates)
+            finer, edge = self._grid_lpd(box, n_grid, rates)
             if not edge < _EDGE_MASS:
                 raise NumericalError(f"quadrature grid leaves {edge:.2g} of the mass on its edge")
-            if values is not None and np.abs(finer - values).max() <= _GRID_TOL:
-                return LpdResult(per_patient=tuple(finer[self.held_out.patient_y].tolist()))
+            if values is not None:
+                change = float(np.abs(finer - values).max())
+                if change <= _GRID_TOL:
+                    lpd = LpdResult(per_patient=tuple(finer[self.held_out.patient_y].tolist()))
+                    self._scores[spec] = Quadrature(lpd, box, n_grid, float(edge), change)
+                    return self._scores[spec]
             values = finer
         raise NumericalError(f"quadrature LPD still moves by over {_GRID_TOL:g} at G = {n_grid}")
 
-    def _fine_terms(self, box: tuple, n_grid: int) -> _FineTerms:
-        """The memo's terms of the n_grid x n_grid grid over ``box``."""
-        terms = self._fine.get((box, n_grid))
-        if terms is None:
-            u, v = (np.linspace(lo, hi, n_grid) for lo, hi in box)
-            target = self._target.grid_terms(u, v)
-            log1p_b = np.log1p(target.b)
-            log_tail = -self.held_out.ys[:, None].astype(np.float64) * log1p_b
-            by_count = log_tail.max(axis=1)
-            terms = self._fine[box, n_grid] = _FineTerms(
-                target, v - log1p_b, log_tail, by_count,
-                np.exp(log_tail - by_count[:, None]), log_rising(target.a, self.held_out.ys))
-        return terms
+    def _grid(self, box: tuple, n_grid: int) -> _Grid:
+        """The memo's n_grid x n_grid grid over ``box``."""
+        if (box, n_grid) not in self._grids:
+            self._grids[box, n_grid] = _Grid(self._target, self.held_out.ys, box, n_grid)
+        return self._grids[box, n_grid]
 
-
-def _grid_lpd(split: Split, box: tuple, n_grid: int,
-              rates: tuple[float, float]) -> tuple[np.ndarray, float]:
-    """log sum_ij w_ij NB(y; alpha_i, beta_j / (1 + beta_j)) for each count
-    y of the split's test set on an n_grid x n_grid grid over ``box``, with
-    w the normalised posterior under ``rates``, and the share of w on the
-    grid's edge."""
-    t = split._fine_terms(box, n_grid)
-    lw = grid_posterior(t.target, rates)
-    lw -= lw.max()
-    w = np.exp(lw)
-    edge = (w[[0, -1]].sum() + w[1:-1, [0, -1]].sum()) / w.sum()
-    # w_ij (beta_j / (1 + beta_j))^alpha_i and (1 + beta_j)^-y, scaled per row
-    log_wq = np.multiply(t.target.a[:, None], t.log_q)
-    log_wq += lw
-    by_alpha = log_wq.max(axis=1)
-    scaled_wq = np.subtract(log_wq, by_alpha[:, None])
-    sums = t.tail @ np.exp(scaled_wq, out=scaled_wq).T
-    log_rise = t.log_rise + by_alpha
-    top = log_rise.max(axis=1)
-    scaled = (np.exp(log_rise - top[:, None]) * sums).sum(axis=1)
-    small = scaled < _SMALL_SUM
-    values = top + t.by_count + np.log(np.where(small, 1.0, scaled))
-    for k in np.flatnonzero(small):
-        terms = log_rise[k, :, None] - by_alpha[:, None] + log_wq + t.log_tail[k]
-        values[k] = terms.max() + np.log(np.exp(terms - terms.max()).sum())
-    values -= np.log(w.sum()) + split.held_out.log_factorials
-    return values, edge
+    def _grid_lpd(self, box: tuple, n_grid: int,
+                  rates: tuple[float, float]) -> tuple[np.ndarray, float]:
+        """log sum_ij w_ij NB(y; alpha_i, beta_j / (1 + beta_j)) for each
+        count y of the test set on the n_grid x n_grid grid over ``box``,
+        with w the normalised posterior under ``rates``, and the share of w
+        on the grid's edge."""
+        t = self._grid(box, n_grid)
+        lw = t.posterior(rates)
+        lw -= lw.max()
+        w = np.exp(lw)
+        edge = (w[[0, -1]].sum() + w[1:-1, [0, -1]].sum()) / w.sum()
+        # w_ij (beta_j / (1 + beta_j))^alpha_i and (1 + beta_j)^-y, scaled per row
+        log_wq = np.multiply(t.a[:, None], t.log_q)
+        log_wq += lw
+        by_alpha = log_wq.max(axis=1)
+        scaled_wq = np.subtract(log_wq, by_alpha[:, None])
+        sums = t.tail @ np.exp(scaled_wq, out=scaled_wq).T
+        log_rise = t.log_rise + by_alpha
+        top = log_rise.max(axis=1)
+        scaled = (np.exp(log_rise - top[:, None]) * sums).sum(axis=1)
+        small = scaled < _SMALL_SUM
+        values = top + t.by_count + np.log(np.where(small, 1.0, scaled))
+        for k in np.flatnonzero(small):
+            terms = log_rise[k, :, None] - by_alpha[:, None] + log_wq + t.log_tail[k]
+            values[k] = terms.max() + np.log(np.exp(terms - terms.max()).sum())
+        values -= np.log(w.sum()) + self.held_out.log_factorials
+        return values, edge

@@ -15,12 +15,10 @@ All chains of a fit are the rows of one (n_chains, 2) state, and every
 row takes one Gaussian random-walk Metropolis step on (log alpha, log beta)
 per iteration.  ``_LogTarget`` holds each statistic as a (K, 1) column
 broadcast against the rows, and the K terms are summed one at a time, so a
-row's value, and its chain, do not depend on the other rows.  The same
-statistics give the target's separable form on a (log alpha, log beta)
-grid, on which ``evaluation`` scores the experiment cells exactly.
+row's value, and its chain, do not depend on the other rows.
 ``_LogTarget`` holds the data's statistics alone; the hyperprior's rates
-are an argument of its call, as of ``grid_posterior`` over its
-``grid_terms``, so cells that share a training set compute them once.
+are an argument of its call, so cells that share a training set compute
+them once.
 
 Chain c of a fit draws its start, proposal normals and acceptance uniforms
 up front from its own stream ``seeding.rng(seed, c)``, a fixed count per
@@ -59,7 +57,6 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,44 +149,16 @@ class _LogTarget:
             out += _sum_terms(_lgamma_above(a, self.tails) * self.tail_weights)
         return out
 
-    def grid_terms(self, u: np.ndarray, v: np.ndarray) -> GridTerms:
-        """The data's terms of the target on the grid u x v, which
-        ``grid_posterior`` completes for a hyperprior: the target at every
-        (u[i], v[j]) is R(alpha) + alpha A(beta) + B(beta) - alpha_rate alpha
-        - beta_rate beta + u + v, R = ``rising``, A and B -sum_n M_n
-        log(beta + n) and -sum_n T_n log(beta + n): K logs per alpha and one
-        per size and beta, not K per point."""
-        a, b = np.exp(u), np.exp(v)
+    def grid_terms(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The data's terms of the target on the grid of alphas ``a`` and
+        betas ``b``: R(alpha) = ``rising``, and A(beta) and B(beta),
+        -sum_n M_n log(beta + n) and -sum_n T_n log(beta + n).  The target
+        at (a[i], b[j]) is R + alpha A + B - alpha_rate alpha - beta_rate
+        beta + log alpha + log beta: K logs per alpha and one per size and
+        beta, not K per point."""
         log_b = np.log(b + self.sizes)
-        return GridTerms(u, v, a, b, self.rising(a), -(self.size_sites * log_b).sum(axis=0),
-                         -(self.size_events * log_b).sum(axis=0))
-
-
-class GridTerms(NamedTuple):
-    """A (log alpha, log beta) grid u x v, its alpha = e^u and beta = e^v,
-    and the data's terms of the target there, R(alpha), A(beta) and B(beta)
-    (see ``_LogTarget.grid_terms``)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    rising: np.ndarray
-    alpha_coef: np.ndarray
-    beta_term: np.ndarray
-
-
-def grid_posterior(terms: GridTerms, rates: tuple[float, float]) -> np.ndarray:
-    """The target on the grid of ``terms`` under the hyperprior's
-    (alpha_rate, beta_rate), as a (len(u), len(v)) array."""
-    by_alpha = terms.rising - rates[0] * terms.a + terms.u
-    by_beta = terms.beta_term - rates[1] * terms.b + terms.v
-    out = np.multiply(terms.a[:, None], terms.alpha_coef)
-    # the bits of (by_alpha - alpha (-A)) + by_beta: a sum rounds the same
-    # with its two terms either way round, and a negation is exact
-    out += by_alpha[:, None]
-    out += by_beta
-    return out
+        return (self.rising(a), -(self.size_sites * log_b).sum(axis=0),
+                -(self.size_events * log_b).sum(axis=0))
 
 
 def _site_terms(totals: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:

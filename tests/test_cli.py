@@ -223,6 +223,19 @@ def test_elicit_non_text_fixture_response_exit_code(tmp_path, capsys):
     assert "fixtures.jsonl: line 1" in err
 
 
+@pytest.mark.parametrize("temperature", [True, "1.0"], ids=["bool", "string"])
+def test_elicit_fixture_temperature_not_a_number_exit_code(tmp_path, capsys, temperature):
+    """A line's temperature is a real number that is not a bool; any other
+    makes the line malformed, not a line recorded at 1.0."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", temperature)])
+    rc = main(["elicit", "--fixtures", fx, "--model", "m1",
+               "--temperature", "1.0", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "fixtures.jsonl: line 1" in err
+    assert f"non-numeric value for temperature: {temperature!r}" in err
+
+
 def test_live_mode_requires_api_key(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     rc = main(["elicit", "--live", "--model", "m1",

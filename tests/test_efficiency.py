@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aebayes import evaluation
 from aebayes.crossval import CvCondition
 from aebayes.efficiency import (
     SplitSpec,
@@ -169,20 +168,18 @@ def test_efficiency_full_rho_uses_entire_training_set():
     assert result.cells[0].lpd_sd == 0.0
 
 
-def test_efficiency_scores_the_repeated_baseline_cell_once(monkeypatch):
+def test_efficiency_scores_the_repeated_baseline_cell_once():
     """At rho = 1 the baseline's 20 replications share one training set and
     one prior, so one quadrature scores them all, to the bits of a fresh
     one."""
-    sizes, grid_lpd = [], evaluation._grid_lpd  # each quadrature starts at G = 64
-    monkeypatch.setattr(evaluation, "_grid_lpd",
-                        lambda *args: sizes.append(args[2]) or grid_lpd(*args))
     result = run_efficiency_experiment(
         _eff_dataset(), [CvCondition.meta_analytical()], transport=None,
         rho_grid=(1.0,), n_replications=20, seed=0)
-    assert sizes.count(evaluation._GRID_SIZES[0]) == 1
+    runs = result.cells[0].runs
+    assert all(run.lpd is runs[0].lpd for run in runs)
     train, test = train_test_split(_eff_dataset(), SplitSpec(seed=0))
     fresh = Split(train, HeldOut(test)).lpd(META_ANALYTICAL)
-    assert [run.lpd for run in result.cells[0].runs] == [fresh] * 20
+    assert [run.lpd for run in runs] == [fresh] * 20
 
 
 def test_efficiency_cells_send_their_conditions_batch():

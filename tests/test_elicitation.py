@@ -5,6 +5,7 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,6 +449,32 @@ def test_config_validation():
     assert make_config(backoff_base=86_400.0).backoff_base == 86_400.0
     cfg = make_config(temperature=2.0)
     assert cfg.n_queries == 5 and cfg.max_retries == 5
+
+
+def test_integer_temperature_serves_a_line_recorded_as_float():
+    """A temperature of 1 is stored as 1.0, so its batch is the one a line
+    recorded at 1.0 answers."""
+    cfg = make_config(temperature=1, n_queries=2)
+    assert type(cfg.temperature) is float and cfg.temperature == 1.0
+    prior = elicit_prior(PromptStrategy.BLIND, cfg,
+                         _transport_for(['{"alpha_rate": 0.5, "beta_rate": 0.1}']))
+    assert prior.n_successes == 2
+
+
+def test_numpy_temperature_hashes_as_its_float():
+    """A numpy float32 0.5 is stored as the float 0.5, whose request JSON
+    can be hashed and is the one a line recorded at 0.5 is filed under."""
+    cfg = make_config(temperature=np.float32(0.5), n_queries=1)
+    assert type(cfg.temperature) is float and cfg.temperature == 0.5
+    prior = elicit_prior(PromptStrategy.BLIND, cfg, _transport_for(
+        ['{"alpha_rate": 0.5, "beta_rate": 0.1}'], temperature=0.5))
+    assert prior.records[0].request_hash == _request_hash("test-model", PromptStrategy.BLIND, 0.5)
+
+
+@pytest.mark.parametrize("temperature", [True, "1.0", None])
+def test_config_rejects_a_temperature_that_is_not_a_real_number(temperature):
+    with pytest.raises(ValueError, match="non-numeric value for temperature"):
+        make_config(temperature=temperature)
 
 
 # ------------------------------------------------------------------- stats

@@ -195,18 +195,24 @@ QUADRATURE_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_SETS))
-def test_quadrature_lpd_matches_oracle(name, monkeypatch):
+def test_quadrature_lpd_matches_oracle(name):
     """Every patient's score equals the scipy-gammaln quadrature oracle
     within 1e-10, on the training set's own counts and on counts from 0 to
     13, under two priors; the equidispersed set needs a grid finer than
-    G = 128."""
-    sizes, grid_lpd = [], evaluation._grid_lpd  # the grid sizes scored
-    monkeypatch.setattr(evaluation, "_grid_lpd",
-                        lambda *args: sizes.append(args[2]) or grid_lpd(*args))
+    G = 128.  Each record's grid passed its checks, over a box within
+    one coarse step of the coarse box."""
+    sizes = []  # the G each score settled at
+    step = evaluation._COARSE[1] - evaluation._COARSE[0]
     train = QUADRATURE_SETS[name]
     for test in (train, counts_dataset([0, 1, 2, 3, 5, 8, 13])):
         for spec in (HyperPriorSpec(0.1, 0.1), HyperPriorSpec(0.7, 1.3)):
-            got = np.array(Split(train, HeldOut(test)).lpd(spec).per_patient)
+            quad = Split(train, HeldOut(test)).quadrature(spec)
+            sizes.append(quad.n_grid)
+            assert quad.edge_mass < evaluation._EDGE_MASS
+            assert quad.change <= evaluation._GRID_TOL
+            for (lo, hi), (coarse_lo, coarse_hi) in zip(quad.box, evaluation._COARSE_BOX):
+                assert coarse_lo - step <= lo < hi <= coarse_hi + step
+            got = np.array(quad.lpd.per_patient)
             ys, patient_y = np.unique(test.counts(), return_inverse=True)
             expected = exact_lpd(ys, train, spec)[patient_y]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
@@ -249,13 +255,22 @@ def test_quadrature_lpd_rejects_mass_off_the_grid():
     its maximum sits, and the score raises NumericalError."""
     train = QUADRATURE_SETS["equidispersed"]
     spec = HyperPriorSpec(1e-6, 1e-6)
-    target = sampler._LogTarget(train.site_totals().astype(float),
-                                train.site_sizes().astype(float))
-    lp = sampler.grid_posterior(target.grid_terms(evaluation._COARSE, evaluation._COARSE),
-                                (spec.alpha_rate, spec.beta_rate))
+    split = Split(train, HeldOut(train))
+    lp = split._grid(evaluation._COARSE_BOX, evaluation._COARSE.size).posterior(
+        (spec.alpha_rate, spec.beta_rate))
     assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
     with pytest.raises(sampler.NumericalError, match="on its edge"):
-        Split(train, HeldOut(train)).lpd(spec)
+        split.lpd(spec)
+
+
+def test_quadrature_lpd_raises_when_the_grid_never_settles(monkeypatch):
+    """Two grid sizes whose values can never agree within the tolerance
+    end in NumericalError, naming the tolerance and the last G."""
+    monkeypatch.setattr(evaluation, "_GRID_SIZES", (64, 128))
+    monkeypatch.setattr(evaluation, "_GRID_TOL", -1.0)
+    split = Split(QUADRATURE_SETS["mixed"], HeldOut(counts_dataset([0, 2, 5])))
+    with pytest.raises(sampler.NumericalError, match="still moves by over -1 at G = 128"):
+        split.lpd(HyperPriorSpec(0.1, 0.1))
 
 
 # a CV fold's 13 priors: the baseline's and 12 more whose rates span three
@@ -265,21 +280,19 @@ FOLD_SPECS = [HyperPriorSpec(0.1, 0.1)] + [HyperPriorSpec(a, b) for a in (0.05, 
 
 
 @pytest.mark.parametrize("name", ["equidispersed", "well_identified"])
-def test_shared_split_scores_as_fresh_terms(name, monkeypatch):
+def test_shared_split_scores_as_fresh_terms(name):
     """One ``Split`` scores a fold's 13 priors, over more than one box, to
     the same bits as terms built fresh for each cell.  The equidispersed
     set needs G > 128, and at y = 2000 its sum is taken in log space."""
-    grids, grid_lpd = [], evaluation._grid_lpd  # (box, G) of every grid scored
-    monkeypatch.setattr(evaluation, "_grid_lpd",
-                        lambda *args: grids.append(args[1:3]) or grid_lpd(*args))
     train, test = QUADRATURE_SETS[name], counts_dataset([0, 1, 3, 40, 300, 2000])
     split = evaluation.Split(train, evaluation.HeldOut(test))
-    for spec in FOLD_SPECS:
-        assert split.lpd(spec).per_patient == Split(train, HeldOut(test)).lpd(spec).per_patient
-    n_boxes = len({box for box, _ in grids})
+    quads = [split.quadrature(spec) for spec in FOLD_SPECS]
+    for spec, quad in zip(FOLD_SPECS, quads):
+        assert quad.lpd.per_patient == Split(train, HeldOut(test)).lpd(spec).per_patient
+    n_boxes = len({quad.box for quad in quads})
     if name == "equidispersed":
         assert n_boxes > 1
-        assert max(n_grid for _, n_grid in grids) > evaluation._GRID_SIZES[1]
+        assert max(quad.n_grid for quad in quads) > evaluation._GRID_SIZES[1]
     else:  # some priors share a box, and so its memo
         assert 1 < n_boxes < len(FOLD_SPECS)
 
@@ -288,9 +301,10 @@ def test_split_scores_a_repeated_prior_once(monkeypatch):
     """A prior scored before gets its kept result, with no grid scored."""
     split = evaluation.Split(QUADRATURE_SETS["mixed"],
                              evaluation.HeldOut(counts_dataset([0, 2, 5])))
-    first = split.lpd(HyperPriorSpec(0.1, 0.1))
-    monkeypatch.setattr(evaluation, "_grid_lpd", None)
-    assert split.lpd(HyperPriorSpec(0.1, 0.1)) is first
+    first = split.quadrature(HyperPriorSpec(0.1, 0.1))
+    monkeypatch.setattr(evaluation._Grid, "posterior", None)
+    assert split.quadrature(HyperPriorSpec(0.1, 0.1)) is first
+    assert split.lpd(HyperPriorSpec(0.1, 0.1)) is first.lpd
 
 
 def test_lpd_dataset_independent_of_seed():

@@ -13,14 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from aebayes.data import Dataset
 from aebayes.model import HyperPriorSpec
-from aebayes import sampler
+from aebayes import evaluation, sampler
 from aebayes.sampler import (
     McmcConfig,
     _LogTarget,
     _site_columns,
     compute_rhat,
     export_draws,
-    grid_posterior,
     log_rising,
     run_mcmc,
 )
@@ -265,15 +264,17 @@ def test_log_target_rows_do_not_depend_on_batch():
 
 
 def test_log_target_grid_matches_points():
-    """The separable grid form equals the target at each grid point, to
-    rounding, on every fit above."""
-    u, v = np.linspace(-4.0, 3.0, 9), np.linspace(-5.0, 4.0, 7)
+    """The separable grid form, completed for a prior by the LPD's grid,
+    equals the target at each grid point, to rounding, on every fit
+    above."""
+    box = ((-4.0, 3.0), (-5.0, 4.0))
+    u, v = (np.linspace(lo, hi, 9) for lo, hi in box)
     points = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
     for ds, spec, kw in TARGET_FITS:
         log_post = _LogTarget(*_site_columns(ds, McmcConfig(**kw)))
         rates = (spec.alpha_rate, spec.beta_rate)
         expected = log_post(points, rates).reshape(u.size, v.size)
-        grid = grid_posterior(log_post.grid_terms(u, v), rates)
+        grid = evaluation._Grid(log_post, np.zeros(1, np.int64), box, 9).posterior(rates)
         np.testing.assert_allclose(grid, expected, rtol=1e-12, atol=1e-9)
 
 
