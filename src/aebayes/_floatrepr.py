@@ -23,8 +23,9 @@ three steps on arrays of up to ``_CHUNK`` values:
    have rows of their own.
 3. **Callers** join the bytes into lines (``sampler.export_draws``).
 
-The tables are built from exact Python integers when this module is first
-imported, which only ``export_draws`` does.
+The tables are built when this module is first imported, which only
+``export_draws`` does: the powers of ten from exact Python integers, the
+digit words by array arithmetic.
 """
 
 from __future__ import annotations
@@ -172,11 +173,14 @@ _EXPONENT_COLUMNS = [16, 17, 18]
 _CONSTANTS = b"-.0e+infa\0\0\0"
 _MINUS, _DOT, _ZERO, _E, _PLUS = range(20, 25)
 _PAD = 20 + _CONSTANTS.index(b"\0")
-_WORDS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint32)
-_EXPONENT_WORDS = np.frombuffer(b"".join(b"%03d0" % i for i in range(1000)), dtype=np.uint32)
-_TRAILING_ZEROS4 = np.array([4] + [len(w) - len(w.rstrip("0"))
-                                   for w in ("%04d" % i for i in range(1, 10_000))],
-                            dtype=np.intp)
+# b"%04d" % i, b"%03d0" % i and the trailing zeros of "%04d" % i (4 for 0),
+# built by array arithmetic rather than a Python loop per word
+_WORD_VALUES = np.arange(10_000)
+_WORDS4 = ((_WORD_VALUES[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
+           .astype(np.uint8).view(np.uint32).ravel())
+_EXPONENT_WORDS = _WORDS4[::10].copy()
+_TRAILING_ZEROS4 = sum(_WORD_VALUES % 10 ** j == 0 for j in range(1, 5)).astype(np.intp)
+del _WORD_VALUES
 _N_DIGITS = 17
 _POW10 = np.array([10 ** i for i in range(_N_DIGITS + 1)], dtype=np.uint64)
 

@@ -22,7 +22,9 @@ All randomness flows from the single seed.
 Parsing and checking settings, and ``ingest``, load no numpy: ``fit``,
 ``cv`` and ``efficiency`` import the sampler and the experiment modules
 once their settings are checked, and ``elicit`` and ``report`` import
-numpy to average and summarize the elicited rates.
+numpy to average and summarize the elicited rates.  Only the commands that
+elicit or read elicitation records (``elicit``, ``cv``, ``efficiency`` and
+``report``) import ``elicitation``; ``ingest`` and ``fit`` never load it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 network or
 elicitation failure, 5 numerical failure.
@@ -43,20 +45,8 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataError, load_dataset, summarize
-from .elicitation import (
-    CvCondition,
-    ElicitationConfig,
-    ElicitationError,
-    FixtureTransport,
-    HttpTransport,
-    PromptStrategy,
-    elicit_prior,
-    prior_param_rows,
-    read_audit_log,
-    write_audit_log,
-)
-from .model import (DEFAULT_RHO_GRID, META_ANALYTICAL, HyperPriorSpec, McmcConfig,
-                    NumericalError)
+from .model import (DEFAULT_RHO_GRID, META_ANALYTICAL, ElicitationError, HyperPriorSpec,
+                    McmcConfig, NumericalError, PromptStrategy)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,6 +106,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def elicitation_config(self, model_id: str, temperature: float) -> ElicitationConfig:
+        from .elicitation import ElicitationConfig
         try:
             return ElicitationConfig(
                 model_id=model_id,
@@ -225,6 +216,7 @@ def _llm_conditions(cfg: RunConfig, command: str) -> list[CvCondition]:
                  cfg.temperatures[-1 if command == "efficiency" else 0])]
     else:
         return []
+    from .elicitation import CvCondition
     return [CvCondition(strategy=_parse_strategy(strategy),
                         elicit=cfg.elicitation_config(model, temperature))
             for model, strategy, temperature in keys]
@@ -278,6 +270,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, list[CvConditi
 
 
 def _make_transport(cfg: RunConfig):
+    from .elicitation import FixtureTransport, HttpTransport
     if cfg.fixtures and cfg.live:
         raise ConfigError("a fixtures path (--fixtures) and --live exclude each other")
     if cfg.fixtures:
@@ -403,6 +396,7 @@ def _experiment_audit(cfg: RunConfig, command: str):
     no file.  A run that fails or is interrupted also removes the command's
     own results/ and reports/ files, so they never sit beside another run's
     audit log."""
+    from .elicitation import write_audit_log
     root = Path(cfg.out or "out")
     audit = []
     try:
@@ -426,6 +420,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
     _check_out_dirs(cfg, "audit")
     transport = _make_transport(cfg)
+    from .elicitation import elicit_prior, write_audit_log
     # each run makes new queries, so the log grows across runs, failed ones too
     audit = []
     try:
@@ -480,6 +475,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
                           "(models, strategies or temperatures is empty)")
     _check_out_dirs(cfg, "results", "reports", "audit")
     dataset = _require_dataset(cfg)
+    from .elicitation import CvCondition
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg) if llm_conditions else None
     from .crossval import (cv_summary_rows, cv_table_rows, make_folds, run_cv_experiment,
@@ -509,6 +505,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     cfg, [condition] = _resolve_config(args)
     _check_out_dirs(cfg, "results", "reports", "audit")
     dataset = _require_dataset(cfg)
+    from .elicitation import CvCondition
     baseline = [] if args.no_baseline else [CvCondition.meta_analytical()]
     transport = _make_transport(cfg)
     from .crossval import stratify_sites
@@ -541,6 +538,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     audit_dir = Path(cfg.out or "out") / "audit"
     if not audit_dir.is_dir():
         raise DataError(f"no such audit directory: {audit_dir}")
+    from .elicitation import prior_param_rows, read_audit_log
     records = [rec for path in sorted(audit_dir.glob("*.jsonl"))
                for rec in read_audit_log(path)]
     if not records:

@@ -16,7 +16,7 @@ hash of the request its model, strategy and temperature make (``_check_line``).
 
 from __future__ import annotations
 
-import enum
+import functools
 import hashlib
 import json
 import math
@@ -26,12 +26,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .model import HyperPriorSpec
-
-
-class PromptStrategy(enum.Enum):
-    BLIND = "blind"
-    DISEASE_INFORMED = "disease_informed"
+from .model import ElicitationError, HyperPriorSpec, PromptStrategy
 
 
 # The two prompts differ only in the persona line, the TASK line, an
@@ -108,10 +103,6 @@ def build_prompt(strategy: PromptStrategy) -> str:
     raise ValueError(f"unknown prompt strategy: {strategy!r}")
 
 
-class ElicitationError(RuntimeError):
-    """Base class for elicitation failures."""
-
-
 class AuthenticationError(ElicitationError):
     """The endpoint rejected our credentials; retrying cannot help."""
 
@@ -164,9 +155,7 @@ class ElicitationConfig:
     def __post_init__(self):
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
-        object.__setattr__(self, "temperature", _real(self.temperature, "temperature"))
-        if not 0.0 < self.temperature <= 2.0:
-            raise ValueError(f"temperature must be in (0, 2], got {self.temperature}")
+        object.__setattr__(self, "temperature", _temperature(self.temperature))
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
         if self.max_retries < 0:
@@ -221,6 +210,10 @@ class ChatRequest:
         }
 
     def request_hash(self) -> str:
+        return self._hash
+
+    @functools.cached_property  # a batch sends one request many times
+    def _hash(self) -> str:
         canonical = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -336,9 +329,10 @@ class HttpTransport:
 
 def _check_line(rec) -> str:
     """Check one line of a fixture file or audit log and return the request
-    hash it is filed under: the hash of its model, strategy and temperature,
-    or, on a line that gives none of the three, its stored ``request_hash``,
-    which must then be a non-empty string like any stored one."""
+    hash it is filed under: the hash of its model, strategy and temperature
+    (in a batch's range, (0, 2]), or, on a line that gives none of the three,
+    its stored ``request_hash``, which must then be a non-empty string like
+    any stored one."""
     if not isinstance(rec, dict):
         raise ElicitationError(f"expected a JSON object, got {rec!r}")
     if "response" not in rec:
@@ -352,14 +346,19 @@ def _check_line(rec) -> str:
     if "request_hash" in rec and rec.keys().isdisjoint(("model", "strategy", "temperature")):
         return rec["request_hash"]
     try:
-        return ChatRequest(model=rec["model"],
-                           prompt=build_prompt(PromptStrategy(rec["strategy"])),
-                           temperature=_real(rec["temperature"], "temperature")).request_hash()
+        return _filed_hash(rec["model"], PromptStrategy(rec["strategy"]),
+                           _temperature(rec["temperature"]))
     except KeyError as exc:
         raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
                                f"and temperature, or only a request_hash): {rec!r}") from exc
     except ValueError as exc:
         raise ElicitationError(f"invalid strategy or temperature: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=128)  # a log repeats a few keys on many lines
+def _filed_hash(model: str, strategy: PromptStrategy, temperature: float) -> str:
+    return ChatRequest(model=model, prompt=build_prompt(strategy),
+                       temperature=temperature).request_hash()
 
 
 def _read_jsonl(path: str | os.PathLike, parse) -> list:
@@ -452,6 +451,14 @@ def _real(value, name: str, error: type[Exception] = ValueError) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise error(f"non-finite value for {name}: out of range") from None
+
+
+def _temperature(value) -> float:
+    """A batch's or a recorded line's temperature as a float in (0, 2], else ValueError."""
+    temperature = _real(value, "temperature")
+    if not 0.0 < temperature <= 2.0:
+        raise ValueError(f"temperature must be in (0, 2], got {temperature}")
+    return temperature
 
 
 def _require_rate(obj: dict, name: str) -> float:

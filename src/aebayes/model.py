@@ -14,14 +14,19 @@ the convention it expects.  The sampler's collapsed log posterior lives in
 ``sampler``.
 
 This module also holds the sampler's settings (``McmcConfig``), its error
-(``NumericalError``) and the default subsampling grid
-(``DEFAULT_RHO_GRID``).  It imports no numpy, so the CLI checks every
-setting, and ``ingest`` runs, without loading numpy; ``sampler`` and
-``efficiency`` import these names from here.
+(``NumericalError``), the default subsampling grid (``DEFAULT_RHO_GRID``),
+the two prompt strategies (``PromptStrategy``) and the base class of the
+elicitation errors (``ElicitationError``).  It imports no numpy, so the CLI
+checks every setting, and ``ingest`` runs, without loading numpy.  Nor do
+they need ``elicitation``: the CLI imports that module, with its hashing and
+JSON code, only when ``elicit``, ``cv``, ``efficiency`` or ``report`` runs;
+``ingest`` and ``fit`` never load it.  ``sampler``, ``efficiency`` and
+``elicitation`` import these names from here.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -51,6 +56,17 @@ DEFAULT_RHO_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 class NumericalError(RuntimeError):
     """Non-finite log density encountered during sampling."""
+
+
+class PromptStrategy(enum.Enum):
+    """The two prompts an LLM is asked (``elicitation.build_prompt``)."""
+
+    BLIND = "blind"
+    DISEASE_INFORMED = "disease_informed"
+
+
+class ElicitationError(RuntimeError):
+    """Base class for elicitation failures."""
 
 
 @dataclass(frozen=True)

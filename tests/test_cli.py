@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -812,6 +813,24 @@ def _audit_line(**fields):
             "timestamp": 0.0, **fields}
 
 
+@pytest.mark.parametrize("temperature", [math.nan, -3, 2.5], ids=["nan", "negative", "above_2"])
+def test_report_temperature_outside_the_batch_range_exit_code(tmp_path, capsys, temperature):
+    """A line recorded at a temperature no batch can request, one outside
+    (0, 2], is malformed: ``report`` names its file and line, rather than
+    listing it as a group of its own."""
+    out_dir = tmp_path / "out"
+    (out_dir / "audit").mkdir(parents=True)
+    lines = [_audit_line(response=PARSED_RECORD["response"]),
+             _audit_line(response=PARSED_RECORD["response"], temperature=temperature)]
+    (out_dir / "audit" / "elicitations.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["report", "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert "elicitations.jsonl: line 2:" in err
+    assert f"temperature must be in (0, 2], got {float(temperature)}" in err
+    assert not (out_dir / "reports").exists()
+
+
 # the rates the line's response gives, as (parameter, n, mean)
 LINE_RATES = [("alpha_rate", "1", 0.5), ("beta_rate", "1", 0.1)]
 
@@ -1276,6 +1295,26 @@ def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
     assert "latin1.jsonl: line 2" in err
 
 
+def _exit_and_loaded(argv: list[str], watched) -> tuple[str, set[str]]:
+    """Run ``main(argv)`` in a fresh interpreter, or only ``import
+    aebayes.cli`` when ``argv`` is empty: its exit code as text, and the
+    ``watched`` modules it loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\n"
+              "from aebayes.cli import main\n"
+              "code = None\n"
+              "try:\n"
+              "    if sys.argv[1:]:\n"
+              "        code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              f"print(code, *(m for m in {sorted(watched)!r} if m in sys.modules))\n")
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    code, *loaded = run.stdout.splitlines()[-1].split()
+    return code, set(loaded)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["ingest", "{dataset}"], 0),
     (["--help"], 0),
@@ -1285,18 +1324,42 @@ def test_non_utf8_jsonl_exit_code(dataset_file, tmp_path, capsys, command):
 def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, code):
     """These commands run to their exit without loading numpy, scipy or the
     live transport's requests: only commands that compute import numpy."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    script = ("import sys\n"
-              "from aebayes.cli import main\n"
-              "try:\n"
-              "    code = main(sys.argv[1:])\n"
-              "except SystemExit as exc:\n"
-              "    code = exc.code\n"
-              "print(code, *(m for m in ('numpy', 'scipy', 'requests') if m in sys.modules))\n")
     argv = [arg.format(dataset=dataset_file, missing=tmp_path / "missing") for arg in argv]
-    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.splitlines()[-1] == str(code)
+    assert _exit_and_loaded(argv, ("numpy", "scipy", "requests")) == (str(code), set())
+
+
+_ELICITATION = "aebayes.elicitation"
+_NO_ELICITATION_STACK = {_ELICITATION, "hashlib", "json"}
+
+
+@pytest.mark.parametrize("argv, code, absent, present", [
+    ([], None, _NO_ELICITATION_STACK, set()),
+    (["ingest", "{dataset}"], 0, _NO_ELICITATION_STACK, set()),
+    (["--help"], 0, {_ELICITATION}, set()),
+    (["--version"], 0, {_ELICITATION}, set()),
+    (["fit", "--seed", "-1"], 2, {_ELICITATION}, set()),
+    (["fit", "--dataset", "{dataset}", "--config", "{config}", "--out", "{out}"], 0,
+     {_ELICITATION}, set()),
+    (["elicit", "--model", "m1", "--fixtures", "{fixtures}", "--out", "{out}"], 0,
+     set(), {_ELICITATION}),
+    (["report", "--out", "{out}"], 0, set(), {_ELICITATION}),
+], ids=["import", "ingest", "help", "version", "setting_error", "fit", "elicit", "report"])
+def test_cli_loads_elicitation_only_in_commands_that_elicit(dataset_file, config_file,
+                                                            tmp_path, argv, code, absent,
+                                                            present):
+    """``import aebayes.cli``, and every command that neither queries a model
+    nor reads its records, runs to its exit without loading
+    ``aebayes.elicitation``; ``ingest`` loads neither hashlib nor json.  The
+    commands that do elicit import it when they run."""
+    out = tmp_path / "out"
+    fixtures = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.1)])
+    if argv[:1] == ["report"]:  # an audit log for report to read
+        assert main(["elicit", "--model", "m1", "--fixtures", fixtures, "--out", str(out)]) == 0
+    argv = [arg.format(dataset=dataset_file, config=config_file, out=out, fixtures=fixtures)
+            for arg in argv]
+    exit_code, loaded = _exit_and_loaded(argv, _NO_ELICITATION_STACK)
+    assert exit_code == str(code)
+    assert not absent & loaded and present <= loaded
 
 
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user_value"])

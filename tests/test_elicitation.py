@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -312,6 +313,43 @@ def test_fixture_transport_bad_records(tmp_path):
     with pytest.raises(ElicitationError, match="'error' must be a string or null"):
         FixtureTransport().add_record({"model": "m", "strategy": "blind", "temperature": 1.0,
                                        "response": None, "error": 5})
+
+
+@pytest.mark.parametrize("temperature", [math.nan, -3, 2.5], ids=["nan", "negative", "above_2"])
+def test_fixture_line_temperature_outside_the_batch_range(tmp_path, temperature):
+    """A fixture line takes ``ElicitationConfig``'s temperature range, so a
+    line no batch could request makes the file malformed at that line."""
+    base = {"model": "m", "strategy": "blind", "response": "x"}
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(json.dumps({**base, "temperature": 1.0}) + "\n"
+                    + json.dumps({**base, "temperature": temperature}) + "\n")
+    with pytest.raises(ElicitationError, match=r"fixtures\.jsonl: line 2: .*temperature "
+                                               r"must be in \(0, 2\]"):
+        FixtureTransport.from_path(path)
+
+
+def test_each_request_identity_is_hashed_once(monkeypatch):
+    """A fixture file hashes each (model, strategy, temperature) key once,
+    however many lines repeat it, and a batch hashes its request once,
+    however many queries send it."""
+    from aebayes import elicitation
+    calls, real_sha256 = [], hashlib.sha256
+
+    def sha256(data):
+        calls.append(data)
+        return real_sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    elicitation._filed_hash.cache_clear()
+    line = {"model": "hash-once", "strategy": "blind", "temperature": 0.5,
+            "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}'}
+    transport = transport_from([line] * 10)
+    assert len(calls) == 1
+    prior = elicit_prior(PromptStrategy.BLIND, make_config(model_id="hash-once",
+                                                           temperature=0.5, n_queries=7),
+                         transport)
+    assert prior.n_successes == 7 and len(calls) == 2
+    assert {r.request_hash for r in prior.records} == {real_sha256(calls[0]).hexdigest()}
 
 
 def test_fixture_transport_replays_null_responses_as_failures():

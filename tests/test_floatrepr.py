@@ -73,3 +73,20 @@ def test_shape_and_order_are_kept():
     out = repr_bytes(values[:, ::2].T)
     assert out.shape == (7, 3, 3, WIDTH)
     assert bytes(out[6, 2, 1]).rstrip(b"\0") == repr(float(values[1, 4, 6])).encode()
+
+
+def test_digit_word_tables_match_their_string_definitions():
+    """The word tables, built by array arithmetic, hold the bytes and counts
+    that formatting each word as text gives."""
+    from aebayes import _floatrepr
+    words4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint32)
+    exponent_words = np.frombuffer(b"".join(b"%03d0" % i for i in range(1000)),
+                                   dtype=np.uint32)
+    trailing_zeros4 = np.array([4] + [len(w) - len(w.rstrip("0"))
+                                      for w in ("%04d" % i for i in range(1, 10_000))],
+                               dtype=np.intp)
+    for got, want in ((_floatrepr._WORDS4, words4),
+                      (_floatrepr._EXPONENT_WORDS, exponent_words),
+                      (_floatrepr._TRAILING_ZEROS4, trailing_zeros4)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
