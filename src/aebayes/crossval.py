@@ -22,7 +22,7 @@ import numpy as np
 
 from . import seeding
 from .data import Dataset
-from .evaluation import HeldOut, Split
+from .evaluation import Split
 from .pipeline import CellOutcome, CvCondition, run_cells
 
 SMALL_MAX = 2   # sites with <= 2 patients
@@ -150,7 +150,7 @@ def run_cv_experiment(dataset: Dataset, conditions: list[CvCondition],
     """
     folds = make_folds(stratify_sites(dataset), k=k, seed=seed)
     splits = [Split(dataset.subset_by_sites(folds.train_sites(fold)),
-                    HeldOut(dataset.subset_by_sites(folds.test_sites(fold))))
+                    dataset.subset_by_sites(folds.test_sites(fold)))
               for fold in range(k)]
     outcomes = run_cells([(condition, split) for condition in conditions
                           for split in splits], transport, audit)

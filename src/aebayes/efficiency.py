@@ -8,8 +8,8 @@ of ``crossval.shuffled_strata``, and the model is rescored per
 (condition, rho, replication) cell, by the exact posterior
 predictive LPD (``pipeline.run_cells``), with a fresh elicitation per
 cell for LLM conditions.  Each distinct training subsample is one
-``evaluation.Split`` against the one fixed ``HeldOut`` test set, shared by
-every cell that trains on it.  The meta-analytical baseline is
+``evaluation.Split`` against the one fixed test set, shared by every cell
+that trains on it.  The meta-analytical baseline is
 the full-data reference and runs at rho = 1 only.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import seeding
 from .crossval import SiteStratum, shuffled_strata, stratify_sites
 from .data import DataError, Dataset
-from .evaluation import HeldOut, Split
+from .evaluation import Split
 from .model import DEFAULT_RHO_GRID
 from .pipeline import CellOutcome, CvCondition, run_cells
 
@@ -158,13 +158,12 @@ def run_efficiency_experiment(
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {rho}")
     train, test = train_test_split(dataset, SplitSpec(seed=seed))
-    held_out = HeldOut(test)
     splits: dict[tuple[str, ...], Split] = {}  # by training sites
 
     def split(rho: float, rep: int) -> Split:
         sub = subsample_training(train, rho, seeding.derive_seed(seed, "eff_subsample", rep))
         if sub.site_ids not in splits:
-            splits[sub.site_ids] = Split(sub, held_out)
+            splits[sub.site_ids] = Split(sub, test)
         return splits[sub.site_ids]
 
     levels = [(condition, rho) for condition in conditions

@@ -22,16 +22,16 @@ scaled factors, or a log-space sum where that underflows.
 
 Every condition of an experiment scores the same training and test sets,
 and only the prior's two rates differ, so the terms that do not depend on
-the prior are built once per ``Split`` (a training set with the
-``HeldOut`` count table it is scored on): the training set's statistics
-(``sampler._LogTarget``), and per grid (box, G), the coarse one too, a
-``_Grid`` holding the data's target terms, the (beta / (1 + beta))^alpha
-and (1 + beta)^-y factors and the log rising factorials of the test
-counts.  ``_Grid.posterior`` adds a prior's terms, each in the order a
-fresh ``Split`` would, so sharing moves no bit.  ``Split.quadrature``
-returns and keeps a prior's ``Quadrature`` (its ``LpdResult``, box, G,
-edge mass and last refinement change), so a repeated cell is scored once;
-``Split.lpd`` is its ``lpd``.
+the prior are built once per ``Split(train, test)``: the test set's count
+table (its distinct counts, each patient's index into them and log y!),
+the training set's statistics (``sampler._LogTarget``), and per grid
+(box, G), the coarse one too, a ``_Grid`` holding the data's target terms,
+the (beta / (1 + beta))^alpha and (1 + beta)^-y factors and the log rising
+factorials of the test counts.  ``_Grid.posterior`` adds a prior's terms,
+each in the order a fresh ``Split`` would, so sharing moves no bit.
+``Split.quadrature`` returns and keeps a prior's ``Quadrature`` (its
+``LpdResult``, box, G, edge mass and last refinement change), so a
+repeated cell is scored once.
 """
 
 from __future__ import annotations
@@ -89,27 +89,27 @@ def lpd_dataset(test: Dataset, draws: PosteriorDraws, *,
     alpha, beta = draws.pooled_hyperparams()
     if alpha.size == 0:
         raise ValueError("posterior contains no draws")
-    table = HeldOut(test)
-    y = table.ys.astype(np.float64)[:, None]
+    ys, patient_y, log_factorials = _count_table(test)
+    y = ys.astype(np.float64)[:, None]
     # log NB(y; alpha, beta / (1 + beta)), one row per distinct count
-    logp = log_rising(alpha, table.ys) - (alpha + y) * np.log1p(beta)
+    logp = log_rising(alpha, ys) - (alpha + y) * np.log1p(beta)
     logp += alpha * np.log(beta)
-    logp -= table.log_factorials[:, None]
+    logp -= log_factorials[:, None]
     # log-mean-exp per row; a posterior at one point gives its log-pmf exactly
     m = logp.max(axis=1, keepdims=True)
     logp -= m
     np.exp(logp, out=logp)
     values = m[:, 0] + np.log(logp.mean(axis=1))
-    return LpdResult(per_patient=tuple(values[table.patient_y].tolist()))
+    return LpdResult(per_patient=tuple(values[patient_y].tolist()))
 
 
-class HeldOut:
-    """A test set's count table: its distinct counts ``ys``, each patient's
-    index into them and log(y!) of each."""
-
-    def __init__(self, test: Dataset):
-        self.ys, self.patient_y = np.unique(test.counts(), return_inverse=True)
-        self.log_factorials = np.array([math.lgamma(y + 1.0) for y in self.ys.tolist()])
+def _count_table(test: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A test set's distinct counts, each patient's index into them and
+    log(y!) of each count."""
+    if test.n_patients == 0:
+        raise ValueError("the test set holds no patients")
+    ys, patient_y = np.unique(test.counts(), return_inverse=True)
+    return ys, patient_y, np.array([math.lgamma(y + 1.0) for y in ys.tolist()])
 
 
 class Quadrature(NamedTuple):
@@ -155,12 +155,13 @@ class _Grid:
 
 
 class Split:
-    """A training set and the ``HeldOut`` count table its cells score,
-    with the quadrature's prior-free terms built once (see the module
-    docstring)."""
+    """A training set and the test set its cells score, with the test
+    counts' table and the quadrature's prior-free terms built once (see
+    the module docstring)."""
 
-    def __init__(self, train: Dataset, held_out: HeldOut):
-        self.train, self.held_out = train, held_out
+    def __init__(self, train: Dataset, test: Dataset):
+        self.train, self.test = train, test
+        self._ys, self._patient_y, self._log_factorials = _count_table(test)
         self._target = _LogTarget(train.site_totals() * 1.0, train.site_sizes() * 1.0)
         self._grids: dict[tuple, _Grid] = {}
         # the coarse grid's terms, which every cell reads, built up front:
@@ -168,15 +169,11 @@ class Split:
         self._grid(_COARSE_BOX, _COARSE.size)
         self._scores: dict[HyperPriorSpec, Quadrature] = {}
 
-    def lpd(self, spec: HyperPriorSpec) -> LpdResult:
-        """log E[NB(y_i; alpha, beta / (1 + beta)) | train] of each held-out
-        patient i, under the exact posterior given the training set and
-        ``spec``: the ``lpd`` of ``quadrature(spec)``."""
-        return self.quadrature(spec).lpd
-
     def quadrature(self, spec: HyperPriorSpec) -> Quadrature:
-        """The checked grid that scores ``spec``; a prior scored before
-        returns its kept record."""
+        """The checked grid that scores ``spec``: its ``lpd`` holds
+        log E[NB(y_i; alpha, beta / (1 + beta)) | train] of each test
+        patient i, under the exact posterior given the training set and
+        ``spec``.  A prior scored before returns its kept record."""
         if spec in self._scores:
             return self._scores[spec]
         rates = (spec.alpha_rate, spec.beta_rate)
@@ -185,9 +182,9 @@ class Split:
         keep = lp > lp.max() - _LOG_DROP
         # the factor (beta / (1 + beta))^alpha of every count's NB
         lp += np.multiply(coarse.a[:, None], coarse.log_q)
-        for k in {0, self.held_out.ys.size - 1}:  # predictive integrands, up to lgamma(y + 1)
+        for k in {0, self._ys.size - 1}:  # predictive integrands, up to lgamma(y + 1)
             tilted = lp
-            if self.held_out.ys[k]:  # a count of 0 adds nothing
+            if self._ys[k]:  # a count of 0 adds nothing
                 tilted = lp + coarse.log_rise[k][:, None]
                 tilted += coarse.log_tail[k]
             keep |= tilted > tilted.max() - _LOG_DROP
@@ -203,7 +200,7 @@ class Split:
             if values is not None:
                 change = float(np.abs(finer - values).max())
                 if change <= _GRID_TOL:
-                    lpd = LpdResult(per_patient=tuple(finer[self.held_out.patient_y].tolist()))
+                    lpd = LpdResult(per_patient=tuple(finer[self._patient_y].tolist()))
                     self._scores[spec] = Quadrature(lpd, box, n_grid, float(edge), change)
                     return self._scores[spec]
             values = finer
@@ -212,7 +209,7 @@ class Split:
     def _grid(self, box: tuple, n_grid: int) -> _Grid:
         """The memo's n_grid x n_grid grid over ``box``."""
         if (box, n_grid) not in self._grids:
-            self._grids[box, n_grid] = _Grid(self._target, self.held_out.ys, box, n_grid)
+            self._grids[box, n_grid] = _Grid(self._target, self._ys, box, n_grid)
         return self._grids[box, n_grid]
 
     def _grid_lpd(self, box: tuple, n_grid: int,
@@ -240,5 +237,5 @@ class Split:
         for k in np.flatnonzero(small):
             terms = log_rise[k, :, None] - by_alpha[:, None] + log_wq + t.log_tail[k]
             values[k] = terms.max() + np.log(np.exp(terms - terms.max()).sum())
-        values -= np.log(w.sum()) + self.held_out.log_factorials
+        values -= np.log(w.sum()) + self._log_factorials
         return values, edge

@@ -14,15 +14,15 @@ A ``CvCondition`` (defined in ``elicitation``) names the prior source: the
 meta-analytical baseline, or a prompt strategy with its own
 ``ElicitationConfig``, which every cell of that condition sends as given.
 ``run_cells`` makes one pass over the plan: it elicits a cell's prior (the
-baseline needs no transport) and then scores the cell by ``Split.lpd``,
-the exact posterior predictive LPD of the held-out patients on a checked
-grid over (log alpha, log beta), with no chains, seeds or R-hat.  So the
-transport sees a deterministic request stream, each outcome is a pure
-function of its own cell's data and spec (a shared ``Split`` gives the
-bits of one built for the cell alone), and a run that fails at a cell
-sends no query for the cells after it.  Every query's record is appended
-to the caller's ``audit`` list as it completes, so the caller can write
-the audit log on any exit path.
+baseline needs no transport) and then scores the cell by
+``split.quadrature(spec).lpd``, the exact posterior predictive LPD of the
+held-out patients on a checked grid over (log alpha, log beta), with no
+chains, seeds or R-hat.  So the transport sees a deterministic request
+stream, each outcome is a pure function of its own cell's data and spec
+(a shared ``Split`` gives the bits of one built for the cell alone), and
+a run that fails at a cell sends no query for the cells after it.  Every
+query's record is appended to the caller's ``audit`` list as it
+completes, so the caller can write the audit log on any exit path.
 """
 
 from __future__ import annotations
@@ -61,6 +61,6 @@ def run_cells(plan: list[tuple[CvCondition, Split]], transport,
         prior = (elicit_prior(condition.strategy, condition.elicit, transport, audit)
                  if condition.is_llm else None)
         spec = prior.spec if prior else META_ANALYTICAL
-        outcomes.append(CellOutcome(spec=spec, prior=prior, lpd=split.lpd(spec),
+        outcomes.append(CellOutcome(spec=spec, prior=prior, lpd=split.quadrature(spec).lpd,
                                     n_train_patients=split.train.n_patients))
     return outcomes

@@ -1328,6 +1328,24 @@ def test_cli_imports_neither_scipy_nor_requests(dataset_file, tmp_path, argv, co
     assert _exit_and_loaded(argv, ("numpy", "scipy", "requests")) == (str(code), set())
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--dataset", "{dataset}", "--config", "{config}", "--out", "{out}"],
+    ["cv", "--k", "3", "--models", "m1", "--strategies", "blind", "--temperatures", "0.5",
+     "--dataset", "{dataset}", "--fixtures", "{fixtures}", "--out", "{out}"],
+    ["efficiency", "--model", "m1", "--strategy", "blind", "--temperature", "0.5",
+     "--rho-grid", "0.5,1.0", "--n-replications", "2", "--dataset", "{dataset}",
+     "--fixtures", "{fixtures}", "--out", "{out}"],
+], ids=["fit", "cv", "efficiency"])
+def test_computing_commands_import_neither_scipy_nor_requests(dataset_file, config_file,
+                                                               tmp_path, argv):
+    """Full ``fit``, ``cv`` and ``efficiency`` runs, which load numpy by
+    design, exit 0 without loading scipy or the live transport's requests."""
+    fixtures = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    argv = [arg.format(dataset=dataset_file, config=config_file, out=tmp_path / "out",
+                       fixtures=fixtures) for arg in argv]
+    assert _exit_and_loaded(argv, ("scipy", "requests")) == ("0", set())
+
+
 _ELICITATION = "aebayes.elicitation"
 _NO_ELICITATION_STACK = {_ELICITATION, "hashlib", "json"}
 

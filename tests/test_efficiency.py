@@ -15,7 +15,7 @@ from aebayes.efficiency import (
 )
 from aebayes.data import DataError
 from aebayes.elicitation import FixtureTransport
-from aebayes.evaluation import HeldOut, Split
+from aebayes.evaluation import Split
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
@@ -178,7 +178,7 @@ def test_efficiency_scores_the_repeated_baseline_cell_once():
     runs = result.cells[0].runs
     assert all(run.lpd is runs[0].lpd for run in runs)
     train, test = train_test_split(_eff_dataset(), SplitSpec(seed=0))
-    fresh = Split(train, HeldOut(test)).lpd(META_ANALYTICAL)
+    fresh = Split(train, test).quadrature(META_ANALYTICAL).lpd
     assert [run.lpd for run in runs] == [fresh] * 20
 
 

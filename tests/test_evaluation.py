@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aebayes import evaluation, sampler
 from aebayes.data import Dataset
-from aebayes.evaluation import HeldOut, LpdResult, Split, lpd_dataset
+from aebayes.evaluation import LpdResult, Split, lpd_dataset
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, run_mcmc
 from aebayes_testkit import (MIXED_SITE_SIZES, exact_lpd, hyper_draws, loads_dataset,
@@ -158,7 +158,7 @@ def test_lpd_dataset_matches_exact_posterior_predictive():
     """Against quadrature of the exact posterior p(alpha, beta | data), the
     closed-form LPD averaged over independent fits is unbiased per count:
     z < 3 with the SE taken from its spread across the fits.  The cells'
-    ``Split.lpd`` lies within 4 such SEs too."""
+    ``Split.quadrature`` lies within 4 such SEs too."""
     train = make_dataset([4, 5, 6] * 12, seed=3)
     spec = HyperPriorSpec(0.1, 0.1)
     ys = np.arange(16)
@@ -169,7 +169,7 @@ def test_lpd_dataset_matches_exact_posterior_predictive():
     z = (rb.mean(axis=0) - exact_lpd(ys, train, spec)) / se
     assert np.all(np.abs(z) < 3), z
     # the experiment cells' quadrature, per count and in the mean LPD
-    quad = np.array(Split(train, HeldOut(test)).lpd(spec).per_patient)
+    quad = np.array(Split(train, test).quadrature(spec).lpd.per_patient)
     assert np.all(np.abs(rb.mean(axis=0) - quad) < 4 * se)
     cell_means = rb.mean(axis=1)
     assert abs(cell_means.mean() - quad.mean()) < 4 * cell_means.std(ddof=1) / math.sqrt(8)
@@ -206,7 +206,7 @@ def test_quadrature_lpd_matches_oracle(name):
     train = QUADRATURE_SETS[name]
     for test in (train, counts_dataset([0, 1, 2, 3, 5, 8, 13])):
         for spec in (HyperPriorSpec(0.1, 0.1), HyperPriorSpec(0.7, 1.3)):
-            quad = Split(train, HeldOut(test)).quadrature(spec)
+            quad = Split(train, test).quadrature(spec)
             sizes.append(quad.n_grid)
             assert quad.edge_mass < evaluation._EDGE_MASS
             assert quad.change <= evaluation._GRID_TOL
@@ -244,7 +244,7 @@ def test_quadrature_lpd_extreme_counts():
     one nat at y = 300."""
     train, spec = QUADRATURE_SETS["equidispersed"], HyperPriorSpec(0.1, 0.1)
     counts = [0, 40, 300, 2000]  # 2000 takes the log-space sum
-    got = np.array(Split(train, HeldOut(counts_dataset(counts))).lpd(spec).per_patient)
+    got = np.array(Split(train, counts_dataset(counts)).quadrature(spec).lpd.per_patient)
     np.testing.assert_allclose(got, brute_force_lpd(counts, train, spec), rtol=0, atol=1e-9)
     assert abs(got[2] - exact_lpd([300], train, spec)[0]) > 0.5
 
@@ -255,12 +255,12 @@ def test_quadrature_lpd_rejects_mass_off_the_grid():
     its maximum sits, and the score raises NumericalError."""
     train = QUADRATURE_SETS["equidispersed"]
     spec = HyperPriorSpec(1e-6, 1e-6)
-    split = Split(train, HeldOut(train))
+    split = Split(train, train)
     lp = split._grid(evaluation._COARSE_BOX, evaluation._COARSE.size).posterior(
         (spec.alpha_rate, spec.beta_rate))
     assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
     with pytest.raises(sampler.NumericalError, match="on its edge"):
-        split.lpd(spec)
+        split.quadrature(spec)
 
 
 def test_quadrature_lpd_raises_when_the_grid_never_settles(monkeypatch):
@@ -268,9 +268,9 @@ def test_quadrature_lpd_raises_when_the_grid_never_settles(monkeypatch):
     end in NumericalError, naming the tolerance and the last G."""
     monkeypatch.setattr(evaluation, "_GRID_SIZES", (64, 128))
     monkeypatch.setattr(evaluation, "_GRID_TOL", -1.0)
-    split = Split(QUADRATURE_SETS["mixed"], HeldOut(counts_dataset([0, 2, 5])))
+    split = Split(QUADRATURE_SETS["mixed"], counts_dataset([0, 2, 5]))
     with pytest.raises(sampler.NumericalError, match="still moves by over -1 at G = 128"):
-        split.lpd(HyperPriorSpec(0.1, 0.1))
+        split.quadrature(HyperPriorSpec(0.1, 0.1))
 
 
 # a CV fold's 13 priors: the baseline's and 12 more whose rates span three
@@ -285,10 +285,10 @@ def test_shared_split_scores_as_fresh_terms(name):
     the same bits as terms built fresh for each cell.  The equidispersed
     set needs G > 128, and at y = 2000 its sum is taken in log space."""
     train, test = QUADRATURE_SETS[name], counts_dataset([0, 1, 3, 40, 300, 2000])
-    split = evaluation.Split(train, evaluation.HeldOut(test))
+    split = evaluation.Split(train, test)
     quads = [split.quadrature(spec) for spec in FOLD_SPECS]
     for spec, quad in zip(FOLD_SPECS, quads):
-        assert quad.lpd.per_patient == Split(train, HeldOut(test)).lpd(spec).per_patient
+        assert quad.lpd.per_patient == Split(train, test).quadrature(spec).lpd.per_patient
     n_boxes = len({quad.box for quad in quads})
     if name == "equidispersed":
         assert n_boxes > 1
@@ -299,12 +299,24 @@ def test_shared_split_scores_as_fresh_terms(name):
 
 def test_split_scores_a_repeated_prior_once(monkeypatch):
     """A prior scored before gets its kept result, with no grid scored."""
-    split = evaluation.Split(QUADRATURE_SETS["mixed"],
-                             evaluation.HeldOut(counts_dataset([0, 2, 5])))
+    split = evaluation.Split(QUADRATURE_SETS["mixed"], counts_dataset([0, 2, 5]))
     first = split.quadrature(HyperPriorSpec(0.1, 0.1))
     monkeypatch.setattr(evaluation._Grid, "posterior", None)
     assert split.quadrature(HyperPriorSpec(0.1, 0.1)) is first
-    assert split.lpd(HyperPriorSpec(0.1, 0.1)) is first.lpd
+
+
+def test_split_rejects_an_empty_test_set():
+    """A test set with no patients has no count to score: building its
+    ``Split`` raises ValueError naming the empty test set."""
+    with pytest.raises(ValueError, match="the test set holds no patients"):
+        Split(QUADRATURE_SETS["mixed"], Dataset.from_rows([]))
+
+
+def test_lpd_dataset_rejects_an_empty_test_set():
+    """Scoring no patients raises ValueError naming the empty test set,
+    not an ``LpdResult`` whose mean is nan."""
+    with pytest.raises(ValueError, match="the test set holds no patients"):
+        lpd_dataset(Dataset.from_rows([]), small_fit())
 
 
 def test_lpd_dataset_independent_of_seed():

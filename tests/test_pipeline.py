@@ -13,7 +13,7 @@ from aebayes.efficiency import (
     train_test_split,
 )
 from aebayes.elicitation import AllQueriesFailedError, FixtureTransport
-from aebayes.evaluation import HeldOut, Split
+from aebayes.evaluation import Split
 from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset, transport_from
 
@@ -79,13 +79,12 @@ def test_run_cells_elicits_then_scores_each_cell_in_plan_order(mixed_dataset):
     sent."""
     train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
     small = subsample_training(train, 0.5, seed=1)
-    held_out = HeldOut(test)
-    shared = Split(small, held_out)
+    shared = Split(small, test)
     llm = llm_condition(n_queries=2)
     answers = [_answer(i) for i in range(4)]
     audit = []
     outcomes = pipeline.run_cells(
-        [(llm, Split(train, held_out)), (CvCondition.meta_analytical(), shared),
+        [(llm, Split(train, test)), (CvCondition.meta_analytical(), shared),
          (llm, shared)],
         fixture_transport(answers, "m1", "blind", 1.0), audit)
     first, baseline, last = outcomes
@@ -94,7 +93,7 @@ def test_run_cells_elicits_then_scores_each_cell_in_plan_order(mixed_dataset):
     assert audit == [*first.prior.records, *last.prior.records]
     assert baseline.prior is None and baseline.spec == META_ANALYTICAL
     for outcome, cell_train in zip(outcomes, (train, small, small)):
-        assert outcome.lpd == Split(cell_train, HeldOut(test)).lpd(outcome.spec)
+        assert outcome.lpd == Split(cell_train, test).quadrature(outcome.spec).lpd
         assert outcome.n_train_patients == cell_train.n_patients
 
 
@@ -109,7 +108,7 @@ def test_run_cells_stops_at_a_failed_batch(mixed_dataset, monkeypatch):
         {"model": "m1", "strategy": "blind", "temperature": t, "response": body}
         for t, body in ((0.5, _answer(0)), (1.0, "not json")))
     train, test = train_test_split(mixed_dataset, SplitSpec(seed=2))
-    plan = [(llm_condition(temperature=t, n_queries=2), Split(train, HeldOut(test)))
+    plan = [(llm_condition(temperature=t, n_queries=2), Split(train, test))
             for t in (0.5, 1.0, 0.5)]
     audit = []
     with pytest.raises(AllQueriesFailedError, match="all 2 queries failed"):
