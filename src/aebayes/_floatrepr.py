@@ -219,7 +219,6 @@ _LAYOUT = np.array(
     + [_pad([20 + _CONSTANTS.index(ch) for ch in text])
        for text in (b"0.0", b"-0.0", b"inf", b"-inf", b"nan", b"nan")],
     dtype=np.intp)
-_LAYOUT_COLUMNS = np.ascontiguousarray(_LAYOUT.T)
 
 
 def repr_bytes(x: np.ndarray) -> np.ndarray:
@@ -269,12 +268,8 @@ def _repr_chunk(bits: np.ndarray) -> np.ndarray:
     key = np.where((magnitude == 0) | (magnitude >= _INF_BITS),
                    _SPECIAL + negative + 2 * (magnitude >= _INF_BITS)
                    + 2 * (magnitude > _INF_BITS), key)
-    # one output column at a time, so no index array is WIDTH times the size
-    # of x
-    rows = np.arange(0, bits.size * _ROW, _ROW)
-    out = np.empty((bits.size, WIDTH), dtype=np.uint8)
-    for j, columns in enumerate(_LAYOUT_COLUMNS):
-        index = columns.take(key)
-        index += rows
-        out[:, j] = src.reshape(-1).take(index)
-    return out
+    # one gather of at most _CHUNK x WIDTH indices: each value's layout row,
+    # offset to its own source row
+    index = _LAYOUT[key]
+    index += np.arange(0, bits.size * _ROW, _ROW)[:, None]
+    return src.reshape(-1).take(index)

@@ -459,6 +459,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             for name, value in sorted(draws.diagnostics.items())]
     report = _format_table([("parameter", "parameter", ""), ("rhat", "rhat", ".4f")], rows)
     flagged = draws.rhat_flags()
+    if not draws.diagnostics:  # every dataset has a site, so the chains were too short
+        report += ("\nwarning: rhat not computed: split R-hat needs 2 or more chains "
+                   f"of 4 or more draws, and this fit ran {mcmc.n_chains} chain(s) of "
+                   f"{mcmc.n_draws} draw(s)\n")
     if flagged:
         names = ", ".join(sorted(flagged))
         report += f"\nwarning: rhat >= {RHAT_THRESHOLD:g} for: {names}\n"

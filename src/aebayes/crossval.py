@@ -1,6 +1,7 @@
 """Site-stratified 5-fold cross-validation comparing prior sources.
 
-Sites are stratified by patient count (small <= 2, medium 3-4, large >= 5).
+Sites are stratified by patient count (small <= 2, medium 3-4, large >= 5),
+held as one mapping of each label to its site ids (``stratify_sites``).
 ``shuffled_strata`` is the one seeded shuffle of each stratum that every
 site selection cuts: the folds here, and the 70:30 split and training
 subsamples of ``efficiency``.  Folds deal each shuffled stratum
@@ -14,7 +15,6 @@ fold's quadrature terms built once for all conditions (one
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -29,50 +29,27 @@ SMALL_MAX = 2   # sites with <= 2 patients
 MEDIUM_MAX = 4  # 3-4 patients; >= 5 is large
 
 
-class StratumLabel(enum.Enum):
-    SMALL = "small"
-    MEDIUM = "medium"
-    LARGE = "large"
-
-
-@dataclass(frozen=True)
-class SiteStratum:
-    label: StratumLabel
-    site_ids: tuple[str, ...]
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_ids)
-
-
-def stratify_sites(dataset: Dataset) -> list[SiteStratum]:
-    """Partition sites into small/medium/large by patient count."""
-    buckets: dict[StratumLabel, list[str]] = {label: [] for label in StratumLabel}
+def stratify_sites(dataset: Dataset) -> dict[str, tuple[str, ...]]:
+    """Map "small", "medium" and "large", in that order, to the site ids of
+    that stratum, in site order."""
+    small, medium, large = [], [], []
     for site_id, n in zip(dataset.site_ids, dataset.site_sizes().tolist()):
-        if n <= SMALL_MAX:
-            label = StratumLabel.SMALL
-        elif n <= MEDIUM_MAX:
-            label = StratumLabel.MEDIUM
-        else:
-            label = StratumLabel.LARGE
-        buckets[label].append(site_id)
-    return [SiteStratum(label=label, site_ids=tuple(buckets[label]))
-            for label in StratumLabel]
+        (small if n <= SMALL_MAX else medium if n <= MEDIUM_MAX else large).append(site_id)
+    return {"small": tuple(small), "medium": tuple(medium), "large": tuple(large)}
 
 
-def shuffled_strata(strata: list[SiteStratum], seed: int,
-                    purpose: str) -> Iterator[tuple[SiteStratum, tuple[str, ...]]]:
-    """Yield each nonempty stratum with its sites in a seeded order.
+def shuffled_strata(strata: dict[str, tuple[str, ...]], seed: int,
+                    purpose: str) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Yield each nonempty stratum's label with its sites in a seeded order.
 
     The order is the permutation drawn from the stream (seed, purpose,
     label), so a stratum's order depends on neither the other strata nor
     the order they come in.
     """
-    for stratum in strata:
-        if stratum.site_ids:
-            order = seeding.rng(seed, purpose, stratum.label.value).permutation(
-                stratum.n_sites)
-            yield stratum, tuple(stratum.site_ids[i] for i in order)
+    for label, ids in strata.items():
+        if ids:
+            order = seeding.rng(seed, purpose, label).permutation(len(ids))
+            yield label, tuple(ids[i] for i in order)
 
 
 @dataclass(frozen=True)
@@ -86,15 +63,15 @@ class FoldAssignment:
         return tuple(s for s, f in self.fold_of_site.items() if f != fold)
 
 
-def make_folds(strata: list[SiteStratum], k: int, seed: int) -> FoldAssignment:
+def make_folds(strata: dict[str, tuple[str, ...]], k: int, seed: int) -> FoldAssignment:
     """Deal each shuffled stratum's sites round-robin into k folds; every
     fold needs a stratum of at least k sites."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    total = sum(s.n_sites for s in strata)
-    if k > total:
-        raise ValueError(f"k = {k} exceeds total site count {total}")
-    largest = max(s.n_sites for s in strata)
+    sizes = [len(ids) for ids in strata.values()]
+    if k > sum(sizes):
+        raise ValueError(f"k = {k} exceeds total site count {sum(sizes)}")
+    largest = max(sizes)
     if k > largest:
         raise ValueError(f"k = {k} leaves fold(s) {', '.join(map(str, range(largest, k)))} "
                          f"without sites: the largest stratum holds {largest}")

@@ -4,7 +4,8 @@ One seeded stratified split, at the fixed ``TRAIN_FRACTION``, fixes the
 test set for the whole experiment.  The training sites are then
 subsampled at each rho level (nested within a replication: larger rho
 extends the smaller site set), both by cutting the seeded stratum orders
-of ``crossval.shuffled_strata``, and the model is rescored per
+of ``crossval.shuffled_strata`` (each label of ``crossval.stratify_sites``
+with its site ids shuffled), and the model is rescored per
 (condition, rho, replication) cell, by the exact posterior
 predictive LPD (``pipeline.run_cells``), with a fresh elicitation per
 cell for LLM conditions.  Each distinct training subsample is one
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .crossval import SiteStratum, shuffled_strata, stratify_sites
+from .crossval import shuffled_strata, stratify_sites
 from .data import DataError, Dataset
 from .evaluation import Split
 from .model import DEFAULT_RHO_GRID
@@ -41,11 +42,11 @@ class SplitSpec:
     seed: int = 0
 
 
-def require_test_sites(strata: list[SiteStratum]) -> None:
-    """Raise ``DataError`` when no stratum holds the 2 sites that give the
-    70:30 split a test site."""
-    if all(stratum.n_sites < 2 for stratum in strata):
-        sizes = ", ".join(f"{s.label.value} {s.n_sites}" for s in strata)
+def require_test_sites(strata: dict[str, tuple[str, ...]]) -> None:
+    """Raise ``DataError`` when no stratum of ``crossval.stratify_sites``
+    holds the 2 sites that give the 70:30 split a test site."""
+    if all(len(ids) < 2 for ids in strata.values()):
+        sizes = ", ".join(f"{label} {len(ids)}" for label, ids in strata.items())
         raise DataError("the train/test split leaves the test set empty: no stratum "
                         f"holds 2 or more sites (sites per stratum: {sizes})")
 
@@ -62,11 +63,11 @@ def train_test_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     require_test_sites(strata)
     train_sites: list[str] = []
     test_sites: list[str] = []
-    for stratum, sites in shuffled_strata(strata, spec.seed, "split"):
+    for label, sites in shuffled_strata(strata, spec.seed, "split"):
         n = len(sites)
         if n < 2:
             warnings.warn(
-                f"stratum {stratum.label.value!r} has {n} site(s); "
+                f"stratum {label!r} has {n} site(s); "
                 "assigning all to train", stacklevel=2)
             train_sites.extend(sites)
             continue

@@ -36,8 +36,8 @@ Given (alpha, beta), lambda_j ~ Gamma(alpha + t_j, beta + n_j) exactly:
 ``standard_gamma`` call per chain, for the ``fit`` export and site R-hat.
 
 Split R-hat is reported for alpha, beta and every site rate;
-``PosteriorDraws.rhat_flags`` flags each parameter whose R-hat is at least
-``RHAT_THRESHOLD`` (1.1, fixed).
+``PosteriorDraws.rhat_flags`` flags each parameter whose R-hat is not
+below ``RHAT_THRESHOLD`` (1.1, fixed), nan included.
 
 ``export_draws`` writes the draws as one csv line per value, each value
 in ``repr``'s shortest round-trip form.  ``_floatrepr.repr_bytes`` gives
@@ -111,9 +111,9 @@ class PosteriorDraws:
         return self.alpha.reshape(-1), self.beta.reshape(-1)
 
     def rhat_flags(self) -> dict[str, float]:
-        """Parameters whose R-hat is at least ``RHAT_THRESHOLD``
-        (degenerate chains report inf and are always flagged)."""
-        return {k: v for k, v in self.diagnostics.items() if v >= RHAT_THRESHOLD}
+        """Parameters whose R-hat is not below ``RHAT_THRESHOLD``: at least
+        it, inf from degenerate chains, or nan."""
+        return {k: v for k, v in self.diagnostics.items() if not v < RHAT_THRESHOLD}
 
 
 class _LogTarget:
@@ -258,7 +258,12 @@ def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec,
     log_post = _LogTarget(*_site_columns(dataset, config))
     rates = (spec.alpha_rate, spec.beta_rate)
     x = np.log(np.maximum(x, 1e-8))
-    lp = log_post(x, rates)
+    with np.errstate(all="ignore"):  # a start that overflows is caught just below
+        lp = log_post(x, rates)
+    if not np.isfinite(lp).all():  # e.g. an inf start drawn under a tiny rate
+        chains = ", ".join(map(str, np.flatnonzero(~np.isfinite(lp)).tolist()))
+        raise NumericalError(f"the log posterior at the start of chain(s) {chains} "
+                             "is not finite")
     trace = np.empty((n_iter, n_chains, 2))
     factor = np.tile(np.eye(2), (n_chains, 1, 1))  # Cholesky factor of the proposal shape
     log_step = np.full(n_chains, math.log(_INITIAL_STEP))

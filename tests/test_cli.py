@@ -388,6 +388,42 @@ def test_fit_numerical_failure_exit_code(dataset_file, config_file, tmp_path, ca
     assert not (out_dir / "draws" / "draws.csv").exists()
 
 
+def test_fit_non_finite_start_exit_code(dataset_file, tmp_path, capsys):
+    """A beta rate of 4e-309 draws each chain's start of beta as inf, where
+    the log posterior is nan: exit 5 with one line before the first step,
+    not numpy warnings and, once the warmup reshapes a proposal from nan
+    moves, a traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(small_config("n_warmup = 100"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["fit", "--dataset", dataset_file, "--config", str(cfg),
+               "--out", str(out_dir), "--beta-rate", "4e-309"])
+    assert rc == 5
+    assert capsys.readouterr().err == ("numerical error: the log posterior at the start "
+                                       "of chain(s) 0, 1 is not finite\n")
+    assert not (out_dir / "draws" / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("config_lines, ran", [
+    ("n_chains = 1", "1 chain(s) of 40 draw(s)"),
+    ("n_draws = 3", "2 chain(s) of 3 draw(s)"),
+], ids=["one_chain", "three_draws"])
+def test_fit_says_when_it_computed_no_rhat(dataset_file, tmp_path, capsys,
+                                           config_lines, ran):
+    """A fit too short for split R-hat says so in its report and on stdout,
+    rather than leaving a bare table header."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(small_config(config_lines), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["fit", "--dataset", dataset_file, "--config", str(cfg),
+                 "--out", str(out_dir)]) == 0
+    report = (out_dir / "reports" / "fit_diagnostics.txt").read_text()
+    assert report.splitlines()[3:] == [
+        "warning: rhat not computed: split R-hat needs 2 or more chains of 4 or more "
+        f"draws, and this fit ran {ran}"]
+    assert capsys.readouterr().out.startswith(report)
+
+
 def test_cv_posterior_off_the_grid_exit_code(tmp_path, monkeypatch, capsys):
     """Elicited rates of 1e-6 on a set where every count is 3 leave the
     posterior's mass beyond the quadrature box: exit 5, no results.  The

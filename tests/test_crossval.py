@@ -5,7 +5,6 @@ import pytest
 
 from aebayes.crossval import (
     CvCondition,
-    StratumLabel,
     cv_summary_rows,
     cv_table_rows,
     make_folds,
@@ -19,29 +18,22 @@ from aebayes.model import META_ANALYTICAL
 from aebayes_testkit import fixture_transport, llm_condition, make_dataset
 
 
-def strata_by_label(dataset):
-    return {s.label: s for s in stratify_sites(dataset)}
-
-
 def test_stratify_thresholds():
     ds = make_dataset([1, 2, 3, 4, 5, 27])
-    by = strata_by_label(ds)
-    assert by[StratumLabel.SMALL].site_ids == ("site000", "site001")
-    assert by[StratumLabel.MEDIUM].site_ids == ("site002", "site003")
-    assert by[StratumLabel.LARGE].site_ids == ("site004", "site005")
+    assert stratify_sites(ds) == {"small": ("site000", "site001"),
+                                  "medium": ("site002", "site003"),
+                                  "large": ("site004", "site005")}
 
 
 def test_stratify_all_small():
-    ds = make_dataset([1, 1, 1])
-    by = strata_by_label(ds)
-    assert by[StratumLabel.SMALL].n_sites == 3
-    assert by[StratumLabel.MEDIUM].n_sites == 0
-    assert by[StratumLabel.LARGE].n_sites == 0
+    strata = stratify_sites(make_dataset([1, 1, 1]))
+    assert list(strata) == ["small", "medium", "large"]
+    assert [len(ids) for ids in strata.values()] == [3, 0, 0]
 
 
 def test_stratify_partitions_sites():
     ds = make_dataset([1, 2, 2, 3, 4, 5, 6, 1, 3, 9])
-    all_ids = [s for stratum in stratify_sites(ds) for s in stratum.site_ids]
+    all_ids = [s for ids in stratify_sites(ds).values() for s in ids]
     assert sorted(all_ids) == sorted(ds.site_ids)
     assert len(all_ids) == len(set(all_ids))
 
@@ -53,10 +45,11 @@ def test_shuffled_strata_gives_each_stratum_one_seeded_order():
     ds = make_dataset([1] * 4 + [3] * 6)  # no large site
     strata = stratify_sites(ds)
     shuffled = list(shuffled_strata(strata, seed=2, purpose="cv_folds"))
-    assert [s.label for s, _ in shuffled] == [StratumLabel.SMALL, StratumLabel.MEDIUM]
-    for stratum, sites in shuffled:
-        assert sorted(sites) == sorted(stratum.site_ids)
-        assert list(shuffled_strata([stratum], 2, "cv_folds")) == [(stratum, sites)]
+    assert [label for label, _ in shuffled] == ["small", "medium"]
+    for label, sites in shuffled:
+        assert sorted(sites) == sorted(strata[label])
+        alone = {label: strata[label]}
+        assert list(shuffled_strata(alone, 2, "cv_folds")) == [(label, sites)]
     assert dict(shuffled) != dict(shuffled_strata(strata, 2, "split"))
 
     folds = make_folds(strata, k=3, seed=2)
@@ -64,10 +57,10 @@ def test_shuffled_strata_gives_each_stratum_one_seeded_order():
         assert [folds.fold_of_site[s] for s in sites] == [i % 3 for i in range(len(sites))]
     train, _ = train_test_split(ds, SplitSpec(seed=2))
     split = dict(shuffled_strata(strata, 2, "split"))
-    assert set(train.site_ids) == {*split[strata[0]][:3], *split[strata[1]][:4]}
+    assert set(train.site_ids) == {*split["small"][:3], *split["medium"][:4]}
     half = subsample_training(ds, 0.5, seed=2)
     subsample = dict(shuffled_strata(strata, 2, "subsample"))
-    assert set(half.site_ids) == {*subsample[strata[0]][:2], *subsample[strata[1]][:3]}
+    assert set(half.site_ids) == {*subsample["small"][:2], *subsample["medium"][:3]}
 
 
 def test_make_folds_even_division():
@@ -87,9 +80,8 @@ def test_make_folds_remainder():
 def test_make_folds_balanced_within_each_stratum(mixed_dataset):
     strata = stratify_sites(mixed_dataset)
     folds = make_folds(strata, k=5, seed=3)
-    for stratum in strata:
-        per_fold = [sum(1 for s in stratum.site_ids
-                        if folds.fold_of_site[s] == f) for f in range(5)]
+    for ids in strata.values():
+        per_fold = [sum(1 for s in ids if folds.fold_of_site[s] == f) for f in range(5)]
         assert max(per_fold) - min(per_fold) <= 1
 
 

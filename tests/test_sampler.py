@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -390,6 +391,9 @@ def test_rhat_flags_threshold(monkeypatch):
     assert set(flagged) == set(draws.diagnostics)
     monkeypatch.setattr(sampler, "RHAT_THRESHOLD", math.inf)
     assert draws.rhat_flags() == {}
+    # a nan R-hat is not below any threshold, so it is always flagged
+    stuck = replace(draws, diagnostics={**draws.diagnostics, "alpha": math.nan})
+    assert list(stuck.rhat_flags()) == ["alpha"]
 
 
 def test_point_mass_draws():
