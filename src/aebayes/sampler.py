@@ -43,7 +43,10 @@ below ``RHAT_THRESHOLD`` (1.1, fixed), nan included.
 in ``repr``'s shortest round-trip form.  ``_floatrepr.repr_bytes`` gives
 those bytes for a block of draws at once, and the lines are assembled
 from them as bytes; the module and its tables load only when a fit is
-exported.
+exported.  The chains are cut into contiguous shares, one per process, at
+most two: a forked child formats the second share into an anonymous
+temporary file, which this process appends after its own, so the file's
+bytes do not depend on the number of processes.
 
 The chain settings ``McmcConfig`` and the error ``NumericalError`` are
 defined in ``model``, which imports no numpy, so the CLI checks its
@@ -56,6 +59,9 @@ import csv
 import io
 import math
 import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,13 +347,16 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
     half = n_draws // 2
     rows = np.concatenate([chains[:, :, :half], chains[:, :, n_draws - half:]], axis=1)
     rows = rows.reshape(n_params * 2 * n_chains, half)
-    within = rows.var(axis=1, ddof=1).reshape(n_params, 2 * n_chains).mean(axis=1)
-    between = half * rows.mean(axis=1).reshape(n_params, 2 * n_chains).var(axis=1, ddof=1)
-    var_hat = (half - 1) / half * within + between / half
-    # zero within-chain variance is degenerate: report inf, not nan
-    rhat = np.full(n_params, math.inf)
-    np.divide(var_hat, within, out=rhat, where=within != 0.0)
-    return np.sqrt(rhat, out=rhat)
+    # chains stuck near the largest floats overflow the variances: their
+    # R-hat comes out nan, which ``rhat_flags`` flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        within = rows.var(axis=1, ddof=1).reshape(n_params, 2 * n_chains).mean(axis=1)
+        between = half * rows.mean(axis=1).reshape(n_params, 2 * n_chains).var(axis=1, ddof=1)
+        var_hat = (half - 1) / half * within + between / half
+        # zero within-chain variance is degenerate: report inf, not nan
+        rhat = np.full(n_params, math.inf)
+        np.divide(var_hat, within, out=rhat, where=within != 0.0)
+        return np.sqrt(rhat, out=rhat)
 
 
 def compute_rhat(chains: np.ndarray) -> float:
@@ -366,6 +375,20 @@ def compute_rhat(chains: np.ndarray) -> float:
     return float(_split_rhat(arr[None])[0])
 
 
+def _export_processes() -> int:
+    """The most processes an export may format in: two, the count whose
+    cost was measured, or 1 on one usable CPU, without ``os.fork``, or while
+    another Python thread runs, whose locks a forked child could inherit
+    held.  (OpenBLAS stops its own threads when this process forks.)"""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                  include_hyperparams: bool = True) -> None:
     """Dump draws as columnar delimited text: chain, draw, parameter, value.
@@ -375,7 +398,19 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
     parameter name is csv-escaped once, and the values are formatted
     _BLOCK_ROWS draws at a time by ``_floatrepr.repr_bytes``, which gives
     ``repr``'s bytes for a whole array.
+
+    The chains are cut into P contiguous shares: P = min(n_chains, 2, usable
+    CPUs), and 1 without ``os.fork`` or while another Python thread runs.
+    Share k > 0 is written by a forked child to an anonymous temporary file
+    that this process opened; this process writes the header and share 0,
+    then reaps each child in order and appends its file, so the bytes do not
+    depend on P and no part file stays on disk, however the processes end.  A child that fails
+    makes this raise ``RuntimeError`` naming its chains.  On any exception,
+    an interrupt included, every child still running is killed and reaped
+    before the exception propagates.
     """
+    import signal  # here alone: cv and efficiency import this module
+
     from ._floatrepr import WIDTH, repr_bytes
 
     names = [f"lambda[{site_id}]" for site_id in draws.site_ids]
@@ -405,11 +440,9 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                                          < np.array([len(col) for col in columns])[:, None])
     line[:, :, -1] = ord("\n")
     keep[:, :, -1] = True
-    with open(path, "wb") as fh:
-        fh.write(b"chain,draw,parameter,value\n")
-        # without a single column (no sites, hyperparameters left out) a draw
-        # has no line
-        for c in range(n_chains if columns else 0):
+
+    def write_chains(fh, chains: range) -> None:
+        for c in chains:
             for start in range(0, n_draws, _BLOCK_ROWS):
                 block = draws.lambdas[c, start:start + _BLOCK_ROWS]
                 if include_hyperparams:
@@ -424,3 +457,60 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                 line[:rows, :, name_end:-1] = repr_bytes(block)
                 keep[:rows, :, name_end:-1] = line[:rows, :, name_end:-1] != 0
                 fh.write(line[:rows][keep[:rows]])
+
+    # without a single column (no sites, hyperparameters left out) a draw has
+    # no line
+    n_written = n_chains if columns else 0
+    processes = max(1, min(n_written, _export_processes()))
+    shares = [range(n_written * k // processes, n_written * (k + 1) // processes)
+              for k in range(processes)]
+    children = []  # (pid, share, part) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            part = tempfile.TemporaryFile()
+            # no interrupt between the fork and the child's entry on the list
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # leave by _exit alone, so the child runs no atexit hook,
+                    # flushes no stdio buffer it inherited and none of the
+                    # caller's cleanup
+                    code = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        write_chains(part, share)
+                        part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append((pid, share, part))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with open(path, "wb") as fh:
+            fh.write(b"chain,draw,parameter,value\n")
+            write_chains(fh, shares[0])
+            while children:
+                pid, share, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                with part:
+                    if status:
+                        raise RuntimeError(
+                            f"the draws export of chain(s) {', '.join(map(str, share))} "
+                            f"failed in process {pid} "
+                            f"(exit status {os.waitstatus_to_exitcode(status)})")
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+    except BaseException:
+        for pid, _, part in children:
+            part.close()
+            try:
+                # a child reaped just before the interrupt is no longer
+                # ours, and its pid may already name another process
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+        raise

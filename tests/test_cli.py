@@ -5,14 +5,16 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aebayes import cli
+from aebayes import _floatrepr, cli
 from aebayes.cli import _resolve_config, build_parser, load_config, main
 from aebayes.data import Dataset
 from aebayes.elicitation import (ChatRequest, FixtureTransport, PromptStrategy,
@@ -316,6 +318,99 @@ def test_interrupted_draws_export_keeps_previous_draws(dataset_file, config_file
         main(argv)
     assert draws_path.read_bytes() == before
     assert sorted(p.name for p in draws_path.parent.iterdir()) == ["draws.csv"]
+
+
+@pytest.mark.parametrize("failing", ["child", "parent", "fork"])
+def test_failed_export_share_leaves_no_child_or_part(dataset_file, tmp_path, monkeypatch,
+                                                     failing):
+    """A chain share that fails in its forked child makes ``fit`` raise,
+    naming the child's chains; an interrupt while this process formats its
+    own share, or one that arrives the moment the child is forked, kills the
+    child still at work.  Either way the previous draws.csv stays, with no
+    temporary or part file beside it, and every child has been reaped."""
+    config = tmp_path / "run.cfg"
+    # two chains of three export blocks each, one share per process
+    config.write_text("n_chains = 2\nn_warmup = 40\nn_draws = 130\n", encoding="utf-8")
+    argv = ["fit", "--dataset", dataset_file, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    monkeypatch.setattr("aebayes.sampler._export_processes", lambda: 2)
+    assert main(argv) == 0
+    draws_path = tmp_path / "out" / "draws" / "draws.csv"
+    before = draws_path.read_bytes()
+
+    repr_bytes, parent, calls = _floatrepr.repr_bytes, os.getpid(), []
+
+    def failing_repr_bytes(x):
+        in_parent = os.getpid() == parent
+        if failing == "child" and not in_parent:
+            raise ValueError("formatting failed")
+        if failing in ("parent", "fork") and not in_parent:
+            time.sleep(60)  # still at work when the parent is interrupted
+        if failing == "parent":
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return repr_bytes(x)
+
+    monkeypatch.setattr(_floatrepr, "repr_bytes", failing_repr_bytes)
+    if failing == "fork":
+        fork = os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+    if failing == "child":
+        with pytest.raises(RuntimeError, match=r"export of chain\(s\) 1 failed"):
+            main(argv)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert draws_path.read_bytes() == before
+    assert sorted(p.name for p in draws_path.parent.iterdir()) == ["draws.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _strict_fit(*argv: str) -> subprocess.CompletedProcess:
+    """``aebayes fit`` in a fresh interpreter that turns numpy's
+    RuntimeWarnings into errors, its draws exported by two processes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\n"
+              "from aebayes import sampler\n"
+              "from aebayes.cli import main\n"
+              "sampler._export_processes = lambda: 2\n"
+              "sys.exit(main(['fit', *sys.argv[1:]]))\n")
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                           *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_fit_reports_once_with_a_forked_export(dataset_file, config_file, tmp_path):
+    """The forked export's child leaves without flushing what this process
+    buffered or running its caller's code, so the report reaches stdout
+    once."""
+    run = _strict_fit("--dataset", dataset_file, "--config", config_file,
+                      "--out", str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("draws written to") == 1
+    assert run.stdout.count("parameter") == 1
+
+
+def test_fit_flags_overflowing_rhat(dataset_file, config_file, tmp_path):
+    """A hyperprior rate of 1e-300 starts alpha near 1e300, where the chains
+    stay; their variances overflow, and R-hat is nan and flagged, with no
+    numpy warning."""
+    run = _strict_fit("--dataset", dataset_file, "--config", config_file,
+                      "--out", str(tmp_path / "out"), "--alpha-rate", "1e-300")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    prefix = "warning: rhat >= 1.1 for: "
+    [flagged] = [line for line in run.stdout.splitlines() if line.startswith(prefix)]
+    assert "alpha" in flagged.removeprefix(prefix).split(", ")
 
 
 def test_write_atomic_failure_keeps_previous_file(tmp_path):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +447,78 @@ def test_export_draws_matches_csv_writer(tmp_path, include_hyperparams):
     export_draws(no_sites, fast, include_hyperparams=include_hyperparams)
     reference_export_draws(no_sites, ref, include_hyperparams=include_hyperparams)
     assert fast.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_chains", [1, 3, 4])
+def test_export_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, n_chains, processes):
+    """Whatever the number of processes the export may use, it writes the
+    reference's bytes, forks one child per further share of the chains
+    (min(chains, processes) shares), and leaves no part file; with no site
+    and the hyperparameters left out only the header is written, in this
+    process alone."""
+    monkeypatch.setattr(sampler, "_export_processes", lambda: processes)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1),
+                     McmcConfig(n_chains=n_chains, n_warmup=10, n_draws=70, seed=3))
+    no_sites = replace(draws, lambdas=draws.lambdas[:, :, :0], site_ids=())
+    shares = min(n_chains, processes)
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    for case, include_hyperparams, n_shares in ((draws, True, shares), (draws, False, shares),
+                                                (no_sites, True, shares), (no_sites, False, 1)):
+        forks.clear()
+        export_draws(case, fast, include_hyperparams=include_hyperparams)
+        reference_export_draws(case, ref, include_hyperparams=include_hyperparams)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert len(forks) == n_shares - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "ref.csv"]
+
+
+def test_export_forks_only_with_no_other_thread(tmp_path, monkeypatch):
+    """The export uses at most two processes, and one on one usable CPU or
+    while another Python thread runs.  When it forks, OpenBLAS has stopped
+    its worker threads, so the process is single-threaded: the thread count
+    that Python 3.12+ reads from /proc after a fork, to warn that the child
+    may deadlock, is 1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert sampler._export_processes() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sampler._export_processes() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert sampler._export_processes() == 1
+    finally:
+        release.set()
+        thread.join()
+    assert sampler._export_processes() == 2
+
+    stat = Path("/proc/self/stat")
+    if not stat.exists():
+        pytest.skip("no /proc thread count on this platform")
+    np.ones((256, 256)) @ np.ones((256, 256))  # starts OpenBLAS's threads, if any
+    counts, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            counts.append(int(stat.read_text().rsplit(")", 1)[1].split()[17]))
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1),
+                     McmcConfig(n_chains=2, n_warmup=10, n_draws=70, seed=3))
+    export_draws(draws, tmp_path / "draws.csv")
+    assert counts == [1]
 
 
 @pytest.mark.parametrize("n_draws, freeze", [(40, None), (41, None), (41, (1e-8, 1.0))],
