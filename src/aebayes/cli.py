@@ -27,7 +27,9 @@ elicit or read elicitation records (``elicit``, ``cv``, ``efficiency`` and
 ``report``) import ``elicitation``; ``ingest`` and ``fit`` never load it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 network or
-elicitation failure, 5 numerical failure.
+elicitation failure, 5 numerical failure.  An output file that cannot be
+written is a configuration error, and an audit log that ``report`` cannot
+read a data error.
 """
 
 from __future__ import annotations
@@ -321,17 +323,28 @@ def _check_out_dirs(cfg: RunConfig, *kinds: str) -> None:
 
 
 @contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError of the block that writes ``path`` (say, a directory
+    holds its name) into a ConfigError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
 def _replacing(path: Path):
     """Yield a temporary path beside ``path``; the file written there
     replaces ``path`` on success and is removed on any failure or interrupt,
     so ``path`` keeps its previous bytes and no partial file remains."""
     tmp = path.with_name(path.name + ".tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _writing(path):
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -426,7 +439,9 @@ def cmd_elicit(args: argparse.Namespace) -> int:
     try:
         prior = elicit_prior(condition.strategy, condition.elicit, transport, audit)
     finally:
-        write_audit_log(audit, _out_dir(cfg, "audit") / "elicitations.jsonl")
+        path = _out_dir(cfg, "audit") / "elicitations.jsonl"
+        with _writing(path):
+            write_audit_log(audit, path)
     n_ok = prior.n_successes
     sys.stdout.write(
         f"model {condition.elicit.model_id}, strategy {condition.strategy.value}, "
@@ -543,8 +558,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not audit_dir.is_dir():
         raise DataError(f"no such audit directory: {audit_dir}")
     from .elicitation import prior_param_rows, read_audit_log
-    records = [rec for path in sorted(audit_dir.glob("*.jsonl"))
-               for rec in read_audit_log(path)]
+    records = []
+    for path in sorted(audit_dir.glob("*.jsonl")):
+        try:
+            records += read_audit_log(path)
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if not records:
         raise DataError(f"no elicitation records found under {audit_dir}")
     try:

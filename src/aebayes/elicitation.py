@@ -11,7 +11,7 @@ with retry/backoff, ``FixtureTransport`` replays recorded responses from
 a JSONL file so experiments are reproducible offline.  Every audit log
 written by ``write_audit_log`` is itself a valid fixture file.  A batch's
 one ``ChatRequest`` is its identity, and a recorded line is filed under the
-hash of the request its model, strategy and temperature make (``_check_line``).
+request its model, strategy and temperature make (``_check_line``).
 """
 
 from __future__ import annotations
@@ -210,42 +210,63 @@ class ChatRequest:
         }
 
     def request_hash(self) -> str:
-        return self._hash
-
-    @functools.cached_property  # a batch sends one request many times
-    def _hash(self) -> str:
+        """The sha256 of the payload's canonical JSON."""
         canonical = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=128)  # a log repeats a few identities on many lines
+def _request_hash(model: str, strategy: PromptStrategy, temperature: float) -> str:
+    return ChatRequest(model, build_prompt(strategy), temperature).request_hash()
+
+
 @dataclass(frozen=True)
 class ElicitationRecord:
-    """Audit record of a single query: either a parsed pair or an error.
+    """Audit record of a single query: what was asked and what came back.
 
-    Its JSON form is a superset of a fixture record, so an audit log
-    replays through ``FixtureTransport``.  ``response`` is None when the
-    transport itself failed.  ``parsed`` and ``error`` follow from
-    ``response`` (``_outcome``): the JSON form writes ``parsed`` for readers
-    of the log, and ``from_json_dict`` reads the rates from ``response``
-    again, exactly as a replay does.
+    ``response`` is None when the transport itself failed, and ``failure``
+    then holds its text.  The rest follows from these fields, cached per
+    record: ``parsed`` and ``error`` from the response, and
+    ``request_hash`` from the model, strategy and temperature.  The JSON
+    form writes them too, for readers of the log, and is a superset of a
+    fixture line, so an audit log replays through ``FixtureTransport``;
+    ``from_json_dict`` reads back the stored facts alone, exactly as a
+    replay does.
     """
 
-    request_hash: str
     model: str
     strategy: PromptStrategy
     temperature: float
     response: str | None
-    parsed: tuple[float, float] | None
-    error: str | None
     timestamp: float
+    failure: str | None = None
 
-    def __post_init__(self):
-        if (self.parsed is None) == (self.error is None):
-            raise ValueError("exactly one of parsed/error must be set")
+    @functools.cached_property
+    def _outcome(self) -> tuple[tuple[float, float] | None, str | None]:
+        """(parsed, error): the rates parsed from the response, or the error
+        text, which for a query without a response is its ``failure``."""
+        if self.response is None:
+            return None, self.failure or "recorded query failed"
+        try:
+            return parse_response(self.response), None
+        except ResponseFormatError as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+
+    @property
+    def parsed(self) -> tuple[float, float] | None:
+        return self._outcome[0]
+
+    @property
+    def error(self) -> str | None:
+        return self._outcome[1]
 
     @property
     def ok(self) -> bool:
         return self.parsed is not None
+
+    @property
+    def request_hash(self) -> str:
+        return _request_hash(self.model, self.strategy, self.temperature)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,13 +282,9 @@ class ElicitationRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ElicitationRecord":
-        request_hash = _check_line(obj)
-        parsed, error = _outcome(obj["response"], obj.get("error"))
-        return cls(request_hash=request_hash, model=obj["model"],
-                   strategy=PromptStrategy(obj["strategy"]),
-                   temperature=float(obj["temperature"]),
-                   response=obj["response"], parsed=parsed, error=error,
-                   timestamp=float(obj["timestamp"]))
+        response = obj["response"]
+        return cls(*_check_line(obj), response=response, timestamp=float(obj["timestamp"]),
+                   failure=obj.get("error") if response is None else None)
 
 
 @dataclass(frozen=True)
@@ -327,12 +344,10 @@ class HttpTransport:
         return content
 
 
-def _check_line(rec) -> str:
-    """Check one line of a fixture file or audit log and return the request
-    hash it is filed under: the hash of its model, strategy and temperature
-    (in a batch's range, (0, 2]), or, on a line that gives none of the three,
-    its stored ``request_hash``, which must then be a non-empty string like
-    any stored one."""
+def _check_line(rec) -> tuple[str, PromptStrategy, float]:
+    """Check one line of a fixture file or audit log and return the identity
+    it is filed under: its model, strategy and temperature, which must lie
+    in a batch's range, (0, 2].  A stored ``request_hash`` is not read."""
     if not isinstance(rec, dict):
         raise ElicitationError(f"expected a JSON object, got {rec!r}")
     if "response" not in rec:
@@ -340,25 +355,15 @@ def _check_line(rec) -> str:
     for name in ("response", "error"):
         if not isinstance(rec.get(name), (str, type(None))):
             raise ElicitationError(f"{name!r} must be a string or null, got {rec[name]!r}")
-    for name in ("model", "request_hash"):
-        if name in rec and not (isinstance(rec[name], str) and rec[name]):
-            raise ElicitationError(f"{name!r} must be a non-empty string, got {rec[name]!r}")
-    if "request_hash" in rec and rec.keys().isdisjoint(("model", "strategy", "temperature")):
-        return rec["request_hash"]
+    if "model" in rec and not (isinstance(rec["model"], str) and rec["model"]):
+        raise ElicitationError(f"'model' must be a non-empty string, got {rec['model']!r}")
     try:
-        return _filed_hash(rec["model"], PromptStrategy(rec["strategy"]),
-                           _temperature(rec["temperature"]))
+        return rec["model"], PromptStrategy(rec["strategy"]), _temperature(rec["temperature"])
     except KeyError as exc:
         raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
-                               f"and temperature, or only a request_hash): {rec!r}") from exc
+                               f"and temperature): {rec!r}") from exc
     except ValueError as exc:
         raise ElicitationError(f"invalid strategy or temperature: {exc}") from exc
-
-
-@functools.lru_cache(maxsize=128)  # a log repeats a few keys on many lines
-def _filed_hash(model: str, strategy: PromptStrategy, temperature: float) -> str:
-    return ChatRequest(model=model, prompt=build_prompt(strategy),
-                       temperature=temperature).request_hash()
 
 
 def _read_jsonl(path: str | os.PathLike, parse) -> list:
@@ -382,21 +387,21 @@ def _read_jsonl(path: str | os.PathLike, parse) -> list:
 
 
 class FixtureTransport:
-    """Replays recorded responses keyed by request hash.
+    """Replays recorded responses to the requests they were recorded for.
 
     The fixture file (``from_path``) is JSONL; each line (``add_record``)
-    holds the model, strategy and temperature its request hash is computed
-    from, or else only an explicit ``request_hash``, plus the raw
-    ``response`` body, a string.  Audit logs qualify.  Responses for the
-    same request are served in file order, and a null one (a transport
-    failure) raises ``RecordedFailureError`` with its recorded ``error``
-    text, so an audit log replays exactly.  They cycle when exhausted, so a
-    batch larger than the recording still gets deterministic answers.
+    holds the model, strategy and temperature that make its request, plus
+    the raw ``response`` body, a string.  Audit logs qualify.  Responses
+    for the same request are served in file order, and a null one (a
+    transport failure) raises ``RecordedFailureError`` with its recorded
+    ``error`` text, so an audit log replays exactly.  They cycle when
+    exhausted, so a batch larger than the recording still gets
+    deterministic answers.
     """
 
     def __init__(self):
-        self._responses: dict[str, list[str | RecordedFailureError]] = {}
-        self._cursor: dict[str, int] = {}
+        self._responses: dict[ChatRequest, list[str | RecordedFailureError]] = {}
+        self._cursor: dict[ChatRequest, int] = {}
 
     @classmethod
     def from_path(cls, path: str | os.PathLike) -> "FixtureTransport":
@@ -405,20 +410,21 @@ class FixtureTransport:
         return transport
 
     def add_record(self, rec: dict) -> None:
-        self._responses.setdefault(_check_line(rec), []).append(
+        model, strategy, temperature = _check_line(rec)
+        request = ChatRequest(model, build_prompt(strategy), temperature)
+        self._responses.setdefault(request, []).append(
             RecordedFailureError(rec.get("error") or "recorded query failed")
             if rec["response"] is None else rec["response"])
 
     def send(self, request: ChatRequest) -> str:
-        key = request.request_hash()
-        responses = self._responses.get(key)
+        responses = self._responses.get(request)
         if not responses:
             raise FixtureMissError(
                 f"no recorded response for model={request.model!r} "
                 f"temperature={request.temperature}"
             )
-        i = self._cursor.get(key, 0)
-        self._cursor[key] = (i + 1) % len(responses)
+        i = self._cursor.get(request, 0)
+        self._cursor[request] = (i + 1) % len(responses)
         if isinstance(responses[i], RecordedFailureError):
             raise RecordedFailureError(str(responses[i]))  # a fresh traceback each turn
         return responses[i]
@@ -492,20 +498,6 @@ def parse_response(raw: str) -> tuple[float, float]:
     return _require_rate(obj, "alpha_rate"), _require_rate(obj, "beta_rate")
 
 
-def _outcome(response: str | None,
-             failure: str | None) -> tuple[tuple[float, float] | None, str | None]:
-    """A query's (parsed, error) pair: the rates parsed from its response,
-    or the error text, which for a query without a response is its
-    transport's ``failure`` text.  A query sent and a logged line read
-    back both go through here."""
-    if response is None:
-        return None, failure or "recorded query failed"
-    try:
-        return parse_response(response), None
-    except ResponseFormatError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
                  audit: list[ElicitationRecord] | None = None) -> AggregatedPrior:
     """Run ``n_queries`` query/parse cycles and aggregate by arithmetic mean.
@@ -518,7 +510,6 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
     """
     request = ChatRequest(model=config.model_id, prompt=build_prompt(strategy),
                           temperature=config.temperature)
-    request_hash = request.request_hash()
     records = []
     for _ in range(config.n_queries):
         response = failure = None
@@ -527,11 +518,9 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
         except ElicitationError as exc:
             failure = (str(exc) if isinstance(exc, RecordedFailureError)
                        else f"{type(exc).__name__}: {exc}")
-        parsed, error = _outcome(response, failure)
         records.append(ElicitationRecord(
-            request_hash=request_hash, model=config.model_id, strategy=strategy,
-            temperature=config.temperature, response=response, parsed=parsed,
-            error=error, timestamp=time.time()))
+            model=config.model_id, strategy=strategy, temperature=config.temperature,
+            response=response, timestamp=time.time(), failure=failure))
         if audit is not None:
             audit.append(records[-1])
 
@@ -547,9 +536,14 @@ def elicit_prior(strategy: PromptStrategy, config: ElicitationConfig, transport,
 
 def _hull_mean(values: list[float]) -> float:
     """Arithmetic mean, clamped to [min, max]: rounding can carry the mean
-    of equal values just past them (three 0.4s average 0.4000000000000001)."""
+    of equal values just past them (three 0.4s average 0.4000000000000001).
+    Rates whose sum passes the float range are averaged as sum(v / n)."""
     import numpy as np
-    return min(max(float(np.mean(values)), min(values)), max(values))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+        if math.isinf(mean):
+            mean = float(np.sum(np.divide(values, len(values))))
+    return min(max(mean, min(values)), max(values))
 
 
 def prior_param_rows(records) -> list[dict]:

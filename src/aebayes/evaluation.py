@@ -178,8 +178,13 @@ class Split:
             return self._scores[spec]
         rates = (spec.alpha_rate, spec.beta_rate)
         coarse = self._grid(_COARSE_BOX, _COARSE.size)
-        lp = coarse.posterior(rates)
+        with np.errstate(over="ignore"):  # a rate near 1e303 or more makes a -inf term
+            lp = coarse.posterior(rates)
         keep = lp > lp.max() - _LOG_DROP
+        if not keep.any():
+            # a rate from about 1e31 up pins the peak to the box's least alpha
+            # or beta, so far below 0 that subtracting _LOG_DROP rounds to nothing
+            raise NumericalError("quadrature grid leaves 1 of the mass on its edge")
         # the factor (beta / (1 + beta))^alpha of every count's NB
         lp += np.multiply(coarse.a[:, None], coarse.log_q)
         for k in {0, self._ys.size - 1}:  # predictive integrands, up to lgamma(y + 1)

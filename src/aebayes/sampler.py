@@ -282,15 +282,17 @@ def _sample_hyperparams(dataset: Dataset, spec: HyperPriorSpec,
         if lo == n_warmup:  # the kept draws use the final kernel
             factor *= np.exp(log_step)[:, None, None]
         steps = (factor * normals[lo:hi, :, None, :]).sum(axis=-1)
-        for it in range(lo, hi):
-            prop = x + (np.exp(log_step)[:, None] * steps[it - lo] if warmup else steps[it - lo])
-            lp_prop = log_post(prop, rates)
-            acc = log_u[it] < lp_prop - lp  # a nan proposal is rejected
-            x = trace[it] = np.where(acc[:, None], prop, x)
-            lp = np.where(acc, lp_prop, lp)
-            if warmup:
-                gain = (it + 1 - gain_from) ** -_GAIN_DECAY
-                log_step += (acc - _TARGET_ACCEPT) * gain
+        with np.errstate(all="ignore"):  # a proposal that overflows scores -inf or nan
+            for it in range(lo, hi):
+                prop = x + (np.exp(log_step)[:, None] * steps[it - lo] if warmup
+                            else steps[it - lo])
+                lp_prop = log_post(prop, rates)
+                acc = log_u[it] < lp_prop - lp  # a nan proposal is rejected
+                x = trace[it] = np.where(acc[:, None], prop, x)
+                lp = np.where(acc, lp_prop, lp)
+                if warmup:
+                    gain = (it + 1 - gain_from) ** -_GAIN_DECAY
+                    log_step += (acc - _TARGET_ACCEPT) * gain
         if hi - lo == _ADAPT_WINDOW and hi <= n_warmup - _ADAPT_WINDOW:
             # reshape by the latter half of the warmup so far where it moved enough
             recent = trace[hi // 2 - 1:hi]

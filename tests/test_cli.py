@@ -413,6 +413,23 @@ def test_fit_flags_overflowing_rhat(dataset_file, config_file, tmp_path):
     assert "alpha" in flagged.removeprefix(prefix).split(", ")
 
 
+@pytest.mark.parametrize("response", ['{"alpha_rate": 1e32, "beta_rate": 0.1}',
+                                      '{"alpha_rate": 0.1, "beta_rate": 1e32}',
+                                      '{"alpha_rate": 1e308, "beta_rate": 0.1}'],
+                         ids=["alpha-1e32", "beta-1e32", "alpha-1e308"])
+def test_cv_extreme_elicited_rate_exit_code(dataset_file, tmp_path, capsys, response):
+    """An elicited rate from about 1e31 up, however large a finite one,
+    leaves the posterior's mass on the quadrature grid's edge: exit 5 with
+    one line, and no numpy warning on the way."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0, response=response)])
+    rc = main(["cv", "--dataset", dataset_file, "--fixtures", fx, "--k", "3",
+               "--models", "m1", "--strategies", "blind", "--temperatures", "1.0",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (rc, err) == (5, "numerical error: quadrature grid leaves 1 of the mass "
+                            "on its edge\n")
+
+
 def test_write_atomic_failure_keeps_previous_file(tmp_path):
     """A write that fails after its temporary file was created (here a lone
     surrogate that UTF-8 cannot encode) leaves the previous file and removes
@@ -970,19 +987,18 @@ LINE_RATES = [("alpha_rate", "1", 0.5), ("beta_rate", "1", 0.1)]
     (_audit_line(parsed=[0.5, 0.1]), "no rates"),
     (_audit_line(response=PARSED_RECORD["response"], parsed=[-3, 0]), LINE_RATES),
     (_audit_line(response=5, error="ResponseFormatError: not text"), "rejected"),
-    (_audit_line(response=PARSED_RECORD["response"], request_hash=5), "rejected"),
+    (_audit_line(response=PARSED_RECORD["response"], request_hash=5), LINE_RATES),
     (_audit_line(response=PARSED_RECORD["response"], request_hash=_request_hash(1.0)),
      LINE_RATES),
     ({"request_hash": _request_hash(0.5), "response": PARSED_RECORD["response"]},
-     LINE_RATES),
+     "rejected"),
 ], ids=["parsed-without-response", "parsed-beside-response", "non-text-response",
         "numeric-hash", "hash-of-other-fields", "hash-only"])
 def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line, outcome):
     """``report`` and a ``--fixtures`` replay of the same audit line either
     both count the same rates or both reject the line: each files it under
-    its model, strategy and temperature, whatever hash it stores.  A
-    hash-only fixture line still replays; ``report``, which groups lines by
-    those fields, rejects it."""
+    its model, strategy and temperature, and neither reads a stored hash,
+    so a line that gives only a hash is malformed."""
     out_dir = tmp_path / "out"
     (out_dir / "audit").mkdir(parents=True)
     log = out_dir / "audit" / "elicitations.jsonl"
@@ -1004,8 +1020,7 @@ def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line, outcome)
     replayed = seen(rc, lambda out: [  # the alpha_rate and beta_rate lines
         (name, "1", float(value))
         for name, _, value in (text.partition(" = ") for text in out.splitlines()[2:])])
-    assert replayed == outcome
-    assert reported == (outcome if "model" in line else "rejected")
+    assert replayed == reported == outcome
 
 
 @pytest.mark.parametrize("model", [5, None], ids=["int", "null"])
@@ -1134,6 +1149,59 @@ def test_unwritable_out_exit_code(dataset_file, config_file, tmp_path, monkeypat
         f"{blocked_path} {reason}\n")
     assert sent == []
     assert not (out_dir / "reports").is_dir()
+
+
+@pytest.mark.parametrize("command, taken", [
+    ("ingest", "reports/ingest.txt"),
+    ("ingest", "reports/ingest.txt.tmp"),
+    ("elicit", "audit/elicitations.jsonl"),
+    ("fit", "draws/draws.csv"),
+    ("cv", "results/cv_folds.csv"),
+    ("efficiency", "reports/efficiency_report.txt"),
+    ("report", "results/prior_param_stats.csv"),
+])
+def test_output_file_taken_by_a_directory_exit_code(dataset_file, config_file, tmp_path,
+                                                    capsys, command, taken):
+    """An output file that cannot be written, here because a directory holds
+    its path or its temporary file's (a superuser may write any file, but
+    no one may write a directory), exits 2 naming the file, and leaves no
+    temporary file."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 0.5)])
+    replay = ["--fixtures", fx, "--config", config_file]
+    one = ["--model", "m1", "--strategy", "blind", "--temperature", "0.5"]
+    argv = {
+        "ingest": ["ingest", dataset_file],
+        "elicit": ["elicit", *replay, *one],
+        "fit": ["fit", "--dataset", dataset_file, "--config", config_file],
+        "cv": ["cv", "--dataset", dataset_file, *replay, "--k", "3", "--models", "m1",
+               "--strategies", "blind", "--temperatures", "0.5"],
+        "efficiency": ["efficiency", "--dataset", dataset_file, *replay, *one,
+                       "--n-replications", "1"],
+        "report": ["report"],
+    }[command]
+    out_dir = tmp_path / "out"
+    if command == "report":
+        (out_dir / "audit").mkdir(parents=True)
+        write_fixtures(out_dir / "audit", [PARSED_RECORD], "elicitations.jsonl")
+    (out_dir / taken).mkdir(parents=True)
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("configuration error: cannot write "
+                                       f"{out_dir / taken.removesuffix('.tmp')}: "
+                                       "Is a directory\n")
+    assert list(out_dir.rglob("*.tmp")) == [out_dir / taken] * taken.endswith(".tmp")
+
+
+def test_report_audit_log_taken_by_a_directory_exit_code(tmp_path, capsys):
+    """An audit log that ``report`` cannot read, here a directory by its
+    name, exits 3 naming it, as a missing audit directory does."""
+    out_dir = tmp_path / "out"
+    (out_dir / "audit").mkdir(parents=True)
+    write_fixtures(out_dir / "audit", [PARSED_RECORD], "elicitations.jsonl")
+    (out_dir / "audit" / "x.jsonl").mkdir()
+    assert main(["report", "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot read {out_dir / 'audit' / 'x.jsonl'}: Is a directory\n")
+    assert not (out_dir / "reports").exists()
 
 
 def test_config_unknown_key_exit_code(dataset_file, tmp_path, capsys):

@@ -277,15 +277,6 @@ def test_fixture_transport_miss():
                                    build_prompt(PromptStrategy.BLIND), 1.0))
 
 
-def test_fixture_transport_explicit_hash_and_file(tmp_path):
-    req = ChatRequest("m", "custom prompt", 0.3)
-    path = tmp_path / "fx.jsonl"
-    path.write_text(json.dumps({"request_hash": req.request_hash(),
-                                "response": "hello"}) + "\n")
-    transport = FixtureTransport.from_path(path)
-    assert transport.send(req) == "hello"
-
-
 def test_jsonl_reads_a_leading_byte_order_mark_as_nothing(tmp_path):
     """A fixture file or audit log that starts with a UTF-8 byte-order mark
     reads as the same file without it."""
@@ -328,10 +319,11 @@ def test_fixture_line_temperature_outside_the_batch_range(tmp_path, temperature)
         FixtureTransport.from_path(path)
 
 
-def test_each_request_identity_is_hashed_once(monkeypatch):
-    """A fixture file hashes each (model, strategy, temperature) key once,
-    however many lines repeat it, and a batch hashes its request once,
-    however many queries send it."""
+def test_replay_hashes_nothing_and_the_audit_log_each_identity_once(monkeypatch, tmp_path):
+    """Loading a fixture file and replaying a batch hash nothing: a line is
+    filed under its request, and a request looks itself up.  Writing the
+    batch's audit log hashes each (model, strategy, temperature) once,
+    however many records share it."""
     from aebayes import elicitation
     calls, real_sha256 = [], hashlib.sha256
 
@@ -340,16 +332,22 @@ def test_each_request_identity_is_hashed_once(monkeypatch):
         return real_sha256(data)
 
     monkeypatch.setattr(hashlib, "sha256", sha256)
-    elicitation._filed_hash.cache_clear()
-    line = {"model": "hash-once", "strategy": "blind", "temperature": 0.5,
-            "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}'}
-    transport = transport_from([line] * 10)
-    assert len(calls) == 1
-    prior = elicit_prior(PromptStrategy.BLIND, make_config(model_id="hash-once",
-                                                           temperature=0.5, n_queries=7),
-                         transport)
-    assert prior.n_successes == 7 and len(calls) == 2
-    assert {r.request_hash for r in prior.records} == {real_sha256(calls[0]).hexdigest()}
+    elicitation._request_hash.cache_clear()
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text("".join(
+        json.dumps({"model": "hash-once", "strategy": "blind", "temperature": temperature,
+                    "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}'}) + "\n"
+        for temperature in (0.5, 1.0) for _ in range(5)))
+    transport = FixtureTransport.from_path(fixtures)
+    audit = []
+    for temperature in (0.5, 1.0, 0.5):
+        elicit_prior(PromptStrategy.BLIND, make_config(model_id="hash-once",
+                                                       temperature=temperature, n_queries=7),
+                     transport, audit)
+    assert len(audit) == 21 and all(r.ok for r in audit) and calls == []
+    write_audit_log(audit, tmp_path / "audit.jsonl")
+    assert [audit[0].request_hash, audit[7].request_hash] == [
+        real_sha256(data).hexdigest() for data in calls]
 
 
 def test_fixture_transport_replays_null_responses_as_failures():
@@ -378,9 +376,8 @@ def test_audit_log_replays_as_fixtures(tmp_path):
     cfg = make_config(n_queries=3)
     first = elicit_prior(PromptStrategy.BLIND, cfg, _transport_for(bodies))
     failed = ElicitationRecord(
-        request_hash=first.records[0].request_hash, model="test-model",
-        strategy=PromptStrategy.BLIND, temperature=1.0, response=None,
-        parsed=None, error="RetriesExhaustedError: boom", timestamp=0.0)
+        model="test-model", strategy=PromptStrategy.BLIND, temperature=1.0, response=None,
+        timestamp=0.0, failure="RetriesExhaustedError: boom")
     path = tmp_path / "audit.jsonl"
     write_audit_log([failed, *first.records], path)
 
@@ -463,13 +460,24 @@ def test_elicit_prior_mean_of_equal_answers_is_that_answer():
     assert prior.spec == HyperPriorSpec(0.4, 1.0)
 
 
-def test_record_requires_exactly_one_of_parsed_error():
-    kw = dict(request_hash="h", model="m", strategy=PromptStrategy.BLIND,
-              temperature=1.0, response="r", timestamp=0.0)
-    with pytest.raises(ValueError):
-        ElicitationRecord(parsed=(1.0, 1.0), error="both", **kw)
-    with pytest.raises(ValueError):
-        ElicitationRecord(parsed=None, error=None, **kw)
+def test_record_derives_parsed_error_and_hash_and_reads_back_equal(tmp_path):
+    """A record holds what happened; ``parsed`` or ``error``, never both,
+    and ``request_hash`` follow from it, and each record reads back from
+    its audit line equal to the record written.  A response's parse error
+    is derived again, not stored as a failure."""
+    base = dict(model="m", strategy=PromptStrategy.BLIND, temperature=1.0, timestamp=0.0)
+    ok = ElicitationRecord(response='{"alpha_rate": 0.5, "beta_rate": 0.1}', **base)
+    unparsed = ElicitationRecord(response="garbage", **base)
+    failed = ElicitationRecord(response=None, failure="RetriesExhaustedError: boom", **base)
+    assert (ok.parsed, ok.error) == ((0.5, 0.1), None)
+    assert unparsed.parsed is None and unparsed.error.startswith("ResponseFormatError: ")
+    assert (failed.parsed, failed.error) == (None, "RetriesExhaustedError: boom")
+    assert {r.request_hash for r in (ok, unparsed, failed)} == {
+        _request_hash("m", PromptStrategy.BLIND, 1.0)}
+    path = tmp_path / "audit.jsonl"
+    write_audit_log([ok, unparsed, failed], path)
+    assert read_audit_log(path) == [ok, unparsed, failed]
+    assert read_audit_log(path)[1].failure is None
 
 
 def test_config_validation():
@@ -518,23 +526,20 @@ def test_config_rejects_a_temperature_that_is_not_a_real_number(temperature):
 # ------------------------------------------------------------------- stats
 
 def _request_hash(model: str, strategy: PromptStrategy, temp: float) -> str:
-    """The hash a line for (model, strategy, temp) is filed under."""
+    """The hash of the request for (model, strategy, temp)."""
     return ChatRequest(model, build_prompt(strategy), temp).request_hash()
 
 
 def _ok_record(model: str, strategy: PromptStrategy, temp: float,
                a: float, b: float) -> ElicitationRecord:
-    return ElicitationRecord(request_hash=_request_hash(model, strategy, temp),
-                             model=model, strategy=strategy,
-                             temperature=temp,
+    return ElicitationRecord(model=model, strategy=strategy, temperature=temp,
                              response=json.dumps({"alpha_rate": a, "beta_rate": b}),
-                             parsed=(a, b), error=None, timestamp=0.0)
+                             timestamp=0.0)
 
 
 def _failed_record(model: str = "m") -> ElicitationRecord:
-    return ElicitationRecord(request_hash=_request_hash(model, PromptStrategy.BLIND, 1.0),
-                             model=model, strategy=PromptStrategy.BLIND, temperature=1.0,
-                             response="x", parsed=None, error="nope", timestamp=0.0)
+    return ElicitationRecord(model=model, strategy=PromptStrategy.BLIND, temperature=1.0,
+                             response="x", timestamp=0.0)
 
 
 def _alpha_stats(records) -> dict:

@@ -252,7 +252,10 @@ def test_quadrature_lpd_extreme_counts():
 def test_quadrature_lpd_rejects_mass_off_the_grid():
     """Rates of 1e-6 leave the equidispersed set's posterior running on
     along alpha / beta = 3 past the largest alpha of the coarse box, where
-    its maximum sits, and the score raises NumericalError."""
+    its maximum sits, and the score raises NumericalError.  So does a rate
+    from about 1e31 up, which pins the peak to the least alpha or beta at a
+    log density too large for the coarse search to keep any point, and
+    whose product with alpha or beta may overflow, with no numpy warning."""
     train = QUADRATURE_SETS["equidispersed"]
     spec = HyperPriorSpec(1e-6, 1e-6)
     split = Split(train, train)
@@ -261,6 +264,9 @@ def test_quadrature_lpd_rejects_mass_off_the_grid():
     assert np.unravel_index(lp.argmax(), lp.shape)[0] == evaluation._COARSE.size - 1
     with pytest.raises(sampler.NumericalError, match="on its edge"):
         split.quadrature(spec)
+    for rates in [(1e32, 0.1), (0.1, 1e32), (1e308, 0.1)]:
+        with pytest.raises(sampler.NumericalError, match="on its edge"):
+            split.quadrature(HyperPriorSpec(*rates))
 
 
 def test_quadrature_lpd_raises_when_the_grid_never_settles(monkeypatch):

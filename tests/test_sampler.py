@@ -334,6 +334,17 @@ def test_moments_match_quadrature(name):
         assert abs(z_mean) < 3 and abs(z_sd) < 3, (param, z)
 
 
+@pytest.mark.parametrize("name, rates", [("alpha", (1e308, 0.1)), ("beta", (0.1, 1e308))],
+                         ids=["alpha", "beta"])
+def test_extreme_rate_proposals_are_rejected_without_warnings(name, rates):
+    """Under a rate of 1e308, a proposal overflows the rate's term or
+    underflows its parameter to 0; it scores -inf or nan and is rejected,
+    with no numpy warning (pytest makes one an error), and the parameter's
+    stuck chains are flagged."""
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(*rates), McmcConfig())
+    assert name in draws.rhat_flags()
+
+
 def test_rhat_iid_chains_near_one():
     rng = np.random.default_rng(0)
     chains = rng.normal(size=(4, 1000))
