@@ -34,9 +34,12 @@ import numpy as np
 
 # the longest repr, "-2.2250738585072014e-308"
 WIDTH = 24
-# values formatted per pass, so no temporary of a pass (32 KB per 64-bit
-# array) grows with the caller's array
-_CHUNK = 4096
+# values formatted per pass, so no temporary of a pass (64 KB per 64-bit
+# array) grows with the caller's array.  8192 takes a 64-draw export block
+# of up to 128 columns in one pass: a 125-site fit's 508,000 draws took
+# 0.135 s, against 0.151 s in two passes a block at 4096, and one array of
+# them 0.29 s in passes of 65536 (2-vCPU Xeon, numpy 2.4)
+_CHUNK = 8192
 
 _U = np.uint64
 _SIGN_BIT = _U(63)

@@ -564,11 +564,21 @@ def prior_param_rows(records) -> list[dict]:
         for parameter, values in zip(("alpha_rate", "beta_rate"), zip(*pairs)):
             arr = np.asarray(values, dtype=np.float64)
             q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-            sd = arr.std(ddof=1) if arr.size > 1 else 0.0
+            # rates near the float maximum overflow numpy's sums; such a
+            # group's mean is taken as _hull_mean takes it, and its SD on
+            # the rates scaled by the largest
+            with np.errstate(over="ignore"):
+                mean = float(arr.mean())
+                sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+                if not math.isfinite(mean):
+                    mean = _hull_mean(values)
+                if not math.isfinite(sd):
+                    scale = arr.max()
+                    sd = float(scale * (arr / scale).std(ddof=1))
             rows.append({
                 "model": model, "strategy": strategy, "temperature": f"{temperature:g}",
-                "parameter": parameter, "n": arr.size, "mean": repr(float(arr.mean())),
-                "sd": repr(float(sd)), "min": repr(float(arr.min())), "q1": repr(float(q1)),
+                "parameter": parameter, "n": arr.size, "mean": repr(mean),
+                "sd": repr(sd), "min": repr(float(arr.min())), "q1": repr(float(q1)),
                 "median": repr(float(median)), "q3": repr(float(q3)),
                 "max": repr(float(arr.max())),
             })

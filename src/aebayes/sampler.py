@@ -42,11 +42,12 @@ below ``RHAT_THRESHOLD`` (1.1, fixed), nan included.
 ``export_draws`` writes the draws as one csv line per value, each value
 in ``repr``'s shortest round-trip form.  ``_floatrepr.repr_bytes`` gives
 those bytes for a block of draws at once, and the lines are assembled
-from them as bytes; the module and its tables load only when a fit is
-exported.  The chains are cut into contiguous shares, one per process, at
-most two: a forked child formats the second share into an anonymous
-temporary file, which this process appends after its own, so the file's
-bytes do not depend on the number of processes.
+from them as bytes, in NUL-padded slots whose padding is deleted as they
+are written; a NUL in a site id is carried as 0xFF, which UTF-8 never
+holds.  The module and its tables load only when a fit is exported.  On
+two or more usable CPUs, one forked child formats the later half of the
+chains into an anonymous temporary file, which this process appends after
+its own half, so the file's bytes do not depend on the fork.
 
 The chain settings ``McmcConfig`` and the error ``NumericalError`` are
 defined in ``model``, which imports no numpy, so the CLI checks its
@@ -86,6 +87,9 @@ _INITIAL_STEP = 0.5
 # sites per split-R-hat block and draws per export block, so no temporary
 # grows with the site count
 _BLOCK_ROWS = 64
+# an export line's bytes as written: its NUL padding deleted, then each 0xFF,
+# a NUL of a name, turned back into a NUL
+_UNPAD = bytes.maketrans(b"\xff", b"\0")
 # a parameter whose split R-hat is at least this is flagged as not converged
 RHAT_THRESHOLD = 1.1
 # B: a log rising factorial takes one log(alpha + k) term per k below B, and
@@ -377,18 +381,16 @@ def compute_rhat(chains: np.ndarray) -> float:
     return float(_split_rhat(arr[None])[0])
 
 
-def _export_processes() -> int:
-    """The most processes an export may format in: two, the count whose
-    cost was measured, or 1 on one usable CPU, without ``os.fork``, or while
-    another Python thread runs, whose locks a forked child could inherit
-    held.  (OpenBLAS stops its own threads when this process forks.)"""
+def _can_fork() -> bool:
+    """Whether an export may format half its chains in a forked child: not
+    on one usable CPU, without ``os.fork``, or while another Python thread
+    runs, whose locks a forked child could inherit held.  (OpenBLAS stops
+    its own threads when this process forks.)"""
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+        return False
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
@@ -399,17 +401,19 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
     written as ``repr(float)``, Python's shortest round-trip form.  Each
     parameter name is csv-escaped once, and the values are formatted
     _BLOCK_ROWS draws at a time by ``_floatrepr.repr_bytes``, which gives
-    ``repr``'s bytes for a whole array.
+    ``repr``'s bytes for a whole array.  A block's lines are laid out in
+    fixed-width slots padded with NULs, and the padding is dropped as the
+    block is written; a NUL inside a name is held as 0xFF, a byte that no
+    UTF-8 text holds, and restored then.
 
-    The chains are cut into P contiguous shares: P = min(n_chains, 2, usable
-    CPUs), and 1 without ``os.fork`` or while another Python thread runs.
-    Share k > 0 is written by a forked child to an anonymous temporary file
-    that this process opened; this process writes the header and share 0,
-    then reaps each child in order and appends its file, so the bytes do not
-    depend on P and no part file stays on disk, however the processes end.  A child that fails
-    makes this raise ``RuntimeError`` naming its chains.  On any exception,
-    an interrupt included, every child still running is killed and reaped
-    before the exception propagates.
+    With two or more chains and ``_can_fork()``, a forked child writes the
+    later half of the chains, from n_chains // 2 on, to an anonymous
+    temporary file that this process opened; this process writes the header
+    and the first half, then reaps the child and appends its file, so the
+    bytes do not depend on the fork and no part file stays on disk, however
+    the processes end.  A child that fails makes this raise ``RuntimeError``
+    naming its chains.  On any exception, an interrupt included, a child
+    still running is killed and reaped before the exception propagates.
     """
     import signal  # here alone: cv and efficiency import this module
 
@@ -426,22 +430,18 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
         buf.seek(0)
         buf.truncate()
         writer.writerow((name, ""))
-        columns.append(buf.getvalue()[:-1].encode("utf-8"))
+        columns.append(buf.getvalue()[:-1].encode("utf-8").replace(b"\0", b"\xff"))
     n_chains, n_draws = draws.alpha.shape
     # a block of lines, one per draw and column: "<c>,<d>,", the column's
     # "<parameter>,", the value and a newline, each part left-aligned in its
-    # own slot; only the bytes kept are written, in order
+    # own NUL-padded slot
     prefix_width = len(f"{n_chains - 1},{n_draws - 1},")
     name_width = max(map(len, columns), default=0)
     name_end = prefix_width + name_width
-    line = np.empty((_BLOCK_ROWS, len(columns), name_end + WIDTH + 1), dtype=np.uint8)
-    keep = np.empty(line.shape, dtype=bool)
+    line = np.zeros((_BLOCK_ROWS, len(columns), name_end + WIDTH + 1), dtype=np.uint8)
     name_bytes = np.array(columns, dtype=f"S{name_width}").view(np.uint8)
     line[:, :, prefix_width:name_end] = name_bytes.reshape(len(columns), name_width)
-    keep[:, :, prefix_width:name_end] = (np.arange(name_width)
-                                         < np.array([len(col) for col in columns])[:, None])
     line[:, :, -1] = ord("\n")
-    keep[:, :, -1] = True
 
     def write_chains(fh, chains: range) -> None:
         for c in chains:
@@ -455,22 +455,19 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                 prefix = np.array([f"{c},{d}," for d in range(start, start + rows)],
                                   dtype=f"S{prefix_width}").view(np.uint8)
                 line[:rows, :, :prefix_width] = prefix.reshape(rows, 1, prefix_width)
-                keep[:rows, :, :prefix_width] = line[:rows, :, :prefix_width] != 0
                 line[:rows, :, name_end:-1] = repr_bytes(block)
-                keep[:rows, :, name_end:-1] = line[:rows, :, name_end:-1] != 0
-                fh.write(line[:rows][keep[:rows]])
+                fh.write(line[:rows].tobytes().translate(_UNPAD, b"\0"))
 
     # without a single column (no sites, hyperparameters left out) a draw has
     # no line
     n_written = n_chains if columns else 0
-    processes = max(1, min(n_written, _export_processes()))
-    shares = [range(n_written * k // processes, n_written * (k + 1) // processes)
-              for k in range(processes)]
-    children = []  # (pid, share, part) of each child not yet reaped
+    half = n_written // 2 if n_written > 1 and _can_fork() else n_written
+    theirs = range(half, n_written)  # the child's chains, if it forks
+    part = tempfile.TemporaryFile() if theirs else None
+    pid = None  # the child's, until it is reaped
     try:
-        for share in shares[1:]:
-            part = tempfile.TemporaryFile()
-            # no interrupt between the fork and the child's entry on the list
+        if theirs:
+            # no interrupt between the fork and the child's pid being kept
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
@@ -481,38 +478,36 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        write_chains(part, share)
+                        write_chains(part, theirs)
                         part.flush()
                         code = 0
                     finally:
                         os._exit(code)
-                children.append((pid, share, part))
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with open(path, "wb") as fh:
             fh.write(b"chain,draw,parameter,value\n")
-            write_chains(fh, shares[0])
-            while children:
-                pid, share, part = children[0]
+            write_chains(fh, range(half))
+            if theirs:
                 status = os.waitpid(pid, 0)[1]
-                del children[0]
-                with part:
-                    if status:
-                        raise RuntimeError(
-                            f"the draws export of chain(s) {', '.join(map(str, share))} "
-                            f"failed in process {pid} "
-                            f"(exit status {os.waitstatus_to_exitcode(status)})")
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
+                reaped, pid = pid, None
+                if status:
+                    raise RuntimeError(
+                        f"the draws export of chain(s) {', '.join(map(str, theirs))} "
+                        f"failed in process {reaped} "
+                        f"(exit status {os.waitstatus_to_exitcode(status)})")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
     except BaseException:
-        for pid, _, part in children:
-            part.close()
-            try:
-                # a child reaped just before the interrupt is no longer
-                # ours, and its pid may already name another process
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
+        try:
+            # a child reaped just before the interrupt is no longer ours, and
+            # its pid may already name another process
+            if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
         raise
+    finally:
+        if part is not None:
+            part.close()

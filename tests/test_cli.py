@@ -329,11 +329,11 @@ def test_failed_export_share_leaves_no_child_or_part(dataset_file, tmp_path, mon
     child still at work.  Either way the previous draws.csv stays, with no
     temporary or part file beside it, and every child has been reaped."""
     config = tmp_path / "run.cfg"
-    # two chains of three export blocks each, one share per process
+    # two chains of three export blocks each, one per process
     config.write_text("n_chains = 2\nn_warmup = 40\nn_draws = 130\n", encoding="utf-8")
     argv = ["fit", "--dataset", dataset_file, "--config", str(config),
             "--out", str(tmp_path / "out")]
-    monkeypatch.setattr("aebayes.sampler._export_processes", lambda: 2)
+    monkeypatch.setattr("aebayes.sampler._can_fork", lambda: True)
     assert main(argv) == 0
     draws_path = tmp_path / "out" / "draws" / "draws.csv"
     before = draws_path.read_bytes()
@@ -382,7 +382,7 @@ def _strict_fit(*argv: str) -> subprocess.CompletedProcess:
     script = ("import sys\n"
               "from aebayes import sampler\n"
               "from aebayes.cli import main\n"
-              "sampler._export_processes = lambda: 2\n"
+              "sampler._can_fork = lambda: True\n"
               "sys.exit(main(['fit', *sys.argv[1:]]))\n")
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
                            *argv], capture_output=True, text=True,
@@ -930,6 +930,29 @@ def test_report_summarizes_audit_logs(tmp_path, capsys):
     stats = (out_dir / "reports" / "prior_param_stats.txt").read_text()
     assert "m1" in stats
     assert (out_dir / "results" / "prior_param_stats.csv").exists()
+
+
+@pytest.mark.filterwarnings("always::RuntimeWarning")
+def test_report_rates_near_the_float_maximum(tmp_path, capsys):
+    """A group of three 1e308 alpha rates overflows numpy's sum and sum of
+    squares; ``report`` still exits 0 without a warning, with a finite mean
+    within the group's range and an SD of 0.0."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0,
+                                                 response='{"alpha_rate": 1e308, '
+                                                          '"beta_rate": 0.1}')])
+    out_dir = tmp_path / "out"
+    assert main(["elicit", "--fixtures", fx, "--model", "m1", "--temperature", "1.0",
+                 "--n-queries", "3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert "warning:" not in captured.out + captured.err
+    with open(out_dir / "results" / "prior_param_stats.csv", newline="",
+              encoding="utf-8") as fh:
+        [alpha] = [row for row in csv.DictReader(fh) if row["parameter"] == "alpha_rate"]
+    assert alpha["n"] == "3"
+    assert float(alpha["min"]) <= float(alpha["mean"]) <= float(alpha["max"]) == 1e308
+    assert float(alpha["sd"]) == 0.0
 
 
 def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):

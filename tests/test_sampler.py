@@ -438,20 +438,25 @@ def test_export_draws(tmp_path):
 
 
 @pytest.mark.parametrize("include_hyperparams", [True, False], ids=["hyper", "sites_only"])
-def test_export_draws_matches_csv_writer(tmp_path, include_hyperparams):
+def test_export_draws_matches_csv_writer(tmp_path, monkeypatch, include_hyperparams):
     """The block writer produces the bytes of one csv.writer row per value,
     csv-escaping site ids, and keeps the bytes of ids holding a NUL, a
-    non-ASCII letter or a carriage return; 70 draws span two blocks of
-    draws."""
+    non-ASCII letter (ÿ, U+00FF, whose UTF-8 C3 BF holds no 0xFF, the byte
+    that carries a NUL), a four-byte character or a carriage return,
+    whether the later chain is written in this process or in a forked
+    child; 70 draws span two blocks of draws."""
     data = loads_dataset('site_id,patient_id,ae_count\n"a,""b",p1,3\n"a,""b",p2,0\n'
-                         'plain,p3,25\n"x\ny",p4,1\nn\0ul,p5,2\ncafé,p6,0\n"c\rr",p7,1\n')
-    assert data.site_ids[-3:] == ("n\0ul", "café", "c\rr")
+                         'plain,p3,25\n"x\ny",p4,1\nn\0ul,p5,2\ncafé,p6,0\n"c\rr",p7,1\n'
+                         'ÿ,p8,4\nk\U0001d538\0,p9,0\n')
+    assert data.site_ids[-5:] == ("n\0ul", "café", "c\rr", "ÿ", "k\U0001d538\0")
     draws = run_mcmc(data, HyperPriorSpec(0.1, 0.1),
                      McmcConfig(n_chains=2, n_warmup=10, n_draws=70, seed=2))
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-    export_draws(draws, fast, include_hyperparams=include_hyperparams)
     reference_export_draws(draws, ref, include_hyperparams=include_hyperparams)
-    assert fast.read_bytes() == ref.read_bytes()
+    for can_fork in (False, True):
+        monkeypatch.setattr(sampler, "_can_fork", lambda: can_fork)
+        export_draws(draws, fast, include_hyperparams=include_hyperparams)
+        assert fast.read_bytes() == ref.read_bytes()
     assert '\n0,0,"lambda[a,""b]",' in fast.read_text(encoding="utf-8")
     # no sites: with the hyperparameters left out, only the header remains
     no_sites = point_mass_draws(2.0, 1.0, 3)
@@ -460,15 +465,14 @@ def test_export_draws_matches_csv_writer(tmp_path, include_hyperparams):
     assert fast.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3, 4])
+@pytest.mark.parametrize("processes", [1, 2])
 @pytest.mark.parametrize("n_chains", [1, 3, 4])
 def test_export_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, n_chains, processes):
-    """Whatever the number of processes the export may use, it writes the
-    reference's bytes, forks one child per further share of the chains
-    (min(chains, processes) shares), and leaves no part file; with no site
-    and the hyperparameters left out only the header is written, in this
-    process alone."""
-    monkeypatch.setattr(sampler, "_export_processes", lambda: processes)
+    """In one process or two, the export writes the reference's bytes, forks
+    a child only for two or more chains, and leaves no part file; with no
+    site and the hyperparameters left out only the header is written, in
+    this process alone."""
+    monkeypatch.setattr(sampler, "_can_fork", lambda: processes == 2)
     forks = []
     fork = os.fork
 
@@ -493,25 +497,25 @@ def test_export_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, n_chains
 
 
 def test_export_forks_only_with_no_other_thread(tmp_path, monkeypatch):
-    """The export uses at most two processes, and one on one usable CPU or
-    while another Python thread runs.  When it forks, OpenBLAS has stopped
-    its worker threads, so the process is single-threaded: the thread count
+    """The export forks on two or more usable CPUs, and not on one or while
+    another Python thread runs.  When it forks, OpenBLAS has stopped its
+    worker threads, so the process is single-threaded: the thread count
     that Python 3.12+ reads from /proc after a fork, to warn that the child
     may deadlock, is 1."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert sampler._export_processes() == 2
+    assert sampler._can_fork()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert sampler._export_processes() == 1
+    assert not sampler._can_fork()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert sampler._export_processes() == 1
+        assert not sampler._can_fork()
     finally:
         release.set()
         thread.join()
-    assert sampler._export_processes() == 2
+    assert sampler._can_fork()
 
     stat = Path("/proc/self/stat")
     if not stat.exists():
