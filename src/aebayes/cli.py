@@ -362,13 +362,21 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
+def _format_cell(value, spec: str) -> str:
+    """``value`` in the fixed-point ``spec``, or in its ``e`` form at a
+    magnitude of 1e15 or more, where fixed point shows more digits than a
+    float holds."""
+    v = float(value)
+    return format(v, spec[:-1] + "e" if abs(v) >= 1e15 else spec)
+
+
 def _format_table(columns: list[tuple[str, str, str]], rows: list[dict]) -> str:
     """A text table of ``rows``, one column per (header, row key, format
     spec).  A cell with a spec holds a float or its repr, which
     ``float`` reads back exactly, so a results row and the text report
     show one number."""
     headers = [header for header, _, _ in columns]
-    cells = [[format(float(row[key]), spec) if spec else str(row[key])
+    cells = [[_format_cell(row[key], spec) if spec else str(row[key])
               for _, key, spec in columns] for row in rows]
     widths = [max(map(len, column)) for column in zip(headers, *cells)]
     def fmt(cells):

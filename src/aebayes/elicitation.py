@@ -8,10 +8,11 @@ of queries is aggregated by arithmetic mean into a HyperPriorSpec.
 
 The transport is pluggable: ``HttpTransport`` talks to a live endpoint
 with retry/backoff, ``FixtureTransport`` replays recorded responses from
-a JSONL file so experiments are reproducible offline.  Every audit log
-written by ``write_audit_log`` is itself a valid fixture file.  A batch's
-one ``ChatRequest`` is its identity, and a recorded line is filed under the
-request its model, strategy and temperature make (``_check_line``).
+a JSONL file so experiments are reproducible offline.  A fixture file and
+an audit log are one format with one reader, ``read_audit_log``, which
+checks each line in ``ElicitationRecord.from_json_dict``.  A batch's one
+``ChatRequest`` is its identity, and a replay files each record under the
+request its model, strategy and temperature make.
 """
 
 from __future__ import annotations
@@ -228,17 +229,16 @@ class ElicitationRecord:
     then holds its text.  The rest follows from these fields, cached per
     record: ``parsed`` and ``error`` from the response, and
     ``request_hash`` from the model, strategy and temperature.  The JSON
-    form writes them too, for readers of the log, and is a superset of a
-    fixture line, so an audit log replays through ``FixtureTransport``;
-    ``from_json_dict`` reads back the stored facts alone, exactly as a
-    replay does.
+    form writes them too, for readers of the log; ``from_json_dict``
+    reads back the stored facts alone.  ``timestamp`` is None for a line
+    recorded without one, as a hand-written fixture line may be.
     """
 
     model: str
     strategy: PromptStrategy
     temperature: float
     response: str | None
-    timestamp: float
+    timestamp: float | None
     failure: str | None = None
 
     @functools.cached_property
@@ -281,9 +281,34 @@ class ElicitationRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ElicitationRecord":
-        response = obj["response"]
-        return cls(*_check_line(obj), response=response, timestamp=float(obj["timestamp"]),
+    def from_json_dict(cls, obj) -> "ElicitationRecord":
+        """Check one line of a fixture file or audit log and read its record.
+
+        The line needs the model, strategy and temperature of its request,
+        the temperature in a batch's range, (0, 2], and a ``response``,
+        a string or null.  Its ``error`` is read only beside a null
+        ``response``, its ``request_hash`` and ``parsed`` never, and its
+        ``timestamp`` is optional."""
+        if not isinstance(obj, dict):
+            raise ElicitationError(f"expected a JSON object, got {obj!r}")
+        if "response" not in obj:
+            raise ElicitationError(f"record missing 'response': {obj!r}")
+        for name in ("response", "error"):
+            if not isinstance(obj.get(name), (str, type(None))):
+                raise ElicitationError(f"{name!r} must be a string or null, got {obj[name]!r}")
+        if "model" in obj and not (isinstance(obj["model"], str) and obj["model"]):
+            raise ElicitationError(f"'model' must be a non-empty string, got {obj['model']!r}")
+        try:
+            model, strategy = obj["model"], PromptStrategy(obj["strategy"])
+            temperature = _temperature(obj["temperature"])
+        except KeyError as exc:
+            raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
+                                   f"and temperature): {obj!r}") from exc
+        except ValueError as exc:
+            raise ElicitationError(f"invalid strategy or temperature: {exc}") from exc
+        response, timestamp = obj["response"], obj.get("timestamp")
+        return cls(model, strategy, temperature, response=response,
+                   timestamp=None if timestamp is None else float(timestamp),
                    failure=obj.get("error") if response is None else None)
 
 
@@ -344,90 +369,41 @@ class HttpTransport:
         return content
 
 
-def _check_line(rec) -> tuple[str, PromptStrategy, float]:
-    """Check one line of a fixture file or audit log and return the identity
-    it is filed under: its model, strategy and temperature, which must lie
-    in a batch's range, (0, 2].  A stored ``request_hash`` is not read."""
-    if not isinstance(rec, dict):
-        raise ElicitationError(f"expected a JSON object, got {rec!r}")
-    if "response" not in rec:
-        raise ElicitationError(f"record missing 'response': {rec!r}")
-    for name in ("response", "error"):
-        if not isinstance(rec.get(name), (str, type(None))):
-            raise ElicitationError(f"{name!r} must be a string or null, got {rec[name]!r}")
-    if "model" in rec and not (isinstance(rec["model"], str) and rec["model"]):
-        raise ElicitationError(f"'model' must be a non-empty string, got {rec['model']!r}")
-    try:
-        return rec["model"], PromptStrategy(rec["strategy"]), _temperature(rec["temperature"])
-    except KeyError as exc:
-        raise ElicitationError(f"record missing {exc.args[0]!r} (a line gives model, strategy "
-                               f"and temperature): {rec!r}") from exc
-    except ValueError as exc:
-        raise ElicitationError(f"invalid strategy or temperature: {exc}") from exc
-
-
-def _read_jsonl(path: str | os.PathLike, parse) -> list:
-    """Apply ``parse`` to each JSON line of a file; errors, a line that is
-    not UTF-8 among them, name file and line."""
-    out = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8-sig")  # a leading byte-order mark reads as nothing
-                if not line.strip():
-                    continue
-                out.append(parse(json.loads(line)))
-            except KeyError as exc:
-                raise ElicitationError(
-                    f"{path}: line {lineno}: record missing {exc.args[0]!r}") from exc
-            except (ElicitationError, ValueError, TypeError, RecursionError) as exc:
-                raise ElicitationError(
-                    f"{path}: line {lineno}: invalid record: {exc}") from exc
-    return out
-
-
 class FixtureTransport:
     """Replays recorded responses to the requests they were recorded for.
 
-    The fixture file (``from_path``) is JSONL; each line (``add_record``)
-    holds the model, strategy and temperature that make its request, plus
-    the raw ``response`` body, a string.  Audit logs qualify.  Responses
-    for the same request are served in file order, and a null one (a
-    transport failure) raises ``RecordedFailureError`` with its recorded
-    ``error`` text, so an audit log replays exactly.  They cycle when
-    exhausted, so a batch larger than the recording still gets
-    deterministic answers.
+    Each ``ElicitationRecord`` is filed under the ``ChatRequest`` its
+    model, strategy and temperature make; ``from_path`` reads them from a
+    fixture file or audit log with ``read_audit_log``.  Responses for the
+    same request are served in record order, and a record without one (a
+    transport failure) raises ``RecordedFailureError`` with its ``error``
+    text, so an audit log replays exactly.  They cycle when exhausted, so a
+    batch larger than the recording still gets deterministic answers.
     """
 
-    def __init__(self):
-        self._responses: dict[ChatRequest, list[str | RecordedFailureError]] = {}
+    def __init__(self, records):
+        self._records: dict[ChatRequest, list[ElicitationRecord]] = {}
         self._cursor: dict[ChatRequest, int] = {}
+        for rec in records:
+            request = ChatRequest(rec.model, build_prompt(rec.strategy), rec.temperature)
+            self._records.setdefault(request, []).append(rec)
 
     @classmethod
     def from_path(cls, path: str | os.PathLike) -> "FixtureTransport":
-        transport = cls()
-        _read_jsonl(path, transport.add_record)
-        return transport
-
-    def add_record(self, rec: dict) -> None:
-        model, strategy, temperature = _check_line(rec)
-        request = ChatRequest(model, build_prompt(strategy), temperature)
-        self._responses.setdefault(request, []).append(
-            RecordedFailureError(rec.get("error") or "recorded query failed")
-            if rec["response"] is None else rec["response"])
+        return cls(read_audit_log(path))
 
     def send(self, request: ChatRequest) -> str:
-        responses = self._responses.get(request)
-        if not responses:
+        records = self._records.get(request)
+        if not records:
             raise FixtureMissError(
                 f"no recorded response for model={request.model!r} "
                 f"temperature={request.temperature}"
             )
         i = self._cursor.get(request, 0)
-        self._cursor[request] = (i + 1) % len(responses)
-        if isinstance(responses[i], RecordedFailureError):
-            raise RecordedFailureError(str(responses[i]))  # a fresh traceback each turn
-        return responses[i]
+        self._cursor[request] = (i + 1) % len(records)
+        if records[i].response is None:
+            raise RecordedFailureError(records[i].error)
+        return records[i].response
 
 
 def query_llm(request: ChatRequest, config: ElicitationConfig, transport) -> str:
@@ -564,14 +540,11 @@ def prior_param_rows(records) -> list[dict]:
         for parameter, values in zip(("alpha_rate", "beta_rate"), zip(*pairs)):
             arr = np.asarray(values, dtype=np.float64)
             q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-            # rates near the float maximum overflow numpy's sums; such a
-            # group's mean is taken as _hull_mean takes it, and its SD on
-            # the rates scaled by the largest
+            mean = _hull_mean(values)
+            # rates near the float maximum overflow numpy's sum of squares;
+            # such a group's SD is taken on the rates scaled by the largest
             with np.errstate(over="ignore"):
-                mean = float(arr.mean())
                 sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                if not math.isfinite(mean):
-                    mean = _hull_mean(values)
                 if not math.isfinite(sd):
                     scale = arr.max()
                     sd = float(scale * (arr / scale).std(ddof=1))
@@ -593,5 +566,19 @@ def write_audit_log(records, path: str | os.PathLike) -> None:
 
 
 def read_audit_log(path: str | os.PathLike) -> list[ElicitationRecord]:
-    """Read the records of a JSONL audit file written by ``write_audit_log``."""
-    return _read_jsonl(path, ElicitationRecord.from_json_dict)
+    """Read the records of a JSONL fixture file or audit log, one per
+    non-blank line (``ElicitationRecord.from_json_dict``); errors, a line
+    that is not UTF-8 among them, name file and line."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8-sig")  # a leading byte-order mark reads as nothing
+                if not line.strip():
+                    continue
+                records.append(ElicitationRecord.from_json_dict(json.loads(line)))
+            except (ElicitationError, ValueError, TypeError, OverflowError,
+                    RecursionError) as exc:
+                raise ElicitationError(
+                    f"{path}: line {lineno}: invalid record: {exc}") from exc
+    return records

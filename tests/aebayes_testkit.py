@@ -17,7 +17,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from aebayes.data import HEADER, Dataset, _parse_rows
-from aebayes.elicitation import ElicitationConfig, FixtureTransport, PromptStrategy
+from aebayes.elicitation import (ElicitationConfig, ElicitationRecord, FixtureTransport,
+                                 PromptStrategy)
 from aebayes.model import HyperPriorSpec
 from aebayes.pipeline import CvCondition
 from aebayes.sampler import McmcConfig, PosteriorDraws
@@ -73,10 +74,7 @@ def llm_condition(model: str = "m1", strategy: str = "blind",
 def transport_from(lines) -> FixtureTransport:
     """Transport replaying the given fixture lines, as ``from_path`` reads
     them from a file."""
-    transport = FixtureTransport()
-    for line in lines:
-        transport.add_record(line)
-    return transport
+    return FixtureTransport(ElicitationRecord.from_json_dict(line) for line in lines)
 
 
 def fixture_transport(responses: list[str], model: str, strategy: str,

@@ -29,7 +29,7 @@ from aebayes.elicitation import (
 )
 from aebayes.model import HyperPriorSpec
 from aebayes.sampler import McmcConfig, compute_rhat, run_mcmc
-from aebayes_testkit import lpd_patient, point_mass_draws
+from aebayes_testkit import lpd_patient, point_mass_draws, transport_from
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -272,15 +272,10 @@ def test_07_experiment_outputs_bit_identical(tmp_path):
 
 
 def _fixture_transport_for(model: str, temperature: float):
-    from aebayes.elicitation import FixtureTransport
-
-    transport = FixtureTransport()
-    for strategy in ("blind", "disease_informed"):
-        transport.add_record({
-            "model": model, "strategy": strategy, "temperature": temperature,
-            "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}',
-        })
-    return transport
+    return transport_from({
+        "model": model, "strategy": strategy, "temperature": temperature,
+        "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}',
+    } for strategy in ("blind", "disease_informed"))
 
 
 def test_08_experiment_structure(tmp_path):

@@ -936,7 +936,8 @@ def test_report_summarizes_audit_logs(tmp_path, capsys):
 def test_report_rates_near_the_float_maximum(tmp_path, capsys):
     """A group of three 1e308 alpha rates overflows numpy's sum and sum of
     squares; ``report`` still exits 0 without a warning, with a finite mean
-    within the group's range and an SD of 0.0."""
+    within the group's range and an SD of 0.0, and its text table shows
+    the rate in exponent form rather than as a 309-digit number."""
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0,
                                                  response='{"alpha_rate": 1e308, '
                                                           '"beta_rate": 0.1}')])
@@ -953,6 +954,24 @@ def test_report_rates_near_the_float_maximum(tmp_path, capsys):
     assert alpha["n"] == "3"
     assert float(alpha["min"]) <= float(alpha["mean"]) <= float(alpha["max"]) == 1e308
     assert float(alpha["sd"]) == 0.0
+    assert "1.000e+308" in (out_dir / "reports" / "prior_param_stats.txt").read_text()
+
+
+def test_report_mean_of_equal_rates_is_the_rate(tmp_path, capsys):
+    """Three equal answers of 0.4 report a mean of 0.4, equal to their min
+    and max, as ``elicit`` aggregates them; a plain float mean of them is
+    0.4000000000000001."""
+    fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0,
+                                                 response='{"alpha_rate": 0.4, '
+                                                          '"beta_rate": 0.4}')])
+    out_dir = tmp_path / "out"
+    assert main(["elicit", "--fixtures", fx, "--model", "m1", "--temperature", "1.0",
+                 "--n-queries", "3", "--out", str(out_dir)]) == 0
+    assert main(["report", "--out", str(out_dir)]) == 0
+    with open(out_dir / "results" / "prior_param_stats.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["mean"], row["min"], row["max"]) for row in rows] == [("0.4",) * 3] * 2
 
 
 def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):
@@ -1015,8 +1034,10 @@ LINE_RATES = [("alpha_rate", "1", 0.5), ("beta_rate", "1", 0.1)]
      LINE_RATES),
     ({"request_hash": _request_hash(0.5), "response": PARSED_RECORD["response"]},
      "rejected"),
+    ({"model": "m1", "strategy": "blind", "temperature": 1.0,  # the README's fixture line
+      "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}'}, LINE_RATES),
 ], ids=["parsed-without-response", "parsed-beside-response", "non-text-response",
-        "numeric-hash", "hash-of-other-fields", "hash-only"])
+        "numeric-hash", "hash-of-other-fields", "hash-only", "no-timestamp"])
 def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line, outcome):
     """``report`` and a ``--fixtures`` replay of the same audit line either
     both count the same rates or both reject the line: each files it under
@@ -1039,7 +1060,8 @@ def test_report_reads_a_line_as_its_replay_does(tmp_path, capsys, line, outcome)
         (row["parameter"], row["n"], float(row["mean"])) for row in csv.DictReader(
             (out_dir / "results" / "prior_param_stats.csv").read_text().splitlines())])
     rc = main(["elicit", "--fixtures", str(log), "--model", "m1", "--strategy", "blind",
-               "--temperature", "0.5", "--n-queries", "1", "--out", str(tmp_path / "replay")])
+               "--temperature", str(line.get("temperature", 0.5)), "--n-queries", "1",
+               "--out", str(tmp_path / "replay")])
     replayed = seen(rc, lambda out: [  # the alpha_rate and beta_rate lines
         (name, "1", float(value))
         for name, _, value in (text.partition(" = ") for text in out.splitlines()[2:])])

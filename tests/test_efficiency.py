@@ -17,7 +17,7 @@ from aebayes.data import DataError
 from aebayes.elicitation import FixtureTransport
 from aebayes.evaluation import Split
 from aebayes.model import META_ANALYTICAL
-from aebayes_testkit import fixture_transport, llm_condition, make_dataset
+from aebayes_testkit import fixture_transport, llm_condition, make_dataset, transport_from
 
 
 @pytest.mark.parametrize(
@@ -210,10 +210,11 @@ def test_efficiency_baseline_runs_at_full_data_only():
 
 def test_efficiency_replications_share_subsamples_across_conditions():
     blind, informed = llm_condition(), llm_condition(strategy="disease_informed")
-    transport = _llm_transport()
-    transport.add_record({"model": "m1", "strategy": "disease_informed",
-                          "temperature": 1.0,
-                          "response": '{"alpha_rate": 0.2, "beta_rate": 0.3}'})
+    transport = transport_from([
+        {"model": "m1", "strategy": "blind", "temperature": 1.0,
+         "response": '{"alpha_rate": 0.5, "beta_rate": 0.1}'},
+        {"model": "m1", "strategy": "disease_informed", "temperature": 1.0,
+         "response": '{"alpha_rate": 0.2, "beta_rate": 0.3}'}])
     result = run_efficiency_experiment(
         _eff_dataset(), [blind, informed],
         transport=transport, rho_grid=(0.5,), n_replications=3, seed=2)

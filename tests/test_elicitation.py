@@ -289,21 +289,34 @@ def test_jsonl_reads_a_leading_byte_order_mark_as_nothing(tmp_path):
     assert FixtureTransport.from_path(bom).send(request) == rec.response
 
 
+def test_jsonl_timestamp_is_optional_and_a_float(tmp_path):
+    """A line without a timestamp reads with none; one past the float range
+    is a malformed line, named by file and line."""
+    line = {"model": "m", "strategy": "blind", "temperature": 1.0, "response": None}
+    path = tmp_path / "audit.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    [rec] = read_audit_log(path)
+    assert rec.timestamp is None
+    path.write_text(json.dumps({**line, "timestamp": 10 ** 400}) + "\n")
+    with pytest.raises(ElicitationError, match=r"audit\.jsonl: line 1: invalid record"):
+        read_audit_log(path)
+
+
 def test_fixture_transport_bad_records(tmp_path):
     with pytest.raises(ElicitationError, match="missing 'response'"):
-        FixtureTransport().add_record({"model": "m"})
+        ElicitationRecord.from_json_dict({"model": "m"})
     with pytest.raises(ElicitationError, match="expected a JSON object"):
-        FixtureTransport().add_record("response")
+        ElicitationRecord.from_json_dict("response")
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n")
     with pytest.raises(ElicitationError, match="line 1"):
         FixtureTransport.from_path(path)
     with pytest.raises(ElicitationError, match="'response' must be a string or null"):
-        FixtureTransport().add_record({"model": "m", "strategy": "blind", "temperature": 1.0,
-                                       "response": 5})
+        ElicitationRecord.from_json_dict({"model": "m", "strategy": "blind",
+                                          "temperature": 1.0, "response": 5})
     with pytest.raises(ElicitationError, match="'error' must be a string or null"):
-        FixtureTransport().add_record({"model": "m", "strategy": "blind", "temperature": 1.0,
-                                       "response": None, "error": 5})
+        ElicitationRecord.from_json_dict({"model": "m", "strategy": "blind",
+                                          "temperature": 1.0, "response": None, "error": 5})
 
 
 @pytest.mark.parametrize("temperature", [math.nan, -3, 2.5], ids=["nan", "negative", "above_2"])
