@@ -1,7 +1,8 @@
 """``repr(float)`` of a float64 array, as bytes, without a Python call per value.
 
-``repr_bytes`` gives the ASCII of ``repr(float(v))`` for every value, in
-three steps on arrays of up to ``_CHUNK`` values:
+``repr_bytes`` gives the ASCII of ``repr(float(v))`` for every value of
+an array, in three steps, each a pass of array arithmetic over all of its
+values (so a caller bounds its temporaries by the size of what it passes):
 
 1. **Shortest digits.**  The shortest decimal f 10^e that reads back as v
    (the one nearest v among those, ties to an even f) comes from the
@@ -34,12 +35,6 @@ import numpy as np
 
 # the longest repr, "-2.2250738585072014e-308"
 WIDTH = 24
-# values formatted per pass, so no temporary of a pass (64 KB per 64-bit
-# array) grows with the caller's array.  8192 takes a 64-draw export block
-# of up to 128 columns in one pass: a 125-site fit's 508,000 draws took
-# 0.135 s, against 0.151 s in two passes a block at 4096, and one array of
-# them 0.29 s in passes of 65536 (2-vCPU Xeon, numpy 2.4)
-_CHUNK = 8192
 
 _U = np.uint64
 _SIGN_BIT = _U(63)
@@ -228,14 +223,6 @@ def repr_bytes(x: np.ndarray) -> np.ndarray:
     """The ASCII bytes of ``repr(float(v))`` for each value of ``x``, as a
     uint8 array of shape ``x.shape + (WIDTH,)``, NUL-padded on the right."""
     bits = np.ascontiguousarray(x, dtype=np.float64).reshape(-1).view(np.uint64)
-    out = np.empty((bits.size, WIDTH), dtype=np.uint8)
-    for start in range(0, bits.size, _CHUNK):
-        out[start:start + _CHUNK] = _repr_chunk(bits[start:start + _CHUNK])
-    return out.reshape(np.shape(x) + (WIDTH,))
-
-
-def _repr_chunk(bits: np.ndarray) -> np.ndarray:
-    """``repr_bytes`` of the float64 values whose bits are ``bits``."""
     negative = (bits >> _SIGN_BIT).astype(np.intp)
     magnitude = bits & _LOW63
     f, k = _shortest(magnitude)
@@ -271,8 +258,8 @@ def _repr_chunk(bits: np.ndarray) -> np.ndarray:
     key = np.where((magnitude == 0) | (magnitude >= _INF_BITS),
                    _SPECIAL + negative + 2 * (magnitude >= _INF_BITS)
                    + 2 * (magnitude > _INF_BITS), key)
-    # one gather of at most _CHUNK x WIDTH indices: each value's layout row,
-    # offset to its own source row
+    # one gather of WIDTH indices per value: its layout row, offset to its
+    # own source row
     index = _LAYOUT[key]
     index += np.arange(0, bits.size * _ROW, _ROW)[:, None]
-    return src.reshape(-1).take(index)
+    return src.reshape(-1).take(index).reshape(np.shape(x) + (WIDTH,))

@@ -540,14 +540,15 @@ def prior_param_rows(records) -> list[dict]:
         for parameter, values in zip(("alpha_rate", "beta_rate"), zip(*pairs)):
             arr = np.asarray(values, dtype=np.float64)
             q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-            mean = _hull_mean(values)
-            # rates near the float maximum overflow numpy's sum of squares;
-            # such a group's SD is taken on the rates scaled by the largest
+            mean, scale = _hull_mean(values), 1.0
+            # the SD about that mean; where the sum of squares passes the
+            # float range, it is taken on the rates scaled by the largest
             with np.errstate(over="ignore"):
-                sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                if not math.isfinite(sd):
+                squares = np.sum(np.square(arr - mean))
+                if not math.isfinite(squares):
                     scale = arr.max()
-                    sd = float(scale * (arr / scale).std(ddof=1))
+                    squares = np.sum(np.square(arr / scale - mean / scale))
+            sd = float(scale * math.sqrt(squares / (arr.size - 1))) if arr.size > 1 else 0.0
             rows.append({
                 "model": model, "strategy": strategy, "temperature": f"{temperature:g}",
                 "parameter": parameter, "n": arr.size, "mean": repr(mean),

@@ -39,15 +39,15 @@ Split R-hat is reported for alpha, beta and every site rate;
 ``PosteriorDraws.rhat_flags`` flags each parameter whose R-hat is not
 below ``RHAT_THRESHOLD`` (1.1, fixed), nan included.
 
-``export_draws`` writes the draws as one csv line per value, each value
-in ``repr``'s shortest round-trip form.  ``_floatrepr.repr_bytes`` gives
-those bytes for a block of draws at once, and the lines are assembled
-from them as bytes, in NUL-padded slots whose padding is deleted as they
+``export_draws`` writes the draws, a table of (chain, draw) rows, as one
+csv line per value in ``repr``'s shortest round-trip form, whose bytes
+``_floatrepr.repr_bytes`` gives a block of rows at a time.  The lines are
+assembled as bytes in NUL-padded slots whose padding is deleted as they
 are written; a NUL in a site id is carried as 0xFF, which UTF-8 never
-holds.  The module and its tables load only when a fit is exported.  On
-two or more usable CPUs, one forked child formats the later half of the
-chains into an anonymous temporary file, which this process appends after
-its own half, so the file's bytes do not depend on the fork.
+holds.  The module and its tables load only when a fit is exported.  When
+the rows fill more than one block, on two or more usable CPUs, a forked
+child formats their later half into an anonymous temporary file, which
+this process appends after its own half, so no byte depends on the fork.
 
 The chain settings ``McmcConfig`` and the error ``NumericalError`` are
 defined in ``model``, which imports no numpy, so the CLI checks its
@@ -84,9 +84,14 @@ _GAIN_DECAY = 0.6
 _MIN_MOVES = 10
 _RW_SCALE = 2.38 ** 2 / 2
 _INITIAL_STEP = 0.5
-# sites per split-R-hat block and draws per export block, so no temporary
+# sites per split-R-hat block and rows per export block, so no temporary
 # grows with the site count
 _BLOCK_ROWS = 64
+# values per export block: one pass of ``_floatrepr.repr_bytes``, whose
+# temporaries (64 KB per 64-bit array) then do not grow with the fit.  A
+# 125-site fit's 508,000 draws took 0.135 s in blocks of 64 rows, against
+# 0.151 s at 4096 values and 0.29 s at 65536 (2-vCPU Xeon, numpy 2.4)
+_BLOCK_VALUES = 8192
 # an export line's bytes as written: its NUL padding deleted, then each 0xFF,
 # a NUL of a name, turned back into a NUL
 _UNPAD = bytes.maketrans(b"\xff", b"\0")
@@ -382,7 +387,7 @@ def compute_rhat(chains: np.ndarray) -> float:
 
 
 def _can_fork() -> bool:
-    """Whether an export may format half its chains in a forked child: not
+    """Whether an export may format half its rows in a forked child: not
     on one usable CPU, without ``os.fork``, or while another Python thread
     runs, whose locks a forked child could inherit held.  (OpenBLAS stops
     its own threads when this process forks.)"""
@@ -399,21 +404,23 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
 
     The bytes are those of one ``csv.writer`` row per value, each value
     written as ``repr(float)``, Python's shortest round-trip form.  Each
-    parameter name is csv-escaped once, and the values are formatted
-    _BLOCK_ROWS draws at a time by ``_floatrepr.repr_bytes``, which gives
-    ``repr``'s bytes for a whole array.  A block's lines are laid out in
-    fixed-width slots padded with NULs, and the padding is dropped as the
-    block is written; a NUL inside a name is held as 0xFF, a byte that no
-    UTF-8 text holds, and restored then.
+    parameter name is csv-escaped once.  Row c * n_draws + d of the
+    draws' table is draw d of chain c, and the rows are formatted in blocks
+    of at most _BLOCK_ROWS rows and _BLOCK_VALUES values (at least one row),
+    each in one pass of ``_floatrepr.repr_bytes``.  A block's lines are
+    laid out in fixed-width slots padded with NULs, and the padding is
+    dropped as the block is written; a NUL inside a name is held as 0xFF, a
+    byte that no UTF-8 text holds, and restored then.
 
-    With two or more chains and ``_can_fork()``, a forked child writes the
-    later half of the chains, from n_chains // 2 on, to an anonymous
-    temporary file that this process opened; this process writes the header
-    and the first half, then reaps the child and appends its file, so the
-    bytes do not depend on the fork and no part file stays on disk, however
-    the processes end.  A child that fails makes this raise ``RuntimeError``
-    naming its chains.  On any exception, an interrupt included, a child
-    still running is killed and reaped before the exception propagates.
+    When the rows fill more than one block and ``_can_fork()``, a forked
+    child writes the later half of the rows to an anonymous temporary file
+    that this process opened; this process writes the header and the first
+    half, then reaps the child and appends its file, so the bytes do not
+    depend on the fork and no part file stays on disk, however the
+    processes end.  A child that fails makes this raise ``RuntimeError``
+    naming the chain and draw of its first row.  On any exception, an
+    interrupt included, a child still running is killed and reaped before
+    the exception propagates.
     """
     import signal  # here alone: cv and efficiency import this module
 
@@ -432,37 +439,39 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
         writer.writerow((name, ""))
         columns.append(buf.getvalue()[:-1].encode("utf-8").replace(b"\0", b"\xff"))
     n_chains, n_draws = draws.alpha.shape
-    # a block of lines, one per draw and column: "<c>,<d>,", the column's
+    # views of the chain-major table: row c * n_draws + d is draw d of chain c
+    alpha, beta = draws.pooled_hyperparams()
+    lambdas = draws.lambdas.reshape(alpha.size, draws.lambdas.shape[2])
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // max(len(columns), 1)))
+    # a block of lines, one per row and column: "<c>,<d>,", the column's
     # "<parameter>,", the value and a newline, each part left-aligned in its
     # own NUL-padded slot
     prefix_width = len(f"{n_chains - 1},{n_draws - 1},")
     name_width = max(map(len, columns), default=0)
     name_end = prefix_width + name_width
-    line = np.zeros((_BLOCK_ROWS, len(columns), name_end + WIDTH + 1), dtype=np.uint8)
+    line = np.zeros((step, len(columns), name_end + WIDTH + 1), dtype=np.uint8)
     name_bytes = np.array(columns, dtype=f"S{name_width}").view(np.uint8)
     line[:, :, prefix_width:name_end] = name_bytes.reshape(len(columns), name_width)
     line[:, :, -1] = ord("\n")
 
-    def write_chains(fh, chains: range) -> None:
-        for c in chains:
-            for start in range(0, n_draws, _BLOCK_ROWS):
-                block = draws.lambdas[c, start:start + _BLOCK_ROWS]
-                if include_hyperparams:
-                    hyper = (draws.alpha[c, start:start + _BLOCK_ROWS, None],
-                             draws.beta[c, start:start + _BLOCK_ROWS, None])
-                    block = np.concatenate(hyper + (block,), axis=1)
-                rows = len(block)
-                prefix = np.array([f"{c},{d}," for d in range(start, start + rows)],
-                                  dtype=f"S{prefix_width}").view(np.uint8)
-                line[:rows, :, :prefix_width] = prefix.reshape(rows, 1, prefix_width)
-                line[:rows, :, name_end:-1] = repr_bytes(block)
-                fh.write(line[:rows].tobytes().translate(_UNPAD, b"\0"))
+    def write_rows(fh, rows: range) -> None:
+        for lo in range(rows.start, rows.stop, step):
+            hi = min(lo + step, rows.stop)
+            block = lambdas[lo:hi]
+            if include_hyperparams:
+                block = np.concatenate((alpha[lo:hi, None], beta[lo:hi, None], block), axis=1)
+            prefix = np.array([f"{r // n_draws},{r % n_draws}," for r in range(lo, hi)],
+                              dtype=f"S{prefix_width}").view(np.uint8)
+            out = line[:hi - lo]
+            out[:, :, :prefix_width] = prefix.reshape(-1, 1, prefix_width)
+            out[:, :, name_end:-1] = repr_bytes(block)
+            fh.write(out.tobytes().translate(_UNPAD, b"\0"))
 
     # without a single column (no sites, hyperparameters left out) a draw has
     # no line
-    n_written = n_chains if columns else 0
-    half = n_written // 2 if n_written > 1 and _can_fork() else n_written
-    theirs = range(half, n_written)  # the child's chains, if it forks
+    n_rows = alpha.size if columns else 0
+    half = n_rows // 2 if n_rows > step and _can_fork() else n_rows
+    theirs = range(half, n_rows)  # the child's rows, if it forks
     part = tempfile.TemporaryFile() if theirs else None
     pid = None  # the child's, until it is reaped
     try:
@@ -478,7 +487,7 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        write_chains(part, theirs)
+                        write_rows(part, theirs)
                         part.flush()
                         code = 0
                     finally:
@@ -487,15 +496,15 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with open(path, "wb") as fh:
             fh.write(b"chain,draw,parameter,value\n")
-            write_chains(fh, range(half))
+            write_rows(fh, range(half))
             if theirs:
                 status = os.waitpid(pid, 0)[1]
                 reaped, pid = pid, None
                 if status:
+                    chain, draw = divmod(half, n_draws)
                     raise RuntimeError(
-                        f"the draws export of chain(s) {', '.join(map(str, theirs))} "
-                        f"failed in process {reaped} "
-                        f"(exit status {os.waitstatus_to_exitcode(status)})")
+                        f"the draws export from chain {chain}, draw {draw} on failed "
+                        f"in process {reaped} (exit status {os.waitstatus_to_exitcode(status)})")
                 part.seek(0)
                 shutil.copyfileobj(part, fh)
     except BaseException:

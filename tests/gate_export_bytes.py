@@ -2,8 +2,10 @@
 
 Fits the seed-0 trial and zero-heavy datasets of ``perfbench/gen.py`` under
 the CLI's default prior and chains (4 chains of 1000 warmup + 1000 kept
-draws) at sampler seeds 0-2, each through ``run_mcmc``, as ``aebayes fit``
-runs it.  Each fit is exported by ``export_draws`` and by the testkit's
+draws) at sampler seeds 0-2, and its wide dataset at sampler seed 0, each
+through ``run_mcmc``, as ``aebayes fit`` runs it.  The wide set's 1,250
+sites make 1,252 columns, so its export blocks hold 6 rows, not 64.  Each
+fit is exported by ``export_draws`` and by the testkit's
 ``reference_export_draws`` (one ``csv.writer`` row per value, values by
 ``repr``), with and without the hyperparameters.  It prints one row per
 export: its size, the sha256 of the fast writer's bytes and whether the two
@@ -32,6 +34,8 @@ from aebayes.sampler import export_draws  # noqa: E402
 from aebayes_testkit import reference_export_draws  # noqa: E402
 
 SETS = ("trial.csv", "zero_heavy.csv")
+# its 5,008,000 values are slow to write the reference's way: seed 0 alone
+WIDE = "wide.csv"
 
 
 def main() -> int:
@@ -45,9 +49,9 @@ def main() -> int:
         tmp = Path(tmp)
         paths = gen.generate(0, tmp)
         fast, ref = tmp / "fast.csv", tmp / "reference.csv"
-        for name in SETS:
+        for name in SETS + (WIDE,):
             dataset = load_dataset(paths[name])
-            for seed in range(args.seeds):
+            for seed in range(1 if name == WIDE else args.seeds):
                 draws = run_mcmc(dataset, META_ANALYTICAL, McmcConfig(seed=seed))
                 for hyper in (True, False):
                     export_draws(draws, fast, include_hyperparams=hyper)

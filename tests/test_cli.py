@@ -323,13 +323,13 @@ def test_interrupted_draws_export_keeps_previous_draws(dataset_file, config_file
 @pytest.mark.parametrize("failing", ["child", "parent", "fork"])
 def test_failed_export_share_leaves_no_child_or_part(dataset_file, tmp_path, monkeypatch,
                                                      failing):
-    """A chain share that fails in its forked child makes ``fit`` raise,
-    naming the child's chains; an interrupt while this process formats its
-    own share, or one that arrives the moment the child is forked, kills the
-    child still at work.  Either way the previous draws.csv stays, with no
+    """A share of the rows that fails in its forked child makes ``fit``
+    raise, naming the chain and draw of the child's first row; an interrupt
+    while this process formats its own share, or one that arrives the moment
+    the child is forked, kills the child still at work.  Either way the previous draws.csv stays, with no
     temporary or part file beside it, and every child has been reaped."""
     config = tmp_path / "run.cfg"
-    # two chains of three export blocks each, one per process
+    # 260 rows, three export blocks of them in each process
     config.write_text("n_chains = 2\nn_warmup = 40\nn_draws = 130\n", encoding="utf-8")
     argv = ["fit", "--dataset", dataset_file, "--config", str(config),
             "--out", str(tmp_path / "out")]
@@ -364,7 +364,7 @@ def test_failed_export_share_leaves_no_child_or_part(dataset_file, tmp_path, mon
 
         monkeypatch.setattr(os, "fork", interrupted_fork)
     if failing == "child":
-        with pytest.raises(RuntimeError, match=r"export of chain\(s\) 1 failed"):
+        with pytest.raises(RuntimeError, match=r"export from chain 1, draw 0 on failed"):
             main(argv)
     else:
         with pytest.raises(KeyboardInterrupt):
@@ -959,8 +959,8 @@ def test_report_rates_near_the_float_maximum(tmp_path, capsys):
 
 def test_report_mean_of_equal_rates_is_the_rate(tmp_path, capsys):
     """Three equal answers of 0.4 report a mean of 0.4, equal to their min
-    and max, as ``elicit`` aggregates them; a plain float mean of them is
-    0.4000000000000001."""
+    and max, as ``elicit`` aggregates them, and an SD of 0.0; a plain float
+    mean of them is 0.4000000000000001, and the SD about it 6.8e-17."""
     fx = write_fixtures(tmp_path, [fixture_entry("m1", "blind", 1.0,
                                                  response='{"alpha_rate": 0.4, '
                                                           '"beta_rate": 0.4}')])
@@ -972,6 +972,7 @@ def test_report_mean_of_equal_rates_is_the_rate(tmp_path, capsys):
               encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [(row["mean"], row["min"], row["max"]) for row in rows] == [("0.4",) * 3] * 2
+    assert [row["sd"] for row in rows] == ["0.0"] * 2
 
 
 def test_report_group_without_parsed_records_exit_code(tmp_path, capsys):

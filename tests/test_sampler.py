@@ -443,8 +443,8 @@ def test_export_draws_matches_csv_writer(tmp_path, monkeypatch, include_hyperpar
     csv-escaping site ids, and keeps the bytes of ids holding a NUL, a
     non-ASCII letter (ÿ, U+00FF, whose UTF-8 C3 BF holds no 0xFF, the byte
     that carries a NUL), a four-byte character or a carriage return,
-    whether the later chain is written in this process or in a forked
-    child; 70 draws span two blocks of draws."""
+    whether the later rows are written in this process or in a forked
+    child; 70 draws a chain span three blocks of rows."""
     data = loads_dataset('site_id,patient_id,ae_count\n"a,""b",p1,3\n"a,""b",p2,0\n'
                          'plain,p3,25\n"x\ny",p4,1\nn\0ul,p5,2\ncafé,p6,0\n"c\rr",p7,1\n'
                          'ÿ,p8,4\nk\U0001d538\0,p9,0\n')
@@ -469,9 +469,11 @@ def test_export_draws_matches_csv_writer(tmp_path, monkeypatch, include_hyperpar
 @pytest.mark.parametrize("n_chains", [1, 3, 4])
 def test_export_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, n_chains, processes):
     """In one process or two, the export writes the reference's bytes, forks
-    a child only for two or more chains, and leaves no part file; with no
-    site and the hyperparameters left out only the header is written, in
-    this process alone."""
+    a child only when the rows fill more than one block, and leaves no part
+    file.  70 rows or more overfill a block of 64; 300 sites make a block
+    of 27 rows, which 30 rows or more overfill; one chain of 64 draws of two
+    sites fills one block.  With no site and the hyperparameters left out
+    only the header is written, in this process alone."""
     monkeypatch.setattr(sampler, "_can_fork", lambda: processes == 2)
     forks = []
     fork = os.fork
@@ -484,10 +486,16 @@ def test_export_bytes_do_not_depend_on_processes(tmp_path, monkeypatch, n_chains
     draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1),
                      McmcConfig(n_chains=n_chains, n_warmup=10, n_draws=70, seed=3))
     no_sites = replace(draws, lambdas=draws.lambdas[:, :, :0], site_ids=())
-    shares = min(n_chains, processes)
+    wide = replace(draws, alpha=draws.alpha[:, :30], beta=draws.beta[:, :30],
+                   lambdas=np.tile(draws.lambdas[:, :30], 150),
+                   site_ids=tuple(f"s{j}" for j in range(300)))
+    one_block = replace(draws, alpha=draws.alpha[:1, :64], beta=draws.beta[:1, :64],
+                        lambdas=draws.lambdas[:1, :64])
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-    for case, include_hyperparams, n_shares in ((draws, True, shares), (draws, False, shares),
-                                                (no_sites, True, shares), (no_sites, False, 1)):
+    for case, include_hyperparams, n_shares in (
+            (draws, True, processes), (draws, False, processes), (no_sites, True, processes),
+            (no_sites, False, 1), (wide, True, processes), (wide, False, processes),
+            (one_block, True, 1)):
         forks.clear()
         export_draws(case, fast, include_hyperparams=include_hyperparams)
         reference_export_draws(case, ref, include_hyperparams=include_hyperparams)
