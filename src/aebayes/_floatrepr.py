@@ -1,8 +1,10 @@
-"""``repr(float)`` of a float64 array, as bytes, without a Python call per value.
+"""``repr(float)`` of positive finite float64 values, as bytes, without a
+Python call per value.
 
 ``repr_bytes`` gives the ASCII of ``repr(float(v))`` for every value of
-an array, in three steps, each a pass of array arithmetic over all of its
-values (so a caller bounds its temporaries by the size of what it passes):
+an array of positive finite doubles, subnormals included, in three steps,
+each a pass of array arithmetic over all of its values (so a caller bounds
+its temporaries by the size of what it passes):
 
 1. **Shortest digits.**  The shortest decimal f 10^e that reads back as v
    (the one nearest v among those, ties to an even f) comes from the
@@ -19,10 +21,10 @@ values (so a caller bounds its temporaries by the size of what it passes):
    as d1.d2...dne[+-]XX otherwise (at least two exponent digits); an
    integral value in fixed notation ends in ".0".  Each value's bytes are
    one gather from a source row (its digits, its exponent's digits and the
-   constant characters) by a row of ``_LAYOUT``, keyed by sign, digit count
-   and decimal-point position or exponent width.  Zeros, infinities and nan
-   have rows of their own.
-3. **Callers** join the bytes into lines (``sampler.export_draws``).
+   constant characters) by a row of ``_LAYOUT``, keyed by digit count and
+   decimal-point position or exponent width.
+3. **Callers** join the bytes into lines (``sampler.export_draws``, which
+   first checks that every value is positive and finite).
 
 The tables are built when this module is first imported, which only
 ``export_draws`` does: the powers of ten from exact Python integers, the
@@ -33,13 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# the longest repr, "-2.2250738585072014e-308"
-WIDTH = 24
+# the longest repr, "2.2250738585072014e-308"
+WIDTH = 23
 
 _U = np.uint64
-_SIGN_BIT = _U(63)
 _EXP_SHIFT = _U(52)
-_INF_BITS = _U(0x7FF << 52)
 _FRACTION_MASK = _U((1 << 52) - 1)
 _C_MIN = _U(1 << 52)
 _Q_MIN = -1074
@@ -116,9 +116,8 @@ def _rop(x: tuple, y: tuple) -> np.ndarray:
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest round-trip (f, e) of the doubles whose bits, sign
-    cleared, are ``bits``: v reads back from f 10^e, for v positive and
-    finite (zeros, infinities and nan give unused values)."""
+    """The shortest round-trip (f, e) of the positive finite doubles whose
+    bits are ``bits``: v reads back from f 10^e."""
     normal = bits >= _C_MIN
     fraction = bits & _FRACTION_MASK
     c = np.where(normal, fraction | _C_MIN, fraction)
@@ -160,15 +159,15 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-# Each value's digits and exponent are written to a 32-byte source row: its
+# Each value's digits and exponent are written to a 28-byte source row: its
 # 2nd to 17th digits as four 4-digit words, a word of its exponent's 3 digits
 # whose last byte then takes its leading digit, and _CONSTANTS.  The words
 # come from tables of bytes viewed as uint32, so the bytes land in the row in
 # either byte order.
-_ROW = 32
 _DIGIT_COLUMNS = [19] + list(range(16))
 _EXPONENT_COLUMNS = [16, 17, 18]
-_CONSTANTS = b"-.0e+infa\0\0\0"
+_CONSTANTS = b"-.0e+\0\0\0"
+_ROW = 20 + len(_CONSTANTS)
 _MINUS, _DOT, _ZERO, _E, _PLUS = range(20, 25)
 _PAD = 20 + _CONSTANTS.index(b"\0")
 # b"%04d" % i, b"%03d0" % i and the trailing zeros of "%04d" % i (4 for 0),
@@ -182,18 +181,16 @@ del _WORD_VALUES
 _N_DIGITS = 17
 _POW10 = np.array([10 ** i for i in range(_N_DIGITS + 1)], dtype=np.uint64)
 
-# _LAYOUT's row (17 negative + n - 1) 24 + layout holds the source columns
-# of a value of that sign with n digits: layouts 0..19 are fixed notation at
-# p = layout - 3, then exponent notation with a positive or negative exponent
-# of two or three digits.  From _SPECIAL on come 0.0, -0.0, inf, -inf and
-# nan (for either sign).
+# _LAYOUT's row (n - 1) 24 + layout holds the source columns of a value with
+# n digits: layouts 0..19 are fixed notation at p = layout - 3, then
+# exponent notation with a positive or negative exponent of two or three
+# digits.
 _FIXED = 20
 _N_LAYOUTS = 24
-_SPECIAL = 2 * _N_DIGITS * _N_LAYOUTS
 
 
 def _body(n: int, layout: int) -> list[int]:
-    """The source columns of an unsigned value with n digits."""
+    """The source columns of a value with n digits."""
     d = _DIGIT_COLUMNS[:n]
     if layout < _FIXED:
         p = layout - 3
@@ -211,21 +208,17 @@ def _pad(row: list[int]) -> list[int]:
     return row + [_PAD] * (WIDTH - len(row))
 
 
-_LAYOUT = np.array(
-    [_pad([_MINUS] * negative + _body(n, layout)) for negative in (0, 1)
-     for n in range(1, _N_DIGITS + 1) for layout in range(_N_LAYOUTS)]
-    + [_pad([20 + _CONSTANTS.index(ch) for ch in text])
-       for text in (b"0.0", b"-0.0", b"inf", b"-inf", b"nan", b"nan")],
-    dtype=np.intp)
+_LAYOUT = np.array([_pad(_body(n, layout)) for n in range(1, _N_DIGITS + 1)
+                    for layout in range(_N_LAYOUTS)], dtype=np.intp)
 
 
 def repr_bytes(x: np.ndarray) -> np.ndarray:
     """The ASCII bytes of ``repr(float(v))`` for each value of ``x``, as a
-    uint8 array of shape ``x.shape + (WIDTH,)``, NUL-padded on the right."""
+    uint8 array of shape ``x.shape + (WIDTH,)``, NUL-padded on the right.
+    Any value not positive and finite (unchecked) gives wrong bytes or an
+    IndexError."""
     bits = np.ascontiguousarray(x, dtype=np.float64).reshape(-1).view(np.uint64)
-    negative = (bits >> _SIGN_BIT).astype(np.intp)
-    magnitude = bits & _LOW63
-    f, k = _shortest(magnitude)
+    f, k = _shortest(bits)
     # f has n_digits <= 17 digits; scaled to exactly 17, it splits into its
     # leading digit and four 4-digit words
     n_digits = np.searchsorted(_POW10, f, side="right")
@@ -254,12 +247,8 @@ def repr_bytes(x: np.ndarray) -> np.ndarray:
     n = _N_DIGITS - zeros
     layout = np.where((p > -4) & (p <= 16), p + 3,
                       _FIXED + 2 * (p < 1) + (exponent >= 100))
-    key = (negative * _N_DIGITS + n - 1) * _N_LAYOUTS + layout
-    key = np.where((magnitude == 0) | (magnitude >= _INF_BITS),
-                   _SPECIAL + negative + 2 * (magnitude >= _INF_BITS)
-                   + 2 * (magnitude > _INF_BITS), key)
     # one gather of WIDTH indices per value: its layout row, offset to its
     # own source row
-    index = _LAYOUT[key]
+    index = _LAYOUT[(n - 1) * _N_LAYOUTS + layout]
     index += np.arange(0, bits.size * _ROW, _ROW)[:, None]
     return src.reshape(-1).take(index).reshape(np.shape(x) + (WIDTH,))

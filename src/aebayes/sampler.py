@@ -403,14 +403,17 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
     """Dump draws as columnar delimited text: chain, draw, parameter, value.
 
     The bytes are those of one ``csv.writer`` row per value, each value
-    written as ``repr(float)``, Python's shortest round-trip form.  Each
-    parameter name is csv-escaped once.  Row c * n_draws + d of the
-    draws' table is draw d of chain c, and the rows are formatted in blocks
-    of at most _BLOCK_ROWS rows and _BLOCK_VALUES values (at least one row),
-    each in one pass of ``_floatrepr.repr_bytes``.  A block's lines are
-    laid out in fixed-width slots padded with NULs, and the padding is
-    dropped as the block is written; a NUL inside a name is held as 0xFF, a
-    byte that no UTF-8 text holds, and restored then.
+    written as ``repr(float)``, Python's shortest round-trip form: every
+    value must be positive and finite, as every kept draw is, or this raises
+    ``ValueError`` naming its parameter, chain and draw before it forks or
+    opens ``path``.  Each parameter name is csv-escaped once.  Row
+    c * n_draws + d of the draws' table is draw d of chain c, and the rows
+    are formatted in blocks of at most _BLOCK_ROWS rows and _BLOCK_VALUES
+    values (at least one row), each in one pass of
+    ``_floatrepr.repr_bytes``.  A block's lines are laid out in fixed-width
+    slots padded with NULs, and the padding is dropped as the block is
+    written; a NUL inside a name is held as 0xFF, a byte that no UTF-8 text
+    holds, and restored then.
 
     When the rows fill more than one block and ``_can_fork()``, a forked
     child writes the later half of the rows to an anonymous temporary file
@@ -442,6 +445,13 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
     # views of the chain-major table: row c * n_draws + d is draw d of chain c
     alpha, beta = draws.pooled_hyperparams()
     lambdas = draws.lambdas.reshape(alpha.size, draws.lambdas.shape[2])
+    table = [alpha[:, None], beta[:, None], lambdas] if include_hyperparams else [lambdas]
+    valid = np.hstack([(part > 0) & (part < np.inf) for part in table])
+    if not valid.all():
+        row, column = divmod(int(valid.argmin()), len(columns))
+        chain, draw = divmod(row, n_draws)
+        raise ValueError(f"{names[column]} at chain {chain}, draw {draw} is "
+                         f"{float(np.hstack(table)[row, column])!r}, not positive and finite")
     step = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // max(len(columns), 1)))
     # a block of lines, one per row and column: "<c>,<d>,", the column's
     # "<parameter>,", the value and a newline, each part left-aligned in its
@@ -457,9 +467,7 @@ def export_draws(draws: PosteriorDraws, path: str | os.PathLike,
     def write_rows(fh, rows: range) -> None:
         for lo in range(rows.start, rows.stop, step):
             hi = min(lo + step, rows.stop)
-            block = lambdas[lo:hi]
-            if include_hyperparams:
-                block = np.concatenate((alpha[lo:hi, None], beta[lo:hi, None], block), axis=1)
+            block = np.hstack([part[lo:hi] for part in table])
             prefix = np.array([f"{r // n_draws},{r % n_draws}," for r in range(lo, hi)],
                               dtype=f"S{prefix_width}").view(np.uint8)
             out = line[:hi - lo]

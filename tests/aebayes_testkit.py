@@ -152,21 +152,15 @@ def hyper_draws(alpha: np.ndarray, beta: np.ndarray) -> PosteriorDraws:
                           site_ids=())
 
 
-def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
-                         n_grid: int = 401) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact posterior p(alpha, beta | data) on a grid: ``(alpha, beta,
-    weight)`` arrays of one shape, the weights summing to 1.
+def _log_posterior(dataset: Dataset, spec: HyperPriorSpec):
+    """log p(log alpha, log beta | data) up to a constant, as a function of
+    the axes (u, v) of a grid in (log alpha, log beta).
 
     With the site rates integrated out, site j (event total t_j over n_j
     patients) contributes beta^alpha Gamma(alpha + t_j) /
     (Gamma(alpha) (beta + n_j)^(alpha + t_j)), and sites with equal
     (t_j, n_j) share that factor.  The grid is uniform in (log alpha,
-    log beta), so each cell carries the Jacobian alpha * beta.  A coarse
-    pass over [-30, 12]^2 finds where the mass lies (a box of [-12, 8]
-    cuts off about 1e-5 of the posterior of an all-zero training set,
-    whose alpha reaches down to 0); a grid that leaves more than 1e-6 of
-    the mass on its edge raises AssertionError.
-    """
+    log beta), so each cell carries the Jacobian alpha * beta."""
     pairs, mult = np.unique(np.stack([dataset.site_totals(), dataset.site_sizes()]),
                             axis=1, return_counts=True)
     t, n = (row[:, None, None].astype(np.float64) for row in pairs)
@@ -178,16 +172,56 @@ def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
         return (sites.sum(axis=0) - spec.alpha_rate * a - spec.beta_rate * b
                 + u[:, None] + v[None, :])
 
+    return log_post
+
+
+def _log_nb(y: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log NB(y; alpha, beta / (1 + beta)) on the grid of axes (u, v)."""
+    a, b = np.exp(u)[:, None], np.exp(v)[None, :]
+    return (gammaln(y + a) - gammaln(a) - gammaln(y + 1.0)
+            + a * np.log(b) - (a + y) * np.log1p(b))
+
+
+def _fine_axes(log_post, n_grid: int, counts=()) -> tuple[np.ndarray, np.ndarray]:
+    """n_grid points on each axis of a box that holds the posterior's mass
+    and, for each y in ``counts``, the mass of its predictive integrand, the
+    posterior times NB(y; alpha, beta / (1 + beta)), which for a count far
+    above the training rates lies where the posterior is far below its
+    peak.  A coarse pass over [-30, 12]^2 finds where each lies within 40
+    of its own peak, and the box reaches one coarse step beyond.  (A box of
+    [-12, 8] cuts off about 1e-5 of the posterior of an all-zero training
+    set, whose alpha reaches down to 0.)"""
     coarse = np.linspace(-30.0, 12.0, 211)
     lp = log_post(coarse, coarse)
-    iu, iv = np.nonzero(lp > lp.max() - 40.0)
+    held = lp > lp.max() - 40.0
+    for y in counts:
+        integrand = lp + _log_nb(y, coarse, coarse)
+        held |= integrand > integrand.max() - 40.0
+    iu, iv = np.nonzero(held)
     step = coarse[1] - coarse[0]
-    u = np.linspace(coarse[iu.min()] - step, coarse[iu.max()] + step, n_grid)
-    v = np.linspace(coarse[iv.min()] - step, coarse[iv.max()] + step, n_grid)
-    lp = log_post(u, v)
-    weight = np.exp(lp - logsumexp(lp))
+    return (np.linspace(coarse[iu.min()] - step, coarse[iu.max()] + step, n_grid),
+            np.linspace(coarse[iv.min()] - step, coarse[iv.max()] + step, n_grid))
+
+
+def _log_mass(lp: np.ndarray) -> float:
+    """logsumexp(lp) over a grid; a grid that leaves more than 1e-6 of the
+    mass on its edge raises AssertionError."""
+    total = logsumexp(lp)
+    weight = np.exp(lp - total)
     edge = weight[[0, -1], :].sum() + weight[1:-1, [0, -1]].sum()
     assert edge < 1e-6, f"quadrature grid leaves {edge:.2g} of the mass on its edge"
+    return total
+
+
+def quadrature_posterior(dataset: Dataset, spec: HyperPriorSpec,
+                         n_grid: int = 401) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact posterior p(alpha, beta | data) on a grid: ``(alpha, beta,
+    weight)`` arrays of one shape, the weights summing to 1, over the box
+    that holds the posterior's mass (``_fine_axes``)."""
+    log_post = _log_posterior(dataset, spec)
+    u, v = _fine_axes(log_post, n_grid)
+    lp = log_post(u, v)
+    weight = np.exp(lp - _log_mass(lp))
     alpha, beta = np.meshgrid(np.exp(u), np.exp(v), indexing="ij")
     return alpha, beta, weight
 
@@ -225,13 +259,14 @@ def exact_lpd(counts, dataset: Dataset, spec: HyperPriorSpec,
               n_grid: int = 401) -> np.ndarray:
     """log of the exact posterior predictive of a new site's count,
     log E[NB(y; alpha, beta / (1 + beta)) | data], for each y in
-    ``counts``, by quadrature."""
-    alpha, beta, weight = (x.reshape(-1) for x in quadrature_posterior(dataset, spec, n_grid))
-    keep = weight > 0
-    alpha, beta, log_w = alpha[keep], beta[keep], np.log(weight[keep])
-    return np.array([logsumexp(log_w + gammaln(y + alpha) - gammaln(alpha) - gammaln(y + 1.0)
-                               + alpha * np.log(beta) - (alpha + y) * np.log1p(beta))
-                     for y in np.asarray(counts, dtype=np.float64)])
+    ``counts``, by quadrature over a box that holds the posterior's mass
+    and each count's predictive integrand (``_fine_axes``)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    log_post = _log_posterior(dataset, spec)
+    u, v = _fine_axes(log_post, n_grid, counts)
+    lp = log_post(u, v)
+    lp -= _log_mass(lp)
+    return np.array([_log_mass(lp + _log_nb(y, u, v)) for y in counts])
 
 
 def reference_export_draws(draws: PosteriorDraws, path,

@@ -15,8 +15,9 @@ root of a checkout:
 
     PYTHONPATH=src python tests/gate_bench_lpd.py
 
-It exits 1 if a gap exceeds 1e-9.  The bench's counts are at most 28, well
-inside the box in which the oracle holds the predictive integrand.
+It exits 1 if a gap exceeds 1e-9.  The oracle's grid box holds each test
+count's predictive integrand as well as the posterior, however far the
+count lies above the training rates.
 """
 
 from __future__ import annotations

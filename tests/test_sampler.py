@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -463,6 +464,33 @@ def test_export_draws_matches_csv_writer(tmp_path, monkeypatch, include_hyperpar
     export_draws(no_sites, fast, include_hyperparams=include_hyperparams)
     reference_export_draws(no_sites, ref, include_hyperparams=include_hyperparams)
     assert fast.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_export_draws_rejects_values_that_are_not_positive_and_finite(tmp_path, monkeypatch,
+                                                                       bad):
+    """A value that is not positive and finite (which no kept draw is) has
+    no layout in the float kernel: the export raises ValueError naming the
+    parameter, chain and draw of the first one in the file's order, before
+    it forks or opens the file."""
+    monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the export forked"))
+    draws = run_mcmc(TWO_SITES, HyperPriorSpec(0.1, 0.1),
+                     McmcConfig(n_chains=2, n_warmup=10, n_draws=70, seed=3))
+    alpha, lambdas = draws.alpha.copy(), draws.lambdas.copy()
+    alpha[1, 40] = lambdas[1, 5, 1] = bad
+    path = tmp_path / "draws.csv"
+    path.write_text("kept")
+    name = f"lambda[{TWO_SITES.site_ids[1]}]"
+    for include_hyperparams in (True, False):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} at chain 1, draw 5 is "
+                                             rf"{re.escape(repr(bad))}, not positive and finite$"):
+            export_draws(replace(draws, alpha=alpha, lambdas=lambdas), path,
+                         include_hyperparams=include_hyperparams)
+        assert path.read_text() == "kept"
+    with pytest.raises(ValueError, match=rf"^alpha at chain 1, draw 40 is {re.escape(repr(bad))},"):
+        export_draws(replace(draws, alpha=alpha), path)
+    assert path.read_text() == "kept"
 
 
 @pytest.mark.parametrize("processes", [1, 2])
